@@ -9,17 +9,16 @@ import sys
 
 import numpy as np
 
-from . import tensor as tc
 from .batching import make_batches
 from .checkpoint import load_checkpoint
 from .config import default_config, load_config
-from .ctc import LabelSequence, ctc_brute_force, ctc_loss, greedy_decode
+from .ctc import LabelSequence, ctc_brute_force, ctc_loss
 from .errors import AbnError
 from .gradcheck import model_gradient_check
 from .recurrent import Model, stack_forward
 from .synth import sorted_for_batching, synth_generate
 from .tensor import Tensor
-from .train import evaluate, run_training
+from .train import decode_batch, evaluate, run_training
 
 GRADCHECK_TOLERANCE = 1e-4
 ORACLE_TOLERANCE = 1e-9
@@ -99,10 +98,7 @@ def _cmd_decode(args) -> int:
     batches = make_batches(sorted_for_batching(utts), cfg.max_frames_per_batch)
     for batch in batches:
         logits = stack_forward(batch.features, model, "infer")
-        for b, ref in enumerate(batch.labels):
-            per_utt = tc.index_axis(logits.features, 0, b)
-            valid = tc.rows(per_utt, 0, int(logits.lengths[b]))
-            hyp = greedy_decode(valid)
+        for ref, hyp in zip(batch.labels, decode_batch(logits)):
             print(f"ref={' '.join(map(str, ref.tokens))}"
                   f" hyp={' '.join(map(str, hyp.tokens))}")
     return 0

@@ -1,9 +1,11 @@
 """Attention-driven generation of batch-norm scale/shift parameters.
 
 Two generator flavors share one pipeline: standardize the mini-batch,
-feed each utterance's standardized frames to an attention network, and use
-its output to produce the scale (gamma) and shift (beta) applied in place
-of the learned BN parameters.
+feed its standardized frames to an attention network, and use its output
+to produce the scale (gamma) and shift (beta) applied in place of the
+learned BN parameters. The whole padded [B, T, D] batch goes through the
+network at once; masks keep each utterance's attention on its own valid
+frames.
 
 * ``FrameAbnGenerator`` embeds frames, attends over them with one weight
   per frame, pools to a single utterance vector, and emits ONE
@@ -25,7 +27,7 @@ import numpy as np
 from . import tensor as tc
 from .data import SequenceBatch
 from .errors import ContractError, ShapeError
-from .normalization import BatchNormState, bn_forward, mask_frames, standardize_batch
+from .normalization import BatchNormState, bn_forward, standardize_batch
 from .tensor import Tensor
 
 
@@ -127,24 +129,28 @@ class UttAbnGenerator:
 
 
 def frame_embed(h_norm: Tensor, gen: FrameAbnGenerator) -> Tensor:
-    """Bottleneck embedding of one utterance's standardized frames.
+    """Bottleneck embedding of standardized frames.
 
-    ``h_norm`` is [frames, feature_dim]; result is tanh(W h + b) per frame,
-    [frames, embed_dim].
+    ``h_norm`` is [frames, feature_dim] for one utterance or
+    [batch, frames, feature_dim] for a batch; each frame maps to
+    tanh(W h + b), of width embed_dim.
     """
     return tc.tanh(tc.affine(h_norm, gen.w_embed, gen.b_embed))
 
 
 def frame_attention(e: Tensor, valid=None) -> Tensor:
-    """One attention weight per frame from the mean of its embedding."""
-    means = tc.tmean(e, axis=1)
+    """One attention weight per frame from the mean of its embedding.
+
+    ``valid`` masks the frames axis: [batch, frames] for a batch.
+    """
+    means = tc.tmean(e, axis=-1)
     return tc.masked_softmax(means, valid)
 
 
 def frame_pool(e: Tensor, alpha: Tensor) -> Tensor:
-    """Attention-weighted mean over frames: [frames, d] x [frames] -> [d]."""
-    weighted = tc.mul(e, tc.reshape(alpha, (alpha.shape[0], 1)))
-    return tc.tsum(weighted, axis=0)
+    """Attention-weighted mean over frames: [.., frames, d] x [.., frames] -> [.., d]."""
+    weighted = tc.mul(e, tc.reshape(alpha, alpha.shape + (1,)))
+    return tc.tsum(weighted, axis=-2)
 
 
 def frame_params(u: Tensor, gen: FrameAbnGenerator) -> tuple[Tensor, Tensor]:
@@ -166,9 +172,10 @@ def utt_attention(k: Tensor, q: Tensor, valid=None) -> Tensor:
     """Scaled dot-product attention matrix; row t weights the frames c_t reads.
 
     Scores are (K_tau . Q_t) / sqrt(d_a); each row is a masked softmax over
-    valid frames.
+    valid frames. ``valid`` masks the key axis: [batch, 1, frames] for a
+    batch, so padded query rows still see their utterance's frames.
     """
-    d_a = k.shape[1]
+    d_a = k.shape[-1]
     scores = tc.div(tc.matmul(q, tc.transpose(k)), math.sqrt(float(d_a)))
     return tc.masked_softmax(scores, valid)
 
@@ -219,25 +226,21 @@ def abn_forward(
             f"generator feature dim {gen.feature_dim} does not match batch {batch.dim}"
         )
 
-    xhat = standardize_batch(batch, state, mode)
-    t_max = batch.max_frames
-    outs = []
-    for b in range(batch.batch_size):
-        length = int(batch.lengths[b])
-        h_u = tc.rows(xhat, b * t_max, b * t_max + length)
-        if variant == "abn-f":
-            e = frame_embed(h_u, gen)
-            e = tc.dropout(e, dropout_rate, rng, mode)
-            alpha = frame_attention(e)
-            u = frame_pool(e, alpha)
-            gamma, beta = frame_params(u, gen)
-        else:
-            k, q, v = utt_project(h_u, gen)
-            alpha = utt_attention(k, q)
-            c = utt_context(alpha, v)
-            c = tc.dropout(c, dropout_rate, rng, mode)
-            gamma, beta = utt_params(c, gen)
-        y_u = tc.add(tc.mul(h_u, gamma), beta)
-        outs.append(tc.pad_rows(y_u, t_max))
-    stacked = tc.stack(outs, axis=0)
-    return SequenceBatch(stacked, batch.lengths)
+    b, t_max, p = batch.features.shape
+    xhat = tc.reshape(standardize_batch(batch, state, mode), (b, t_max, p))
+    mask = batch.frame_mask()  # [B, T]
+    if variant == "abn-f":
+        e = frame_embed(xhat, gen)
+        e = tc.dropout(e, dropout_rate, rng, mode)
+        alpha = frame_attention(e, mask)
+        u = tc.reshape(frame_pool(e, alpha), (b, 1, gen.embed_dim))
+        gamma, beta = frame_params(u, gen)  # [B, 1, p]
+    else:
+        k, q, v = utt_project(xhat, gen)
+        alpha = utt_attention(k, q, mask[:, None, :])
+        c = utt_context(alpha, v)
+        c = tc.dropout(c, dropout_rate, rng, mode)
+        gamma, beta = utt_params(c, gen)  # [B, T, p]
+    y = tc.add(tc.mul(xhat, gamma), beta)
+    y = tc.mul(y, Tensor._wrap(mask[:, :, None].astype(np.float64)))
+    return SequenceBatch(y, batch.lengths)

@@ -24,7 +24,7 @@ from .data import SequenceBatch
 from .errors import ContractError, ShapeError
 from .generators import VARIANTS, FrameAbnGenerator, UttAbnGenerator, abn_forward
 from .normalization import BatchNormState
-from .tensor import Tensor, dropout  # noqa: F401  (dropout re-exported for callers)
+from .tensor import Tensor
 
 
 class LstmLayerParams:
@@ -423,7 +423,7 @@ def stack_forward(
         current = bilstm_layer(current, layer.fwd, layer.bwd)
         if cfg.dropout > 0.0 and mode == "train":
             current = SequenceBatch(
-                dropout(current.features, cfg.dropout, rng, mode), current.lengths
+                tc.dropout(current.features, cfg.dropout, rng, mode), current.lengths
             )
     flat = tc.reshape(
         current.features,

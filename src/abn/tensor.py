@@ -118,10 +118,6 @@ def ones(*shape: int) -> Tensor:
     return Tensor._wrap(np.ones(shape, dtype=np.float64))
 
 
-def full(shape: tuple[int, ...], value: float) -> Tensor:
-    return Tensor._wrap(np.full(shape, value, dtype=np.float64))
-
-
 def eye(n: int) -> Tensor:
     return Tensor._wrap(np.eye(n, dtype=np.float64))
 
@@ -161,10 +157,6 @@ def recording(tape: GradTape):
         yield tape
     finally:
         _ACTIVE_TAPE = None
-
-
-def is_recording() -> bool:
-    return _ACTIVE_TAPE is not None
 
 
 def _record(output: Tensor, inputs: tuple[Tensor, ...], vjp) -> None:
@@ -261,63 +253,59 @@ def neg(a) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product of two 2-d tensors."""
+    """Matrix product over the last two axes; leading (batch) axes must be equal."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.ndim < 2 or b.ndim != a.ndim or a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError(
+            f"matmul needs operands of 2+ axes with equal batch axes, got {a.shape} and {b.shape}"
+        )
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions disagree for {a.shape} @ {b.shape}")
     out = Tensor._wrap(a.data @ b.data)
 
     def vjp(g):
-        return g @ b.data.T, a.data.T @ g
+        return g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g
 
     _record(out, (a, b), vjp)
     return out
 
 
 def transpose(a) -> Tensor:
+    """Swap the last two axes."""
     a = _as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-d tensor, got {a.shape}")
-    out = Tensor._wrap(a.data.T.copy())
-    _record(out, (a,), lambda g: (g.T,))
+    if a.ndim < 2:
+        raise ShapeError(f"transpose needs at least 2 axes, got {a.shape}")
+    out = Tensor._wrap(np.swapaxes(a.data, -1, -2).copy())
+    _record(out, (a,), lambda g: (np.swapaxes(g, -1, -2),))
     return out
 
 
 def linear(x, w) -> Tensor:
-    """``x @ w.T`` for row-major batches, or ``w @ x`` for a single vector.
+    """``x @ w.T`` over the last axis of ``x``, which holds one sample
+    (a vector) or a batch of them (rows, or ``[B, T, in]`` frames).
 
-    ``w`` is stored ``[out_features, in_features]`` in both cases.
+    ``w`` is stored ``[out_features, in_features]``. All samples go
+    through one 2-d product.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if w.ndim != 2:
         raise ShapeError(f"linear: weight must be 2-d, got {w.shape}")
-    if x.ndim == 1:
-        if x.shape[0] != w.shape[1]:
-            raise ShapeError(f"linear: cannot apply weight {w.shape} to vector {x.shape}")
-        out = Tensor._wrap(w.data @ x.data)
+    n_out, n_in = w.shape
+    if x.shape[-1:] != (n_in,):
+        raise ShapeError(f"linear: cannot apply weight {w.shape} to input {x.shape}")
+    x_rows = x.data.reshape(-1, n_in)
+    out = Tensor._wrap((x_rows @ w.data.T).reshape(x.shape[:-1] + (n_out,)))
 
-        def vjp(g):
-            return g @ w.data, np.outer(g, x.data)
+    def vjp(g):
+        g_rows = g.reshape(-1, n_out)
+        return (g_rows @ w.data).reshape(x.data.shape), g_rows.T @ x_rows
 
-    elif x.ndim == 2:
-        if x.shape[1] != w.shape[1]:
-            raise ShapeError(f"linear: cannot apply weight {w.shape} to rows {x.shape}")
-        out = Tensor._wrap(x.data @ w.data.T)
-
-        def vjp(g):
-            return g @ w.data, g.T @ x.data
-
-    else:
-        raise ShapeError(f"linear: input must be 1-d or 2-d, got {x.shape}")
     _record(out, (x, w), vjp)
     return out
 
 
 def affine(x, w, b) -> Tensor:
-    """Weight application plus bias: ``w @ x + b`` (rows of a 2-d ``x`` are
-    independent samples)."""
+    """Weight application plus bias, ``linear(x, w) + b``, sample by sample."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if b.ndim != 1 or b.shape[0] != w.shape[0]:
         raise ShapeError(f"affine: bias {b.shape} does not match weight {w.shape}")
@@ -393,48 +381,43 @@ def tmean(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
     return div(tsum(x, axis=axis, keepdims=keepdims), float(count))
 
 
-def _normalize_mask(valid, width: int) -> np.ndarray:
-    if valid is None:
-        return np.ones(width, dtype=bool)
-    if isinstance(valid, (int, np.integer)):
-        if not 0 <= valid <= width:
-            raise ShapeError(f"valid length {valid} out of range for width {width}")
-        return np.arange(width) < int(valid)
-    mask = np.asarray(valid, dtype=bool)
-    if mask.shape != (width,):
-        raise ShapeError(f"mask shape {mask.shape} does not match width {width}")
-    return mask
-
-
 def masked_softmax(scores, valid=None) -> Tensor:
     """Softmax over the last axis restricted to valid positions.
 
-    Masked positions are excluded before exponentiation, so their output
-    probability is exactly zero. ``valid`` may be a boolean mask over the
-    last axis, an integer prefix length, or ``None`` for all-valid. The
+    ``valid`` is a boolean mask that broadcasts to ``scores`` (a ``[B, 1, T]``
+    key mask serves every query row of ``[B, T, T]`` scores), an integer
+    prefix length of the last axis, or ``None`` for all-valid. Masked
+    positions are excluded before exponentiation, so their probability and
+    gradient are exactly zero; every row needs one valid position. The
     maximum valid score is subtracted for stability.
     """
     scores = _as_tensor(scores)
-    if scores.ndim not in (1, 2):
-        raise ShapeError(f"masked_softmax needs a 1-d or 2-d tensor, got {scores.shape}")
+    if scores.ndim < 1:
+        raise ShapeError("masked_softmax needs at least one axis")
     width = scores.shape[-1]
-    mask = _normalize_mask(valid, width)
-    if not mask.any():
-        raise DomainError("masked_softmax: every position is masked")
-    s = scores.data[..., mask]
-    m = s.max(axis=-1, keepdims=True)
-    e = np.exp(s - m)
+    if valid is None:
+        mask = np.ones(width, dtype=bool)
+    elif isinstance(valid, (int, np.integer)):
+        if not 0 <= valid <= width:
+            raise ShapeError(f"valid length {valid} out of range for width {width}")
+        mask = np.arange(width) < int(valid)
+    else:
+        mask = np.asarray(valid, dtype=bool)
+    try:
+        mask = np.broadcast_to(mask, scores.shape)
+    except ValueError:
+        raise ShapeError(
+            f"mask shape {np.shape(valid)} does not broadcast to scores {scores.shape}"
+        ) from None
+    if not mask.any(axis=-1).all():
+        raise DomainError("masked_softmax: a row has every position masked")
+    s = np.where(mask, scores.data, -np.inf)
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
-    out_data = np.zeros_like(scores.data)
-    out_data[..., mask] = p
-    out = Tensor._wrap(out_data)
+    out = Tensor._wrap(p)
 
     def vjp(g):
-        gv = g[..., mask]
-        inner = (gv * p).sum(axis=-1, keepdims=True)
-        d = np.zeros_like(scores.data)
-        d[..., mask] = p * (gv - inner)
-        return (d,)
+        return (p * (g - (g * p).sum(axis=-1, keepdims=True)),)
 
     _record(out, (scores,), vjp)
     return out
@@ -463,21 +446,6 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     def vjp(g):
         return tuple(np.split(g, offsets, axis=axis))
-
-    _record(out, tuple(parts), vjp)
-    return out
-
-
-def stack(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
-    if not parts:
-        raise ShapeError("stack needs at least one tensor")
-    if any(p.shape != parts[0].shape for p in parts):
-        raise ShapeError(f"stack: shapes differ: {[p.shape for p in parts]}")
-    out = Tensor._wrap(np.stack([p.data for p in parts], axis=axis))
-
-    def vjp(g):
-        return tuple(np.take(g, i, axis=axis) for i in range(len(parts)))
 
     _record(out, tuple(parts), vjp)
     return out
@@ -516,38 +484,6 @@ def rows(x, start: int, stop: int) -> Tensor:
         return (full_grad,)
 
     _record(out, (x,), vjp)
-    return out
-
-
-def pad_rows(x, total: int) -> Tensor:
-    """Zero-pad along axis 0 up to ``total`` rows."""
-    x = _as_tensor(x)
-    n = x.shape[0]
-    if total < n:
-        raise ShapeError(f"cannot pad {n} rows down to {total}")
-    out_data = np.zeros((total,) + x.shape[1:], dtype=np.float64)
-    out_data[:n] = x.data
-    out = Tensor._wrap(out_data)
-    _record(out, (x,), lambda g: (g[:n].copy(),))
-    return out
-
-
-def where_mask(mask, a, b) -> Tensor:
-    """``mask ? a : b`` with a constant (non-differentiable) mask."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    m = np.asarray(mask, dtype=bool)
-    try:
-        out = Tensor._wrap(np.where(m, a.data, b.data))
-    except ValueError:
-        raise ShapeError(
-            f"where_mask: cannot broadcast mask {m.shape} with {a.shape} and {b.shape}"
-        ) from None
-    mf = m.astype(np.float64)
-
-    def vjp(g):
-        return _unbroadcast(g * mf, a.data.shape), _unbroadcast(g * (1.0 - mf), b.data.shape)
-
-    _record(out, (a, b), vjp)
     return out
 
 

@@ -12,7 +12,7 @@ from . import tensor as tc
 from .batching import Batch, make_batches
 from .checkpoint import save_checkpoint
 from .config import TrainConfig
-from .ctc import edit_distance, greedy_decode, sequence_ctc_loss
+from .ctc import LabelSequence, edit_distance, greedy_decode, sequence_ctc_loss
 from .optim import AdamState, adam_step, lr_schedule
 from .recurrent import Model, stack_forward
 from .synth import sorted_for_batching, synth_generate
@@ -41,17 +41,20 @@ class MetricsRow(NamedTuple):
         )
 
 
+def decode_batch(logits_batch) -> list[LabelSequence]:
+    """Greedy hypothesis for each utterance, from its valid frames only."""
+    hyps = []
+    for b, length in enumerate(logits_batch.lengths):
+        per_utt = tc.index_axis(logits_batch.features, 0, b)
+        hyps.append(greedy_decode(tc.rows(per_utt, 0, int(length))))
+    return hyps
+
+
 def _decode_errors(logits_batch, labels) -> tuple[int, int]:
     """Corpus-level error counts: (edit distance, reference tokens)."""
-    dist = 0
-    ref_len = 0
-    for b, ref in enumerate(labels):
-        per_utt = tc.index_axis(logits_batch.features, 0, b)
-        valid = tc.rows(per_utt, 0, int(logits_batch.lengths[b]))
-        hyp = greedy_decode(valid)
-        dist += edit_distance(hyp.tokens, ref.tokens)
-        ref_len += len(ref)
-    return dist, ref_len
+    hyps = decode_batch(logits_batch)
+    dist = sum(edit_distance(hyp.tokens, ref.tokens) for hyp, ref in zip(hyps, labels))
+    return dist, sum(len(ref) for ref in labels)
 
 
 def evaluate(model: Model, batches: list[Batch]) -> tuple[float, float]:

@@ -52,7 +52,8 @@ def _random_batch(rng, batch=3, t_max=6, dim=5) -> SequenceBatch:
 
 
 def _op_gradient_cases():
-    """One finite-difference case per differentiable primitive."""
+    """One finite-difference case per differentiable primitive, plus the
+    batched forms that the generators use."""
     rng = np.random.default_rng(7)
     m = Tensor(rng.normal(size=(2, 3)))
     pos = Tensor(np.abs(rng.normal(size=(2, 3))) + 0.5)
@@ -70,6 +71,15 @@ def _op_gradient_cases():
     p43 = Tensor(rng.normal(size=(4, 3)))
     p4 = Tensor(rng.normal(size=4))
     mask2 = np.array([True, True, False])
+    # Batched [B, ...] operands, drawn apart so the cases above keep their data.
+    brng = np.random.default_rng(8)
+    m234 = Tensor(brng.normal(size=(2, 3, 4)))
+    c242 = Tensor(brng.normal(size=(2, 4, 2)))
+    s233 = Tensor(brng.normal(size=(2, 3, 3)))
+    p232 = Tensor(brng.normal(size=(2, 3, 2)))
+    p233 = Tensor(brng.normal(size=(2, 3, 3)))
+    p243 = Tensor(brng.normal(size=(2, 4, 3)))
+    key_mask = np.array([[[True, True, False]], [[True, False, False]]])
 
     def dot(a, probe):
         return tc.tsum(tc.mul(a, probe))
@@ -82,6 +92,8 @@ def _op_gradient_cases():
         ("neg", lambda th: dot(tc.neg(th), p23), m),
         ("matmul", lambda th: dot(tc.matmul(th, c32), p22), m),
         ("transpose", lambda th: dot(tc.transpose(th), p23), Tensor(c32.data)),
+        ("matmul_3d", lambda th: dot(tc.matmul(th, c242), p232), m234),
+        ("transpose_3d", lambda th: dot(tc.transpose(th), p243), m234),
         ("linear_x", lambda th: dot(tc.linear(th, w23), p42), x43),
         ("linear_w", lambda th: dot(tc.linear(x43, th), p42), w23),
         ("affine_b", lambda th: dot(tc.affine(x43, w23, th), p42), Tensor(rng.normal(size=2))),
@@ -94,13 +106,11 @@ def _op_gradient_cases():
         ("tmean", lambda th: dot(tc.tmean(th, axis=0), c3), m),
         ("softmax_1d", lambda th: dot(tc.masked_softmax(th, 3), p4), vec),
         ("softmax_2d", lambda th: dot(tc.masked_softmax(th, mask2), p23), m),
+        ("softmax_3d", lambda th: dot(tc.masked_softmax(th, key_mask), p233), s233),
         ("reshape", lambda th: dot(tc.reshape(th, (3, 2)), p32), m),
         ("concat", lambda th: dot(tc.concat((th, c23), axis=0), p43), m),
-        ("stack", lambda th: dot(tc.stack((th, c3), axis=0), p23), Tensor(c3.data)),
         ("index_axis", lambda th: dot(tc.index_axis(th, 0, 1), c3), m),
         ("rows", lambda th: dot(tc.rows(th, 1, 3), p23), x43),
-        ("pad_rows", lambda th: dot(tc.pad_rows(th, 4), p43), m),
-        ("where_mask", lambda th: dot(tc.where_mask(mask2, th, c23), p23), m),
     ]
 
 

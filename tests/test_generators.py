@@ -21,7 +21,7 @@ from abn.generators import (
     utt_params,
     utt_project,
 )
-from abn.normalization import BatchNormState, bn_forward
+from abn.normalization import BatchNormState, bn_forward, standardize_batch
 from abn.tensor import Tensor, finite_diff_check
 
 
@@ -368,6 +368,45 @@ class TestAbnForward:
             SequenceBatch(Tensor(permuted), [4, 4]), BatchNormState.fresh(4), gen, "abn-f", "train"
         )
         np.testing.assert_allclose(out_p.features.data[0], out.features.data[0][perm], atol=1e-12)
+
+
+def per_utterance_reference(batch, state, gen, variant, mode):
+    """``abn_forward`` rebuilt from the unbatched helpers, applied to each
+    utterance's valid frames on their own."""
+    xhat = standardize_batch(batch, state, mode).data.reshape(batch.features.shape)
+    out = np.zeros(batch.features.shape)
+    for b, length in enumerate(batch.lengths):
+        h = Tensor(xhat[b, :length])
+        if variant == "abn-f":
+            e = frame_embed(h, gen)
+            gamma, beta = frame_params(frame_pool(e, frame_attention(e)), gen)
+        else:
+            k, q, v = utt_project(h, gen)
+            gamma, beta = utt_params(utt_context(utt_attention(k, q), v), gen)
+        out[b, :length] = tc.add(tc.mul(h, gamma), beta).data
+    return out
+
+
+class TestBatchedMatchesPerUtterance:
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    @pytest.mark.parametrize("variant", ["abn-f", "abn-u"])
+    def test_mixed_lengths(self, variant, mode):
+        p = 4
+        gen = random_frame_gen(p, seed=110) if variant == "abn-f" else random_utt_gen(p, seed=110)
+        lengths = (6, 1, 4, 3, 1)
+        batch = random_batch(111, batch=5, t_max=6, p=p, lengths=lengths)
+        # Running statistics away from (0, 1), so infer mode is not a no-op.
+        stats = np.random.default_rng(112)
+        mean, var = Tensor(stats.normal(size=p)), Tensor(stats.uniform(0.5, 2.0, size=p))
+
+        def state():
+            return BatchNormState(tc.ones(p), tc.zeros(p), mean, var, 1e-5, 0.1)
+
+        out = abn_forward(batch, state(), gen, variant, mode).features.data
+        ref = per_utterance_reference(batch, state(), gen, variant, mode)
+        np.testing.assert_allclose(out, ref, rtol=0.0, atol=1e-12)
+        for b, length in enumerate(lengths):
+            assert np.all(out[b, length:] == 0.0)
 
 
 class TestGradientChecks:
