@@ -52,15 +52,6 @@ class LabelSequence:
         return f"LabelSequence({self.tokens})"
 
 
-def _extended(labels: LabelSequence) -> list[int]:
-    """Blank-interleaved label sequence: (-, l1, -, l2, ..., -)."""
-    ext = [BLANK]
-    for t in labels.tokens:
-        ext.append(t)
-        ext.append(BLANK)
-    return ext
-
-
 def min_frames(labels: LabelSequence) -> int:
     """Fewest frames that can emit the labels (repeats force a blank between)."""
     repeats = sum(
@@ -84,65 +75,89 @@ def ctc_loss(logits: Tensor, labels: LabelSequence) -> Tensor:
 
     ``logits`` is [frames, vocab], raw (pre-softmax). Infeasible instances
     (too few frames for the labels) yield +inf loss with a zero gradient;
-    callers detect the condition by checking for an infinite value.
+    callers detect the condition by checking for an infinite value. This is
+    the batched kernel of ``sequence_ctc_loss`` run on a batch of one.
     """
     if logits.ndim != 2:
         raise ShapeError(f"logits must be [frames, vocab], got {logits.shape}")
-    t_frames, vocab = logits.shape
-    _check_labels(labels, vocab)
+    return _batched_ctc(logits, np.array([logits.shape[0]]), [labels])
 
-    if not ctc_feasible(t_frames, labels):
+
+def _batched_ctc(logits: Tensor, lengths: np.ndarray, labels) -> Tensor:
+    """Mean CTC loss over padded [B, T, V] logits (or one [T, V]), one taped node.
+
+    Utterance b scores its first ``lengths[b]`` frames against ``labels[b]``.
+    The alpha/beta recursions of Graves et al. (2006) run for every
+    utterance at once over a blank-interleaved lattice padded to the widest
+    one, [B, S].
+    """
+    u = logits.data.reshape((-1,) + logits.shape[-2:])
+    n_utt, t_max, vocab = u.shape
+    for lab in labels:
+        _check_labels(lab, vocab)
+    if not all(ctc_feasible(int(n), lab) for n, lab in zip(lengths, labels)):
         out = Tensor._wrap(np.float64(np.inf))
         record_op(out, (logits,), lambda g: (np.zeros(logits.shape),))
         return out
 
-    u = logits.data
-    shift = u.max(axis=1, keepdims=True)
-    y_log = u - (shift + np.log(np.exp(u - shift).sum(axis=1, keepdims=True)))
-    ext = _extended(labels)
-    s_len = len(ext)
+    shift = u.max(axis=-1, keepdims=True)
+    y_log = u - (shift + np.log(np.exp(u - shift).sum(axis=-1, keepdims=True)))
 
-    # Forward recursion; alpha[t, s] includes the emission at frame t.
-    alpha = np.full((t_frames, s_len), -np.inf)
-    alpha[0, 0] = y_log[0, ext[0]]
-    if s_len > 1:
-        alpha[0, 1] = y_log[0, ext[1]]
-    for t in range(1, t_frames):
-        prev = alpha[t - 1]
-        move = np.logaddexp(prev[1:], prev[:-1])
-        acc = np.concatenate(([prev[0]], move))
-        # Skip over a blank into a fresh token, unless it repeats.
-        for s in range(2, s_len):
-            if ext[s] != BLANK and ext[s] != ext[s - 2]:
-                acc[s] = np.logaddexp(acc[s], prev[s - 2])
-        alpha[t] = acc + y_log[t, ext]
+    # Lattice (-, l1, -, l2, ..., -) per utterance, padded with blanks.
+    s_lens = 2 * np.array([len(lab) for lab in labels]) + 1
+    s_max = int(s_lens.max())
+    ext = np.full((n_utt, s_max), BLANK)
+    for b, lab in enumerate(labels):
+        ext[b, 1 : s_lens[b] : 2] = lab.tokens
+    # 0 where a path may skip over a blank into a fresh token (not a repeat)
+    # from two columns back, -inf where it may not; padded columns are blanks.
+    skip = np.where((ext[:, 2:] != BLANK) & (ext[:, 2:] != ext[:, :-2]), 0.0, -np.inf)
+    # emit[t, b, s]: log probability of lattice symbol s at frame t. Padded
+    # columns need no mask: alpha only flows rightward out of the columns
+    # that are read, and beta, which flows leftward, starts at -inf there.
+    utt = np.arange(n_utt)
+    emit = y_log.transpose(1, 0, 2)[:, utt[:, None], ext]
 
-    log_p = alpha[-1, -1]
-    if s_len > 1:
-        log_p = np.logaddexp(log_p, alpha[-1, -2])
-    out = Tensor._wrap(np.float64(-log_p))
+    # Forward recursion; alpha[t, b, s] includes the emission at frame t.
+    alpha = np.full((t_max, n_utt, s_max), -np.inf)
+    alpha[0, :, :2] = emit[0, :, :2]
+    for t in range(1, t_max):
+        prev, acc = alpha[t - 1], alpha[t]
+        acc[:, 0] = prev[:, 0]
+        np.logaddexp(prev[:, 1:], prev[:, :-1], out=acc[:, 1:])
+        np.logaddexp(acc[:, 2:], prev[:, :-2] + skip, out=acc[:, 2:])
+        acc += emit[t]
+
+    # Each utterance ends at its own last frame, in its last blank or token.
+    ends = lengths - 1
+    final = alpha[ends, utt]
+    before_last = np.where(s_lens > 1, final[utt, s_lens - 2], -np.inf)
+    log_p = np.logaddexp(final[utt, s_lens - 1], before_last)
+    out = Tensor._wrap(np.float64(-log_p.sum() / n_utt))
 
     def vjp(g):
-        # Backward recursion; beta[t, s] covers frames t+1.. (emission at t
-        # itself lives in alpha), so alpha + beta scores paths through (t, s).
-        beta = np.full((t_frames, s_len), -np.inf)
-        beta[-1, -1] = 0.0
-        if s_len > 1:
-            beta[-1, -2] = 0.0
-        for t in range(t_frames - 2, -1, -1):
-            nxt = beta[t + 1] + y_log[t + 1, ext]
-            move = np.logaddexp(nxt[:-1], nxt[1:])
-            acc = np.concatenate((move, [nxt[-1]]))
-            for s in range(s_len - 2):
-                if ext[s + 2] != BLANK and ext[s + 2] != ext[s]:
-                    acc[s] = np.logaddexp(acc[s], nxt[s + 2])
-            beta[t] = acc
+        # Backward recursion; beta[t, b, s] covers frames t+1..ends[b] (the
+        # emission at t itself lives in alpha), so alpha + beta scores paths
+        # through (t, s). beta is -inf after each utterance's end frame,
+        # which zeroes the occupancy of its padded frames.
+        beta = np.full_like(alpha, -np.inf)
+        beta[ends, utt, s_lens - 1] = 0.0
+        beta[ends, utt, np.maximum(s_lens - 2, 0)] = 0.0
+        for t in range(t_max - 2, -1, -1):
+            nxt = beta[t + 1] + emit[t + 1]
+            acc = nxt.copy()
+            np.logaddexp(nxt[:, :-1], nxt[:, 1:], out=acc[:, :-1])
+            np.logaddexp(acc[:, :-2], nxt[:, 2:] + skip, out=acc[:, :-2])
+            # At an utterance's end frame the recursion gives -inf and its
+            # preset start row is kept; before that frame the preset is -inf.
+            np.maximum(beta[t], acc, out=beta[t])
 
-        occupancy = alpha + beta  # log P(paths through (t, s))
-        grad = np.exp(y_log)
-        for s, k in enumerate(ext):
-            grad[:, k] -= np.exp(occupancy[:, s] - log_p)
-        return (float(g) * grad,)
+        occupancy = np.exp(alpha + beta - log_p[:, None])  # [T, B, S]
+        one_hot = (ext[:, :, None] == np.arange(vocab)).astype(np.float64)  # [B, S, V]
+        grad = np.exp(y_log) - np.matmul(occupancy.transpose(1, 0, 2), one_hot)
+        valid = np.arange(t_max) < lengths[:, None]  # [B, T]
+        grad *= valid[:, :, None] * (float(g) / n_utt)
+        return (grad.reshape(logits.shape),)
 
     record_op(out, (logits,), vjp)
     return out
@@ -225,21 +240,14 @@ def token_error_rate(hyp: LabelSequence, ref: LabelSequence) -> ErrorRate:
 
 
 def sequence_ctc_loss(logits_batch, labels: Sequence[LabelSequence]) -> Tensor:
-    """Mean CTC loss over a batch of padded logit sequences.
+    """Mean CTC loss over a batch of padded logit sequences, one taped node.
 
-    Only each utterance's valid frames enter its loss. Any infeasible
-    utterance makes the batch loss infinite.
+    Only each utterance's valid frames enter its loss; padded frames get a
+    zero gradient. Any infeasible utterance makes the batch loss infinite
+    and the gradient zero.
     """
-    from . import tensor as tc
-
     if logits_batch.batch_size != len(labels):
         raise ShapeError(
             f"{logits_batch.batch_size} utterances but {len(labels)} label sequences"
         )
-    total = None
-    for b in range(logits_batch.batch_size):
-        per_utt = tc.index_axis(logits_batch.features, 0, b)
-        valid = tc.rows(per_utt, 0, int(logits_batch.lengths[b]))
-        loss = ctc_loss(valid, labels[b])
-        total = loss if total is None else tc.add(total, loss)
-    return tc.div(total, float(len(labels)))
+    return _batched_ctc(logits_batch.features, logits_batch.lengths, labels)

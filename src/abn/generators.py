@@ -176,7 +176,8 @@ def utt_attention(k: Tensor, q: Tensor, valid=None) -> Tensor:
     batch, so padded query rows still see their utterance's frames.
     """
     d_a = k.shape[-1]
-    scores = tc.div(tc.matmul(q, tc.transpose(k)), math.sqrt(float(d_a)))
+    # Scaling q rather than the scores keeps one [.., T, T] array fewer on the tape.
+    scores = tc.matmul(tc.div(q, math.sqrt(float(d_a))), tc.transpose(k))
     return tc.masked_softmax(scores, valid)
 
 

@@ -411,9 +411,12 @@ def masked_softmax(scores, valid=None) -> Tensor:
         ) from None
     if not mask.any(axis=-1).all():
         raise DomainError("masked_softmax: a row has every position masked")
-    s = np.where(mask, scores.data, -np.inf)
-    e = np.exp(s - s.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
+    # One fresh array, worked in place: abn-u's [B, T, T] attention scores
+    # make every copy a large transient.
+    p = np.where(mask, scores.data, -np.inf)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
     out = Tensor._wrap(p)
 
     def vjp(g):
@@ -448,42 +451,6 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
         return tuple(np.split(g, offsets, axis=axis))
 
     _record(out, tuple(parts), vjp)
-    return out
-
-
-def index_axis(x, axis: int, i: int) -> Tensor:
-    """Select index ``i`` along ``axis``, dropping that axis."""
-    x = _as_tensor(x)
-    if not 0 <= axis < x.ndim:
-        raise ShapeError(f"axis {axis} out of range for {x.shape}")
-    if not 0 <= i < x.shape[axis]:
-        raise ShapeError(f"index {i} out of range for axis {axis} of {x.shape}")
-    out = Tensor._wrap(np.take(x.data, i, axis=axis))
-
-    def vjp(g):
-        full_grad = np.zeros_like(x.data)
-        sl = [slice(None)] * x.ndim
-        sl[axis] = i
-        full_grad[tuple(sl)] = g
-        return (full_grad,)
-
-    _record(out, (x,), vjp)
-    return out
-
-
-def rows(x, start: int, stop: int) -> Tensor:
-    """Contiguous row slice ``x[start:stop]`` along axis 0."""
-    x = _as_tensor(x)
-    if not 0 <= start < stop <= x.shape[0]:
-        raise ShapeError(f"row slice [{start}:{stop}] out of range for {x.shape}")
-    out = Tensor._wrap(x.data[start:stop].copy())
-
-    def vjp(g):
-        full_grad = np.zeros_like(x.data)
-        full_grad[start:stop] = g
-        return (full_grad,)
-
-    _record(out, (x,), vjp)
     return out
 
 

@@ -8,7 +8,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import tensor as tc
 from .batching import Batch, make_batches
 from .checkpoint import save_checkpoint
 from .config import TrainConfig
@@ -16,7 +15,7 @@ from .ctc import LabelSequence, edit_distance, greedy_decode, sequence_ctc_loss
 from .optim import AdamState, adam_step, lr_schedule
 from .recurrent import Model, stack_forward
 from .synth import sorted_for_batching, synth_generate
-from .tensor import GradTape, backward, recording
+from .tensor import GradTape, Tensor, backward, recording
 
 METRICS_HEADER = "epoch,split,loss,ter,lr,wall_s"
 
@@ -43,11 +42,11 @@ class MetricsRow(NamedTuple):
 
 def decode_batch(logits_batch) -> list[LabelSequence]:
     """Greedy hypothesis for each utterance, from its valid frames only."""
-    hyps = []
-    for b, length in enumerate(logits_batch.lengths):
-        per_utt = tc.index_axis(logits_batch.features, 0, b)
-        hyps.append(greedy_decode(tc.rows(per_utt, 0, int(length))))
-    return hyps
+    data = logits_batch.features.data
+    return [
+        greedy_decode(Tensor._wrap(data[b, :length]))
+        for b, length in enumerate(logits_batch.lengths)
+    ]
 
 
 def _decode_errors(logits_batch, labels) -> tuple[int, int]:

@@ -109,8 +109,6 @@ def _op_gradient_cases():
         ("softmax_3d", lambda th: dot(tc.masked_softmax(th, key_mask), p233), s233),
         ("reshape", lambda th: dot(tc.reshape(th, (3, 2)), p32), m),
         ("concat", lambda th: dot(tc.concat((th, c23), axis=0), p43), m),
-        ("index_axis", lambda th: dot(tc.index_axis(th, 0, 1), c3), m),
-        ("rows", lambda th: dot(tc.rows(th, 1, 3), p23), x43),
     ]
 
 

@@ -231,10 +231,14 @@ class TestSequenceLoss:
         assert a.item() == b.item()
 
     def test_infeasible_member_poisons_batch(self):
-        feats = np.zeros((2, 2, 3))
-        batch = SequenceBatch(Tensor(feats), [2, 1])
+        feats = Tensor(np.zeros((2, 2, 3)))
+        batch = SequenceBatch(feats, [2, 1])
         labels = [LabelSequence([1]), LabelSequence([1, 1])]
-        assert math.isinf(sequence_ctc_loss(batch, labels).item())
+        tape = GradTape()
+        with recording(tape):
+            loss = sequence_ctc_loss(batch, labels)
+        assert math.isinf(loss.item())
+        np.testing.assert_array_equal(backward(tape, loss).wrt(feats), np.zeros((2, 2, 3)))
 
     def test_label_count_mismatch(self):
         batch = SequenceBatch(Tensor(np.zeros((2, 2, 3))), [2, 2])
@@ -250,3 +254,73 @@ class TestSequenceLoss:
             return sequence_ctc_loss(SequenceBatch(theta, [4, 3]), labels)
 
         assert finite_diff_check(f, feats) < 1e-4
+
+
+class TestBatchedAgainstPerUtterance:
+    """One padded batch through the batched kernel against each utterance alone.
+
+    The batch mixes a full-length utterance with lengths 1, 3 and 6, an
+    empty label (a one-column lattice), a repeat that forces a blank, and
+    labels shorter than the widest, so lattice columns are padded.
+    """
+
+    LENGTHS = [7, 1, 3, 6, 4]
+    TOKENS = [[1, 2, 1, 2], [], [2, 2], [1], [2, 1]]
+
+    def _batch(self, seed):
+        feats = np.random.default_rng(seed).normal(size=(5, 7, 3)) * 2.0
+        return feats, [LabelSequence(t) for t in self.TOKENS]
+
+    def test_loss_and_gradient_rows(self):
+        feats, labels = self._batch(90)
+        x = Tensor(feats)
+        tape = GradTape()
+        with recording(tape):
+            loss = sequence_ctc_loss(SequenceBatch(x, self.LENGTHS), labels)
+        assert len(tape) == 1
+        grad = backward(tape, loss).wrt(x)
+
+        singles = []
+        for b, (length, lab) in enumerate(zip(self.LENGTHS, labels)):
+            row = Tensor(feats[b, :length])
+            t = GradTape()
+            with recording(t):
+                single = ctc_loss(row, lab)
+            singles.append(single.item())
+            expect = backward(t, single).wrt(row) / len(labels)
+            np.testing.assert_allclose(grad[b, :length], expect, rtol=0, atol=1e-12)
+            assert np.all(grad[b, length:] == 0.0)
+        assert loss.item() == pytest.approx(np.mean(singles), rel=1e-12, abs=0)
+
+    def test_finite_differences(self):
+        feats, labels = self._batch(91)
+
+        def f(theta):
+            return sequence_ctc_loss(SequenceBatch(theta, self.LENGTHS), labels)
+
+        assert finite_diff_check(f, Tensor(feats)) < 1e-4
+
+
+class TestPaddedBatchOracle:
+    def test_batch_mean_matches_enumeration(self):
+        rng = np.random.default_rng(95)
+        for _ in range(20):
+            n_utt = int(rng.integers(1, 5))
+            t_max = int(rng.integers(1, 7))
+            vocab = int(rng.integers(2, 4))
+            lengths = rng.integers(1, t_max + 1, size=n_utt)
+            # Up to 3 tokens and no more than frames; repeats can still make
+            # a member infeasible, which must make the batch loss infinite.
+            sizes = [int(rng.integers(0, min(n, 3) + 1)) for n in lengths]
+            labels = [LabelSequence(rng.integers(1, vocab, size=k).tolist()) for k in sizes]
+            logits = rng.normal(size=(n_utt, t_max, vocab))
+            y_log = logits - np.log(np.exp(logits).sum(axis=2, keepdims=True))
+            expect = np.mean([
+                ctc_brute_force(y_log[b, :n], lab)
+                for b, (n, lab) in enumerate(zip(lengths, labels))
+            ])
+            got = sequence_ctc_loss(SequenceBatch(Tensor(logits), lengths), labels).item()
+            if math.isinf(expect):
+                assert math.isinf(got), (lengths, labels)
+            else:
+                assert got == pytest.approx(expect, rel=0, abs=1e-9), (lengths, labels)

@@ -343,10 +343,6 @@ class TestPrimitiveGradients:
         c = Tensor(np.random.default_rng(11).normal(size=(2, 3)))
         _check(lambda t: tc.tsum(tc.tanh(tc.concat([t, c], axis=0))), (2, 3), 122)
 
-    def test_indexing_ops(self):
-        _check(lambda t: tc.tsum(tc.tanh(tc.index_axis(t, 0, 1))), (3, 4), 124)
-        _check(lambda t: tc.tsum(tc.tanh(tc.rows(t, 1, 3))), (4, 2), 125)
-
 
 class TestDropout:
     def test_infer_mode_is_identity(self):
