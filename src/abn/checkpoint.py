@@ -4,10 +4,14 @@ Layout: a version line, the model configuration, then one ``tensor`` or
 ``stat`` block per array (name, shape, and row-major values printed with
 17 significant digits), closed by an ``end`` sentinel that catches
 truncation. The blank symbol is index 0 by construction; the header
-records that for consumers of decoded outputs.
+records that for consumers of decoded outputs. Version 2 stores each LSTM
+direction as four gate-stacked tensors (``w_x``, ``w_h``, ``w_co``, ``b``);
+version 1 stored thirteen per-gate tensors and is no longer read.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -15,7 +19,7 @@ from .errors import CheckpointError, ShapeError
 from .recurrent import Model, ModelConfig
 from .tensor import Tensor
 
-FORMAT_LINE = "abn-checkpoint v1"
+FORMAT_LINE = "abn-checkpoint v2"
 
 _CONFIG_FIELDS = (
     ("num_layers", int),
@@ -35,19 +39,31 @@ def _format_values(t: Tensor) -> str:
 
 
 def save_checkpoint(model: Model, path: str) -> None:
+    """Write ``model`` to ``path`` atomically.
+
+    The blocks stream into a temporary file beside ``path`` that then
+    replaces it, so a failed or interrupted save leaves the previous
+    checkpoint as it was.
+    """
     cfg = model.config
-    lines = [FORMAT_LINE, "# blank symbol index: 0"]
-    for name, _ in _CONFIG_FIELDS:
-        lines.append(f"config {name} {getattr(cfg, name)}")
-    lines.append(f"config variants {','.join(cfg.variants)}")
-    for kind, table in (("tensor", model.parameters()), ("stat", model.running_stats())):
-        for name, t in table.items():
-            dims = " ".join(str(d) for d in t.shape)
-            lines.append(f"{kind} {name} {dims}")
-            lines.append(_format_values(t))
-    lines.append("end")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(f"{FORMAT_LINE}\n# blank symbol index: 0\n")
+            for name, _ in _CONFIG_FIELDS:
+                fh.write(f"config {name} {getattr(cfg, name)}\n")
+            fh.write(f"config variants {','.join(cfg.variants)}\n")
+            for kind, table in (("tensor", model.parameters()),
+                                ("stat", model.running_stats())):
+                for name, t in table.items():
+                    dims = " ".join(str(d) for d in t.shape)
+                    fh.write(f"{kind} {name} {dims}\n{_format_values(t)}\n")
+            fh.write("end\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _parse_array(name: str, dims_text: list[str], values_line: str) -> Tensor:
@@ -68,14 +84,15 @@ def _parse_array(name: str, dims_text: list[str], values_line: str) -> Tensor:
     return Tensor._wrap(flat.reshape(shape))
 
 
-def load_checkpoint(path: str, expect_variant: str | None = None) -> Model:
-    """Rebuild a model from a checkpoint, bit-exact.
-
-    ``expect_variant`` guards against mixing incompatible parameter sets:
-    loading fails loudly if any layer was saved under a different variant.
-    """
+def load_checkpoint(path: str) -> Model:
+    """Rebuild a model from a checkpoint, bit-exact."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
+    if lines and lines[0] == "abn-checkpoint v1":
+        raise CheckpointError(
+            "checkpoint format v1 stores per-gate LSTM tensors, a layout no longer"
+            f" read; expected {FORMAT_LINE!r}"
+        )
     if not lines or lines[0] != FORMAT_LINE:
         head = lines[0] if lines else "<empty file>"
         raise CheckpointError(f"not a recognized checkpoint (header {head!r})")
@@ -118,13 +135,7 @@ def load_checkpoint(path: str, expect_variant: str | None = None) -> Model:
             ) from None
     if "variants" not in raw_config:
         raise CheckpointError("checkpoint missing config field variants")
-    variants = raw_config["variants"].split(",")
-    if expect_variant is not None and any(v != expect_variant for v in variants):
-        raise CheckpointError(
-            f"checkpoint was saved with variants {variants},"
-            f" incompatible with requested {expect_variant!r}"
-        )
-    config = ModelConfig(variants=variants, **kwargs)
+    config = ModelConfig(variants=raw_config["variants"].split(","), **kwargs)
     model = Model(config, np.random.default_rng(0))
 
     expected_params = set(model.parameters())

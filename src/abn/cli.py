@@ -13,7 +13,7 @@ from .batching import make_batches
 from .checkpoint import load_checkpoint
 from .config import default_config, load_config
 from .ctc import LabelSequence, ctc_brute_force, ctc_loss
-from .errors import AbnError
+from .errors import AbnError, CheckpointError
 from .gradcheck import model_gradient_check
 from .recurrent import Model, stack_forward
 from .synth import sorted_for_batching, synth_generate
@@ -74,9 +74,21 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _load_for_task(ckpt: str, cfg) -> Model:
+    """Load a checkpoint whose feature and vocabulary sizes match the task's."""
+    model = load_checkpoint(ckpt)
+    if model.config.features != cfg.features or model.config.vocab != cfg.vocab:
+        raise CheckpointError(
+            f"checkpoint expects features={model.config.features},"
+            f" vocab={model.config.vocab}; task has features={cfg.features},"
+            f" vocab={cfg.vocab}"
+        )
+    return model
+
+
 def _cmd_eval(args) -> int:
     cfg = load_config(args.config)
-    model = load_checkpoint(args.ckpt)
+    model = _load_for_task(args.ckpt, cfg)
     dev = sorted_for_batching(synth_generate(cfg.task(), cfg.dev_utterances, seed=2))
     loss, ter = evaluate(model, make_batches(dev, cfg.max_frames_per_batch))
     print(f"dev_loss={loss:.6f} dev_ter={ter:.4f}")
@@ -85,15 +97,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_decode(args) -> int:
     cfg = load_config(args.config) if args.config else default_config()
-    model = load_checkpoint(args.ckpt)
-    if model.config.features != cfg.features or model.config.vocab != cfg.vocab:
-        print(
-            f"error: checkpoint expects features={model.config.features},"
-            f" vocab={model.config.vocab}; task has features={cfg.features},"
-            f" vocab={cfg.vocab}",
-            file=sys.stderr,
-        )
-        return 1
+    model = _load_for_task(args.ckpt, cfg)
     utts = synth_generate(cfg.task(), args.count, seed=args.seed)
     batches = make_batches(sorted_for_batching(utts), cfg.max_frames_per_batch)
     for batch in batches:
@@ -172,10 +176,7 @@ def cli(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except AbnError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (AbnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

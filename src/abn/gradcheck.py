@@ -38,7 +38,7 @@ def model_gradient_check(
     of a deep composite have gradients near the 1e-8 floor of the
     relative-error denominator, where central-difference roundoff (which
     grows as 1/h) dominates. h=1e-4 does NOT keep that noise a decade under
-    tolerance. At seed 0 the worst bn coordinate is ``layer0.fwd.w_xi[18]``
+    tolerance. At seed 0 the worst bn coordinate is ``layer0.fwd.w_x[18]``
     at T=1, where batch norm sees only 2 frames: its analytic gradient is
     1.03e-8, below the floor, and its error is 9.8e-6, 8.1e-5 and 4.1e-4 at
     h = 1e-3, 1e-4 and 1e-5, so roundoff sets it. (At h=1e-3 it was 4.4e-6

@@ -28,57 +28,46 @@ from .tensor import Tensor
 
 
 class LstmLayerParams:
-    """Weights of one directional LSTM: recurrent, input, peephole, biases."""
+    """Weights of one directional LSTM, stacked by gate in the order i, f, c, o.
 
-    __slots__ = (
-        "w_hi", "w_hf", "w_hc", "w_ho",
-        "w_xi", "w_xf", "w_xc", "w_xo",
-        "w_co", "b_i", "b_f", "b_c", "b_o",
-    )
+    ``w_x [4n, p]`` and ``w_h [4n, n]`` hold the input and recurrent
+    weights, ``b [4n]`` the gate biases, and ``w_co [n]`` the output gate's
+    peephole; rows ``k*n:(k+1)*n`` of a stacked tensor belong to gate ``k``.
+    """
 
-    def __init__(self, **fields):
-        missing = set(self.__slots__) - set(fields)
-        if missing:
-            raise ShapeError(f"missing LSTM fields: {sorted(missing)}")
-        n = fields["w_hi"].shape[0]
-        p = fields["w_xi"].shape[1]
-        for name in ("w_hi", "w_hf", "w_hc", "w_ho"):
-            if fields[name].shape != (n, n):
-                raise ShapeError(f"{name} must be square [{n}, {n}], got {fields[name].shape}")
-        for name in ("w_xi", "w_xf", "w_xc", "w_xo"):
-            if fields[name].shape != (n, p):
-                raise ShapeError(f"{name} must be [{n}, {p}], got {fields[name].shape}")
-        for name in ("w_co", "b_i", "b_f", "b_c", "b_o"):
-            if fields[name].shape != (n,):
-                raise ShapeError(f"{name} must be [{n}], got {fields[name].shape}")
-        for name, value in fields.items():
-            setattr(self, name, value)
+    __slots__ = ("w_x", "w_h", "w_co", "b")
+
+    def __init__(self, w_x: Tensor, w_h: Tensor, w_co: Tensor, b: Tensor):
+        n = w_co.shape[0] if w_co.ndim == 1 else 0
+        p = w_x.shape[1] if w_x.ndim == 2 else 0
+        for name, value, shape in (
+            ("w_co", w_co, (n,)), ("w_x", w_x, (4 * n, p)),
+            ("w_h", w_h, (4 * n, n)), ("b", b, (4 * n,)),
+        ):
+            if value.shape != shape:
+                raise ShapeError(f"{name} must be {list(shape)}, got {value.shape}")
+        self.w_x = w_x
+        self.w_h = w_h
+        self.w_co = w_co
+        self.b = b
 
     @classmethod
     def init(cls, hidden: int, input_dim: int, rng: np.random.Generator):
-        sh = 1.0 / math.sqrt(hidden)
-        sx = 1.0 / math.sqrt(input_dim)
-        def rec():
-            return Tensor(rng.normal(0.0, sh, size=(hidden, hidden)))
-        def inp():
-            return Tensor(rng.normal(0.0, sx, size=(hidden, input_dim)))
-        return cls(
-            w_hi=rec(), w_hf=rec(), w_hc=rec(), w_ho=rec(),
-            w_xi=inp(), w_xf=inp(), w_xc=inp(), w_xo=inp(),
-            w_co=tc.zeros(hidden),
-            b_i=tc.zeros(hidden),
-            b_f=tc.ones(hidden),  # positive forget bias keeps early memory open
-            b_c=tc.zeros(hidden),
-            b_o=tc.zeros(hidden),
-        )
+        # The draw order (w_h, then w_x, then the output layer in Model)
+        # fixes every seeded model; changing it changes every run.
+        w_h = rng.normal(0.0, 1.0 / math.sqrt(hidden), size=(4 * hidden, hidden))
+        w_x = rng.normal(0.0, 1.0 / math.sqrt(input_dim), size=(4 * hidden, input_dim))
+        b = np.zeros(4 * hidden)
+        b[hidden : 2 * hidden] = 1.0  # positive forget bias keeps early memory open
+        return cls(Tensor(w_x), Tensor(w_h), tc.zeros(hidden), Tensor(b))
 
     @property
     def hidden(self) -> int:
-        return self.w_hi.shape[0]
+        return self.w_co.shape[0]
 
     @property
     def input_dim(self) -> int:
-        return self.w_xi.shape[1]
+        return self.w_x.shape[1]
 
 
 class LstmState:
@@ -101,30 +90,30 @@ def lstm_step(x_norm: Tensor, prev: LstmState, params: LstmLayerParams) -> LstmS
     """One LSTM update on a normalized input frame (single or batched).
 
     Gates read the previous hidden state and the normalized input; the
-    output gate additionally reads the fresh cell state elementwise.
+    output gate additionally reads the fresh cell state elementwise. This
+    is the reference cell for ``_run_direction``. It reads each gate's row
+    block of ``w_x``, ``w_h`` and ``b`` untaped, so no gradient reaches
+    those three.
     """
     if x_norm.shape[-1] != params.input_dim:
         raise ShapeError(
             f"input dim {x_norm.shape[-1]} does not match weights {params.input_dim}"
         )
+    n = params.hidden
     h, c = prev.h, prev.c
-    i = tc.sigmoid(tc.add(tc.add(tc.linear(h, params.w_hi), tc.linear(x_norm, params.w_xi)),
-                          params.b_i))
-    f = tc.sigmoid(tc.add(tc.add(tc.linear(h, params.w_hf), tc.linear(x_norm, params.w_xf)),
-                          params.b_f))
-    c_new = tc.add(tc.mul(f, c),
-                   tc.mul(i, tc.tanh(tc.add(tc.add(tc.linear(h, params.w_hc),
-                                                   tc.linear(x_norm, params.w_xc)),
-                                            params.b_c))))
-    o = tc.sigmoid(tc.add(tc.add(tc.add(tc.linear(h, params.w_ho),
-                                        tc.linear(x_norm, params.w_xo)),
-                                 tc.mul(params.w_co, c_new)),
-                          params.b_o))
+
+    def gate(k):
+        rows = slice(k * n, (k + 1) * n)
+        z = tc.add(tc.linear(h, Tensor._wrap(params.w_h.data[rows])),
+                   tc.linear(x_norm, Tensor._wrap(params.w_x.data[rows])))
+        return tc.add(z, Tensor._wrap(params.b.data[rows]))
+
+    i = tc.sigmoid(gate(0))
+    f = tc.sigmoid(gate(1))
+    c_new = tc.add(tc.mul(f, c), tc.mul(i, tc.tanh(gate(2))))
+    o = tc.sigmoid(tc.add(gate(3), tc.mul(params.w_co, c_new)))
     h_new = tc.mul(o, tc.tanh(c_new))
     return LstmState(h_new, c_new)
-
-
-_GATES = ("i", "f", "c", "o")
 
 
 def _run_direction(batch: SequenceBatch, params: LstmLayerParams, reverse: bool) -> Tensor:
@@ -134,7 +123,7 @@ def _run_direction(batch: SequenceBatch, params: LstmLayerParams, reverse: bool)
     product hoisted out of the recurrence (Appleyard, Kocisky & Blunsom
     2016); the recurrence runs in plain numpy and the node's VJP is
     backpropagation through time. The cell is the one ``lstm_step``
-    computes, which stays the taped reference.
+    computes, which stays the reference.
 
     Padded frames emit zeros and hold the state at zero. Valid frames are
     a prefix of each utterance, so this is the ``t < length`` freeze: no
@@ -149,19 +138,13 @@ def _run_direction(batch: SequenceBatch, params: LstmLayerParams, reverse: bool)
         )
     b, t_max, p = x.shape
     n = params.hidden
-    w_xs = [getattr(params, "w_x" + g) for g in _GATES]
-    w_hs = [getattr(params, "w_h" + g) for g in _GATES]
-    biases = [getattr(params, "b_" + g) for g in _GATES]
-    w_x = np.concatenate([w.data for w in w_xs])  # [4n, p]
-    w_h = np.concatenate([w.data for w in w_hs])  # [4n, n]
-    bias = np.concatenate([v.data for v in biases])  # [4n]
-    w_co = params.w_co.data
+    w_x, w_h, w_co = params.w_x.data, params.w_h.data, params.w_co.data
     mask = batch.frame_mask()[:, :, None]  # [B, T, 1]
 
     # Each step overwrites its slice of the input projection with the gate
     # activations (sigmoid i, f, o; tanh candidate) that the VJP reads.
     gates = (x.data.reshape(b * t_max, p) @ w_x.T).reshape(b, t_max, 4 * n)
-    gates += bias
+    gates += params.b.data
     cell = np.zeros((b, t_max, n))
     out = np.zeros((b, t_max, n))
     h, c = np.zeros((b, n)), np.zeros((b, n))
@@ -214,16 +197,9 @@ def _run_direction(batch: SequenceBatch, params: LstmLayerParams, reverse: bool)
         d_bias = dz_flat.sum(axis=0)
         d_wco = (dz[:, :, 3 * n :] * cell).sum(axis=(0, 1))
         d_x = (dz_flat @ w_x).reshape(b, t_max, p)
-        rows = [slice(k * n, (k + 1) * n) for k in range(4)]
-        return (
-            d_x,
-            *(d_wx[r] for r in rows),
-            *(d_wh[r] for r in rows),
-            d_wco,
-            *(d_bias[r] for r in rows),
-        )
+        return d_x, d_wx, d_wh, d_wco, d_bias
 
-    tc.record_op(result, (x, *w_xs, *w_hs, params.w_co, *biases), vjp)
+    tc.record_op(result, (x, params.w_x, params.w_h, params.w_co, params.b), vjp)
     return result
 
 

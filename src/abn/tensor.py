@@ -118,10 +118,6 @@ def ones(*shape: int) -> Tensor:
     return Tensor._wrap(np.ones(shape, dtype=np.float64))
 
 
-def eye(n: int) -> Tensor:
-    return Tensor._wrap(np.eye(n, dtype=np.float64))
-
-
 class _Node:
     __slots__ = ("output", "inputs", "vjp")
 
@@ -334,22 +330,6 @@ def tanh(x) -> Tensor:
         return (g * (1.0 - y * y),)
 
     _record(out, (x,), vjp)
-    return out
-
-
-def exp(x) -> Tensor:
-    x = _as_tensor(x)
-    out = Tensor._wrap(np.exp(x.data))
-    _record(out, (x,), lambda g: (g * out.data,))
-    return out
-
-
-def log(x) -> Tensor:
-    x = _as_tensor(x)
-    if np.any(x.data <= 0):
-        raise DomainError("log requires strictly positive inputs")
-    out = Tensor._wrap(np.log(x.data))
-    _record(out, (x,), lambda g: (g / x.data,))
     return out
 
 

@@ -192,7 +192,7 @@ class TestUttAttention:
 class TestUttContext:
     def test_identity_attention_selects_self(self):
         v = Tensor(np.random.default_rng(39).normal(size=(3, 2)))
-        c = utt_context(tc.eye(3), v)
+        c = utt_context(Tensor(np.eye(3)), v)
         np.testing.assert_array_equal(c.data, v.data)
 
     def test_uniform_average(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from abn import errors
+from abn import checkpoint, errors
 from abn import tensor as tc
 from abn.batching import Batch, Utterance, make_batches
 from abn.checkpoint import load_checkpoint, save_checkpoint
@@ -299,13 +299,30 @@ class TestCheckpoint:
         path.write_text("abn-checkpoint v999\nend\n")
         with pytest.raises(errors.CheckpointError, match="v999"):
             load_checkpoint(str(path))
+        # The per-gate v1 layout is refused by name, not parsed.
+        path.write_text("abn-checkpoint v1\nend\n")
+        with pytest.raises(errors.CheckpointError, match="v1.*no longer read"):
+            load_checkpoint(str(path))
 
-    def test_variant_mismatch(self, tmp_path):
-        path = str(tmp_path / "m.ckpt")
-        save_checkpoint(tiny_model("abn-f"), path)
-        with pytest.raises(errors.CheckpointError, match="incompatible"):
-            load_checkpoint(path, expect_variant="bn")
-        assert load_checkpoint(path, expect_variant="abn-f") is not None
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(tiny_model(), str(path))
+        before = path.read_bytes()
+        original = checkpoint._format_values
+        written = []
+
+        def failing_format(t):
+            if len(written) == 2:
+                raise OSError("disk full")
+            written.append(t)
+            return original(t)
+
+        monkeypatch.setattr(checkpoint, "_format_values", failing_format)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(tiny_model(seed=1), str(path))
+        assert len(written) == 2  # the failure came partway through the blocks
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
     def test_truncation_detected(self, tmp_path):
         path = tmp_path / "m.ckpt"

@@ -21,14 +21,7 @@ from abn.tensor import Tensor, finite_diff_check
 
 
 def zero_params(n=2, p=3):
-    fields = {}
-    for name in ("w_hi", "w_hf", "w_hc", "w_ho"):
-        fields[name] = tc.zeros(n, n)
-    for name in ("w_xi", "w_xf", "w_xc", "w_xo"):
-        fields[name] = tc.zeros(n, p)
-    for name in ("w_co", "b_i", "b_f", "b_c", "b_o"):
-        fields[name] = tc.zeros(n)
-    return LstmLayerParams(**fields)
+    return LstmLayerParams(tc.zeros(4 * n, p), tc.zeros(4 * n, n), tc.zeros(n), tc.zeros(4 * n))
 
 
 def random_params(n, p, seed):
@@ -52,8 +45,8 @@ class TestLstmStep:
 
     def test_gate_extremes_preserve_cell(self):
         params = zero_params()
-        params.b_f = Tensor([40.0, 40.0])  # forget gate pinned open
-        params.b_i = Tensor([-40.0, -40.0])  # input gate pinned shut
+        # input gate pinned shut, forget gate pinned open
+        params.b = Tensor([-40.0, -40.0, 40.0, 40.0, 0.0, 0.0, 0.0, 0.0])
         prev = LstmState(tc.zeros(2), Tensor([0.7, -1.3]))
         out = lstm_step(tc.zeros(3), prev, params)
         np.testing.assert_allclose(out.c.data, prev.c.data, atol=1e-15)
@@ -84,10 +77,15 @@ class TestLstmStep:
         with pytest.raises(errors.ShapeError):
             lstm_step(tc.zeros(5), LstmState.zero(2), zero_params(n=2, p=3))
 
+    def test_stacked_shapes_checked(self):
+        with pytest.raises(errors.ShapeError, match="b must be"):
+            LstmLayerParams(tc.zeros(8, 3), tc.zeros(8, 2), tc.zeros(2), tc.zeros(2))
+        with pytest.raises(errors.ShapeError, match="w_h must be"):
+            LstmLayerParams(tc.zeros(8, 3), tc.zeros(2, 2), tc.zeros(2), tc.zeros(8))
+
     def test_forget_bias_initialized_positive(self):
         params = LstmLayerParams.init(4, 3, np.random.default_rng(0))
-        np.testing.assert_array_equal(params.b_f.data, np.ones(4))
-        np.testing.assert_array_equal(params.b_i.data, np.zeros(4))
+        np.testing.assert_array_equal(params.b.data, [0.0] * 4 + [1.0] * 4 + [0.0] * 8)
         np.testing.assert_array_equal(params.w_co.data, np.zeros(4))
 
 
@@ -157,7 +155,7 @@ class TestBilstmLayer:
         lengths = [5, 3, 1]
         pf, pb = random_params(3, 4, 27), random_params(3, 4, 28)
         pf.w_co = Tensor(rng.normal(size=3))
-        pb.b_c = Tensor(rng.normal(size=3))
+        pb.b = Tensor(rng.normal(size=12))
         mask = SequenceBatch(Tensor(feats), lengths).frame_mask()
 
         def unroll(params, order):
@@ -185,8 +183,8 @@ class TestBilstmLayer:
         probe = Tensor(rng.normal(size=(2, 3, 4)))
         pf, pb = random_params(2, 2, 24), random_params(2, 2, 25)
         for params in (pf, pb):  # nonzero peepholes and biases exercise every path
-            for name in ("w_co", "b_i", "b_f", "b_c", "b_o"):
-                setattr(params, name, Tensor(rng.normal(size=2)))
+            params.w_co = Tensor(rng.normal(size=2))
+            params.b = Tensor(rng.normal(size=8))
 
         def f(theta):
             out = bilstm_layer(SequenceBatch(theta, [3, 2]), pf, pb)
@@ -198,7 +196,7 @@ class TestBilstmLayer:
             for name in LstmLayerParams.__slots__:
                 def g(theta, params=params, name=name):
                     swapped = LstmLayerParams(
-                        **{k: getattr(params, k) for k in LstmLayerParams.__slots__}
+                        *(getattr(params, k) for k in LstmLayerParams.__slots__)
                     )
                     setattr(swapped, name, theta)
                     pair = (swapped, pb) if params is pf else (pf, swapped)
@@ -332,7 +330,7 @@ class TestStackForward:
 
         # One representative parameter from each stage of the stack.
         for name in ("layer0.gen.w_embed", "layer1.gen.w_query", "layer2.bn.gamma",
-                     "layer0.fwd.w_hc", "layer2.bwd.w_xo", "out.w"):
+                     "layer0.fwd.w_h", "layer2.bwd.w_x", "out.w"):
             base = model.parameters()[name]
 
             def f(theta, name=name, base=base):

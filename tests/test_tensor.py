@@ -42,7 +42,7 @@ class TestTensorBasics:
 class TestMatmul:
     def test_identity(self):
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        out = tc.matmul(tc.eye(2), a)
+        out = tc.matmul(Tensor(np.eye(2)), a)
         np.testing.assert_array_equal(out.data, a.data)
 
     def test_hand_product(self):
@@ -88,7 +88,7 @@ class TestMatmul:
 class TestAffine:
     def test_identity_weight(self):
         v = Tensor([1.5, -2.0, 0.25])
-        out = tc.affine(v, tc.eye(3), tc.zeros(3))
+        out = tc.affine(v, Tensor(np.eye(3)), tc.zeros(3))
         np.testing.assert_array_equal(out.data, v.data)
 
     def test_hand_case(self):
@@ -118,9 +118,6 @@ class TestElementwise:
     def test_tanh_odd(self):
         assert tc.tanh(Tensor([0.0])).item() == 0.0
 
-    def test_log_rejects_nonpositive(self):
-        with pytest.raises(errors.DomainError):
-            tc.log(Tensor([0.0]))
 
 
 class TestMaskedSoftmax:
@@ -309,15 +306,13 @@ class TestPrimitiveGradients:
         w = Tensor(np.random.default_rng(10).normal(size=(3, 4)))
         _check(lambda t: tc.tsum(tc.tanh(tc.linear(t, w))), (5, 4), 111)
 
-    def test_sigmoid_tanh_exp(self):
+    def test_sigmoid_tanh(self):
         _check(lambda t: tc.tsum(tc.sigmoid(t)), (6,), 112)
         _check(lambda t: tc.tsum(tc.tanh(t)), (6,), 113)
-        _check(lambda t: tc.tsum(tc.exp(t)), (6,), 114)
 
-    def test_log_sqrt(self):
+    def test_sqrt(self):
         rng = np.random.default_rng(115)
         theta = Tensor(np.abs(rng.normal(size=(5,))) + 0.5)
-        assert finite_diff_check(lambda t: tc.tsum(tc.log(t)), theta) < 1e-4
         assert finite_diff_check(lambda t: tc.tsum(tc.sqrt(t)), theta) < 1e-4
 
     def test_sum_mean_axes(self):
@@ -327,11 +322,13 @@ class TestPrimitiveGradients:
     def test_masked_softmax_grad(self):
         _check(lambda t: tc.tsum(tc.tanh(tc.mul(tc.masked_softmax(t, valid=3), 5.0))), (4,), 118)
         _check(
-            lambda t: tc.tsum(tc.mul(tc.masked_softmax(t, valid=4), tc.exp(t))), (2, 5), 119
+            lambda t: tc.tsum(tc.mul(tc.masked_softmax(t, valid=4), tc.sigmoid(t))), (2, 5), 119
         )
         key_mask = np.array([[[True, True, False]], [[True, False, False]]])
         _check(
-            lambda t: tc.tsum(tc.mul(tc.masked_softmax(t, key_mask), tc.exp(t))), (2, 3, 3), 129
+            lambda t: tc.tsum(tc.mul(tc.masked_softmax(t, key_mask), tc.sigmoid(t))),
+            (2, 3, 3),
+            129,
         )
 
     def test_reshape_transpose(self):

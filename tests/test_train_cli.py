@@ -52,7 +52,7 @@ class TestRunTraining:
         assert len(summary["dev_loss_history"]) == 2
         assert summary["final_dev_loss"] == summary["dev_loss_history"][-1]
         assert np.isfinite(summary["final_dev_loss"])
-        load_checkpoint(str(out / "model.ckpt"), expect_variant="abn-f")
+        assert load_checkpoint(str(out / "model.ckpt")).config.variants == ["abn-f"]
 
     def test_metrics_layout(self, tmp_path):
         run_training(tiny_config(), "bn", str(tmp_path))
@@ -139,6 +139,17 @@ class TestCli:
                   "--config", str(other)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_eval_checkpoint_task_mismatch(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "run"
+        cli(["train", "--config", cfg, "--out-dir", str(out)])
+        other = tmp_path / "other.cfg"
+        other.write_text(TINY_CFG.replace("features = 4", "features = 5"))
+        capsys.readouterr()
+        rc = cli(["eval", "--ckpt", str(out / "model.ckpt"), "--config", str(other)])
+        assert rc == 1
+        assert "checkpoint expects features=4" in capsys.readouterr().err
 
     def test_gradcheck_exit_codes(self, monkeypatch, capsys):
         monkeypatch.setattr(cli_mod, "model_gradient_check",
