@@ -15,6 +15,7 @@ from .errors import (
     ContractError,
     DegenerateBatchError,
     DomainError,
+    EmptyEpochError,
     ShapeError,
 )
 from .tensor import GradTape, Gradients, Tensor, backward, finite_diff_check, recording
@@ -27,6 +28,7 @@ __all__ = [
     "ContractError",
     "DegenerateBatchError",
     "DomainError",
+    "EmptyEpochError",
     "ShapeError",
     "GradTape",
     "Gradients",

@@ -77,6 +77,24 @@ class TrainConfig:
     task_distinct_neighbors: int
 
     def __post_init__(self):
+        for key, least in (("hidden", 1), ("features", 1), ("embed_dim", 1),
+                           ("attn_dim", 1), ("vocab", 2)):
+            if getattr(self, key) < least:
+                raise ConfigError(f"{key} must be at least {least}, got {getattr(self, key)}")
+        if self.task_distinct_neighbors not in (0, 1):
+            raise ConfigError(
+                f"task_distinct_neighbors must be 0 or 1, got {self.task_distinct_neighbors}"
+            )
+        # abn-f's bottleneck must be narrower than every layer's input.
+        if self.embed_dim >= self.features:
+            raise ConfigError(
+                f"embed_dim {self.embed_dim} must be below features {self.features}"
+            )
+        if self.num_layers > 1 and self.embed_dim >= 2 * self.hidden:
+            raise ConfigError(
+                f"embed_dim {self.embed_dim} must be below 2*hidden {2 * self.hidden},"
+                " the input width of every layer after the first"
+            )
         if self.stop_threshold >= self.halve_threshold:
             raise ConfigError(
                 f"stop_threshold {self.stop_threshold} must be below"

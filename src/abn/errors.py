@@ -31,3 +31,7 @@ class ConfigError(AbnError, ValueError):
 
 class CheckpointError(AbnError, ValueError):
     """Checkpoint file is unreadable, truncated, or incompatible."""
+
+
+class EmptyEpochError(AbnError, RuntimeError):
+    """Every batch of a training epoch was skipped as non-finite."""

@@ -15,6 +15,7 @@ the bias-free equations exactly.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -70,60 +71,16 @@ class LstmLayerParams:
         return self.w_x.shape[1]
 
 
-class LstmState:
-    """Hidden and cell vectors; either [n] or batched [batch, n]."""
-
-    __slots__ = ("h", "c")
-
-    def __init__(self, h: Tensor, c: Tensor):
-        if h.shape != c.shape:
-            raise ShapeError(f"h {h.shape} and c {c.shape} must match")
-        self.h = h
-        self.c = c
-
-    @classmethod
-    def zero(cls, hidden: int):
-        return cls(tc.zeros(hidden), tc.zeros(hidden))
-
-
-def lstm_step(x_norm: Tensor, prev: LstmState, params: LstmLayerParams) -> LstmState:
-    """One LSTM update on a normalized input frame (single or batched).
-
-    Gates read the previous hidden state and the normalized input; the
-    output gate additionally reads the fresh cell state elementwise. This
-    is the reference cell for ``_run_direction``. It reads each gate's row
-    block of ``w_x``, ``w_h`` and ``b`` untaped, so no gradient reaches
-    those three.
-    """
-    if x_norm.shape[-1] != params.input_dim:
-        raise ShapeError(
-            f"input dim {x_norm.shape[-1]} does not match weights {params.input_dim}"
-        )
-    n = params.hidden
-    h, c = prev.h, prev.c
-
-    def gate(k):
-        rows = slice(k * n, (k + 1) * n)
-        z = tc.add(tc.linear(h, Tensor._wrap(params.w_h.data[rows])),
-                   tc.linear(x_norm, Tensor._wrap(params.w_x.data[rows])))
-        return tc.add(z, Tensor._wrap(params.b.data[rows]))
-
-    i = tc.sigmoid(gate(0))
-    f = tc.sigmoid(gate(1))
-    c_new = tc.add(tc.mul(f, c), tc.mul(i, tc.tanh(gate(2))))
-    o = tc.sigmoid(tc.add(gate(3), tc.mul(params.w_co, c_new)))
-    h_new = tc.mul(o, tc.tanh(c_new))
-    return LstmState(h_new, c_new)
-
-
-def _run_direction(batch: SequenceBatch, params: LstmLayerParams, reverse: bool) -> Tensor:
+def run_direction(batch: SequenceBatch, params: LstmLayerParams, reverse: bool) -> Tensor:
     """Unroll one direction over time as a single taped node, ``[B, T, n]``.
 
     The input projection of every frame is one ``[B*T, p] x [p, 4n]``
     product hoisted out of the recurrence (Appleyard, Kocisky & Blunsom
     2016); the recurrence runs in plain numpy and the node's VJP is
-    backpropagation through time. The cell is the one ``lstm_step``
-    computes, which stays the reference.
+    backpropagation through time. Each frame applies the peephole cell of
+    the module docstring: sigmoid input, forget and output gates, a tanh
+    candidate, and an output gate that also reads the fresh cell through
+    ``w_co``.
 
     Padded frames emit zeros and hold the state at zero. Valid frames are
     a prefix of each utterance, so this is the ``t < length`` freeze: no
@@ -214,9 +171,14 @@ def bilstm_layer(
         raise ShapeError(
             f"direction widths disagree: {params_fwd.hidden} vs {params_bwd.hidden}"
         )
-    fwd = _run_direction(batch, params_fwd, reverse=False)
-    bwd = _run_direction(batch, params_bwd, reverse=True)
-    return SequenceBatch(tc.concat([fwd, bwd], axis=2), batch.lengths)
+    fwd = run_direction(batch, params_fwd, reverse=False)
+    bwd = run_direction(batch, params_bwd, reverse=True)
+    return join_directions(fwd, bwd, batch.lengths)
+
+
+def join_directions(fwd: Tensor, bwd: Tensor, lengths) -> SequenceBatch:
+    """Per-frame ``[forward, backward]`` halves of one BiLSTM layer."""
+    return SequenceBatch(tc.concat([fwd, bwd], axis=2), lengths)
 
 
 class ModelConfig:
@@ -284,6 +246,34 @@ class Layer:
         self.bwd = bwd
 
 
+class Projection:
+    """The output layer: logits ``w [vocab, 2n]`` times features plus ``b [vocab]``.
+
+    Kept apart from ``Model`` so that the parameter registry never holds
+    the model itself: a model in no reference cycle is freed as soon as it
+    is dropped, not at the next cyclic garbage collection.
+    """
+
+    __slots__ = ("w", "b")
+
+    def __init__(self, w: Tensor, b: Tensor):
+        self.w = w
+        self.b = b
+
+
+class Stage(NamedTuple):
+    """Where a parameter enters the stack: ``part`` of layer ``layer``.
+
+    ``part`` is ``"norm"`` (the normalizer or its generator), ``"fwd"`` or
+    ``"bwd"`` (one LSTM direction), or ``"out"`` (the projection, with
+    ``layer`` equal to the number of layers). No stage before it reads the
+    parameter.
+    """
+
+    layer: int
+    part: str
+
+
 class Model:
     """Normalized BiLSTM stack with an affine projection to vocabulary logits."""
 
@@ -304,30 +294,34 @@ class Model:
             bwd = LstmLayerParams.init(config.hidden, dim, rng)
             self.layers.append(Layer(variant, norm, gen, fwd, bwd))
         out_dim = 2 * config.hidden
-        self.w_out = Tensor(rng.normal(0.0, 1.0 / math.sqrt(out_dim),
-                                       size=(config.vocab, out_dim)))
-        self.b_out = tc.zeros(config.vocab)
+        self.out = Projection(
+            Tensor(rng.normal(0.0, 1.0 / math.sqrt(out_dim), size=(config.vocab, out_dim))),
+            tc.zeros(config.vocab),
+        )
         self._registry = self._build_registry()
 
     def _build_registry(self):
-        reg: dict[str, tuple[object, str]] = {}
+        # name -> (owner, attribute, the stage the parameter feeds)
+        reg: dict[str, tuple[object, str, Stage]] = {}
         for l, layer in enumerate(self.layers):
+            norm = Stage(l, "norm")
             if layer.variant == "bn":
-                reg[f"layer{l}.bn.gamma"] = (layer.norm, "gamma")
-                reg[f"layer{l}.bn.beta"] = (layer.norm, "beta")
+                reg[f"layer{l}.bn.gamma"] = (layer.norm, "gamma", norm)
+                reg[f"layer{l}.bn.beta"] = (layer.norm, "beta", norm)
             elif layer.variant == "abn-f":
                 for field in ("w_embed", "b_embed", "w_gamma", "b_gamma", "w_beta", "b_beta"):
-                    reg[f"layer{l}.gen.{field}"] = (layer.gen, field)
+                    reg[f"layer{l}.gen.{field}"] = (layer.gen, field, norm)
             else:
                 for field in ("w_key", "w_query", "w_value",
                               "w_gamma", "b_gamma", "w_beta", "b_beta"):
-                    reg[f"layer{l}.gen.{field}"] = (layer.gen, field)
+                    reg[f"layer{l}.gen.{field}"] = (layer.gen, field, norm)
             for direction in ("fwd", "bwd"):
                 obj = getattr(layer, direction)
                 for field in LstmLayerParams.__slots__:
-                    reg[f"layer{l}.{direction}.{field}"] = (obj, field)
-        reg["out.w"] = (self, "w_out")
-        reg["out.b"] = (self, "b_out")
+                    reg[f"layer{l}.{direction}.{field}"] = (obj, field, Stage(l, direction))
+        out = Stage(len(self.layers), "out")
+        reg["out.w"] = (self.out, "w", out)
+        reg["out.b"] = (self.out, "b", out)
         return reg
 
     def parameters(self) -> dict[str, Tensor]:
@@ -336,10 +330,17 @@ class Model:
         Layers normalized by a generated variant contribute the generator's
         weights instead of the (unused) learned scale/shift.
         """
-        return {name: getattr(obj, attr) for name, (obj, attr) in self._registry.items()}
+        return {name: getattr(obj, attr) for name, (obj, attr, _) in self._registry.items()}
+
+    def parameter_stage(self, name: str) -> Stage:
+        """The first stage of the stack that reads parameter ``name``."""
+        entry = self._registry.get(name)
+        if entry is None:
+            raise ContractError(f"no parameter named {name!r}")
+        return entry[2]
 
     def set_parameter(self, name: str, value: Tensor) -> None:
-        obj, attr = self._registry[name]
+        obj, attr, _ = self._registry[name]
         current = getattr(obj, attr)
         if current.shape != value.shape:
             raise ShapeError(
@@ -374,6 +375,67 @@ class Model:
         return counts
 
 
+def normalize_layer(
+    batch: SequenceBatch,
+    layer: Layer,
+    config: ModelConfig,
+    mode: str,
+    rng: np.random.Generator | None = None,
+) -> SequenceBatch:
+    """A layer's normalizer, batch norm or abn by its variant, on its input.
+
+    The generator is fed the same standardized activations it rescales.
+    """
+    return abn_forward(
+        batch, layer.norm, layer.gen, layer.variant, mode,
+        dropout_rate=config.dropout, rng=rng,
+    )
+
+
+def drop_layer_output(
+    joined: SequenceBatch,
+    config: ModelConfig,
+    mode: str,
+    rng: np.random.Generator | None = None,
+) -> SequenceBatch:
+    """Dropout on a layer's BiLSTM output in train mode; identity otherwise."""
+    if config.dropout > 0.0 and mode == "train":
+        return SequenceBatch(
+            tc.dropout(joined.features, config.dropout, rng, mode), joined.lengths
+        )
+    return joined
+
+
+def run_layers(
+    current: SequenceBatch,
+    model: Model,
+    start: int,
+    mode: str,
+    rng: np.random.Generator | None = None,
+) -> SequenceBatch:
+    """Layers ``start`` onward, fed the input of layer ``start``."""
+    for layer in model.layers[start:]:
+        # Rebinding ``current`` at once lets an untaped pass free each
+        # layer's input as soon as its normalized copy exists.
+        current = normalize_layer(current, layer, model.config, mode, rng)
+        current = drop_layer_output(
+            bilstm_layer(current, layer.fwd, layer.bwd), model.config, mode, rng
+        )
+    return current
+
+
+def project(features: SequenceBatch, model: Model) -> SequenceBatch:
+    """Per-frame vocabulary logits from the last layer's output.
+
+    Logits on padded frames carry only the projection bias and must not be
+    consumed.
+    """
+    b, t_max, width = features.features.shape
+    flat = tc.reshape(features.features, (b * t_max, width))
+    logits = tc.affine(flat, model.out.w, model.out.b)
+    return SequenceBatch(tc.reshape(logits, (b, t_max, model.config.vocab)), features.lengths)
+
+
 def stack_forward(
     batch: SequenceBatch,
     model: Model,
@@ -382,29 +444,9 @@ def stack_forward(
 ) -> SequenceBatch:
     """Run the full stack; returns per-frame vocabulary logits.
 
-    Each layer normalizes its input with its own variant (the generator is
-    fed the same standardized activations), runs the BiLSTM, and applies
-    dropout to the outputs in train mode. Logits on padded frames carry
-    only the projection bias and must not be consumed.
+    Each layer normalizes its input with its own variant, runs the BiLSTM,
+    and applies dropout to the outputs in train mode; the last layer's
+    output is projected to the vocabulary. The stage functions it is made
+    of let a caller resume the stack part way (see ``abn.gradcheck``).
     """
-    cfg = model.config
-    current = batch
-    for layer in model.layers:
-        # Rebinding ``current`` at once lets an untaped pass free each
-        # layer's input as soon as its normalized copy exists.
-        current = abn_forward(
-            current, layer.norm, layer.gen, layer.variant, mode,
-            dropout_rate=cfg.dropout, rng=rng,
-        )
-        current = bilstm_layer(current, layer.fwd, layer.bwd)
-        if cfg.dropout > 0.0 and mode == "train":
-            current = SequenceBatch(
-                tc.dropout(current.features, cfg.dropout, rng, mode), current.lengths
-            )
-    flat = tc.reshape(
-        current.features,
-        (batch.batch_size * batch.max_frames, 2 * cfg.hidden),
-    )
-    logits = tc.affine(flat, model.w_out, model.b_out)
-    shaped = tc.reshape(logits, (batch.batch_size, batch.max_frames, cfg.vocab))
-    return SequenceBatch(shaped, batch.lengths)
+    return project(run_layers(batch, model, 0, mode, rng), model)

@@ -155,18 +155,14 @@ def recording(tape: GradTape):
         _ACTIVE_TAPE = None
 
 
-def _record(output: Tensor, inputs: tuple[Tensor, ...], vjp) -> None:
-    if _ACTIVE_TAPE is not None:
-        _ACTIVE_TAPE.nodes.append(_Node(output, inputs, vjp))
-
-
 def record_op(output: Tensor, inputs: tuple[Tensor, ...], vjp) -> None:
-    """Register a fused operation on the active tape (no-op when idle).
+    """Register an operation on the active tape (no-op when idle).
 
     ``vjp`` receives the output gradient and must return one gradient per
     input (``None`` for inputs that do not need one).
     """
-    _record(output, inputs, vjp)
+    if _ACTIVE_TAPE is not None:
+        _ACTIVE_TAPE.nodes.append(_Node(output, inputs, vjp))
 
 
 def _as_tensor(x) -> Tensor:
@@ -201,7 +197,7 @@ def add(a, b) -> Tensor:
     def vjp(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
 
-    _record(out, (a, b), vjp)
+    record_op(out, (a, b), vjp)
     return out
 
 
@@ -211,7 +207,7 @@ def sub(a, b) -> Tensor:
     def vjp(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
 
-    _record(out, (a, b), vjp)
+    record_op(out, (a, b), vjp)
     return out
 
 
@@ -224,7 +220,7 @@ def mul(a, b) -> Tensor:
             _unbroadcast(g * a.data, b.data.shape),
         )
 
-    _record(out, (a, b), vjp)
+    record_op(out, (a, b), vjp)
     return out
 
 
@@ -237,14 +233,14 @@ def div(a, b) -> Tensor:
             _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
         )
 
-    _record(out, (a, b), vjp)
+    record_op(out, (a, b), vjp)
     return out
 
 
 def neg(a) -> Tensor:
     a = _as_tensor(a)
     out = Tensor._wrap(-a.data)
-    _record(out, (a,), lambda g: (-g,))
+    record_op(out, (a,), lambda g: (-g,))
     return out
 
 
@@ -262,7 +258,7 @@ def matmul(a, b) -> Tensor:
     def vjp(g):
         return g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g
 
-    _record(out, (a, b), vjp)
+    record_op(out, (a, b), vjp)
     return out
 
 
@@ -272,7 +268,7 @@ def transpose(a) -> Tensor:
     if a.ndim < 2:
         raise ShapeError(f"transpose needs at least 2 axes, got {a.shape}")
     out = Tensor._wrap(np.swapaxes(a.data, -1, -2).copy())
-    _record(out, (a,), lambda g: (np.swapaxes(g, -1, -2),))
+    record_op(out, (a,), lambda g: (np.swapaxes(g, -1, -2),))
     return out
 
 
@@ -296,7 +292,7 @@ def linear(x, w) -> Tensor:
         g_rows = g.reshape(-1, n_out)
         return (g_rows @ w.data).reshape(x.data.shape), g_rows.T @ x_rows
 
-    _record(out, (x, w), vjp)
+    record_op(out, (x, w), vjp)
     return out
 
 
@@ -317,7 +313,7 @@ def sigmoid(x) -> Tensor:
         y = out.data
         return (g * y * (1.0 - y),)
 
-    _record(out, (x,), vjp)
+    record_op(out, (x,), vjp)
     return out
 
 
@@ -329,7 +325,7 @@ def tanh(x) -> Tensor:
         y = out.data
         return (g * (1.0 - y * y),)
 
-    _record(out, (x,), vjp)
+    record_op(out, (x,), vjp)
     return out
 
 
@@ -338,7 +334,7 @@ def sqrt(x) -> Tensor:
     if np.any(x.data < 0):
         raise DomainError("sqrt requires non-negative inputs")
     out = Tensor._wrap(np.sqrt(x.data))
-    _record(out, (x,), lambda g: (g * 0.5 / out.data,))
+    record_op(out, (x,), lambda g: (g * 0.5 / out.data,))
     return out
 
 
@@ -351,7 +347,7 @@ def tsum(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, x.data.shape).copy(),)
 
-    _record(out, (x,), vjp)
+    record_op(out, (x,), vjp)
     return out
 
 
@@ -402,7 +398,7 @@ def masked_softmax(scores, valid=None) -> Tensor:
     def vjp(g):
         return (p * (g - (g * p).sum(axis=-1, keepdims=True)),)
 
-    _record(out, (scores,), vjp)
+    record_op(out, (scores,), vjp)
     return out
 
 
@@ -411,7 +407,7 @@ def reshape(x, shape: tuple[int, ...]) -> Tensor:
     if math.prod(shape) != x.size:
         raise ShapeError(f"cannot reshape {x.shape} into {shape}")
     out = Tensor._wrap(np.reshape(x.data, shape))
-    _record(out, (x,), lambda g: (np.reshape(g, x.data.shape),))
+    record_op(out, (x,), lambda g: (np.reshape(g, x.data.shape),))
     return out
 
 
@@ -430,7 +426,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     def vjp(g):
         return tuple(np.split(g, offsets, axis=axis))
 
-    _record(out, tuple(parts), vjp)
+    record_op(out, tuple(parts), vjp)
     return out
 
 

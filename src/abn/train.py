@@ -12,6 +12,7 @@ from .batching import Batch, make_batches
 from .checkpoint import save_checkpoint
 from .config import TrainConfig
 from .ctc import LabelSequence, edit_distance, greedy_decode, sequence_ctc_loss
+from .errors import EmptyEpochError
 from .optim import AdamState, adam_step, lr_schedule
 from .recurrent import Model, stack_forward
 from .synth import sorted_for_batching, synth_generate
@@ -96,7 +97,8 @@ def run_training(cfg: TrainConfig, variant: str, out_dir: str) -> dict:
         "variant": variant,
         "seed": cfg.seed,
         "epochs_run": 0,
-        "skipped_batches": 0,
+        "skipped_batches": 0,  # non-finite loss or gradient
+        "nonfinite_gradients": 0,  # of those, finite loss but a non-finite gradient
         "stopped_early": False,
     }
     with open(metrics_path, "w", encoding="utf-8") as metrics:
@@ -118,6 +120,11 @@ def run_training(cfg: TrainConfig, variant: str, out_dir: str) -> dict:
                 grads = backward(tape, loss)
                 params = model.parameters()
                 grad_arrays = {name: grads.wrt(t) for name, t in params.items()}
+                # A NaN gradient under a finite loss would reach the weights.
+                if not all(np.isfinite(g).all() for g in grad_arrays.values()):
+                    summary["skipped_batches"] += 1
+                    summary["nonfinite_gradients"] += 1
+                    continue
                 for name, t in adam_step(params, grad_arrays, adam, lr).items():
                     model.set_parameter(name, t)
                 epoch_loss += loss.item()
@@ -125,8 +132,13 @@ def run_training(cfg: TrainConfig, variant: str, out_dir: str) -> dict:
                 d, r = _decode_errors(logits, batch.labels)
                 dist += d
                 ref_len += r
+            if used == 0:
+                raise EmptyEpochError(
+                    f"epoch {epoch}: all {len(train_batches)} training batches"
+                    " had a non-finite loss or gradient"
+                )
             train_wall = 0.0 if quiet_clock else time.monotonic() - t0
-            train_loss = epoch_loss / max(used, 1)
+            train_loss = epoch_loss / used
             train_ter = dist / max(ref_len, 1)
 
             t1 = time.monotonic()

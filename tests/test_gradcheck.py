@@ -1,0 +1,118 @@
+"""The stage-cached model gradient check: exact resumes and injected faults."""
+
+import numpy as np
+import pytest
+
+from abn import ctc, errors, gradcheck, recurrent, tensor
+from abn.ctc import LabelSequence, sequence_ctc_loss
+from abn.data import SequenceBatch
+from abn.gradcheck import StageCache, model_gradient_check
+from abn.recurrent import Model, ModelConfig, Stage, stack_forward
+from abn.tensor import Tensor
+
+HIDDEN, FEATURES = 4, 6  # model_gradient_check's default shape
+
+
+def _problem(variants, seed):
+    rng = np.random.default_rng(seed)
+    num_layers = 2 if isinstance(variants, str) else len(variants)
+    model = Model(
+        ModelConfig(num_layers, HIDDEN, FEATURES, 3, variants,
+                    embed_dim=2, attn_dim=2),
+        rng,
+    )
+    batch = SequenceBatch(Tensor(rng.normal(size=(3, 5, FEATURES))), [5, 3, 1])
+    labels = [LabelSequence([1, 2]), LabelSequence([2]), LabelSequence([])]
+    return model, batch, labels
+
+
+class TestResume:
+    @pytest.mark.parametrize(
+        "variants", ["bn", "abn-f", "abn-u", ["abn-u", "bn", "abn-f"]],
+        ids=["bn", "abn-f", "abn-u", "mixed"],
+    )
+    def test_matches_full_stack_bitwise(self, variants):
+        model, batch, labels = _problem(variants, seed=61)
+        cache = StageCache(model, batch)
+        rng = np.random.default_rng(62)
+        for name, base in model.parameters().items():
+            coord = rng.integers(base.size)
+            bumped = base.data.copy()
+            bumped.flat[coord] += 1e-4
+            model.set_parameter(name, Tensor(bumped))
+            try:
+                stage = model.parameter_stage(name)
+                resumed = sequence_ctc_loss(cache.resume(model, stage), labels)
+                full = sequence_ctc_loss(stack_forward(batch, model, "train"), labels)
+            finally:
+                model.set_parameter(name, base)
+            assert resumed.item() == full.item(), name
+
+    def test_stage_of_every_name(self):
+        model, _, _ = _problem(["abn-f", "abn-u", "bn"], seed=63)
+        for name in model.parameters():
+            head, module = name.split(".")[:2]
+            if head == "out":
+                expected = Stage(3, "out")
+            else:
+                l = int(head.removeprefix("layer"))
+                expected = Stage(l, module if module in ("fwd", "bwd") else "norm")
+            assert model.parameter_stage(name) == expected
+
+    def test_unknown_name_or_stage_raises(self):
+        model, batch, _ = _problem("bn", seed=64)
+        with pytest.raises(errors.ContractError, match="layer9"):
+            model.parameter_stage("layer9.fwd.w_x")
+        with pytest.raises(errors.ContractError, match="stage"):
+            StageCache(model, batch).resume(model, Stage(0, "gen"))
+
+
+def _scaled(record, index):
+    """A ``record_op`` whose recorded VJPs return gradient ``index`` 1% too large."""
+
+    def faulty(output, inputs, vjp):
+        def wrong(g):
+            parts = list(vjp(g))
+            parts[index] = parts[index] * 1.01
+            return tuple(parts)
+
+        record(output, inputs, wrong)
+
+    return faulty
+
+
+def _fault_in_direction(monkeypatch, input_dim, backward, index):
+    # The check reruns directions both through the stack and directly.
+    original = recurrent.run_direction
+
+    def faulty(batch, params, reverse):
+        if reverse != backward or params.input_dim != input_dim:
+            return original(batch, params, reverse)
+        with monkeypatch.context() as m:
+            m.setattr(tensor, "record_op", _scaled(tensor.record_op, index))
+            return original(batch, params, reverse)
+
+    monkeypatch.setattr(recurrent, "run_direction", faulty)
+    monkeypatch.setattr(gradcheck, "run_direction", faulty)
+
+
+# Each fault is caught by other parameters: a layer-1 recurrent weight
+# (only its resumed evaluation reaches it), the layer-0 normalizer or
+# generator (their evaluations run the whole stack above), or all of them.
+FAULTS = {
+    "layer1-bwd-d_wh": lambda mp: _fault_in_direction(mp, 2 * HIDDEN, True, 2),
+    "layer0-fwd-d_x": lambda mp: _fault_in_direction(mp, FEATURES, False, 0),
+    "ctc-grad": lambda mp: mp.setattr(ctc, "record_op", _scaled(ctc.record_op, 0)),
+}
+
+
+class TestInjectedFaults:
+    @pytest.mark.parametrize("variant", ["bn", "abn-f"])
+    def test_unfaulted_check_passes(self, variant):
+        assert model_gradient_check(variant, t_values=(2,)) < 1e-4
+
+    @pytest.mark.parametrize("variant", ["bn", "abn-f"])
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_fault_fails_check(self, monkeypatch, fault, variant):
+        FAULTS[fault](monkeypatch)
+        assert model_gradient_check(variant, t_values=(2,)) > 1e-4

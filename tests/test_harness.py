@@ -254,6 +254,36 @@ class TestConfig:
         with pytest.raises(errors.ConfigError):
             parse_config_text("halve_threshold = 0.0001\nstop_threshold = 0.001")
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("hidden = 0", "hidden"),
+            ("features = 0", "features"),
+            ("embed_dim = 0", "embed_dim"),
+            ("attn_dim = 0", "attn_dim"),
+            ("vocab = 1", "vocab"),
+            ("task_distinct_neighbors = 2", "task_distinct_neighbors"),
+            ("features = 8\nembed_dim = 8", "embed_dim"),
+            ("hidden = 4\nembed_dim = 8", "embed_dim"),
+        ],
+        ids=["hidden", "features", "embed_dim", "attn_dim", "vocab",
+             "task_distinct_neighbors", "embed_dim-features", "embed_dim-hidden"],
+    )
+    def test_bounds_checked_at_parse(self, text, key):
+        with pytest.raises(errors.ConfigError, match=key):
+            parse_config_text(text)
+
+    def test_bounds_accept_edges(self):
+        cfg = parse_config_text(
+            "hidden = 1\nfeatures = 2\nembed_dim = 1\nattn_dim = 1\nvocab = 2\n"
+            "task_distinct_neighbors = 1"
+        )
+        assert (cfg.hidden, cfg.vocab, cfg.task_distinct_neighbors) == (1, 2, 1)
+        # One layer: the bottleneck only has to fit under the features.
+        cfg = parse_config_text("num_layers = 1\nhidden = 2\nembed_dim = 8")
+        assert cfg.embed_dim == 8
+        load_config("configs/desk.cfg")
+
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("hidden = 6\nseed = 42\n")

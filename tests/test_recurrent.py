@@ -10,14 +10,58 @@ from abn import tensor as tc
 from abn.data import SequenceBatch
 from abn.recurrent import (
     LstmLayerParams,
-    LstmState,
     Model,
     ModelConfig,
     bilstm_layer,
-    lstm_step,
     stack_forward,
 )
 from abn.tensor import Tensor, finite_diff_check
+
+
+class LstmState:
+    """Hidden and cell vectors; either [n] or batched [batch, n]."""
+
+    __slots__ = ("h", "c")
+
+    def __init__(self, h: Tensor, c: Tensor):
+        if h.shape != c.shape:
+            raise errors.ShapeError(f"h {h.shape} and c {c.shape} must match")
+        self.h = h
+        self.c = c
+
+    @classmethod
+    def zero(cls, hidden: int):
+        return cls(tc.zeros(hidden), tc.zeros(hidden))
+
+
+def lstm_step(x_norm: Tensor, prev: LstmState, params: LstmLayerParams) -> LstmState:
+    """One LSTM update on a normalized input frame (single or batched).
+
+    The reference cell for the fused ``run_direction`` kernel, built from
+    taped primitives. Gates read the previous hidden state and the
+    normalized input; the output gate additionally reads the fresh cell
+    state elementwise. It reads each gate's row block of ``w_x``, ``w_h``
+    and ``b`` untaped, so no gradient reaches those three.
+    """
+    if x_norm.shape[-1] != params.input_dim:
+        raise errors.ShapeError(
+            f"input dim {x_norm.shape[-1]} does not match weights {params.input_dim}"
+        )
+    n = params.hidden
+    h, c = prev.h, prev.c
+
+    def gate(k):
+        rows = slice(k * n, (k + 1) * n)
+        z = tc.add(tc.linear(h, Tensor._wrap(params.w_h.data[rows])),
+                   tc.linear(x_norm, Tensor._wrap(params.w_x.data[rows])))
+        return tc.add(z, Tensor._wrap(params.b.data[rows]))
+
+    i = tc.sigmoid(gate(0))
+    f = tc.sigmoid(gate(1))
+    c_new = tc.add(tc.mul(f, c), tc.mul(i, tc.tanh(gate(2))))
+    o = tc.sigmoid(tc.add(gate(3), tc.mul(params.w_co, c_new)))
+    h_new = tc.mul(o, tc.tanh(c_new))
+    return LstmState(h_new, c_new)
 
 
 def zero_params(n=2, p=3):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from abn import cli as cli_mod
+from abn import ctc, errors
 from abn.checkpoint import load_checkpoint
 from abn.cli import cli
 from abn.config import parse_config_text
@@ -90,6 +91,46 @@ class TestRunTraining:
         summary = run_training(cfg, "bn", str(tmp_path))
         assert summary["stopped_early"]
         assert summary["epochs_run"] == 2
+
+
+def _nan_ctc_gradients(monkeypatch, first_n):
+    """Make the CTC VJP return NaN for its first ``first_n`` calls; the loss stays finite."""
+    calls = {"n": 0}
+    record = ctc.record_op
+
+    def faulty(output, inputs, vjp):
+        def nan_vjp(g):
+            calls["n"] += 1
+            parts = vjp(g)
+            if calls["n"] > first_n:
+                return parts
+            return tuple(np.full_like(p, np.nan) for p in parts)
+
+        record(output, inputs, nan_vjp)
+
+    monkeypatch.setattr(ctc, "record_op", faulty)
+
+
+class TestNonFiniteGradients:
+    def test_nan_gradient_skipped_and_counted(self, tmp_path, monkeypatch):
+        _nan_ctc_gradients(monkeypatch, first_n=1)
+        out = tmp_path / "run"
+        summary = run_training(tiny_config(), "abn-f", str(out))
+        assert summary["nonfinite_gradients"] == 1
+        assert summary["skipped_batches"] == 1
+        model = load_checkpoint(str(out / "model.ckpt"))
+        for name, t in model.parameters().items():
+            assert np.all(np.isfinite(t.data)), name
+        assert np.isfinite(summary["final_dev_loss"])
+
+    def test_epoch_with_every_batch_skipped_raises(self, tmp_path, monkeypatch):
+        _nan_ctc_gradients(monkeypatch, first_n=10**9)
+        out = tmp_path / "run"
+        with pytest.raises(errors.EmptyEpochError, match="epoch 1"):
+            run_training(tiny_config(), "bn", str(out))
+        assert not (out / "model.ckpt").exists()
+        cfg = write_cfg(tmp_path)
+        assert cli(["train", "--config", cfg, "--out-dir", str(tmp_path / "cli")]) == 1
 
 
 class TestCli:
