@@ -24,6 +24,18 @@ GRADCHECK_TOLERANCE = 1e-4
 ORACLE_TOLERANCE = 1e-9
 
 
+def _at_least_one(text: str) -> int:
+    """An integer option that counts work to do: 0 or less would check or
+    print nothing and still report success."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="abn",
@@ -44,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dec = sub.add_parser("decode", help="greedy-decode synthetic utterances")
     dec.add_argument("--ckpt", required=True)
     dec.add_argument("--config", default=None, help="task parameters (defaults if omitted)")
-    dec.add_argument("--count", type=int, default=5)
+    dec.add_argument("--count", type=_at_least_one, default=5)
     dec.add_argument("--seed", type=int, default=3)
 
     gc = sub.add_parser("gradcheck", help="finite-difference check of the full stack")
@@ -53,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--seed", type=int, default=0)
 
     oracle = sub.add_parser("ctc-oracle", help="CTC loss vs exhaustive enumeration")
-    oracle.add_argument("--max-t", type=int, default=6)
+    oracle.add_argument("--max-t", type=_at_least_one, default=6)
 
     pc = sub.add_parser("param-count", help="per-module parameter counts")
     pc.add_argument("--config", required=True)

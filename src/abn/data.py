@@ -31,6 +31,15 @@ class SequenceBatch:
         self.features = features
         self.lengths = lengths
 
+    @classmethod
+    def _wrap(cls, features: Tensor, lengths: np.ndarray) -> "SequenceBatch":
+        # Internal fast path: features computed from a batch already checked
+        # against these lengths.
+        batch = cls.__new__(cls)
+        batch.features = features
+        batch.lengths = lengths
+        return batch
+
     @property
     def batch_size(self) -> int:
         return self.features.shape[0]
@@ -46,10 +55,6 @@ class SequenceBatch:
     def frame_mask(self) -> np.ndarray:
         """Boolean ``[batch, max_frames]``, True on real frames."""
         return np.arange(self.max_frames)[None, :] < self.lengths[:, None]
-
-    def flat_mask_column(self) -> np.ndarray:
-        """Float ``[batch * max_frames, 1]`` mask matching a flattened batch."""
-        return self.frame_mask().astype(np.float64).reshape(-1, 1)
 
     def valid_frames(self) -> int:
         return int(self.lengths.sum())

@@ -27,7 +27,7 @@ import numpy as np
 from . import tensor as tc
 from .data import SequenceBatch
 from .errors import ContractError, ShapeError
-from .normalization import BatchNormState, bn_forward, standardize_batch
+from .normalization import BatchNormState, bn_forward, masked_affine, standardize_batch
 from .tensor import Tensor
 
 
@@ -242,6 +242,4 @@ def abn_forward(
         c = utt_context(alpha, v)
         c = tc.dropout(c, dropout_rate, rng, mode)
         gamma, beta = utt_params(c, gen)  # [B, T, p]
-    y = tc.add(tc.mul(xhat, gamma), beta)
-    y = tc.mul(y, Tensor._wrap(mask[:, :, None].astype(np.float64)))
-    return SequenceBatch(y, batch.lengths)
+    return masked_affine(xhat, gamma, beta, batch)

@@ -57,52 +57,21 @@ class BatchNormState:
         return self.gamma.shape[0]
 
 
-def bn_statistics(batch: SequenceBatch) -> tuple[Tensor, Tensor]:
-    """Per-feature mean and population variance over all valid frames.
-
-    Differentiable with respect to the batch features; padded frames are
-    excluded by mask multiplication so they receive zero gradient.
-    """
-    n = batch.valid_frames()
-    if n < 2:
-        raise DegenerateBatchError(
-            f"need at least 2 valid frames for batch statistics, got {n}"
-        )
-    flat = tc.reshape(batch.features, (batch.batch_size * batch.max_frames, batch.dim))
-    maskcol = Tensor._wrap(batch.flat_mask_column())
-    masked = tc.mul(flat, maskcol)
-    mu = tc.div(tc.tsum(masked, axis=0), float(n))
-    centered = tc.mul(tc.sub(flat, mu), maskcol)
-    var = tc.div(tc.tsum(tc.mul(centered, centered), axis=0), float(n))
-    return mu, var
-
-
-def bn_normalize(x: Tensor, mu: Tensor, var: Tensor, epsilon: float) -> Tensor:
-    """Standardize per feature: (x - mu) / sqrt(var + epsilon)."""
-    p = mu.shape[0]
-    if var.shape != (p,) or x.shape[-1] != p:
-        raise ShapeError(
-            f"feature dims disagree: x {x.shape}, mu {mu.shape}, var {var.shape}"
-        )
-    return tc.div(tc.sub(x, mu), tc.sqrt(tc.add(var, epsilon)))
-
-
-def bn_affine(xhat: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Learnable per-feature scale and shift: gamma * xhat + beta."""
-    if gamma.shape != beta.shape or xhat.shape[-1] != gamma.shape[-1]:
-        raise ShapeError(
-            f"affine shapes disagree: xhat {xhat.shape}, gamma {gamma.shape}, beta {beta.shape}"
-        )
-    return tc.add(tc.mul(xhat, gamma), beta)
-
-
 def standardize_batch(batch: SequenceBatch, state: BatchNormState, mode: str) -> Tensor:
     """Standardized (pre-affine) frames, flattened to [batch*frames, dim].
 
-    Train mode uses batch statistics and updates the running averages in
-    place; infer mode reads the running averages. The affine stage is left
-    to the caller because generated scale/shift parameters substitute for
-    the learned ones in the attention variants.
+    One taped node. Train mode takes the per-feature mean and population
+    variance over the valid frames and updates the running averages in
+    place; infer mode reads the running averages. Every row, padded ones
+    included, is ``(x - mu) / sqrt(var + epsilon)``. The affine stage is
+    left to the caller because generated scale/shift parameters substitute
+    for the learned ones in the attention variants.
+
+    The VJP is the closed-form batch-norm backward (Ioffe & Szegedy 2015,
+    section 3). Padded rows of xhat also read mu and var, so its sums run
+    over every row, while only valid rows pass gradient into the
+    statistics: with ``m`` the frame mask and ``n`` the valid count,
+    ``dx = (g - m * (sum(g) + xhat * sum(g * xhat)) / n) / sqrt(var + eps)``.
     """
     if mode not in ("train", "infer"):
         raise ShapeError(f"mode must be 'train' or 'infer', got {mode!r}")
@@ -110,30 +79,80 @@ def standardize_batch(batch: SequenceBatch, state: BatchNormState, mode: str) ->
         raise ShapeError(
             f"batch feature dim {batch.dim} does not match state {state.feature_dim}"
         )
-    flat = tc.reshape(batch.features, (batch.batch_size * batch.max_frames, batch.dim))
+    b, t_max, p = batch.features.shape
+    flat = batch.features.data.reshape(b * t_max, p)
     if mode == "train":
-        mu, var = bn_statistics(batch)
+        n = batch.valid_frames()
+        if n < 2:
+            raise DegenerateBatchError(
+                f"need at least 2 valid frames for batch statistics, got {n}"
+            )
+        maskcol = batch.frame_mask().astype(np.float64).reshape(-1, 1)
+        mu = np.sum(flat * maskcol, axis=0) / n
+        diff = flat - mu
+        squares = diff * maskcol
+        squares *= squares
+        var = np.sum(squares, axis=0) / n
+        del squares  # one [B*T, p] array fewer while xhat is made
         m = state.momentum
-        state.running_mean = Tensor._wrap(
-            (1.0 - m) * state.running_mean.data + m * mu.data
-        )
-        state.running_var = Tensor._wrap(
-            (1.0 - m) * state.running_var.data + m * var.data
-        )
+        state.running_mean = Tensor._wrap((1.0 - m) * state.running_mean.data + m * mu)
+        state.running_var = Tensor._wrap((1.0 - m) * state.running_var.data + m * var)
     else:
-        mu, var = state.running_mean, state.running_var
-    return bn_normalize(flat, mu, var, state.epsilon)
+        mu, var = state.running_mean.data, state.running_var.data
+        diff = flat - mu
+    std = np.sqrt(var + state.epsilon)
+    xhat = diff
+    xhat /= std
+    out = Tensor._wrap(xhat)
+
+    def vjp(g):
+        if mode == "infer":
+            return ((g / std).reshape(b, t_max, p),)
+        g = g.reshape(b * t_max, p)
+        shift = np.sum(g, axis=0) / n + xhat * (np.sum(g * xhat, axis=0) / n)
+        return (((g - maskcol * shift) / std).reshape(b, t_max, p),)
+
+    tc.record_op(out, (batch.features,), vjp)
+    return out
 
 
-def mask_frames(flat: Tensor, batch: SequenceBatch) -> SequenceBatch:
-    """Zero padded rows of a flattened result and restore batch layout."""
-    masked = tc.mul(flat, Tensor._wrap(batch.flat_mask_column()))
-    shaped = tc.reshape(masked, (batch.batch_size, batch.max_frames, flat.shape[-1]))
-    return SequenceBatch(shaped, batch.lengths)
+def masked_affine(
+    xhat: Tensor, gamma: Tensor, beta: Tensor, batch: SequenceBatch
+) -> SequenceBatch:
+    """``(xhat * gamma + beta) * mask`` in the batch's layout, one taped node.
+
+    ``xhat`` holds the batch's standardized frames, ``[B*T, p]`` or
+    ``[B, T, p]``. ``gamma`` and ``beta`` share one shape that broadcasts
+    to ``[B, T, p]``: learned ``[p]``, one pair per utterance ``[B, 1, p]``,
+    or one per frame ``[B, T, p]``. Padded frames come out exactly zero and
+    pass no gradient back. Plain batch norm and both attention variants use
+    this one node, so zero-initialized generator heads reproduce plain batch
+    norm bit for bit.
+    """
+    b, t_max, p = batch.features.shape
+    if gamma.shape != beta.shape or gamma.shape[-1] != p:
+        raise ShapeError(
+            f"affine shapes disagree: xhat {xhat.shape}, gamma {gamma.shape}, beta {beta.shape}"
+        )
+    x = xhat.data.reshape(b, t_max, p)
+    mask = batch.frame_mask()[:, :, None]
+    y = np.multiply(x, gamma.data)
+    y += beta.data
+    y *= mask
+    out = Tensor._wrap(y)
+
+    def vjp(g):
+        g = g * mask
+        return (
+            (g * gamma.data).reshape(xhat.shape),
+            tc._unbroadcast(g * x, gamma.shape),
+            tc._unbroadcast(g, beta.shape),
+        )
+
+    tc.record_op(out, (xhat, gamma, beta), vjp)
+    return SequenceBatch._wrap(out, batch.lengths)
 
 
 def bn_forward(batch: SequenceBatch, state: BatchNormState, mode: str) -> SequenceBatch:
     """Full batch-norm pass: standardize, scale/shift, re-zero padding."""
-    xhat = standardize_batch(batch, state, mode)
-    y = bn_affine(xhat, state.gamma, state.beta)
-    return mask_frames(y, batch)
+    return masked_affine(standardize_batch(batch, state, mode), state.gamma, state.beta, batch)

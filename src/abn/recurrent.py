@@ -74,19 +74,22 @@ class LstmLayerParams:
 def run_direction(batch: SequenceBatch, params: LstmLayerParams, reverse: bool) -> Tensor:
     """Unroll one direction over time as a single taped node, ``[B, T, n]``.
 
-    The input projection of every frame is one ``[B*T, p] x [p, 4n]``
+    The input projection of every frame is one ``[T*B, p] x [p, 4n]``
     product hoisted out of the recurrence (Appleyard, Kocisky & Blunsom
     2016); the recurrence runs in plain numpy and the node's VJP is
     backpropagation through time. Each frame applies the peephole cell of
     the module docstring: sigmoid input, forget and output gates, a tanh
     candidate, and an output gate that also reads the fresh cell through
-    ``w_co``.
+    ``w_co``. The kernel works time-major, ``[T, B, .]``, so every frame's
+    gates, state and gradients are contiguous slices.
 
     Padded frames emit zeros and hold the state at zero. Valid frames are
     a prefix of each utterance, so this is the ``t < length`` freeze: no
     valid frame follows the padding in the forward direction, and running
     backward the state stays at its zero initialization through the
     padding and starts evolving at the utterance's last valid frame.
+    Frames before the shortest length are valid for every utterance and
+    skip the mask.
     """
     x = batch.features
     if x.shape[-1] != params.input_dim:
@@ -95,65 +98,78 @@ def run_direction(batch: SequenceBatch, params: LstmLayerParams, reverse: bool) 
         )
     b, t_max, p = x.shape
     n = params.hidden
-    w_x, w_h, w_co = params.w_x.data, params.w_h.data, params.w_co.data
-    mask = batch.frame_mask()[:, :, None]  # [B, T, 1]
+    w_x, w_co = params.w_x.data, params.w_co.data
+    w_h_t = np.ascontiguousarray(params.w_h.data.T)
+    lengths = batch.lengths
+    full = int(lengths.min())  # frames t < full are valid in every utterance
+    mask = (np.arange(t_max)[:, None] < lengths)[:, :, None]  # [T, B, 1]
 
     # Each step overwrites its slice of the input projection with the gate
     # activations (sigmoid i, f, o; tanh candidate) that the VJP reads.
-    gates = (x.data.reshape(b * t_max, p) @ w_x.T).reshape(b, t_max, 4 * n)
+    x_tm = np.ascontiguousarray(x.data.transpose(1, 0, 2)).reshape(t_max * b, p)
+    gates = (x_tm @ w_x.T).reshape(t_max, b, 4 * n)
     gates += params.b.data
-    cell = np.zeros((b, t_max, n))
-    out = np.zeros((b, t_max, n))
+    cell = np.empty((t_max, b, n))
+    out = np.empty((t_max, b, n))
     h, c = np.zeros((b, n)), np.zeros((b, n))
     order = range(t_max - 1, -1, -1) if reverse else range(t_max)
     for t in order:
-        z = gates[:, t]
-        z += h @ w_h.T
+        z = gates[t]
+        z += h @ w_h_t
         expit(z[:, : 2 * n], out=z[:, : 2 * n])
         np.tanh(z[:, 2 * n : 3 * n], out=z[:, 2 * n : 3 * n])
-        c = z[:, n : 2 * n] * c + z[:, :n] * z[:, 2 * n : 3 * n]
+        c_new = np.multiply(z[:, n : 2 * n], c, out=cell[t])
+        c_new += z[:, :n] * z[:, 2 * n : 3 * n]
         o = z[:, 3 * n :]
-        o += w_co * c
+        o += w_co * c_new
         expit(o, out=o)
-        m = mask[:, t]
-        c *= m
-        cell[:, t] = c
-        h = o * np.tanh(c)  # zero where the cell was masked
-        out[:, t] = h
-    result = Tensor._wrap(out)
+        if t >= full:
+            c_new *= mask[t]
+        h = np.tanh(c_new, out=out[t])
+        h *= o  # zero where the cell was masked
+        c = c_new
+    result = Tensor._wrap(out.transpose(1, 0, 2))
 
     def vjp(grad):
+        # Per-frame factors of the gate derivatives, for all frames at once.
         # The state entering a frame is the previous frame's (masked) output
         # and cell, zero before the first frame.
-        h_prev, c_prev = np.zeros_like(out), np.zeros_like(cell)
+        i, f, g, o = (gates[:, :, k * n : (k + 1) * n] for k in range(4))
+        tanh_c = np.tanh(cell)
+        do_fac = o * (1.0 - o) * tanh_c  # d(o pre-activation) per unit dh
+        dc_fac = o * (1.0 - tanh_c * tanh_c)  # dc per unit dh
         into, src = slice(1, None), slice(None, -1)
         if reverse:
             into, src = src, into
-        h_prev[:, into] = out[:, src]
-        c_prev[:, into] = cell[:, src]
-        tanh_c = np.tanh(cell)
-        d_out = grad * mask
-        dz = np.zeros((b, t_max, 4 * n))
+        h_prev = np.zeros_like(out)
+        h_prev[into] = out[src]
+        ifg = np.empty((t_max, b, 3, n))  # i, f, g blocks of dz per unit dc
+        ifg[:, :, 0] = g * i * (1.0 - i)
+        ifg[order[0], :, 1] = 0.0
+        ifg[into, :, 1] = cell[src] * f[into] * (1.0 - f[into])
+        ifg[:, :, 2] = i * (1.0 - g * g)
+
+        d_out = np.multiply(grad.transpose(1, 0, 2), mask, out=np.empty((t_max, b, n)))
+        dz = np.empty((t_max, b, 4 * n))
+        dz4 = dz.reshape(t_max, b, 4, n)
         dh, dc = np.zeros((b, n)), np.zeros((b, n))
         for t in reversed(order):
-            m = mask[:, t]
-            i, f, g, o = (gates[:, t, k * n : (k + 1) * n] for k in range(4))
-            th = tanh_c[:, t]
-            dh_new = d_out[:, t] + dh * m
-            da_o = dh_new * th * o * (1.0 - o)
-            dc_new = dc * m + dh_new * o * (1.0 - th * th) + da_o * w_co
-            dz[:, t, :n] = dc_new * g * i * (1.0 - i)
-            dz[:, t, n : 2 * n] = dc_new * c_prev[:, t] * f * (1.0 - f)
-            dz[:, t, 2 * n : 3 * n] = dc_new * i * (1.0 - g * g)
-            dz[:, t, 3 * n :] = da_o
-            dh = dz[:, t] @ w_h
-            dc = dc_new * f
-        dz_flat = dz.reshape(b * t_max, 4 * n)
-        d_wx = dz_flat.T @ x.data.reshape(b * t_max, p)
-        d_wh = dz_flat.T @ h_prev.reshape(b * t_max, n)
+            if t >= full:
+                dh *= mask[t]
+                dc *= mask[t]
+            dh += d_out[t]
+            da_o = np.multiply(dh, do_fac[t], out=dz4[t, :, 3])
+            dc += dh * dc_fac[t]
+            dc += da_o * w_co
+            np.multiply(dc[:, None, :], ifg[t], out=dz4[t, :, :3])
+            dh = dz[t] @ params.w_h.data
+            dc *= f[t]
+        dz_flat = dz.reshape(t_max * b, 4 * n)
+        d_wx = dz_flat.T @ x_tm
+        d_wh = dz_flat.T @ h_prev.reshape(t_max * b, n)
         d_bias = dz_flat.sum(axis=0)
-        d_wco = (dz[:, :, 3 * n :] * cell).sum(axis=(0, 1))
-        d_x = (dz_flat @ w_x).reshape(b, t_max, p)
+        d_wco = (dz4[:, :, 3] * cell).sum(axis=(0, 1))
+        d_x = (dz_flat @ w_x).reshape(t_max, b, p).transpose(1, 0, 2)
         return d_x, d_wx, d_wh, d_wco, d_bias
 
     tc.record_op(result, (x, params.w_x, params.w_h, params.w_co, params.b), vjp)
@@ -178,7 +194,7 @@ def bilstm_layer(
 
 def join_directions(fwd: Tensor, bwd: Tensor, lengths) -> SequenceBatch:
     """Per-frame ``[forward, backward]`` halves of one BiLSTM layer."""
-    return SequenceBatch(tc.concat([fwd, bwd], axis=2), lengths)
+    return SequenceBatch._wrap(tc.concat([fwd, bwd], axis=2), lengths)
 
 
 class ModelConfig:
@@ -400,7 +416,7 @@ def drop_layer_output(
 ) -> SequenceBatch:
     """Dropout on a layer's BiLSTM output in train mode; identity otherwise."""
     if config.dropout > 0.0 and mode == "train":
-        return SequenceBatch(
+        return SequenceBatch._wrap(
             tc.dropout(joined.features, config.dropout, rng, mode), joined.lengths
         )
     return joined
@@ -433,7 +449,9 @@ def project(features: SequenceBatch, model: Model) -> SequenceBatch:
     b, t_max, width = features.features.shape
     flat = tc.reshape(features.features, (b * t_max, width))
     logits = tc.affine(flat, model.out.w, model.out.b)
-    return SequenceBatch(tc.reshape(logits, (b, t_max, model.config.vocab)), features.lengths)
+    return SequenceBatch._wrap(
+        tc.reshape(logits, (b, t_max, model.config.vocab)), features.lengths
+    )
 
 
 def stack_forward(

@@ -29,7 +29,7 @@ from abn.generators import (
     utt_project,
 )
 from abn.gradcheck import model_gradient_check
-from abn.normalization import BatchNormState, bn_forward, standardize_batch
+from abn.normalization import BatchNormState, bn_forward, masked_affine, standardize_batch
 from abn.optim import lr_schedule
 from abn.tensor import Tensor, finite_diff_check
 from abn.train import run_training
@@ -80,9 +80,39 @@ def _op_gradient_cases():
     p233 = Tensor(brng.normal(size=(2, 3, 3)))
     p243 = Tensor(brng.normal(size=(2, 4, 3)))
     key_mask = np.array([[[True, True, False]], [[True, False, False]]])
+    # The batch-norm nodes, on data of their own: a padded [3, 4, 2] batch
+    # and a T=1 batch of 2 frames, probed on every row, padded ones too.
+    nrng = np.random.default_rng(9)
+    lengths = [4, 2, 3]
+    x342 = Tensor(nrng.normal(1.0, 2.0, size=(3, 4, 2)))
+    x212 = Tensor(nrng.normal(1.0, 2.0, size=(2, 1, 2)))
+    probe_rows = Tensor(nrng.normal(size=(12, 2)))
+    probe_t1 = Tensor(nrng.normal(size=(2, 2)))
+    running = (Tensor(nrng.normal(size=2)), Tensor(nrng.uniform(0.5, 2.0, size=2)))
+    xhat342 = Tensor(nrng.normal(size=(3, 4, 2)))
+    probe342 = Tensor(nrng.normal(size=(3, 4, 2)))
+    scale_shift = {
+        shape: (Tensor(nrng.normal(size=shape)), Tensor(nrng.normal(size=shape)))
+        for shape in ((2,), (3, 1, 2), (3, 4, 2))
+    }
 
     def dot(a, probe):
         return tc.tsum(tc.mul(a, probe))
+
+    def standardize(theta, lens, mode):
+        state = BatchNormState(tc.ones(2), tc.zeros(2), *running, 1e-5, 0.1)
+        return standardize_batch(SequenceBatch(theta, lens), state, mode)
+
+    def affine(xhat, gamma, beta):
+        return masked_affine(xhat, gamma, beta, SequenceBatch(x342, lengths)).features
+
+    def affine_cases():
+        for shape, (gamma, beta) in scale_shift.items():
+            tag = "x".join(map(str, shape))
+            yield (f"affine_mask_gamma_{tag}",
+                   lambda th, beta=beta: dot(affine(xhat342, th, beta), probe342), gamma)
+            yield (f"affine_mask_beta_{tag}",
+                   lambda th, gamma=gamma: dot(affine(xhat342, gamma, th), probe342), beta)
 
     return [
         ("add", lambda th: dot(tc.add(th, c23), p23), m),
@@ -107,6 +137,14 @@ def _op_gradient_cases():
         ("softmax_3d", lambda th: dot(tc.masked_softmax(th, key_mask), p233), s233),
         ("reshape", lambda th: dot(tc.reshape(th, (3, 2)), p32), m),
         ("concat", lambda th: dot(tc.concat((th, c23), axis=0), p43), m),
+        ("standardize_train",
+         lambda th: dot(standardize(th, lengths, "train"), probe_rows), x342),
+        ("standardize_t1", lambda th: dot(standardize(th, [1, 1], "train"), probe_t1), x212),
+        ("standardize_infer",
+         lambda th: dot(standardize(th, lengths, "infer"), probe_rows), x342),
+        ("affine_mask_x",
+         lambda th: dot(affine(th, *scale_shift[(3, 4, 2)]), probe342), xhat342),
+        *affine_cases(),
     ]
 
 

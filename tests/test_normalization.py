@@ -8,10 +8,9 @@ from abn import tensor as tc
 from abn.data import SequenceBatch
 from abn.normalization import (
     BatchNormState,
-    bn_affine,
     bn_forward,
-    bn_normalize,
-    bn_statistics,
+    masked_affine,
+    standardize_batch,
 )
 from abn.tensor import GradTape, Tensor, backward, finite_diff_check, recording
 
@@ -20,16 +19,40 @@ def batch_of(features, lengths):
     return SequenceBatch(Tensor(features), lengths)
 
 
+def batch_statistics(batch):
+    """Mean and variance of a train-mode standardization, read back from
+    running averages with momentum 1, which copy the batch's exactly."""
+    state = BatchNormState.fresh(batch.dim, momentum=1.0)
+    standardize_batch(batch, state, "train")
+    return state.running_mean, state.running_var
+
+
+def standardize_with(x, mu, var, epsilon):
+    """Infer-mode standardization of rows ``x`` with the given statistics."""
+    x = np.asarray(x, dtype=float)
+    state = BatchNormState(
+        tc.ones(x.shape[-1]), tc.zeros(x.shape[-1]), Tensor(mu), Tensor(var), epsilon, 0.1
+    )
+    return standardize_batch(batch_of(x[:, None, :], [1] * x.shape[0]), state, "infer")
+
+
+def affine_of(xhat, gamma, beta):
+    """``masked_affine`` on rows ``xhat``, each a one-frame utterance."""
+    xhat = np.atleast_2d(np.asarray(xhat, dtype=float))
+    batch = batch_of(np.zeros((xhat.shape[0], 1, xhat.shape[1])), [1] * xhat.shape[0])
+    return masked_affine(Tensor(xhat), Tensor(gamma), Tensor(beta), batch).features
+
+
 class TestStatistics:
     def test_two_values(self):
         b = batch_of([[[1.0], [3.0]]], [2])
-        mu, var = bn_statistics(b)
+        mu, var = batch_statistics(b)
         assert mu.data.tolist() == [2.0]
         assert var.data.tolist() == [1.0]
 
     def test_constant_input(self):
         b = batch_of(np.full((2, 3, 2), 7.0), [3, 3])
-        mu, var = bn_statistics(b)
+        mu, var = batch_statistics(b)
         np.testing.assert_array_equal(mu.data, [7.0, 7.0])
         np.testing.assert_array_equal(var.data, [0.0, 0.0])
 
@@ -39,7 +62,7 @@ class TestStatistics:
         feats[0, 1, 0] = 3.0
         feats[0, 2, 0] = 100.0  # padded frame
         b = batch_of(feats, [2])
-        mu, var = bn_statistics(b)
+        mu, var = batch_statistics(b)
         assert mu.data.tolist() == [2.0]
         assert var.data.tolist() == [1.0]
 
@@ -48,7 +71,7 @@ class TestStatistics:
         feats[0, :, 0] = [1.0, 3.0]
         feats[1, 0, 0] = 5.0
         b = batch_of(feats, [2, 1])
-        mu, var = bn_statistics(b)
+        mu, var = batch_statistics(b)
         assert mu.data.tolist() == [3.0]
         # population variance of {1,3,5}
         assert var.data.tolist() == [pytest.approx(8.0 / 3.0)]
@@ -56,37 +79,122 @@ class TestStatistics:
     def test_single_frame_rejected(self):
         b = batch_of(np.ones((1, 2, 3)), [1])
         with pytest.raises(errors.DegenerateBatchError):
-            bn_statistics(b)
+            standardize_batch(b, BatchNormState.fresh(3), "train")
 
 
 class TestNormalize:
     def test_standardizes_pair(self):
-        out = bn_normalize(Tensor([[1.0], [3.0]]), Tensor([2.0]), Tensor([1.0]), 1e-300)
+        out = standardize_with([[1.0], [3.0]], [2.0], [1.0], 1e-300)
         np.testing.assert_allclose(out.data, [[-1.0], [1.0]], atol=1e-12)
 
     def test_centered_point_maps_to_zero(self):
-        out = bn_normalize(Tensor([[2.0, 5.0]]), Tensor([2.0, 5.0]), Tensor([3.0, 0.5]), 1e-5)
+        out = standardize_with([[2.0, 5.0]], [2.0, 5.0], [3.0, 0.5], 1e-5)
         np.testing.assert_array_equal(out.data, [[0.0, 0.0]])
 
     def test_epsilon_floors_zero_variance(self):
-        out = bn_normalize(Tensor([[3.0]]), Tensor([2.0]), Tensor([0.0]), 1e-5)
+        out = standardize_with([[3.0]], [2.0], [0.0], 1e-5)
         assert out.item() == pytest.approx(1.0 / np.sqrt(1e-5))
         assert out.item() == pytest.approx(316.22776601683796)
 
 
 class TestAffine:
     def test_default_is_identity(self):
-        x = Tensor([[0.3, -1.2]])
-        out = bn_affine(x, tc.ones(2), tc.zeros(2))
-        np.testing.assert_array_equal(out.data, x.data)
+        x = [[0.3, -1.2]]
+        out = affine_of(x, np.ones(2), np.zeros(2))
+        np.testing.assert_array_equal(out.data, [x])
 
     def test_hand_case(self):
-        out = bn_affine(Tensor([-1.0]), Tensor([2.0]), Tensor([1.0]))
-        assert out.data.tolist() == [-1.0]
+        out = affine_of([-1.0], [2.0], [1.0])
+        assert out.data.tolist() == [[[-1.0]]]
 
     def test_zero_gamma_gives_beta(self):
-        out = bn_affine(Tensor([[9.0, 9.0]]), tc.zeros(2), Tensor([4.0, -4.0]))
-        assert out.data.tolist() == [[4.0, -4.0]]
+        out = affine_of([[9.0, 9.0]], np.zeros(2), [4.0, -4.0])
+        assert out.data.tolist() == [[[4.0, -4.0]]]
+
+    def test_per_utterance_and_per_frame_parameters(self):
+        xhat = np.arange(12.0).reshape(2, 3, 2)
+        batch = batch_of(np.zeros((2, 3, 2)), [3, 2])
+        gamma = np.array([[[2.0, -1.0]], [[0.5, 3.0]]])  # [B, 1, p]
+        beta = np.full((2, 1, 2), 0.25)
+        out = masked_affine(Tensor(xhat), Tensor(gamma), Tensor(beta), batch).features.data
+        expect = (xhat * gamma + beta) * batch.frame_mask()[:, :, None]
+        np.testing.assert_array_equal(out, expect)
+        gamma_t = np.random.default_rng(5).normal(size=(2, 3, 2))  # [B, T, p]
+        out = masked_affine(Tensor(xhat), Tensor(gamma_t), Tensor(gamma_t), batch)
+        expect = (xhat * gamma_t + gamma_t) * batch.frame_mask()[:, :, None]
+        np.testing.assert_array_equal(out.features.data, expect)
+
+    def test_mismatched_shapes_rejected(self):
+        batch = batch_of(np.zeros((1, 2, 2)), [2])
+        with pytest.raises(errors.ShapeError):
+            masked_affine(tc.zeros(2, 2), tc.ones(2), tc.zeros(1, 1, 2), batch)
+        with pytest.raises(errors.ShapeError):
+            masked_affine(tc.zeros(2, 2), tc.ones(3), tc.zeros(3), batch)
+
+
+def taped_standardize(batch, state, mode):
+    """The standardization rebuilt from taped primitives: the reference for
+    the fused node's forward and its closed-form VJP."""
+    b, t_max, p = batch.features.shape
+    flat = tc.reshape(batch.features, (b * t_max, p))
+    if mode == "train":
+        n = float(batch.valid_frames())
+        maskcol = Tensor(batch.frame_mask().astype(float).reshape(-1, 1))
+        mu = tc.div(tc.tsum(tc.mul(flat, maskcol), axis=0), n)
+        centered = tc.mul(tc.sub(flat, mu), maskcol)
+        var = tc.div(tc.tsum(tc.mul(centered, centered), axis=0), n)
+    else:
+        mu, var = state.running_mean, state.running_var
+    return tc.div(tc.sub(flat, mu), tc.sqrt(tc.add(var, state.epsilon)))
+
+
+class TestStandardizeNode:
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    @pytest.mark.parametrize(
+        "lengths,t_max", [((5, 2, 4), 5), ((1, 1), 1), ((3, 3), 3), ((4, 1, 1, 2), 4)]
+    )
+    def test_matches_taped_composition(self, lengths, t_max, mode):
+        # Bitwise forward; the closed-form VJP within roundoff of the taped
+        # chain, under an upstream gradient on every row, padded ones too.
+        rng = np.random.default_rng(31)
+        p = 3
+        feats = Tensor(rng.normal(1.0, 2.0, size=(len(lengths), t_max, p)))
+        probe = Tensor(rng.normal(size=(len(lengths) * t_max, p)))
+
+        mean, var = Tensor(rng.normal(size=p)), Tensor(rng.uniform(0.5, 2.0, size=p))
+
+        def state():
+            return BatchNormState(tc.ones(p), tc.zeros(p), mean, var, 1e-5, 0.1)
+
+        grads, outs = [], []
+        for fn in (standardize_batch, taped_standardize):
+            tape = GradTape()
+            with recording(tape):
+                out = fn(SequenceBatch(feats, lengths), state(), mode)
+                loss = tc.tsum(tc.mul(out, probe))
+            outs.append(out.data)
+            grads.append(backward(tape, loss).wrt(feats))
+            if fn is standardize_batch:
+                assert len(tape) == 3  # the node, then the probe's mul and sum
+        np.testing.assert_array_equal(outs[0], outs[1])
+        # Both cancel terms of size |g| / std, which set the roundoff; at
+        # T=1 the gradient itself is far smaller (two frames standardize to
+        # nearly +-1 whatever their values).
+        valid = feats.data[SequenceBatch(feats, lengths).frame_mask()]
+        used_var = valid.var(axis=0) if mode == "train" else var.data
+        scale = np.max(np.abs(probe.data)) / np.sqrt(used_var.min() + 1e-5)
+        np.testing.assert_allclose(grads[0], grads[1], rtol=0.0, atol=1e-12 * scale)
+
+    def test_running_update_matches_batch_statistics(self):
+        rng = np.random.default_rng(37)
+        batch = batch_of(rng.normal(size=(3, 4, 2)), [4, 1, 3])
+        state = BatchNormState.fresh(2, momentum=0.25)
+        standardize_batch(batch, state, "train")
+        valid = batch.features.data[batch.frame_mask()]
+        np.testing.assert_allclose(state.running_mean.data, 0.25 * valid.mean(axis=0),
+                                   rtol=1e-14)
+        np.testing.assert_allclose(state.running_var.data, 0.75 + 0.25 * valid.var(axis=0),
+                                   rtol=1e-14)
 
 
 class TestForward:
@@ -104,7 +212,7 @@ class TestForward:
         var = ((vals - mean) ** 2).sum(axis=0) / n
         assert np.all(np.abs(mean) < 1e-9)
         # variance shrinks to sigma^2 / (sigma^2 + eps)
-        _, raw_var = bn_statistics(b)
+        _, raw_var = batch_statistics(b)
         expect = raw_var.data / (raw_var.data + state.epsilon)
         assert np.all(np.abs(var - expect) < 1e-6)
 

@@ -193,62 +193,74 @@ class TestBilstmLayer:
 
     def test_matches_unrolled_reference_cell(self):
         # The fused kernel against a per-frame unroll of the taped lstm_step,
-        # with state frozen and output zeroed on padded frames.
+        # with state frozen and output zeroed on padded frames. The batches:
+        # mixed lengths; all lengths equal, so no frame needs the mask; and
+        # a length-1 utterance first, so only frame 0 skips it.
         rng = np.random.default_rng(26)
-        feats = rng.normal(size=(3, 5, 4))
-        lengths = [5, 3, 1]
+        batches = [([5, 3, 1], rng.normal(size=(3, 5, 4)))]
         pf, pb = random_params(3, 4, 27), random_params(3, 4, 28)
         pf.w_co = Tensor(rng.normal(size=3))
         pb.b = Tensor(rng.normal(size=12))
-        mask = SequenceBatch(Tensor(feats), lengths).frame_mask()
+        batches += [(lengths, rng.normal(size=(3, 5, 4))) for lengths in ([5, 5, 5], [1, 5, 2])]
+        for lengths, feats in batches:
+            mask = SequenceBatch(Tensor(feats), lengths).frame_mask()
 
-        def unroll(params, order):
-            h, c = np.zeros((3, 3)), np.zeros((3, 3))
-            out = np.zeros((3, 5, 3))
-            for t in order:
-                new = lstm_step(Tensor(feats[:, t]), LstmState(Tensor(h), Tensor(c)), params)
-                m = mask[:, t : t + 1]
-                out[:, t] = np.where(m, new.h.data, 0.0)
-                h = np.where(m, new.h.data, h)
-                c = np.where(m, new.c.data, c)
-            return out
+            def unroll(params, order):
+                h, c = np.zeros((3, 3)), np.zeros((3, 3))
+                out = np.zeros((3, 5, 3))
+                for t in order:
+                    new = lstm_step(Tensor(feats[:, t]), LstmState(Tensor(h), Tensor(c)), params)
+                    m = mask[:, t : t + 1]
+                    out[:, t] = np.where(m, new.h.data, 0.0)
+                    h = np.where(m, new.h.data, h)
+                    c = np.where(m, new.c.data, c)
+                return out
 
-        expected = np.concatenate(
-            [unroll(pf, range(5)), unroll(pb, range(4, -1, -1))], axis=2
-        )
-        out = bilstm_layer(SequenceBatch(Tensor(feats), lengths), pf, pb)
-        np.testing.assert_allclose(out.features.data, expected, rtol=0.0, atol=1e-12)
+            expected = np.concatenate(
+                [unroll(pf, range(5)), unroll(pb, range(4, -1, -1))], axis=2
+            )
+            out = bilstm_layer(SequenceBatch(Tensor(feats), lengths), pf, pb)
+            np.testing.assert_allclose(
+                out.features.data, expected, rtol=0.0, atol=1e-12, err_msg=str(lengths)
+            )
 
     def test_gradients(self):
-        # Every input and every LstmLayerParams field of both directions;
-        # the second utterance is padded, so the padding freeze is covered.
+        # Every input and every LstmLayerParams field of both directions, on
+        # three batches: one padded utterance (the padding freeze), equal
+        # lengths (no frame needs the mask) and a length-1 utterance.
         rng = np.random.default_rng(23)
-        feats = Tensor(rng.normal(size=(2, 3, 2)))
-        probe = Tensor(rng.normal(size=(2, 3, 4)))
+        def draw(lengths):
+            return lengths, Tensor(rng.normal(size=(2, 3, 2))), Tensor(rng.normal(size=(2, 3, 4)))
+
+        batches = [draw([3, 2])]
         pf, pb = random_params(2, 2, 24), random_params(2, 2, 25)
         for params in (pf, pb):  # nonzero peepholes and biases exercise every path
             params.w_co = Tensor(rng.normal(size=2))
             params.b = Tensor(rng.normal(size=8))
+        batches += [draw([3, 3]), draw([1, 3])]
 
-        def f(theta):
-            out = bilstm_layer(SequenceBatch(theta, [3, 2]), pf, pb)
-            return tc.tsum(tc.mul(out.features, probe))
+        for lengths, feats, probe in batches:
 
-        assert finite_diff_check(f, feats) < 1e-4
+            def f(theta, lengths=lengths, probe=probe):
+                out = bilstm_layer(SequenceBatch(theta, lengths), pf, pb)
+                return tc.tsum(tc.mul(out.features, probe))
 
-        for direction, params in (("fwd", pf), ("bwd", pb)):
-            for name in LstmLayerParams.__slots__:
-                def g(theta, params=params, name=name):
-                    swapped = LstmLayerParams(
-                        *(getattr(params, k) for k in LstmLayerParams.__slots__)
-                    )
-                    setattr(swapped, name, theta)
-                    pair = (swapped, pb) if params is pf else (pf, swapped)
-                    out = bilstm_layer(SequenceBatch(feats, [3, 2]), *pair)
-                    return tc.tsum(tc.mul(out.features, probe))
+            assert finite_diff_check(f, feats) < 1e-4, lengths
 
-                err = finite_diff_check(g, getattr(params, name))
-                assert err < 1e-4, f"{direction}.{name}: {err}"
+            for direction, params in (("fwd", pf), ("bwd", pb)):
+                for name in LstmLayerParams.__slots__:
+                    def g(theta, params=params, name=name, lengths=lengths, feats=feats,
+                          probe=probe):
+                        swapped = LstmLayerParams(
+                            *(getattr(params, k) for k in LstmLayerParams.__slots__)
+                        )
+                        setattr(swapped, name, theta)
+                        pair = (swapped, pb) if params is pf else (pf, swapped)
+                        out = bilstm_layer(SequenceBatch(feats, lengths), *pair)
+                        return tc.tsum(tc.mul(out.features, probe))
+
+                    err = finite_diff_check(g, getattr(params, name))
+                    assert err < 1e-4, f"{lengths} {direction}.{name}: {err}"
 
 
 class TestModelConfig:

@@ -213,6 +213,21 @@ class TestCli:
         assert "total" in out
         assert "layer0.gen" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["ctc-oracle", "--max-t", "0"],
+        ["ctc-oracle", "--max-t", "-3"],
+        ["decode", "--ckpt", "absent.ckpt", "--count", "0"],
+        ["decode", "--ckpt", "absent.ckpt", "--count", "-3"],
+    ])
+    def test_counts_below_one_are_usage_errors(self, argv, capsys):
+        # Zero cases or utterances would check or print nothing and exit 0.
+        with pytest.raises(SystemExit) as exc:
+            cli(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "must be at least 1" in captured.err
+        assert "PASS" not in captured.out
+
     def test_unknown_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             cli(["frobnicate"])
