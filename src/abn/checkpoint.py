@@ -12,26 +12,25 @@ version 1 stored thirteen per-gate tensors and is no longer read.
 from __future__ import annotations
 
 import os
+from typing import get_type_hints
 
 import numpy as np
 
-from .errors import CheckpointError, ShapeError
+from .errors import CheckpointError, ContractError, ShapeError
 from .recurrent import Model, ModelConfig
 from .tensor import Tensor
 
 FORMAT_LINE = "abn-checkpoint v2"
 
-_CONFIG_FIELDS = (
-    ("num_layers", int),
-    ("hidden", int),
-    ("features", int),
-    ("vocab", int),
-    ("dropout", float),
-    ("embed_dim", int),
-    ("attn_dim", int),
-    ("bn_eps", float),
-    ("bn_momentum", float),
-)
+# The header's settings, in ModelConfig's field order with ``variants``
+# last, each with the parser of its declared type.
+_SETTINGS = {name: typ for name, typ in get_type_hints(ModelConfig).items()
+             if name != "variants"}
+_SETTINGS["variants"] = lambda text: text.split(",")
+
+
+def _format_setting(value) -> str:
+    return ",".join(value) if isinstance(value, list) else str(value)
 
 
 def _format_values(t: Tensor) -> str:
@@ -50,9 +49,8 @@ def save_checkpoint(model: Model, path: str) -> None:
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(f"{FORMAT_LINE}\n# blank symbol index: 0\n")
-            for name, _ in _CONFIG_FIELDS:
-                fh.write(f"config {name} {getattr(cfg, name)}\n")
-            fh.write(f"config variants {','.join(cfg.variants)}\n")
+            for name in _SETTINGS:
+                fh.write(f"config {name} {_format_setting(getattr(cfg, name))}\n")
             for kind, table in (("tensor", model.parameters()),
                                 ("stat", model.running_stats())):
                 for name, t in table.items():
@@ -111,6 +109,8 @@ def load_checkpoint(path: str) -> Model:
             break
         parts = line.split()
         if parts[0] == "config" and len(parts) >= 3:
+            if parts[1] in raw_config:
+                raise CheckpointError(f"config field {parts[1]}: given twice")
             raw_config[parts[1]] = line.split(None, 2)[2]
         elif parts[0] in ("tensor", "stat") and len(parts) >= 2:
             name = parts[1]
@@ -123,36 +123,38 @@ def load_checkpoint(path: str) -> Model:
     if not saw_end:
         raise CheckpointError("checkpoint truncated: no end marker")
 
-    kwargs = {}
-    for name, typ in _CONFIG_FIELDS:
+    settings = {}
+    for name, parse in _SETTINGS.items():
         if name not in raw_config:
             raise CheckpointError(f"checkpoint missing config field {name}")
+        text = raw_config.pop(name)
         try:
-            kwargs[name] = typ(raw_config[name])
+            settings[name] = parse(text)
         except ValueError:
-            raise CheckpointError(
-                f"config field {name}: cannot parse {raw_config[name]!r}"
-            ) from None
-    if "variants" not in raw_config:
-        raise CheckpointError("checkpoint missing config field variants")
-    config = ModelConfig(variants=raw_config["variants"].split(","), **kwargs)
-    model = Model(config, np.random.default_rng(0))
+            raise CheckpointError(f"config field {name}: cannot parse {text!r}") from None
+    if raw_config:
+        raise CheckpointError(f"config field {next(iter(raw_config))}: not a model setting")
+    try:
+        model = Model(ModelConfig(**settings), np.random.default_rng(0))
+    except (ContractError, ShapeError) as exc:
+        raise CheckpointError(f"checkpoint config: {exc}") from None
 
-    expected_params = set(model.parameters())
-    expected_stats = set(model.running_stats())
+    kinds = {**dict.fromkeys(model.parameters(), "tensor"),
+             **dict.fromkeys(model.running_stats(), "stat")}
     seen = set()
     for kind, name, tensor in arrays:
+        if name in seen:
+            raise CheckpointError(f"parameter {name}: stored twice")
+        if name not in kinds:
+            raise CheckpointError(f"parameter {name}: not part of this model")
+        if kind != kinds[name]:
+            raise CheckpointError(f"parameter {name}: stored as {kind}, expected {kinds[name]}")
         try:
-            if kind == "tensor":
-                model.set_parameter(name, tensor)
-            else:
-                model.set_running_stat(name, tensor)
+            model.set_parameter(name, tensor)
         except ShapeError as exc:
             raise CheckpointError(f"parameter {name}: {exc}") from None
-        except (KeyError, ValueError, IndexError, AttributeError):
-            raise CheckpointError(f"parameter {name}: not part of this model") from None
         seen.add(name)
-    missing = (expected_params | expected_stats) - seen
+    missing = [name for name in kinds if name not in seen]
     if missing:
-        raise CheckpointError(f"parameter {sorted(missing)[0]}: absent from checkpoint")
+        raise CheckpointError(f"parameter {missing[0]}: absent from checkpoint")
     return model

@@ -14,6 +14,7 @@ from .checkpoint import load_checkpoint
 from .config import default_config, load_config
 from .ctc import LabelSequence, ctc_brute_force, ctc_loss
 from .errors import AbnError, CheckpointError
+from .generators import VARIANTS
 from .gradcheck import model_gradient_check
 from .recurrent import Model, stack_forward
 from .synth import sorted_for_batching, synth_generate
@@ -45,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     train = sub.add_parser("train", help="train a model on the synthetic task")
     train.add_argument("--config", required=True, help="path to key=value config")
-    train.add_argument("--variant", choices=("bn", "abn-f", "abn-u"), default="bn")
+    train.add_argument("--variant", choices=VARIANTS, default="bn")
     train.add_argument("--seed", type=int, default=None, help="override the config seed")
     train.add_argument("--out-dir", required=True, help="metrics and checkpoint directory")
 
@@ -60,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--seed", type=int, default=3)
 
     gc = sub.add_parser("gradcheck", help="finite-difference check of the full stack")
-    gc.add_argument("--variant", choices=("bn", "abn-f", "abn-u"), default=None,
+    gc.add_argument("--variant", choices=VARIANTS, default=None,
                     help="single variant (default: all three)")
     gc.add_argument("--seed", type=int, default=0)
 
@@ -69,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("param-count", help="per-module parameter counts")
     pc.add_argument("--config", required=True)
-    pc.add_argument("--variant", choices=("bn", "abn-f", "abn-u"), default="bn")
+    pc.add_argument("--variant", choices=VARIANTS, default="bn")
     return parser
 
 
@@ -121,7 +122,7 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    variants = (args.variant,) if args.variant else ("bn", "abn-f", "abn-u")
+    variants = (args.variant,) if args.variant else VARIANTS
     worst = 0.0
     for variant in variants:
         err = model_gradient_check(variant, seed=args.seed)

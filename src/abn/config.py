@@ -1,99 +1,62 @@
 """Flat key=value configuration with typo-proof parsing."""
 
-from __future__ import annotations
+from dataclasses import dataclass, field, fields
 
-from dataclasses import dataclass, fields
-
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .recurrent import ModelConfig
 from .synth import SyntheticTask
 
-# key -> (type, default, description). Every key is optional in the file;
-# anything not listed here is a hard error.
-SCHEMA = {
-    # model
-    "num_layers": (int, 2, "BiLSTM layers in the stack"),
-    "hidden": (int, 64, "LSTM cells per direction"),
-    "features": (int, 16, "input feature dimension"),
-    "vocab": (int, 12, "output symbols including the blank"),
-    "embed_dim": (int, 8, "bottleneck width of the pooled generator"),
-    "attn_dim": (int, 8, "key/query/value width of the self-attention generator"),
-    "dropout": (float, 0.3, "dropout rate for LSTM outputs and generators"),
-    "bn_eps": (float, 1e-5, "variance floor of the normalizer"),
-    "bn_momentum": (float, 0.1, "running-statistics update weight"),
-    # optimization
-    "max_frames_per_batch": (int, 5000, "padded-frame budget per mini-batch"),
-    "initial_lr": (float, 0.0001, "Adam learning rate at epoch 1"),
-    "halve_threshold": (float, 0.004, "relative dev improvement below which lr halves"),
-    "stop_threshold": (float, 0.0005, "relative dev improvement below which training ends"),
-    "adam_beta1": (float, 0.9, "Adam first-moment decay"),
-    "adam_beta2": (float, 0.999, "Adam second-moment decay"),
-    "adam_eps": (float, 1e-8, "Adam denominator floor"),
-    "epochs": (int, 30, "epoch cap"),
-    "seed": (int, 0, "base seed for data, init, and dropout"),
-    # synthetic task
-    "train_utterances": (int, 400, "training set size"),
-    "dev_utterances": (int, 100, "dev set size"),
-    "task_min_tokens": (int, 2, "shortest token sequence"),
-    "task_max_tokens": (int, 5, "longest token sequence"),
-    "task_min_duration": (int, 2, "fewest frames per token"),
-    "task_max_duration": (int, 4, "most frames per token"),
-    "task_noise": (float, 0.1, "additive feature noise level"),
-    "task_gain_spread": (float, 0.0, "per-utterance log-gain half-range"),
-    "task_offset_spread": (float, 0.0, "per-utterance feature offset scale"),
-    "task_distinct_neighbors": (int, 0, "1 forbids adjacent repeated tokens"),
-}
+
+def _key(default, doc: str):
+    return field(default=default, metadata={"doc": doc})
 
 
 @dataclass
 class TrainConfig:
-    num_layers: int
-    hidden: int
-    features: int
-    vocab: int
-    embed_dim: int
-    attn_dim: int
-    dropout: float
-    bn_eps: float
-    bn_momentum: float
-    max_frames_per_batch: int
-    initial_lr: float
-    halve_threshold: float
-    stop_threshold: float
-    adam_beta1: float
-    adam_beta2: float
-    adam_eps: float
-    epochs: int
-    seed: int
-    train_utterances: int
-    dev_utterances: int
-    task_min_tokens: int
-    task_max_tokens: int
-    task_min_duration: int
-    task_max_duration: int
-    task_noise: float
-    task_gain_spread: float
-    task_offset_spread: float
-    task_distinct_neighbors: int
+    """Every key a config file may set. Every key is optional in the file;
+    anything not listed here is a hard error. The model keys are bounded
+    by ``ModelConfig``."""
+
+    # model
+    num_layers: int = _key(2, "BiLSTM layers in the stack")
+    hidden: int = _key(64, "LSTM cells per direction")
+    features: int = _key(16, "input feature dimension")
+    vocab: int = _key(12, "output symbols including the blank")
+    embed_dim: int = _key(8, "bottleneck width of the pooled generator")
+    attn_dim: int = _key(8, "key/query/value width of the self-attention generator")
+    dropout: float = _key(0.3, "dropout rate for LSTM outputs and generators")
+    bn_eps: float = _key(1e-5, "variance floor of the normalizer")
+    bn_momentum: float = _key(0.1, "running-statistics update weight")
+    # optimization
+    max_frames_per_batch: int = _key(5000, "padded-frame budget per mini-batch")
+    initial_lr: float = _key(0.0001, "Adam learning rate at epoch 1")
+    halve_threshold: float = _key(0.004, "relative dev improvement below which lr halves")
+    stop_threshold: float = _key(0.0005, "relative dev improvement below which training ends")
+    adam_beta1: float = _key(0.9, "Adam first-moment decay")
+    adam_beta2: float = _key(0.999, "Adam second-moment decay")
+    adam_eps: float = _key(1e-8, "Adam denominator floor")
+    epochs: int = _key(30, "epoch cap")
+    seed: int = _key(0, "base seed for data, init, and dropout")
+    # synthetic task
+    train_utterances: int = _key(400, "training set size")
+    dev_utterances: int = _key(100, "dev set size")
+    task_min_tokens: int = _key(2, "shortest token sequence")
+    task_max_tokens: int = _key(5, "longest token sequence")
+    task_min_duration: int = _key(2, "fewest frames per token")
+    task_max_duration: int = _key(4, "most frames per token")
+    task_noise: float = _key(0.1, "additive feature noise level")
+    task_gain_spread: float = _key(0.0, "per-utterance log-gain half-range")
+    task_offset_spread: float = _key(0.0, "per-utterance feature offset scale")
+    task_distinct_neighbors: int = _key(0, "1 forbids adjacent repeated tokens")
 
     def __post_init__(self):
-        for key, least in (("hidden", 1), ("features", 1), ("embed_dim", 1),
-                           ("attn_dim", 1), ("vocab", 2)):
-            if getattr(self, key) < least:
-                raise ConfigError(f"{key} must be at least {least}, got {getattr(self, key)}")
+        try:
+            self.model_config("bn")  # the bounds hold for every variant
+        except ContractError as exc:
+            raise ConfigError(str(exc)) from None
         if self.task_distinct_neighbors not in (0, 1):
             raise ConfigError(
                 f"task_distinct_neighbors must be 0 or 1, got {self.task_distinct_neighbors}"
-            )
-        # abn-f's bottleneck must be narrower than every layer's input.
-        if self.embed_dim >= self.features:
-            raise ConfigError(
-                f"embed_dim {self.embed_dim} must be below features {self.features}"
-            )
-        if self.num_layers > 1 and self.embed_dim >= 2 * self.hidden:
-            raise ConfigError(
-                f"embed_dim {self.embed_dim} must be below 2*hidden {2 * self.hidden},"
-                " the input width of every layer after the first"
             )
         if self.stop_threshold >= self.halve_threshold:
             raise ConfigError(
@@ -108,18 +71,9 @@ class TrainConfig:
             raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
 
     def model_config(self, variant: str) -> ModelConfig:
-        return ModelConfig(
-            num_layers=self.num_layers,
-            hidden=self.hidden,
-            features=self.features,
-            vocab=self.vocab,
-            variants=variant,
-            dropout=self.dropout,
-            embed_dim=self.embed_dim,
-            attn_dim=self.attn_dim,
-            bn_eps=self.bn_eps,
-            bn_momentum=self.bn_momentum,
-        )
+        settings = {f.name: getattr(self, f.name) for f in fields(ModelConfig)
+                    if f.name != "variants"}
+        return ModelConfig(variants=variant, **settings)
 
     def task(self) -> SyntheticTask:
         return SyntheticTask(
@@ -135,6 +89,10 @@ class TrainConfig:
             distinct_neighbors=bool(self.task_distinct_neighbors),
             seed=self.seed,
         )
+
+
+# key -> (type, default, description), read from TrainConfig's fields.
+SCHEMA = {f.name: (f.type, f.default, f.metadata["doc"]) for f in fields(TrainConfig)}
 
 
 def parse_config_text(text: str, source: str = "<string>") -> TrainConfig:
@@ -158,8 +116,7 @@ def parse_config_text(text: str, source: str = "<string>") -> TrainConfig:
             raise ConfigError(
                 f"{source}:{lineno}: {key} needs {typ.__name__}, got {value!r}"
             ) from None
-    merged = {key: values.get(key, default) for key, (_, default, _) in SCHEMA.items()}
-    return TrainConfig(**merged)
+    return TrainConfig(**values)
 
 
 def load_config(path: str) -> TrainConfig:
@@ -168,8 +125,4 @@ def load_config(path: str) -> TrainConfig:
 
 
 def default_config() -> TrainConfig:
-    return parse_config_text("")
-
-
-# Keep the dataclass and the schema from drifting apart.
-assert {f.name for f in fields(TrainConfig)} == set(SCHEMA), "schema/dataclass mismatch"
+    return TrainConfig()

@@ -236,10 +236,15 @@ def abn_forward(
         alpha = frame_attention(e, mask)
         u = tc.reshape(frame_pool(e, alpha), (b, 1, gen.embed_dim))
         gamma, beta = frame_params(u, gen)  # [B, 1, p]
+        del e, alpha, u
     else:
         k, q, v = utt_project(xhat, gen)
         alpha = utt_attention(k, q, mask[:, None, :])
         c = utt_context(alpha, v)
+        # Without a tape this frees the [B, T, T] weights before the heads
+        # allocate gamma and beta.
+        del k, q, v, alpha
         c = tc.dropout(c, dropout_rate, rng, mode)
         gamma, beta = utt_params(c, gen)  # [B, T, p]
+        del c
     return masked_affine(xhat, gamma, beta, batch)

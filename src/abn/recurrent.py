@@ -15,6 +15,7 @@ the bias-free equations exactly.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -197,53 +198,53 @@ def join_directions(fwd: Tensor, bwd: Tensor, lengths) -> SequenceBatch:
     return SequenceBatch._wrap(tc.concat([fwd, bwd], axis=2), lengths)
 
 
+@dataclass(slots=True)
 class ModelConfig:
-    """Shape and variant choices for the full stack."""
+    """Shape and variant choices for the full stack, with their bounds.
 
-    __slots__ = (
-        "num_layers", "hidden", "features", "vocab", "variants",
-        "dropout", "embed_dim", "attn_dim", "bn_eps", "bn_momentum",
-    )
+    ``variants`` names each layer's normalizer; a single name applies to
+    every layer. Config files and checkpoint headers both build their
+    model settings here, so they share the bounds below.
+    """
 
-    def __init__(
-        self,
-        num_layers: int,
-        hidden: int,
-        features: int,
-        vocab: int,
-        variants,
-        dropout: float = 0.0,
-        embed_dim: int = 2,
-        attn_dim: int = 2,
-        bn_eps: float = 1e-5,
-        bn_momentum: float = 0.1,
-    ):
-        if num_layers < 1:
-            raise ContractError(f"need at least one layer, got {num_layers}")
-        if not 0.0 <= dropout < 1.0:
-            raise ContractError(f"dropout must lie in [0, 1), got {dropout}")
-        if isinstance(variants, str):
-            variants = [variants] * num_layers
-        variants = list(variants)
-        if len(variants) != num_layers:
+    num_layers: int
+    hidden: int
+    features: int
+    vocab: int
+    variants: list[str]
+    dropout: float = 0.0
+    embed_dim: int = 2
+    attn_dim: int = 2
+    bn_eps: float = 1e-5
+    bn_momentum: float = 0.1
+
+    def __post_init__(self):
+        for key, least in (("num_layers", 1), ("hidden", 1), ("features", 1),
+                           ("embed_dim", 1), ("attn_dim", 1), ("vocab", 2)):
+            if getattr(self, key) < least:
+                raise ContractError(f"{key} must be at least {least}, got {getattr(self, key)}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ContractError(f"dropout must lie in [0, 1), got {self.dropout}")
+        if isinstance(self.variants, str):
+            self.variants = [self.variants] * self.num_layers
+        self.variants = list(self.variants)
+        if len(self.variants) != self.num_layers:
             raise ContractError(
-                f"{len(variants)} variants given for {num_layers} layers"
+                f"variants: {len(self.variants)} given for {self.num_layers} layers"
             )
-        for v in variants:
+        for v in self.variants:
             if v not in VARIANTS:
-                raise ContractError(f"unknown variant {v!r}; choose from {VARIANTS}")
-        if vocab < 2:
-            raise ContractError(f"vocabulary must have at least 2 symbols, got {vocab}")
-        self.num_layers = num_layers
-        self.hidden = hidden
-        self.features = features
-        self.vocab = vocab
-        self.variants = variants
-        self.dropout = dropout
-        self.embed_dim = embed_dim
-        self.attn_dim = attn_dim
-        self.bn_eps = bn_eps
-        self.bn_momentum = bn_momentum
+                raise ContractError(f"variants: unknown {v!r}; choose from {VARIANTS}")
+        # abn-f's bottleneck must be narrower than every layer's input.
+        if self.embed_dim >= self.features:
+            raise ContractError(
+                f"embed_dim {self.embed_dim} must be below features {self.features}"
+            )
+        if self.num_layers > 1 and self.embed_dim >= 2 * self.hidden:
+            raise ContractError(
+                f"embed_dim {self.embed_dim} must be below 2*hidden {2 * self.hidden},"
+                " the input width of every layer after the first"
+            )
 
     def layer_input_dim(self, layer: int) -> int:
         return self.features if layer == 0 else 2 * self.hidden
@@ -317,20 +318,19 @@ class Model:
         self._registry = self._build_registry()
 
     def _build_registry(self):
-        # name -> (owner, attribute, the stage the parameter feeds)
-        reg: dict[str, tuple[object, str, Stage]] = {}
+        # name -> (owner, attribute, the stage the parameter feeds); running
+        # statistics are stored but not trained, so they have no stage.
+        reg: dict[str, tuple[object, str, Stage | None]] = {}
         for l, layer in enumerate(self.layers):
             norm = Stage(l, "norm")
-            if layer.variant == "bn":
-                reg[f"layer{l}.bn.gamma"] = (layer.norm, "gamma", norm)
-                reg[f"layer{l}.bn.beta"] = (layer.norm, "beta", norm)
-            elif layer.variant == "abn-f":
-                for field in ("w_embed", "b_embed", "w_gamma", "b_gamma", "w_beta", "b_beta"):
-                    reg[f"layer{l}.gen.{field}"] = (layer.gen, field, norm)
+            if layer.gen is None:
+                for field in ("gamma", "beta"):
+                    reg[f"layer{l}.bn.{field}"] = (layer.norm, field, norm)
             else:
-                for field in ("w_key", "w_query", "w_value",
-                              "w_gamma", "b_gamma", "w_beta", "b_beta"):
+                for field in type(layer.gen).__slots__:
                     reg[f"layer{l}.gen.{field}"] = (layer.gen, field, norm)
+            for field in ("running_mean", "running_var"):
+                reg[f"layer{l}.bn.{field}"] = (layer.norm, field, None)
             for direction in ("fwd", "bwd"):
                 obj = getattr(layer, direction)
                 for field in LstmLayerParams.__slots__:
@@ -346,16 +346,23 @@ class Model:
         Layers normalized by a generated variant contribute the generator's
         weights instead of the (unused) learned scale/shift.
         """
-        return {name: getattr(obj, attr) for name, (obj, attr, _) in self._registry.items()}
+        return {name: getattr(obj, attr)
+                for name, (obj, attr, stage) in self._registry.items() if stage is not None}
+
+    def running_stats(self) -> dict[str, Tensor]:
+        """Non-trainable normalizer state by name, in stable order."""
+        return {name: getattr(obj, attr)
+                for name, (obj, attr, stage) in self._registry.items() if stage is None}
 
     def parameter_stage(self, name: str) -> Stage:
         """The first stage of the stack that reads parameter ``name``."""
         entry = self._registry.get(name)
-        if entry is None:
+        if entry is None or entry[2] is None:
             raise ContractError(f"no parameter named {name!r}")
         return entry[2]
 
     def set_parameter(self, name: str, value: Tensor) -> None:
+        """Replace the stored array ``name``, a parameter or a running statistic."""
         obj, attr, _ = self._registry[name]
         current = getattr(obj, attr)
         if current.shape != value.shape:
@@ -363,23 +370,6 @@ class Model:
                 f"parameter {name} has shape {current.shape}, got {value.shape}"
             )
         setattr(obj, attr, value)
-
-    def running_stats(self) -> dict[str, Tensor]:
-        """Non-trainable normalizer state, for checkpointing."""
-        out = {}
-        for l, layer in enumerate(self.layers):
-            out[f"layer{l}.bn.running_mean"] = layer.norm.running_mean
-            out[f"layer{l}.bn.running_var"] = layer.norm.running_var
-        return out
-
-    def set_running_stat(self, name: str, value: Tensor) -> None:
-        prefix, field = name.rsplit(".", 1)
-        l = int(prefix.split(".")[0].removeprefix("layer"))
-        norm = self.layers[l].norm
-        if getattr(norm, field).shape != value.shape:
-            raise ShapeError(f"stat {name} has shape {getattr(norm, field).shape},"
-                             f" got {value.shape}")
-        setattr(norm, field, value)
 
     def parameter_count(self) -> dict[str, int]:
         """Per-module and total trainable parameter counts."""

@@ -69,45 +69,8 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def tolist(self):
-        return self.data.tolist()
-
-    def __float__(self) -> float:
-        return self.item()
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
-
-    # Operator sugar; every operator routes through the taped primitives.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def zeros(*shape: int) -> Tensor:
@@ -234,13 +197,6 @@ def div(a, b) -> Tensor:
         )
 
     record_op(out, (a, b), vjp)
-    return out
-
-
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor._wrap(-a.data)
-    record_op(out, (a,), lambda g: (-g,))
     return out
 
 

@@ -119,7 +119,6 @@ def _op_gradient_cases():
         ("sub", lambda th: dot(tc.sub(c23, th), p23), m),
         ("mul", lambda th: dot(tc.mul(th, c23), p23), m),
         ("div", lambda th: dot(tc.div(c23, th), p23), pos),
-        ("neg", lambda th: dot(tc.neg(th), p23), m),
         ("matmul", lambda th: dot(tc.matmul(th, c32), p22), m),
         ("transpose", lambda th: dot(tc.transpose(th), p23), Tensor(c32.data)),
         ("matmul_3d", lambda th: dot(tc.matmul(th, c242), p232), m234),

@@ -11,7 +11,7 @@ from abn.config import SCHEMA, default_config, load_config, parse_config_text
 from abn.ctc import LabelSequence
 from abn.data import SequenceBatch
 from abn.optim import AdamState, adam_step, lr_schedule
-from abn.recurrent import Model, stack_forward
+from abn.recurrent import Model, ModelConfig, stack_forward
 from abn.synth import SyntheticTask, sorted_for_batching, synth_generate
 from abn.tensor import Tensor
 
@@ -297,8 +297,6 @@ class TestConfig:
 
 
 def tiny_model(variant="abn-f", seed=0):
-    from abn.recurrent import ModelConfig
-
     cfg = ModelConfig(2, 3, 4, 5, variant, dropout=0.0, embed_dim=2, attn_dim=2)
     model = Model(cfg, np.random.default_rng(seed))
     return model
@@ -382,3 +380,72 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
         np.testing.assert_array_equal(loaded.parameters()["out.b"].data, awkward.data)
+
+    @staticmethod
+    def _saved_lines(tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(tiny_model(), str(path))
+        return path, path.read_text().splitlines()
+
+    @pytest.mark.parametrize(
+        "settings, key",
+        [
+            ({"hidden": "0"}, "hidden"),
+            ({"features": "0"}, "features"),
+            ({"embed_dim": "0"}, "embed_dim"),
+            ({"attn_dim": "0"}, "attn_dim"),
+            ({"vocab": "1"}, "vocab"),
+            ({"embed_dim": "4"}, "embed_dim"),
+            ({"hidden": "1"}, "embed_dim"),
+            ({"num_layers": "0"}, "num_layers"),
+            ({"dropout": "1.0"}, "dropout"),
+            ({"variants": "abn-f"}, "variants"),
+            ({"variants": "abn-f,layer-norm"}, "variants"),
+        ],
+        ids=["hidden", "features", "embed_dim", "attn_dim", "vocab",
+             "embed_dim-features", "embed_dim-hidden", "num_layers", "dropout",
+             "variants-count", "variants-name"],
+    )
+    def test_header_bounds_checked_at_load(self, tmp_path, settings, key):
+        # tiny_model: 2 layers, hidden 3, features 4, vocab 5, widths 2.
+        path, lines = self._saved_lines(tmp_path)
+        for i, line in enumerate(lines):
+            parts = line.split()
+            if parts[0] == "config" and parts[1] in settings:
+                lines[i] = f"config {parts[1]} {settings[parts[1]]}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(errors.CheckpointError, match=key):
+            load_checkpoint(str(path))
+
+    def test_duplicated_block_rejected(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        idx = next(i for i, l in enumerate(lines) if l.startswith("tensor out.b "))
+        lines[idx + 2 : idx + 2] = lines[idx : idx + 2]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(errors.CheckpointError, match=r"out\.b: stored twice"):
+            load_checkpoint(str(path))
+        # A repeated header setting is refused too, and so is an unknown one.
+        _, lines = self._saved_lines(tmp_path)
+        for extra, match in (("config hidden 3", "hidden"), ("config width 3", "width")):
+            path.write_text("\n".join(lines[:3] + [extra] + lines[3:]) + "\n")
+            with pytest.raises(errors.CheckpointError, match=match):
+                load_checkpoint(str(path))
+
+    def test_stat_naming_a_trainable_tensor_rejected(self, tmp_path):
+        model = Model(ModelConfig(1, 3, 4, 5, "bn"), np.random.default_rng(0))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, str(path))
+        text = path.read_text().replace("tensor layer0.bn.gamma ", "stat layer0.bn.gamma ")
+        path.write_text(text)
+        with pytest.raises(errors.CheckpointError, match=r"layer0\.bn\.gamma: stored as stat"):
+            load_checkpoint(str(path))
+
+    def test_negative_layer_index_rejected(self, tmp_path):
+        # An extra block for layer -1 must not land on the last layer.
+        path, lines = self._saved_lines(tmp_path)
+        idx = next(i for i, l in enumerate(lines) if l.startswith("stat layer1.bn.running_mean "))
+        bogus = lines[idx].replace("layer1.", "layer-1.")
+        lines[idx + 2 : idx + 2] = [bogus, lines[idx + 1]]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(errors.CheckpointError, match=r"layer-1\.bn\.running_mean: not part"):
+            load_checkpoint(str(path))

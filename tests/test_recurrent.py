@@ -281,6 +281,21 @@ class TestModelConfig:
             ModelConfig(2, 4, 6, 5, ["bn"])
         with pytest.raises(errors.ContractError):
             ModelConfig(1, 4, 6, 5, "layer-norm")
+        # The model-shape bounds that config files and checkpoints share.
+        for args, kwargs, key in (
+            ((2, 0, 6, 5, "bn"), {}, "hidden"),
+            ((2, 4, 0, 5, "bn"), {}, "features"),
+            ((2, 4, 6, 5, "bn"), {"embed_dim": 0}, "embed_dim"),
+            ((2, 4, 6, 5, "bn"), {"attn_dim": 0}, "attn_dim"),
+            ((2, 4, 6, 1, "bn"), {}, "vocab"),
+            ((2, 4, 6, 5, "bn"), {"embed_dim": 6}, "embed_dim"),
+            ((2, 2, 6, 5, "bn"), {"embed_dim": 4}, "embed_dim"),
+            ((1, 4, 6, 5, "bn"), {"dropout": -0.1}, "dropout"),
+        ):
+            with pytest.raises(errors.ContractError, match=key):
+                ModelConfig(*args, **kwargs)
+        # One layer: the bottleneck only has to fit under the features.
+        assert ModelConfig(1, 2, 6, 5, "bn", embed_dim=4).embed_dim == 4
 
     def test_layer_input_dims(self):
         cfg = ModelConfig(3, 8, 5, 4, "bn")
