@@ -79,6 +79,8 @@ def _parse_array(name: str, dims_text: list[str], values_line: str) -> Tensor:
             f"parameter {name}: expected {expected} values for shape {shape},"
             f" found {flat.size}"
         )
+    if not np.all(np.isfinite(flat)):
+        raise CheckpointError(f"parameter {name}: non-finite value")
     return Tensor._wrap(flat.reshape(shape))
 
 
@@ -151,7 +153,7 @@ def load_checkpoint(path: str) -> Model:
             raise CheckpointError(f"parameter {name}: stored as {kind}, expected {kinds[name]}")
         try:
             model.set_parameter(name, tensor)
-        except ShapeError as exc:
+        except (ContractError, ShapeError) as exc:
             raise CheckpointError(f"parameter {name}: {exc}") from None
         seen.add(name)
     missing = [name for name in kinds if name not in seen]

@@ -54,21 +54,30 @@ class TrainConfig:
             self.model_config("bn")  # the bounds hold for every variant
         except ContractError as exc:
             raise ConfigError(str(exc)) from None
-        if self.task_distinct_neighbors not in (0, 1):
-            raise ConfigError(
-                f"task_distinct_neighbors must be 0 or 1, got {self.task_distinct_neighbors}"
-            )
-        if self.stop_threshold >= self.halve_threshold:
+        try:
+            self.task()
+        except ContractError as exc:
+            # Task keys are its fields prefixed "task_"; its messages open with the field.
+            raise ConfigError(f"task_{exc}") from None
+        # Each float bound is written so that NaN fails it.
+        for key in ("initial_lr", "stop_threshold", "adam_eps"):
+            if not getattr(self, key) > 0.0:
+                raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
+        if not self.stop_threshold < self.halve_threshold:
             raise ConfigError(
                 f"stop_threshold {self.stop_threshold} must be below"
                 f" halve_threshold {self.halve_threshold}"
             )
-        if self.stop_threshold <= 0 or self.halve_threshold <= 0:
-            raise ConfigError("schedule thresholds must be positive")
-        if self.initial_lr <= 0:
-            raise ConfigError(f"initial_lr must be positive, got {self.initial_lr}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
+        for key in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ConfigError(f"{key} must lie in [0, 1), got {getattr(self, key)}")
+        for key in ("epochs", "max_frames_per_batch"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
+        if self.task_distinct_neighbors not in (0, 1):
+            raise ConfigError(
+                f"task_distinct_neighbors must be 0 or 1, got {self.task_distinct_neighbors}"
+            )
 
     def model_config(self, variant: str) -> ModelConfig:
         settings = {f.name: getattr(self, f.name) for f in fields(ModelConfig)

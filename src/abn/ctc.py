@@ -1,4 +1,4 @@
-"""CTC loss in log space, a path-enumeration oracle, decoding, and TER.
+"""CTC loss in log space, a path-enumeration oracle, decoding, and edit distance.
 
 The blank symbol is index 0 everywhere (the checkpoint format records
 this). ``ctc_loss`` consumes raw logits and applies the softmax itself so
@@ -8,7 +8,7 @@ the whole loss is one fused, numerically stable operation on the tape.
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import logsumexp
@@ -224,19 +224,6 @@ def edit_distance(hyp: Sequence[int], ref: Sequence[int]) -> int:
             )
         prev = curr
     return prev[-1]
-
-
-class ErrorRate(NamedTuple):
-    distance: int
-    rate: float | None  # None when the reference is empty
-
-
-def token_error_rate(hyp: LabelSequence, ref: LabelSequence) -> ErrorRate:
-    """Edit distance over reference length; rate undefined for empty refs."""
-    d = edit_distance(hyp.tokens, ref.tokens)
-    if len(ref) == 0:
-        return ErrorRate(d, None)
-    return ErrorRate(d, d / len(ref))
 
 
 def sequence_ctc_loss(logits_batch, labels: Sequence[LabelSequence]) -> Tensor:

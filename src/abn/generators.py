@@ -31,6 +31,20 @@ from .normalization import BatchNormState, bn_forward, masked_affine, standardiz
 from .tensor import Tensor
 
 
+def _check_heads(p: int, d: int, w_gamma, b_gamma, w_beta, b_beta) -> None:
+    """Check the shapes of the two output heads, which map width ``d`` to ``p`` features."""
+    for name, t, shape in (("w_gamma", w_gamma, (p, d)), ("b_gamma", b_gamma, (p,)),
+                           ("w_beta", w_beta, (p, d)), ("b_beta", b_beta, (p,))):
+        if t.shape != shape:
+            raise ShapeError(f"{name} must be {list(shape)}, got {t.shape}")
+
+
+def _fresh_heads(p: int, d: int) -> dict[str, Tensor]:
+    """Output heads that emit gamma = 1 and beta = 0 whatever their input."""
+    return dict(w_gamma=tc.zeros(p, d), b_gamma=tc.ones(p),
+                w_beta=tc.zeros(p, d), b_beta=tc.zeros(p))
+
+
 class FrameAbnGenerator:
     """Pooled-attention generator: one (gamma, beta) per utterance.
 
@@ -48,12 +62,7 @@ class FrameAbnGenerator:
             raise ContractError(f"embed width {d_e} must be smaller than feature dim {p}")
         if b_embed.shape != (d_e,):
             raise ShapeError(f"b_embed {b_embed.shape} does not match embed width {d_e}")
-        for name, t in (("w_gamma", w_gamma), ("w_beta", w_beta)):
-            if t.shape != (p, d_e):
-                raise ShapeError(f"{name} must be [{p}, {d_e}], got {t.shape}")
-        for name, t in (("b_gamma", b_gamma), ("b_beta", b_beta)):
-            if t.shape != (p,):
-                raise ShapeError(f"{name} must be [{p}], got {t.shape}")
+        _check_heads(p, d_e, w_gamma, b_gamma, w_beta, b_beta)
         self.w_embed = w_embed
         self.b_embed = b_embed
         self.w_gamma = w_gamma
@@ -67,19 +76,18 @@ class FrameAbnGenerator:
         return cls(
             w_embed=Tensor(rng.normal(0.0, scale, size=(embed_dim, feature_dim))),
             b_embed=tc.zeros(embed_dim),
-            w_gamma=tc.zeros(feature_dim, embed_dim),
-            b_gamma=tc.ones(feature_dim),
-            w_beta=tc.zeros(feature_dim, embed_dim),
-            b_beta=tc.zeros(feature_dim),
+            **_fresh_heads(feature_dim, embed_dim),
         )
 
     @property
     def feature_dim(self) -> int:
         return self.w_embed.shape[1]
 
-    @property
-    def embed_dim(self) -> int:
-        return self.w_embed.shape[0]
+    def scale_shift(self, xhat: Tensor, mask, dropout_rate: float, rng, mode: str):
+        """One (gamma, beta) pair per utterance, ``[B, 1, p]``, from ``[B, T, p]`` frames."""
+        e = tc.dropout(frame_embed(xhat, self), dropout_rate, rng, mode)
+        u = frame_pool(e, frame_attention(e, mask))  # [B, d_e]
+        return head_params(tc.reshape(u, (u.shape[0], 1, u.shape[1])), self)
 
 
 class UttAbnGenerator:
@@ -92,12 +100,7 @@ class UttAbnGenerator:
         for name, t in (("w_query", w_query), ("w_value", w_value)):
             if t.shape != (d_a, p):
                 raise ShapeError(f"{name} must be [{d_a}, {p}], got {t.shape}")
-        for name, t in (("w_gamma", w_gamma), ("w_beta", w_beta)):
-            if t.shape != (p, d_a):
-                raise ShapeError(f"{name} must be [{p}, {d_a}], got {t.shape}")
-        for name, t in (("b_gamma", b_gamma), ("b_beta", b_beta)):
-            if t.shape != (p,):
-                raise ShapeError(f"{name} must be [{p}], got {t.shape}")
+        _check_heads(p, d_a, w_gamma, b_gamma, w_beta, b_beta)
         self.w_key = w_key
         self.w_query = w_query
         self.w_value = w_value
@@ -113,19 +116,23 @@ class UttAbnGenerator:
             w_key=Tensor(rng.normal(0.0, scale, size=(attn_dim, feature_dim))),
             w_query=Tensor(rng.normal(0.0, scale, size=(attn_dim, feature_dim))),
             w_value=Tensor(rng.normal(0.0, scale, size=(attn_dim, feature_dim))),
-            w_gamma=tc.zeros(feature_dim, attn_dim),
-            b_gamma=tc.ones(feature_dim),
-            w_beta=tc.zeros(feature_dim, attn_dim),
-            b_beta=tc.zeros(feature_dim),
+            **_fresh_heads(feature_dim, attn_dim),
         )
 
     @property
     def feature_dim(self) -> int:
         return self.w_key.shape[1]
 
-    @property
-    def attn_dim(self) -> int:
-        return self.w_key.shape[0]
+    def scale_shift(self, xhat: Tensor, mask, dropout_rate: float, rng, mode: str):
+        """One (gamma_t, beta_t) pair per frame, ``[B, T, p]``, from ``[B, T, p]`` frames."""
+        k, q, v = utt_project(xhat, self)
+        alpha = utt_attention(k, q, mask[:, None, :])
+        c = utt_context(alpha, v)
+        # Without a tape this frees the [B, T, T] weights before the heads
+        # allocate gamma and beta.
+        del k, q, v, alpha
+        c = tc.dropout(c, dropout_rate, rng, mode)
+        return head_params(c, self)
 
 
 def frame_embed(h_norm: Tensor, gen: FrameAbnGenerator) -> Tensor:
@@ -153,10 +160,14 @@ def frame_pool(e: Tensor, alpha: Tensor) -> Tensor:
     return tc.tsum(weighted, axis=-2)
 
 
-def frame_params(u: Tensor, gen: FrameAbnGenerator) -> tuple[Tensor, Tensor]:
-    """Scale and shift for a whole utterance from its pooled embedding."""
-    gamma = tc.affine(u, gen.w_gamma, gen.b_gamma)
-    beta = tc.affine(u, gen.w_beta, gen.b_beta)
+def head_params(z: Tensor, gen) -> tuple[Tensor, Tensor]:
+    """Scale and shift from a generator's output heads.
+
+    ``z`` is abn-f's pooled embedding (one pair per utterance) or abn-u's
+    per-frame context vectors (one pair per frame).
+    """
+    gamma = tc.affine(z, gen.w_gamma, gen.b_gamma)
+    beta = tc.affine(z, gen.w_beta, gen.b_beta)
     return gamma, beta
 
 
@@ -186,65 +197,36 @@ def utt_context(alpha: Tensor, v: Tensor) -> Tensor:
     return tc.matmul(alpha, v)
 
 
-def utt_params(c: Tensor, gen: UttAbnGenerator) -> tuple[Tensor, Tensor]:
-    """Per-frame scale and shift from per-frame context vectors."""
-    gamma = tc.affine(c, gen.w_gamma, gen.b_gamma)
-    beta = tc.affine(c, gen.w_beta, gen.b_beta)
-    return gamma, beta
-
-
-VARIANTS = ("bn", "abn-f", "abn-u")
+# Each attention variant's generator class, and the ModelConfig field that
+# holds its width. Plain "bn" has no generator.
+GENERATORS = {"abn-f": (FrameAbnGenerator, "embed_dim"), "abn-u": (UttAbnGenerator, "attn_dim")}
+VARIANTS = ("bn", *GENERATORS)
 
 
 def abn_forward(
     batch: SequenceBatch,
     state: BatchNormState,
     gen,
-    variant: str,
     mode: str,
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> SequenceBatch:
     """Normalize a batch with learned or attention-generated scale/shift.
 
-    Variant ``bn`` is plain batch norm with the state's learned parameters.
-    The attention variants standardize identically, then generate
-    (gamma, beta) per utterance (``abn-f``) or per frame (``abn-u``) from
-    the standardized activations themselves and apply those instead.
-    Dropout, when active, hits the generator's intermediate activations
-    only (frame embeddings, or context vectors), never the main signal.
+    With no generator (``gen is None``) this is plain batch norm with the
+    state's learned parameters. A generator standardizes identically, then
+    generates (gamma, beta) from the standardized activations themselves
+    (``gen.scale_shift``) and applies those instead. Dropout, when active,
+    hits the generator's intermediate activations only (frame embeddings,
+    or context vectors), never the main signal.
     """
-    if variant not in VARIANTS:
-        raise ContractError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if variant == "bn":
+    if gen is None:
         return bn_forward(batch, state, mode)
-    if variant == "abn-f" and not isinstance(gen, FrameAbnGenerator):
-        raise ContractError(f"variant 'abn-f' needs a FrameAbnGenerator, got {type(gen).__name__}")
-    if variant == "abn-u" and not isinstance(gen, UttAbnGenerator):
-        raise ContractError(f"variant 'abn-u' needs a UttAbnGenerator, got {type(gen).__name__}")
     if gen.feature_dim != batch.dim:
         raise ShapeError(
             f"generator feature dim {gen.feature_dim} does not match batch {batch.dim}"
         )
-
     b, t_max, p = batch.features.shape
     xhat = tc.reshape(standardize_batch(batch, state, mode), (b, t_max, p))
-    mask = batch.frame_mask()  # [B, T]
-    if variant == "abn-f":
-        e = frame_embed(xhat, gen)
-        e = tc.dropout(e, dropout_rate, rng, mode)
-        alpha = frame_attention(e, mask)
-        u = tc.reshape(frame_pool(e, alpha), (b, 1, gen.embed_dim))
-        gamma, beta = frame_params(u, gen)  # [B, 1, p]
-        del e, alpha, u
-    else:
-        k, q, v = utt_project(xhat, gen)
-        alpha = utt_attention(k, q, mask[:, None, :])
-        c = utt_context(alpha, v)
-        # Without a tape this frees the [B, T, T] weights before the heads
-        # allocate gamma and beta.
-        del k, q, v, alpha
-        c = tc.dropout(c, dropout_rate, rng, mode)
-        gamma, beta = utt_params(c, gen)  # [B, T, p]
-        del c
+    gamma, beta = gen.scale_shift(xhat, batch.frame_mask(), dropout_rate, rng, mode)
     return masked_affine(xhat, gamma, beta, batch)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import recurrent
 from .ctc import LabelSequence, sequence_ctc_loss
 from .data import SequenceBatch
 from .errors import ContractError
@@ -13,7 +14,6 @@ from .recurrent import (
     Stage,
     drop_layer_output,
     join_directions,
-    normalize_layer,
     project,
     run_direction,
     run_layers,
@@ -48,7 +48,10 @@ class StageCache:
         current = batch
         for layer in model.layers:
             self.inputs.append(current)
-            normalized = normalize_layer(current, layer, model.config, "train")
+            # Looked up on the module, where a tracer may have wrapped it.
+            normalized = recurrent.abn_forward(
+                current, layer.norm, layer.gen, "train", model.config.dropout
+            )
             self.normalized.append(normalized)
             self.fwd.append(run_direction(normalized, layer.fwd, reverse=False))
             self.bwd.append(run_direction(normalized, layer.bwd, reverse=True))

@@ -23,7 +23,7 @@ class BatchNormState:
     __slots__ = ("gamma", "beta", "running_mean", "running_var", "epsilon", "momentum")
 
     def __init__(self, gamma, beta, running_mean, running_var, epsilon, momentum):
-        if epsilon <= 0:
+        if not epsilon > 0:
             raise ShapeError(f"epsilon must be positive, got {epsilon}")
         if not 0.0 < momentum <= 1.0:
             raise ShapeError(f"momentum must lie in (0, 1], got {momentum}")
@@ -32,7 +32,7 @@ class BatchNormState:
                         ("running_var", running_var)):
             if t.shape != (p,):
                 raise ShapeError(f"{name} shape {t.shape} does not match gamma {gamma.shape}")
-        if np.any(running_var.data < 0):
+        if not np.all(running_var.data >= 0):
             raise ShapeError("running_var must be non-negative")
         self.gamma = gamma
         self.beta = beta

@@ -24,7 +24,7 @@ from scipy.special import expit
 from . import tensor as tc
 from .data import SequenceBatch
 from .errors import ContractError, ShapeError
-from .generators import VARIANTS, FrameAbnGenerator, UttAbnGenerator, abn_forward
+from .generators import GENERATORS, VARIANTS, abn_forward
 from .normalization import BatchNormState
 from .tensor import Tensor
 
@@ -223,8 +223,13 @@ class ModelConfig:
                            ("embed_dim", 1), ("attn_dim", 1), ("vocab", 2)):
             if getattr(self, key) < least:
                 raise ContractError(f"{key} must be at least {least}, got {getattr(self, key)}")
+        # Written so that NaN fails every float bound.
         if not 0.0 <= self.dropout < 1.0:
             raise ContractError(f"dropout must lie in [0, 1), got {self.dropout}")
+        if not self.bn_eps > 0.0:
+            raise ContractError(f"bn_eps must be positive, got {self.bn_eps}")
+        if not 0.0 < self.bn_momentum <= 1.0:
+            raise ContractError(f"bn_momentum must lie in (0, 1], got {self.bn_momentum}")
         if isinstance(self.variants, str):
             self.variants = [self.variants] * self.num_layers
         self.variants = list(self.variants)
@@ -251,12 +256,11 @@ class ModelConfig:
 
 
 class Layer:
-    """One stack stage: a normalizer (plus optional generator) and a BiLSTM."""
+    """One stack stage: a normalizer, its generator (``None`` for bn), and a BiLSTM."""
 
-    __slots__ = ("variant", "norm", "gen", "fwd", "bwd")
+    __slots__ = ("norm", "gen", "fwd", "bwd")
 
-    def __init__(self, variant, norm, gen, fwd, bwd):
-        self.variant = variant
+    def __init__(self, norm, gen, fwd, bwd):
         self.norm = norm
         self.gen = gen
         self.fwd = fwd
@@ -299,17 +303,14 @@ class Model:
         self.layers: list[Layer] = []
         for l in range(config.num_layers):
             dim = config.layer_input_dim(l)
-            variant = config.variants[l]
             norm = BatchNormState.fresh(dim, config.bn_eps, config.bn_momentum)
-            if variant == "abn-f":
-                gen = FrameAbnGenerator.init(dim, config.embed_dim, rng)
-            elif variant == "abn-u":
-                gen = UttAbnGenerator.init(dim, config.attn_dim, rng)
-            else:
-                gen = None
+            gen = None
+            if config.variants[l] in GENERATORS:
+                cls, width = GENERATORS[config.variants[l]]
+                gen = cls.init(dim, getattr(config, width), rng)
             fwd = LstmLayerParams.init(config.hidden, dim, rng)
             bwd = LstmLayerParams.init(config.hidden, dim, rng)
-            self.layers.append(Layer(variant, norm, gen, fwd, bwd))
+            self.layers.append(Layer(norm, gen, fwd, bwd))
         out_dim = 2 * config.hidden
         self.out = Projection(
             Tensor(rng.normal(0.0, 1.0 / math.sqrt(out_dim), size=(config.vocab, out_dim))),
@@ -369,6 +370,8 @@ class Model:
             raise ShapeError(
                 f"parameter {name} has shape {current.shape}, got {value.shape}"
             )
+        if attr == "running_var" and not np.all(value.data >= 0.0):
+            raise ContractError(f"{name} must be non-negative")
         setattr(obj, attr, value)
 
     def parameter_count(self) -> dict[str, int]:
@@ -379,23 +382,6 @@ class Model:
             counts[module] = counts.get(module, 0) + t.size
         counts["total"] = sum(t.size for t in self.parameters().values())
         return counts
-
-
-def normalize_layer(
-    batch: SequenceBatch,
-    layer: Layer,
-    config: ModelConfig,
-    mode: str,
-    rng: np.random.Generator | None = None,
-) -> SequenceBatch:
-    """A layer's normalizer, batch norm or abn by its variant, on its input.
-
-    The generator is fed the same standardized activations it rescales.
-    """
-    return abn_forward(
-        batch, layer.norm, layer.gen, layer.variant, mode,
-        dropout_rate=config.dropout, rng=rng,
-    )
 
 
 def drop_layer_output(
@@ -423,7 +409,7 @@ def run_layers(
     for layer in model.layers[start:]:
         # Rebinding ``current`` at once lets an untaped pass free each
         # layer's input as soon as its normalized copy exists.
-        current = normalize_layer(current, layer, model.config, mode, rng)
+        current = abn_forward(current, layer.norm, layer.gen, mode, model.config.dropout, rng)
         current = drop_layer_output(
             bilstm_layer(current, layer.fwd, layer.bwd), model.config, mode, rng
         )

@@ -32,20 +32,21 @@ class SyntheticTask:
     seed: int = 0
 
     def __post_init__(self):
+        # Messages open with the field they bound; NaN fails every float bound.
         if self.vocab < 2:
-            raise ContractError("need the blank plus at least one real token")
-        if self.min_tokens < 1 or self.max_tokens < self.min_tokens:
-            raise ContractError("bad tokens-per-utterance range")
-        if self.min_duration < 1 or self.max_duration < self.min_duration:
-            raise ContractError("bad frames-per-token range")
-        if self.noise < 0:
-            raise ContractError("noise level must be nonnegative")
-        if self.gain_spread < 0:
-            raise ContractError("gain spread must be nonnegative")
-        if self.offset_spread < 0:
-            raise ContractError("offset spread must be nonnegative")
+            raise ContractError(f"vocab: need the blank plus a real token, got {self.vocab}")
+        for low, high in (("min_tokens", "max_tokens"), ("min_duration", "max_duration")):
+            if getattr(self, low) < 1:
+                raise ContractError(f"{low}: must be at least 1, got {getattr(self, low)}")
+            if getattr(self, high) < getattr(self, low):
+                raise ContractError(
+                    f"{high}: {getattr(self, high)} is below {low} {getattr(self, low)}"
+                )
+        for key in ("noise", "gain_spread", "offset_spread"):
+            if not getattr(self, key) >= 0.0:
+                raise ContractError(f"{key}: must be non-negative, got {getattr(self, key)}")
         if self.distinct_neighbors and self.vocab < 3:
-            raise ContractError("distinct neighbors need at least two real tokens")
+            raise ContractError("distinct_neighbors: needs at least two real tokens")
 
     def templates(self) -> np.ndarray:
         """One feature template per vocabulary entry (row 0, the blank, unused)."""

@@ -21,11 +21,10 @@ from abn.generators import (
     abn_forward,
     frame_attention,
     frame_embed,
-    frame_params,
     frame_pool,
+    head_params,
     utt_attention,
     utt_context,
-    utt_params,
     utt_project,
 )
 from abn.gradcheck import model_gradient_check
@@ -181,7 +180,7 @@ class TestReductionEquivalence:
                 else:
                     gen = UttAbnGenerator.init(5, 3, rng)
                 plain = bn_forward(batch, BatchNormState.fresh(5), "train")
-                adaptive = abn_forward(batch, BatchNormState.fresh(5), gen, variant, "train")
+                adaptive = abn_forward(batch, BatchNormState.fresh(5), gen, "train")
                 worst = max(worst, float(np.max(np.abs(plain.features.data - adaptive.features.data))))
         elapsed = time.monotonic() - t0
         ok = worst <= 1e-12 and elapsed < 5.0
@@ -269,7 +268,7 @@ class TestAttentionProperties:
             e = frame_embed(frames, frame_gen)
             alpha = frame_attention(e)
             row_sum = float(tc.tsum(alpha).item())
-            gamma, beta = frame_params(frame_pool(e, alpha), frame_gen)
+            gamma, beta = head_params(frame_pool(e, alpha), frame_gen)
             return row_sum, gamma.data, beta.data
 
         sum_a, gamma_a, beta_a = pooled_params(h)
@@ -284,7 +283,7 @@ class TestAttentionProperties:
             k, q, v = utt_project(frames, utt_gen)
             alpha = utt_attention(k, q)
             rows_dev = float(np.max(np.abs(alpha.data.sum(axis=1) - 1.0)))
-            gamma, beta = utt_params(utt_context(alpha, v), utt_gen)
+            gamma, beta = head_params(utt_context(alpha, v), utt_gen)
             return rows_dev, gamma.data, beta.data
 
         rows_a, gamma_u, _ = per_frame_params(h)

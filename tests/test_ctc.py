@@ -10,7 +10,6 @@ from abn import errors
 from abn import tensor as tc
 from abn.ctc import (
     BLANK,
-    ErrorRate,
     LabelSequence,
     ctc_brute_force,
     ctc_feasible,
@@ -19,7 +18,6 @@ from abn.ctc import (
     greedy_decode,
     min_frames,
     sequence_ctc_loss,
-    token_error_rate,
 )
 from abn.data import SequenceBatch
 from abn.tensor import GradTape, Tensor, backward, finite_diff_check, recording
@@ -184,23 +182,7 @@ class TestGreedyDecode:
 
 
 class TestErrorRate:
-    def test_identical(self):
-        r = token_error_rate(LabelSequence([1, 2, 3]), LabelSequence([1, 2, 3]))
-        assert r == ErrorRate(0, 0.0)
-
-    def test_single_substitution(self):
-        r = token_error_rate(LabelSequence([1, 2, 3]), LabelSequence([1, 2, 4]))
-        assert r.distance == 1
-        assert r.rate == pytest.approx(1.0 / 3.0)
-
-    def test_empty_hypothesis(self):
-        r = token_error_rate(LabelSequence([]), LabelSequence([5, 6, 7, 8]))
-        assert r == ErrorRate(4, 1.0)
-
-    def test_empty_reference_flagged(self):
-        r = token_error_rate(LabelSequence([1]), LabelSequence([]))
-        assert r.distance == 1
-        assert r.rate is None
+    """Training's token error rate is edit distance over reference tokens."""
 
     def test_edit_distance_dp(self):
         assert edit_distance([1, 2, 3], [2, 3, 4]) == 2

@@ -14,11 +14,10 @@ from abn.generators import (
     abn_forward,
     frame_attention,
     frame_embed,
-    frame_params,
     frame_pool,
+    head_params,
     utt_attention,
     utt_context,
-    utt_params,
     utt_project,
 )
 from abn.normalization import BatchNormState, bn_forward, standardize_batch
@@ -110,20 +109,20 @@ class TestFramePool:
 class TestFrameParams:
     def test_zero_init_reduces_to_bn_defaults(self):
         g = zero_frame_gen()
-        gamma, beta = frame_params(Tensor([0.4, -0.2]), g)
+        gamma, beta = head_params(Tensor([0.4, -0.2]), g)
         assert gamma.data.tolist() == [1.0] * 4
         assert beta.data.tolist() == [0.0] * 4
 
     def test_zero_input_returns_biases(self):
         g = random_frame_gen()
-        gamma, beta = frame_params(tc.zeros(2), g)
+        gamma, beta = head_params(tc.zeros(2), g)
         np.testing.assert_array_equal(gamma.data, g.b_gamma.data)
         np.testing.assert_array_equal(beta.data, g.b_beta.data)
 
     def test_hand_case(self):
         g = zero_frame_gen(p=3, d_e=1)
         g.w_gamma = Tensor([[2.0], [2.0], [2.0]])
-        gamma, _ = frame_params(Tensor([3.0]), g)
+        gamma, _ = head_params(Tensor([3.0]), g)
         assert gamma.data.tolist() == [7.0, 7.0, 7.0]
 
     def test_embed_width_must_be_smaller_than_features(self):
@@ -209,20 +208,20 @@ class TestUttContext:
 class TestUttParams:
     def test_zero_init_reduces_to_bn_defaults(self):
         g = UttAbnGenerator.init(4, 3, np.random.default_rng(0))
-        gamma, beta = utt_params(Tensor(np.random.default_rng(1).normal(size=(5, 3))), g)
+        gamma, beta = head_params(Tensor(np.random.default_rng(1).normal(size=(5, 3))), g)
         np.testing.assert_array_equal(gamma.data, np.ones((5, 4)))
         np.testing.assert_array_equal(beta.data, np.zeros((5, 4)))
 
     def test_zero_context_returns_biases(self):
         g = random_utt_gen()
-        gamma, beta = utt_params(tc.zeros(2, 3), g)
+        gamma, beta = head_params(tc.zeros(2, 3), g)
         np.testing.assert_array_equal(gamma.data, np.tile(g.b_gamma.data, (2, 1)))
         np.testing.assert_array_equal(beta.data, np.tile(g.b_beta.data, (2, 1)))
 
     def test_identical_context_identical_params(self):
         g = random_utt_gen()
         c = Tensor(np.tile([[0.3, 0.8, -0.5]], (4, 1)))
-        gamma, beta = utt_params(c, g)
+        gamma, beta = head_params(c, g)
         for row in range(1, 4):
             np.testing.assert_array_equal(gamma.data[row], gamma.data[0])
             np.testing.assert_array_equal(beta.data[row], beta.data[0])
@@ -244,7 +243,7 @@ class TestReduction:
         ):
             batch = random_batch(50)
             ref = bn_forward(batch, BatchNormState.fresh(4), "train")
-            out = abn_forward(batch, BatchNormState.fresh(4), make(), variant, "train")
+            out = abn_forward(batch, BatchNormState.fresh(4), make(), "train")
             diff = np.abs(ref.features.data - out.features.data).max()
             assert diff <= 1e-12, f"{variant} diverged from plain bn by {diff}"
 
@@ -255,8 +254,8 @@ class TestReduction:
             lengths = (np.random.default_rng(seed).integers(1, 7), 6)
             batch = random_batch(seed, batch=2, t_max=6, p=3, lengths=lengths)
             ref = bn_forward(batch, BatchNormState.fresh(3), "train")
-            for gen, variant in ((gen_f, "abn-f"), (gen_u, "abn-u")):
-                out = abn_forward(batch, BatchNormState.fresh(3), gen, variant, "train")
+            for gen in (gen_f, gen_u):
+                out = abn_forward(batch, BatchNormState.fresh(3), gen, "train")
                 assert np.abs(ref.features.data - out.features.data).max() <= 1e-12
 
 
@@ -264,13 +263,13 @@ class TestAbnForward:
     def test_bn_variant_delegates(self):
         batch = random_batch(60)
         ref = bn_forward(batch, BatchNormState.fresh(4), "train")
-        out = abn_forward(batch, BatchNormState.fresh(4), None, "bn", "train")
+        out = abn_forward(batch, BatchNormState.fresh(4), None, "train")
         np.testing.assert_array_equal(ref.features.data, out.features.data)
 
     def test_distinct_utterances_get_distinct_params(self):
         batch = random_batch(61)
         gen = random_frame_gen()
-        out = abn_forward(batch, BatchNormState.fresh(4), gen, "abn-f", "train")
+        out = abn_forward(batch, BatchNormState.fresh(4), gen, "train")
         ref = bn_forward(batch, BatchNormState.fresh(4), "train")
         # Both utterances must deviate from plain bn, and differently:
         # recover each utterance's effective gamma by ratio where beta is small.
@@ -294,7 +293,7 @@ class TestAbnForward:
         w_beta = Tensor(heads.normal(0, 0.4, size=(p, d)))
         gen_u.w_gamma, gen_u.w_beta = w_gamma, w_beta
 
-        out_u = abn_forward(batch, BatchNormState.fresh(p), gen_u, "abn-u", "train")
+        out_u = abn_forward(batch, BatchNormState.fresh(p), gen_u, "train")
 
         # Compute the standardized frames to find the value vectors, then
         # build a frame generator whose pooled embedding equals each one.
@@ -309,25 +308,13 @@ class TestAbnForward:
             gen_f.w_embed = tc.zeros(d, p)
             gen_f.b_embed = Tensor(np.arctanh(v))
             gen_f.w_gamma, gen_f.w_beta = w_gamma, w_beta
-            out_f = abn_forward(batch, BatchNormState.fresh(p), gen_f, "abn-f", "train")
+            out_f = abn_forward(batch, BatchNormState.fresh(p), gen_f, "train")
             np.testing.assert_allclose(
                 out_f.features.data[b], out_u.features.data[b], atol=1e-10
             )
 
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(errors.ContractError):
-            abn_forward(random_batch(0), BatchNormState.fresh(4), None, "abn-x", "train")
-
-    def test_wrong_generator_type_rejected(self):
-        g = random_utt_gen()
-        with pytest.raises(errors.ContractError):
-            abn_forward(random_batch(0), BatchNormState.fresh(4), g, "abn-f", "train")
-
     def test_padding_invariance(self):
-        for variant, gen in (
-            ("abn-f", random_frame_gen()),
-            ("abn-u", random_utt_gen()),
-        ):
+        for gen in (random_frame_gen(), random_utt_gen()):
             rng = np.random.default_rng(80)
             feats = rng.normal(size=(2, 5, 4))
             lengths = [4, 2]
@@ -336,8 +323,8 @@ class TestAbnForward:
             corrupted[0, 4:] = 7e5
             corrupted[1, 2:] = -7e5
             b2 = SequenceBatch(Tensor(corrupted), lengths)
-            o1 = abn_forward(b1, BatchNormState.fresh(4), gen, variant, "train")
-            o2 = abn_forward(b2, BatchNormState.fresh(4), gen, variant, "train")
+            o1 = abn_forward(b1, BatchNormState.fresh(4), gen, "train")
+            o2 = abn_forward(b2, BatchNormState.fresh(4), gen, "train")
             np.testing.assert_array_equal(o1.features.data, o2.features.data)
 
     def test_permuting_frames_permutes_abn_u_output(self):
@@ -345,12 +332,12 @@ class TestAbnForward:
         rng = np.random.default_rng(81)
         feats = rng.normal(size=(2, 4, 4))
         batch = SequenceBatch(Tensor(feats), [4, 4])
-        out = abn_forward(batch, BatchNormState.fresh(4), gen, "abn-u", "train")
+        out = abn_forward(batch, BatchNormState.fresh(4), gen, "train")
         perm = np.array([2, 0, 3, 1])
         permuted = feats.copy()
         permuted[0] = feats[0][perm]
         out_p = abn_forward(
-            SequenceBatch(Tensor(permuted), [4, 4]), BatchNormState.fresh(4), gen, "abn-u", "train"
+            SequenceBatch(Tensor(permuted), [4, 4]), BatchNormState.fresh(4), gen, "train"
         )
         np.testing.assert_allclose(out_p.features.data[0], out.features.data[0][perm], atol=1e-12)
         np.testing.assert_allclose(out_p.features.data[1], out.features.data[1], atol=1e-12)
@@ -360,12 +347,12 @@ class TestAbnForward:
         rng = np.random.default_rng(82)
         feats = rng.normal(size=(2, 4, 4))
         batch = SequenceBatch(Tensor(feats), [4, 4])
-        out = abn_forward(batch, BatchNormState.fresh(4), gen, "abn-f", "train")
+        out = abn_forward(batch, BatchNormState.fresh(4), gen, "train")
         perm = np.array([3, 1, 0, 2])
         permuted = feats.copy()
         permuted[0] = feats[0][perm]
         out_p = abn_forward(
-            SequenceBatch(Tensor(permuted), [4, 4]), BatchNormState.fresh(4), gen, "abn-f", "train"
+            SequenceBatch(Tensor(permuted), [4, 4]), BatchNormState.fresh(4), gen, "train"
         )
         np.testing.assert_allclose(out_p.features.data[0], out.features.data[0][perm], atol=1e-12)
 
@@ -379,10 +366,10 @@ def per_utterance_reference(batch, state, gen, variant, mode):
         h = Tensor(xhat[b, :length])
         if variant == "abn-f":
             e = frame_embed(h, gen)
-            gamma, beta = frame_params(frame_pool(e, frame_attention(e)), gen)
+            gamma, beta = head_params(frame_pool(e, frame_attention(e)), gen)
         else:
             k, q, v = utt_project(h, gen)
-            gamma, beta = utt_params(utt_context(utt_attention(k, q), v), gen)
+            gamma, beta = head_params(utt_context(utt_attention(k, q), v), gen)
         out[b, :length] = tc.add(tc.mul(h, gamma), beta).data
     return out
 
@@ -402,7 +389,7 @@ class TestBatchedMatchesPerUtterance:
         def state():
             return BatchNormState(tc.ones(p), tc.zeros(p), mean, var, 1e-5, 0.1)
 
-        out = abn_forward(batch, state(), gen, variant, mode).features.data
+        out = abn_forward(batch, state(), gen, mode).features.data
         ref = per_utterance_reference(batch, state(), gen, variant, mode)
         np.testing.assert_allclose(out, ref, rtol=0.0, atol=1e-12)
         for b, length in enumerate(lengths):
@@ -423,7 +410,7 @@ class TestGradientChecks:
                 gen = FrameAbnGenerator(
                     **{k: (theta if k == field else getattr(base, k)) for k in fields}
                 )
-                out = abn_forward(batch, BatchNormState.fresh(p), gen, "abn-f", "train")
+                out = abn_forward(batch, BatchNormState.fresh(p), gen, "train")
                 return tc.tsum(tc.mul(out.features, probe))
 
             err = finite_diff_check(f, getattr(base, field))
@@ -442,7 +429,7 @@ class TestGradientChecks:
                 gen = UttAbnGenerator(
                     **{k: (theta if k == field else getattr(base, k)) for k in fields}
                 )
-                out = abn_forward(batch, BatchNormState.fresh(p), gen, "abn-u", "train")
+                out = abn_forward(batch, BatchNormState.fresh(p), gen, "train")
                 return tc.tsum(tc.mul(out.features, probe))
 
             err = finite_diff_check(f, getattr(base, field))
@@ -456,7 +443,7 @@ class TestGradientChecks:
 
         def f(theta):
             out = abn_forward(
-                SequenceBatch(theta, [3, 2]), BatchNormState.fresh(p), gen, "abn-f", "train"
+                SequenceBatch(theta, [3, 2]), BatchNormState.fresh(p), gen, "train"
             )
             return tc.tsum(tc.mul(out.features, probe))
 

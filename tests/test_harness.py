@@ -7,6 +7,7 @@ from abn import checkpoint, errors
 from abn import tensor as tc
 from abn.batching import Batch, Utterance, make_batches
 from abn.checkpoint import load_checkpoint, save_checkpoint
+from abn.cli import cli
 from abn.config import SCHEMA, default_config, load_config, parse_config_text
 from abn.ctc import LabelSequence
 from abn.data import SequenceBatch
@@ -265,9 +266,35 @@ class TestConfig:
             ("task_distinct_neighbors = 2", "task_distinct_neighbors"),
             ("features = 8\nembed_dim = 8", "embed_dim"),
             ("hidden = 4\nembed_dim = 8", "embed_dim"),
+            ("bn_eps = 0", "bn_eps"),
+            ("bn_eps = nan", "bn_eps"),
+            ("bn_momentum = 2", "bn_momentum"),
+            ("bn_momentum = nan", "bn_momentum"),
+            ("max_frames_per_batch = 0", "max_frames_per_batch"),
+            ("initial_lr = nan", "initial_lr"),
+            ("halve_threshold = nan", "halve_threshold"),
+            ("stop_threshold = nan", "stop_threshold"),
+            ("adam_beta1 = 1", "adam_beta1"),
+            ("adam_beta1 = nan", "adam_beta1"),
+            ("adam_beta2 = -0.5", "adam_beta2"),
+            ("adam_eps = 0", "adam_eps"),
+            ("adam_eps = nan", "adam_eps"),
+            ("task_min_tokens = 0", "task_min_tokens"),
+            ("task_max_tokens = 1", "task_max_tokens"),
+            ("task_min_duration = 0", "task_min_duration"),
+            ("task_noise = -1", "task_noise"),
+            ("task_noise = nan", "task_noise"),
+            ("task_gain_spread = nan", "task_gain_spread"),
+            ("vocab = 2\ntask_distinct_neighbors = 1", "task_distinct_neighbors"),
         ],
         ids=["hidden", "features", "embed_dim", "attn_dim", "vocab",
-             "task_distinct_neighbors", "embed_dim-features", "embed_dim-hidden"],
+             "task_distinct_neighbors", "embed_dim-features", "embed_dim-hidden",
+             "bn_eps", "bn_eps-nan", "bn_momentum", "bn_momentum-nan",
+             "max_frames_per_batch", "initial_lr-nan", "halve_threshold-nan",
+             "stop_threshold-nan", "adam_beta1", "adam_beta1-nan", "adam_beta2", "adam_eps",
+             "adam_eps-nan", "task_min_tokens", "task_max_tokens", "task_min_duration",
+             "task_noise", "task_noise-nan", "task_gain_spread-nan",
+             "task_distinct_neighbors-vocab"],
     )
     def test_bounds_checked_at_parse(self, text, key):
         with pytest.raises(errors.ConfigError, match=key):
@@ -275,13 +302,20 @@ class TestConfig:
 
     def test_bounds_accept_edges(self):
         cfg = parse_config_text(
-            "hidden = 1\nfeatures = 2\nembed_dim = 1\nattn_dim = 1\nvocab = 2\n"
-            "task_distinct_neighbors = 1"
+            "hidden = 1\nfeatures = 2\nembed_dim = 1\nattn_dim = 1\nvocab = 2"
         )
-        assert (cfg.hidden, cfg.vocab, cfg.task_distinct_neighbors) == (1, 2, 1)
+        assert (cfg.hidden, cfg.vocab) == (1, 2)
+        # Forbidding repeated tokens takes two real tokens besides the blank.
+        cfg = parse_config_text("vocab = 3\ntask_distinct_neighbors = 1")
+        assert cfg.task_distinct_neighbors == 1
         # One layer: the bottleneck only has to fit under the features.
         cfg = parse_config_text("num_layers = 1\nhidden = 2\nembed_dim = 8")
         assert cfg.embed_dim == 8
+        cfg = parse_config_text(
+            "bn_momentum = 1\nadam_beta1 = 0\nmax_frames_per_batch = 1\ntask_noise = 0\n"
+            "task_min_tokens = 1\ntask_max_tokens = 1"
+        )
+        assert (cfg.bn_momentum, cfg.adam_beta1, cfg.max_frames_per_batch) == (1.0, 0.0, 1)
         load_config("configs/desk.cfg")
 
     def test_file_roundtrip(self, tmp_path):
@@ -401,10 +435,13 @@ class TestCheckpoint:
             ({"dropout": "1.0"}, "dropout"),
             ({"variants": "abn-f"}, "variants"),
             ({"variants": "abn-f,layer-norm"}, "variants"),
+            ({"bn_eps": "0"}, "bn_eps"),
+            ({"bn_eps": "nan"}, "bn_eps"),
+            ({"bn_momentum": "2"}, "bn_momentum"),
         ],
         ids=["hidden", "features", "embed_dim", "attn_dim", "vocab",
              "embed_dim-features", "embed_dim-hidden", "num_layers", "dropout",
-             "variants-count", "variants-name"],
+             "variants-count", "variants-name", "bn_eps", "bn_eps-nan", "bn_momentum"],
     )
     def test_header_bounds_checked_at_load(self, tmp_path, settings, key):
         # tiny_model: 2 layers, hidden 3, features 4, vocab 5, widths 2.
@@ -416,6 +453,26 @@ class TestCheckpoint:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(errors.CheckpointError, match=key):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize(
+        "block, value",
+        [("stat layer0.bn.running_var", "-1.0"), ("tensor out.b", "nan"),
+         ("tensor layer0.fwd.b", "inf")],
+        ids=["negative-variance", "nan", "inf"],
+    )
+    def test_bad_value_rejected(self, tmp_path, capsys, block, value):
+        path, lines = self._saved_lines(tmp_path)
+        idx = next(i for i, l in enumerate(lines) if l.startswith(block + " "))
+        lines[idx + 1] = " ".join([value] + lines[idx + 1].split()[1:])
+        path.write_text("\n".join(lines) + "\n")
+        name = block.split()[1]
+        with pytest.raises(errors.CheckpointError, match=name.replace(".", r"\.")):
+            load_checkpoint(str(path))
+        # ``abn eval`` fails on it instead of printing a NaN loss.
+        cfg = tmp_path / "task.cfg"
+        cfg.write_text("features = 4\nvocab = 5\nembed_dim = 2\nattn_dim = 2\n")
+        assert cli(["eval", "--ckpt", str(path), "--config", str(cfg)]) == 1
+        assert name in capsys.readouterr().err
 
     def test_duplicated_block_rejected(self, tmp_path):
         path, lines = self._saved_lines(tmp_path)

@@ -324,6 +324,8 @@ class TestStateValidation:
     def test_bad_epsilon(self):
         with pytest.raises(errors.ShapeError):
             BatchNormState.fresh(2, epsilon=0.0)
+        with pytest.raises(errors.ShapeError):
+            BatchNormState.fresh(2, epsilon=float("nan"))
 
     def test_bad_momentum(self):
         with pytest.raises(errors.ShapeError):

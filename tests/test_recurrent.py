@@ -291,6 +291,11 @@ class TestModelConfig:
             ((2, 4, 6, 5, "bn"), {"embed_dim": 6}, "embed_dim"),
             ((2, 2, 6, 5, "bn"), {"embed_dim": 4}, "embed_dim"),
             ((1, 4, 6, 5, "bn"), {"dropout": -0.1}, "dropout"),
+            ((1, 4, 6, 5, "bn"), {"bn_eps": 0.0}, "bn_eps"),
+            ((1, 4, 6, 5, "bn"), {"bn_eps": float("nan")}, "bn_eps"),
+            ((1, 4, 6, 5, "bn"), {"bn_momentum": 0.0}, "bn_momentum"),
+            ((1, 4, 6, 5, "bn"), {"bn_momentum": 2.0}, "bn_momentum"),
+            ((1, 4, 6, 5, "bn"), {"bn_momentum": float("nan")}, "bn_momentum"),
         ):
             with pytest.raises(errors.ContractError, match=key):
                 ModelConfig(*args, **kwargs)
