@@ -1,5 +1,6 @@
 """Flat key=value configuration with typo-proof parsing."""
 
+import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError, ContractError
@@ -59,14 +60,14 @@ class TrainConfig:
         except ContractError as exc:
             # Task keys are its fields prefixed "task_"; its messages open with the field.
             raise ConfigError(f"task_{exc}") from None
-        # Each float bound is written so that NaN fails it.
+        # Each float bound is written so that NaN and infinity fail it.
         for key in ("initial_lr", "stop_threshold", "adam_eps"):
-            if not getattr(self, key) > 0.0:
-                raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
-        if not self.stop_threshold < self.halve_threshold:
+            if not 0.0 < getattr(self, key) < math.inf:
+                raise ConfigError(f"{key} must be positive and finite, got {getattr(self, key)}")
+        if not self.stop_threshold < self.halve_threshold < math.inf:
             raise ConfigError(
                 f"stop_threshold {self.stop_threshold} must be below"
-                f" halve_threshold {self.halve_threshold}"
+                f" halve_threshold {self.halve_threshold}, which must be finite"
             )
         for key in ("adam_beta1", "adam_beta2"):
             if not 0.0 <= getattr(self, key) < 1.0:

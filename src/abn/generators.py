@@ -16,6 +16,13 @@ frames.
 Both zero-initialize their output heads with a bias of one on the scale,
 so a fresh generator reproduces plain batch norm exactly; training then
 moves the parameters away from that safe point.
+
+Everything a generator does after standardization (attention, the output
+heads and ``(xhat * gamma + beta) * mask``) is one taped node, its
+``apply``. The forward runs the plain-numpy stage functions below. The
+hand-written VJP repeats, in reverse, the arithmetic that the tape's
+primitives would do for the same stages, in the order the tape would add
+the gradients, so it matches that taped composition bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +34,13 @@ import numpy as np
 from . import tensor as tc
 from .data import SequenceBatch
 from .errors import ContractError, ShapeError
-from .normalization import BatchNormState, bn_forward, masked_affine, standardize_batch
+from .normalization import (
+    BatchNormState,
+    bn_forward,
+    masked_affine_array,
+    masked_affine_vjp,
+    standardize_batch,
+)
 from .tensor import Tensor
 
 
@@ -83,11 +96,44 @@ class FrameAbnGenerator:
     def feature_dim(self) -> int:
         return self.w_embed.shape[1]
 
-    def scale_shift(self, xhat: Tensor, mask, dropout_rate: float, rng, mode: str):
-        """One (gamma, beta) pair per utterance, ``[B, 1, p]``, from ``[B, T, p]`` frames."""
-        e = tc.dropout(frame_embed(xhat, self), dropout_rate, rng, mode)
-        u = frame_pool(e, frame_attention(e, mask))  # [B, d_e]
-        return head_params(tc.reshape(u, (u.shape[0], 1, u.shape[1])), self)
+    def apply(self, xhat: Tensor, batch: SequenceBatch, dropout_rate: float, rng, mode: str):
+        """Scale and shift the standardized frames ``xhat`` (``[B*T, p]``)
+        with one generated (gamma, beta) pair per utterance: one taped node.
+        Dropout, when active, hits the frame embeddings."""
+        b, t_max, p = batch.features.shape
+        x = xhat.data.reshape(b, t_max, p)
+        mask = batch.frame_mask()
+        embedded = frame_embed(x, self)
+        scale = tc.dropout_scale(embedded.shape, dropout_rate, rng, mode)
+        e = embedded if scale is None else np.multiply(embedded, scale)
+        alpha = frame_attention(e, mask)
+        z = frame_pool(e, alpha)[:, None, :]  # [B, 1, d_e]
+        gamma, beta = head_params(z, self)
+        mask3 = mask[:, :, None]
+        out = Tensor._wrap(masked_affine_array(x, gamma, beta, mask3))
+
+        def vjp(g):
+            g_x, g_gamma, g_beta = masked_affine_vjp(g, x, gamma, mask3)
+            g_z, *g_heads = _heads_vjp(g_gamma, g_beta, z, self)
+            # frame_pool: g_z reaches every frame, weighted by its alpha.
+            weights = alpha[:, :, None]
+            g_e = g_z * weights
+            g_alpha = tc._unbroadcast(g_z * e, weights.shape).reshape(alpha.shape)
+            # frame_attention: the softmax, then the mean over embedding units.
+            g_means = tc.masked_softmax_vjp(g_alpha, alpha)
+            g_e += (g_means / float(e.shape[-1]))[:, :, None]
+            if scale is not None:
+                g_e *= scale
+            g_pre = g_e * (1.0 - embedded * embedded)
+            g_x_embed, g_w_embed = tc.linear_vjp(g_pre, x, self.w_embed.data)
+            g_b_embed = tc._unbroadcast(g_pre, self.b_embed.shape)
+            g_x += g_x_embed
+            return (g_x.reshape(xhat.shape), g_w_embed, g_b_embed, *g_heads)
+
+        inputs = (xhat, self.w_embed, self.b_embed,
+                  self.w_gamma, self.b_gamma, self.w_beta, self.b_beta)
+        tc.record_op(out, inputs, vjp)
+        return SequenceBatch._wrap(out, batch.lengths)
 
 
 class UttAbnGenerator:
@@ -123,78 +169,134 @@ class UttAbnGenerator:
     def feature_dim(self) -> int:
         return self.w_key.shape[1]
 
-    def scale_shift(self, xhat: Tensor, mask, dropout_rate: float, rng, mode: str):
-        """One (gamma_t, beta_t) pair per frame, ``[B, T, p]``, from ``[B, T, p]`` frames."""
-        k, q, v = utt_project(xhat, self)
+    def apply(self, xhat: Tensor, batch: SequenceBatch, dropout_rate: float, rng, mode: str):
+        """Scale and shift the standardized frames ``xhat`` (``[B*T, p]``)
+        with one generated (gamma_t, beta_t) pair per frame: one taped node.
+        Dropout, when active, hits the context vectors."""
+        b, t_max, p = batch.features.shape
+        x = xhat.data.reshape(b, t_max, p)
+        mask = batch.frame_mask()
+        k, q, v = utt_project(x, self)
         alpha = utt_attention(k, q, mask[:, None, :])
-        c = utt_context(alpha, v)
-        # Without a tape this frees the [B, T, T] weights before the heads
-        # allocate gamma and beta.
+        context = utt_context(alpha, v)
+        # Without a tape nothing reads the attention arrays again: this frees
+        # the [B, T, T] weights before the heads allocate gamma and beta.
+        saved = (k, q, v, alpha) if tc.is_recording() else None
         del k, q, v, alpha
-        c = tc.dropout(c, dropout_rate, rng, mode)
-        return head_params(c, self)
+        scale = tc.dropout_scale(context.shape, dropout_rate, rng, mode)
+        c = context if scale is None else np.multiply(context, scale)
+        gamma, beta = head_params(c, self)
+        mask3 = mask[:, :, None]
+        out = Tensor._wrap(masked_affine_array(x, gamma, beta, mask3))
+
+        def vjp(g):
+            k, q, v, alpha = saved
+            g_x, g_gamma, g_beta = masked_affine_vjp(g, x, gamma, mask3)
+            g_c, *g_heads = _heads_vjp(g_gamma, g_beta, c, self)
+            if scale is not None:
+                g_c *= scale
+            # utt_context, then utt_attention: the softmax, then the scores.
+            g_alpha = g_c @ np.swapaxes(v, -1, -2)
+            g_v = np.swapaxes(alpha, -1, -2) @ g_c
+            g_scores = tc.masked_softmax_vjp(g_alpha, alpha)
+            q_scaled, k_t = _score_factors(k, q)
+            g_q = (g_scores @ np.swapaxes(k_t, -1, -2)) / math.sqrt(float(k.shape[-1]))
+            g_k = np.swapaxes(np.swapaxes(q_scaled, -1, -2) @ g_scores, -1, -2)
+            # utt_project, value first: the order the tape adds the shares of x.
+            g_x_v, g_w_value = tc.linear_vjp(g_v, x, self.w_value.data)
+            g_x += g_x_v
+            g_x_q, g_w_query = tc.linear_vjp(g_q, x, self.w_query.data)
+            g_x += g_x_q
+            g_x_k, g_w_key = tc.linear_vjp(g_k, x, self.w_key.data)
+            g_x += g_x_k
+            return (g_x.reshape(xhat.shape), g_w_key, g_w_query, g_w_value, *g_heads)
+
+        inputs = (xhat, self.w_key, self.w_query, self.w_value,
+                  self.w_gamma, self.b_gamma, self.w_beta, self.b_beta)
+        tc.record_op(out, inputs, vjp)
+        return SequenceBatch._wrap(out, batch.lengths)
 
 
-def frame_embed(h_norm: Tensor, gen: FrameAbnGenerator) -> Tensor:
+def frame_embed(h_norm: np.ndarray, gen: FrameAbnGenerator) -> np.ndarray:
     """Bottleneck embedding of standardized frames.
 
     ``h_norm`` is [frames, feature_dim] for one utterance or
     [batch, frames, feature_dim] for a batch; each frame maps to
     tanh(W h + b), of width embed_dim.
     """
-    return tc.tanh(tc.affine(h_norm, gen.w_embed, gen.b_embed))
+    e = tc.linear_array(h_norm, gen.w_embed.data)
+    e += gen.b_embed.data
+    return np.tanh(e, out=e)
 
 
-def frame_attention(e: Tensor, valid=None) -> Tensor:
+def frame_attention(e: np.ndarray, valid=None) -> np.ndarray:
     """One attention weight per frame from the mean of its embedding.
 
     ``valid`` masks the frames axis: [batch, frames] for a batch.
     """
-    means = tc.tmean(e, axis=-1)
-    return tc.masked_softmax(means, valid)
+    means = np.sum(e, axis=-1, dtype=np.float64) / float(e.shape[-1])
+    return tc.masked_softmax_array(means, valid)
 
 
-def frame_pool(e: Tensor, alpha: Tensor) -> Tensor:
+def frame_pool(e: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Attention-weighted mean over frames: [.., frames, d] x [.., frames] -> [.., d]."""
-    weighted = tc.mul(e, tc.reshape(alpha, alpha.shape + (1,)))
-    return tc.tsum(weighted, axis=-2)
+    return np.sum(e * alpha[..., None], axis=-2, dtype=np.float64)
 
 
-def head_params(z: Tensor, gen) -> tuple[Tensor, Tensor]:
+def head_params(z: np.ndarray, gen) -> tuple[np.ndarray, np.ndarray]:
     """Scale and shift from a generator's output heads.
 
     ``z`` is abn-f's pooled embedding (one pair per utterance) or abn-u's
     per-frame context vectors (one pair per frame).
     """
-    gamma = tc.affine(z, gen.w_gamma, gen.b_gamma)
-    beta = tc.affine(z, gen.w_beta, gen.b_beta)
+    gamma = tc.linear_array(z, gen.w_gamma.data)
+    gamma += gen.b_gamma.data
+    beta = tc.linear_array(z, gen.w_beta.data)
+    beta += gen.b_beta.data
     return gamma, beta
 
 
-def utt_project(h_norm: Tensor, gen: UttAbnGenerator) -> tuple[Tensor, Tensor, Tensor]:
+def _heads_vjp(g_gamma: np.ndarray, g_beta: np.ndarray, z: np.ndarray, gen):
+    """Gradients of ``head_params`` for ``z``, then ``w_gamma``, ``b_gamma``,
+    ``w_beta`` and ``b_beta``. The beta head's share of ``z`` comes first,
+    as the tape adds them."""
+    g_z, g_w_beta = tc.linear_vjp(g_beta, z, gen.w_beta.data)
+    g_b_beta = tc._unbroadcast(g_beta, gen.b_beta.shape)
+    g_z_gamma, g_w_gamma = tc.linear_vjp(g_gamma, z, gen.w_gamma.data)
+    g_b_gamma = tc._unbroadcast(g_gamma, gen.b_gamma.shape)
+    return g_z + g_z_gamma, g_w_gamma, g_b_gamma, g_w_beta, g_b_beta
+
+
+def utt_project(h_norm: np.ndarray, gen: UttAbnGenerator):
     """Bias-free key/query/value projections of standardized frames."""
-    k = tc.linear(h_norm, gen.w_key)
-    q = tc.linear(h_norm, gen.w_query)
-    v = tc.linear(h_norm, gen.w_value)
-    return k, q, v
+    return tuple(tc.linear_array(h_norm, w.data)
+                 for w in (gen.w_key, gen.w_query, gen.w_value))
 
 
-def utt_attention(k: Tensor, q: Tensor, valid=None) -> Tensor:
+def _score_factors(k: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``q / sqrt(d_a)`` and a contiguous ``k^T``, whose product is the scores.
+
+    Scaling q rather than the scores keeps one [.., T, T] array fewer. The
+    node's VJP rebuilds both from ``k`` and ``q``, bit for bit, rather than
+    keep them alive.
+    """
+    return q / math.sqrt(float(k.shape[-1])), np.swapaxes(k, -1, -2).copy()
+
+
+def utt_attention(k: np.ndarray, q: np.ndarray, valid=None) -> np.ndarray:
     """Scaled dot-product attention matrix; row t weights the frames c_t reads.
 
     Scores are (K_tau . Q_t) / sqrt(d_a); each row is a masked softmax over
     valid frames. ``valid`` masks the key axis: [batch, 1, frames] for a
     batch, so padded query rows still see their utterance's frames.
     """
-    d_a = k.shape[-1]
-    # Scaling q rather than the scores keeps one [.., T, T] array fewer on the tape.
-    scores = tc.matmul(tc.div(q, math.sqrt(float(d_a))), tc.transpose(k))
-    return tc.masked_softmax(scores, valid)
+    q_scaled, k_t = _score_factors(k, q)
+    return tc.masked_softmax_array(q_scaled @ k_t, valid)
 
 
-def utt_context(alpha: Tensor, v: Tensor) -> Tensor:
+def utt_context(alpha: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Per-frame context vectors: weighted sums of value rows."""
-    return tc.matmul(alpha, v)
+    return alpha @ v
 
 
 # Each attention variant's generator class, and the ModelConfig field that
@@ -216,9 +318,9 @@ def abn_forward(
     With no generator (``gen is None``) this is plain batch norm with the
     state's learned parameters. A generator standardizes identically, then
     generates (gamma, beta) from the standardized activations themselves
-    (``gen.scale_shift``) and applies those instead. Dropout, when active,
-    hits the generator's intermediate activations only (frame embeddings,
-    or context vectors), never the main signal.
+    and applies those instead, in one taped node (``gen.apply``). Dropout,
+    when active, hits the generator's intermediate activations only (frame
+    embeddings, or context vectors), never the main signal.
     """
     if gen is None:
         return bn_forward(batch, state, mode)
@@ -226,7 +328,4 @@ def abn_forward(
         raise ShapeError(
             f"generator feature dim {gen.feature_dim} does not match batch {batch.dim}"
         )
-    b, t_max, p = batch.features.shape
-    xhat = tc.reshape(standardize_batch(batch, state, mode), (b, t_max, p))
-    gamma, beta = gen.scale_shift(xhat, batch.frame_mask(), dropout_rate, rng, mode)
-    return masked_affine(xhat, gamma, beta, batch)
+    return gen.apply(standardize_batch(batch, state, mode), batch, dropout_rate, rng, mode)

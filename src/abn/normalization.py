@@ -125,9 +125,10 @@ def masked_affine(
     ``[B, T, p]``. ``gamma`` and ``beta`` share one shape that broadcasts
     to ``[B, T, p]``: learned ``[p]``, one pair per utterance ``[B, 1, p]``,
     or one per frame ``[B, T, p]``. Padded frames come out exactly zero and
-    pass no gradient back. Plain batch norm and both attention variants use
-    this one node, so zero-initialized generator heads reproduce plain batch
-    norm bit for bit.
+    pass no gradient back. Plain batch norm runs this node; the attention
+    generators' nodes end in the same arithmetic (``masked_affine_array``
+    and ``masked_affine_vjp``), so zero-initialized generator heads
+    reproduce plain batch norm bit for bit.
     """
     b, t_max, p = batch.features.shape
     if gamma.shape != beta.shape or gamma.shape[-1] != p:
@@ -136,21 +137,34 @@ def masked_affine(
         )
     x = xhat.data.reshape(b, t_max, p)
     mask = batch.frame_mask()[:, :, None]
-    y = np.multiply(x, gamma.data)
-    y += beta.data
-    y *= mask
-    out = Tensor._wrap(y)
+    out = Tensor._wrap(masked_affine_array(x, gamma.data, beta.data, mask))
 
     def vjp(g):
-        g = g * mask
-        return (
-            (g * gamma.data).reshape(xhat.shape),
-            tc._unbroadcast(g * x, gamma.shape),
-            tc._unbroadcast(g, beta.shape),
-        )
+        g_x, g_gamma, g_beta = masked_affine_vjp(g, x, gamma.data, mask)
+        return g_x.reshape(xhat.shape), g_gamma, g_beta
 
     tc.record_op(out, (xhat, gamma, beta), vjp)
     return SequenceBatch._wrap(out, batch.lengths)
+
+
+def masked_affine_array(
+    x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, mask: np.ndarray
+) -> np.ndarray:
+    """``(x * gamma + beta) * mask`` for ``[B, T, p]`` frames, in one fresh array.
+
+    ``mask`` is the ``[B, T, 1]`` frame mask; ``gamma`` and ``beta`` share
+    one shape that broadcasts to ``x``.
+    """
+    y = np.multiply(x, gamma)
+    y += beta
+    y *= mask
+    return y
+
+
+def masked_affine_vjp(g: np.ndarray, x: np.ndarray, gamma: np.ndarray, mask: np.ndarray):
+    """Gradients of ``masked_affine_array`` for ``x``, ``gamma`` and ``beta``."""
+    g = g * mask
+    return g * gamma, tc._unbroadcast(g * x, gamma.shape), tc._unbroadcast(g, gamma.shape)
 
 
 def bn_forward(batch: SequenceBatch, state: BatchNormState, mode: str) -> SequenceBatch:

@@ -28,7 +28,13 @@ def adam_step(
     state: AdamState,
     lr: float,
 ) -> dict[str, Tensor]:
-    """One bias-corrected Adam update; returns fresh parameter tensors."""
+    """One bias-corrected Adam update; returns fresh parameter tensors.
+
+    The moments are updated in place and each new parameter is built in
+    one fresh array. Every operation is the textbook formula's, in its
+    order: ``b1*m + (1-b1)*g``, ``b2*v + ((1-b2)*g)*g``, then
+    ``p - (lr*m_hat) / (sqrt(v_hat) + eps)``.
+    """
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1 ** state.t
@@ -36,11 +42,20 @@ def adam_step(
     updated = {}
     for name, p in params.items():
         g = grads[name]
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        updated[name] = Tensor._wrap(p.data - lr * m_hat / (np.sqrt(v_hat) + state.eps))
+        m, v = state.m[name], state.v[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        square = (1.0 - b2) * g
+        square *= g
+        v *= b2
+        v += square
+        step = m / bc1
+        step *= lr
+        denom = v / bc2
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        step /= denom
+        updated[name] = Tensor._wrap(np.subtract(p.data, step, out=step))
     return updated
 
 

@@ -223,11 +223,11 @@ class ModelConfig:
                            ("embed_dim", 1), ("attn_dim", 1), ("vocab", 2)):
             if getattr(self, key) < least:
                 raise ContractError(f"{key} must be at least {least}, got {getattr(self, key)}")
-        # Written so that NaN fails every float bound.
+        # Written so that NaN and infinity fail every float bound.
         if not 0.0 <= self.dropout < 1.0:
             raise ContractError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if not self.bn_eps > 0.0:
-            raise ContractError(f"bn_eps must be positive, got {self.bn_eps}")
+        if not 0.0 < self.bn_eps < math.inf:
+            raise ContractError(f"bn_eps must be positive and finite, got {self.bn_eps}")
         if not 0.0 < self.bn_momentum <= 1.0:
             raise ContractError(f"bn_momentum must lie in (0, 1], got {self.bn_momentum}")
         if isinstance(self.variants, str):

@@ -8,6 +8,7 @@ seeds, so a dataset is a pure function of (task, seed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,8 @@ class SyntheticTask:
     seed: int = 0
 
     def __post_init__(self):
-        # Messages open with the field they bound; NaN fails every float bound.
+        # Messages open with the field they bound; NaN and infinity fail
+        # every float bound.
         if self.vocab < 2:
             raise ContractError(f"vocab: need the blank plus a real token, got {self.vocab}")
         for low, high in (("min_tokens", "max_tokens"), ("min_duration", "max_duration")):
@@ -43,8 +45,10 @@ class SyntheticTask:
                     f"{high}: {getattr(self, high)} is below {low} {getattr(self, low)}"
                 )
         for key in ("noise", "gain_spread", "offset_spread"):
-            if not getattr(self, key) >= 0.0:
-                raise ContractError(f"{key}: must be non-negative, got {getattr(self, key)}")
+            if not 0.0 <= getattr(self, key) < math.inf:
+                raise ContractError(
+                    f"{key}: must be non-negative and finite, got {getattr(self, key)}"
+                )
         if self.distinct_neighbors and self.vocab < 3:
             raise ContractError("distinct_neighbors: needs at least two real tokens")
 

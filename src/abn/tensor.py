@@ -118,6 +118,11 @@ def recording(tape: GradTape):
         _ACTIVE_TAPE = None
 
 
+def is_recording() -> bool:
+    """True while a ``GradTape`` is recording."""
+    return _ACTIVE_TAPE is not None
+
+
 def record_op(output: Tensor, inputs: tuple[Tensor, ...], vjp) -> None:
     """Register an operation on the active tape (no-op when idle).
 
@@ -238,18 +243,22 @@ def linear(x, w) -> Tensor:
     x, w = _as_tensor(x), _as_tensor(w)
     if w.ndim != 2:
         raise ShapeError(f"linear: weight must be 2-d, got {w.shape}")
-    n_out, n_in = w.shape
-    if x.shape[-1:] != (n_in,):
+    if x.shape[-1:] != (w.shape[1],):
         raise ShapeError(f"linear: cannot apply weight {w.shape} to input {x.shape}")
-    x_rows = x.data.reshape(-1, n_in)
-    out = Tensor._wrap((x_rows @ w.data.T).reshape(x.shape[:-1] + (n_out,)))
-
-    def vjp(g):
-        g_rows = g.reshape(-1, n_out)
-        return (g_rows @ w.data).reshape(x.data.shape), g_rows.T @ x_rows
-
-    record_op(out, (x, w), vjp)
+    out = Tensor._wrap(linear_array(x.data, w.data))
+    record_op(out, (x, w), lambda g: linear_vjp(g, x.data, w.data))
     return out
+
+
+def linear_array(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``linear`` on arrays: ``x @ w.T`` over the last axis, in one 2-d product."""
+    return (x.reshape(-1, x.shape[-1]) @ w.T).reshape(x.shape[:-1] + (w.shape[0],))
+
+
+def linear_vjp(g: np.ndarray, x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of ``linear_array`` for ``x`` and ``w``."""
+    g_rows = g.reshape(-1, g.shape[-1])
+    return (g_rows @ w).reshape(x.shape), g_rows.T @ x.reshape(-1, x.shape[-1])
 
 
 def affine(x, w, b) -> Tensor:
@@ -314,7 +323,17 @@ def tmean(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
 
 
 def masked_softmax(scores, valid=None) -> Tensor:
-    """Softmax over the last axis restricted to valid positions.
+    """Softmax over the last axis restricted to valid positions; taped
+    ``masked_softmax_array``."""
+    scores = _as_tensor(scores)
+    p = masked_softmax_array(scores.data, valid)
+    out = Tensor._wrap(p)
+    record_op(out, (scores,), lambda g: (masked_softmax_vjp(g, p),))
+    return out
+
+
+def masked_softmax_array(scores: np.ndarray, valid=None) -> np.ndarray:
+    """Softmax of an array over its last axis, restricted to valid positions.
 
     ``valid`` is a boolean mask that broadcasts to ``scores`` (a ``[B, 1, T]``
     key mask serves every query row of ``[B, T, T]`` scores), an integer
@@ -323,7 +342,6 @@ def masked_softmax(scores, valid=None) -> Tensor:
     gradient are exactly zero; every row needs one valid position. The
     maximum valid score is subtracted for stability.
     """
-    scores = _as_tensor(scores)
     if scores.ndim < 1:
         raise ShapeError("masked_softmax needs at least one axis")
     width = scores.shape[-1]
@@ -345,17 +363,16 @@ def masked_softmax(scores, valid=None) -> Tensor:
         raise DomainError("masked_softmax: a row has every position masked")
     # One fresh array, worked in place: abn-u's [B, T, T] attention scores
     # make every copy a large transient.
-    p = np.where(mask, scores.data, -np.inf)
+    p = np.where(mask, scores, -np.inf)
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    out = Tensor._wrap(p)
+    return p
 
-    def vjp(g):
-        return (p * (g - (g * p).sum(axis=-1, keepdims=True)),)
 
-    record_op(out, (scores,), vjp)
-    return out
+def masked_softmax_vjp(g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Gradient of ``masked_softmax_array``'s scores, from its output ``p``."""
+    return p * (g - (g * p).sum(axis=-1, keepdims=True))
 
 
 def reshape(x, shape: tuple[int, ...]) -> Tensor:
@@ -389,17 +406,27 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 def dropout(x, rate: float, rng: np.random.Generator | None, mode: str) -> Tensor:
     """Inverted dropout: scales kept entries by ``1/(1-rate)`` during
     training; identity at inference or rate 0."""
+    x = _as_tensor(x)
+    scale = dropout_scale(x.shape, rate, rng, mode)
+    return x if scale is None else mul(x, Tensor._wrap(scale))
+
+
+def dropout_scale(
+    shape: tuple[int, ...], rate: float, rng: np.random.Generator | None, mode: str
+) -> np.ndarray | None:
+    """Inverted-dropout factors for an array of ``shape``, drawn from ``rng``:
+    ``1/(1-rate)`` on kept entries, 0 on dropped ones. ``None`` at inference
+    or rate 0, where dropout is the identity and draws nothing."""
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout rate must lie in [0, 1), got {rate}")
     if mode not in ("train", "infer"):
         raise ContractError(f"mode must be 'train' or 'infer', got {mode!r}")
-    x = _as_tensor(x)
     if mode == "infer" or rate == 0.0:
-        return x
+        return None
     if rng is None:
         raise ContractError("dropout in train mode needs a random generator")
-    keep = (rng.random(x.shape) >= rate).astype(np.float64)
-    return mul(x, Tensor._wrap(keep / (1.0 - rate)))
+    keep = (rng.random(shape) >= rate).astype(np.float64)
+    return keep / (1.0 - rate)
 
 
 class Gradients:

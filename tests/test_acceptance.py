@@ -243,7 +243,7 @@ class TestAttentionProperties:
             row_dev = max(row_dev, float(np.max(np.abs(alpha.sum(axis=1) - 1.0))))
             pad_mass = max(pad_mass, float(np.abs(alpha[:, valid:]).max(initial=0.0)))
 
-        h = Tensor(rng.normal(size=(6, 5)))
+        h = rng.normal(size=(6, 5))
         frame_gen = FrameAbnGenerator(
             w_embed=Tensor(rng.normal(size=(3, 5))),
             b_embed=Tensor(rng.normal(size=3)),
@@ -262,14 +262,14 @@ class TestAttentionProperties:
             b_beta=Tensor(rng.normal(size=5)),
         )
         perm = rng.permutation(6)
-        h_perm = Tensor(h.data[perm])
+        h_perm = h[perm]
 
         def pooled_params(frames):
             e = frame_embed(frames, frame_gen)
             alpha = frame_attention(e)
-            row_sum = float(tc.tsum(alpha).item())
+            row_sum = float(np.sum(alpha))
             gamma, beta = head_params(frame_pool(e, alpha), frame_gen)
-            return row_sum, gamma.data, beta.data
+            return row_sum, gamma, beta
 
         sum_a, gamma_a, beta_a = pooled_params(h)
         sum_b, gamma_b, beta_b = pooled_params(h_perm)
@@ -282,9 +282,9 @@ class TestAttentionProperties:
         def per_frame_params(frames):
             k, q, v = utt_project(frames, utt_gen)
             alpha = utt_attention(k, q)
-            rows_dev = float(np.max(np.abs(alpha.data.sum(axis=1) - 1.0)))
+            rows_dev = float(np.max(np.abs(alpha.sum(axis=1) - 1.0)))
             gamma, beta = head_params(utt_context(alpha, v), utt_gen)
-            return rows_dev, gamma.data, beta.data
+            return rows_dev, gamma, beta
 
         rows_a, gamma_u, _ = per_frame_params(h)
         rows_b, gamma_up, _ = per_frame_params(h_perm)

@@ -7,8 +7,12 @@ import pytest
 
 from abn import errors
 from abn import tensor as tc
+from abn.batching import make_batches
+from abn.config import load_config
+from abn.ctc import sequence_ctc_loss
 from abn.data import SequenceBatch
 from abn.generators import (
+    VARIANTS,
     FrameAbnGenerator,
     UttAbnGenerator,
     abn_forward,
@@ -20,8 +24,10 @@ from abn.generators import (
     utt_context,
     utt_project,
 )
-from abn.normalization import BatchNormState, bn_forward, standardize_batch
-from abn.tensor import Tensor, finite_diff_check
+from abn.normalization import BatchNormState, bn_forward, masked_affine, standardize_batch
+from abn.recurrent import Model, stack_forward
+from abn.synth import sorted_for_batching, synth_generate
+from abn.tensor import GradTape, Tensor, backward, finite_diff_check, recording
 
 
 def zero_frame_gen(p=4, d_e=2):
@@ -50,80 +56,78 @@ def random_utt_gen(p=4, d_a=3, seed=0):
 class TestFrameEmbed:
     def test_zero_map(self):
         g = zero_frame_gen()
-        out = frame_embed(Tensor(np.random.default_rng(1).normal(size=(3, 4))), g)
-        np.testing.assert_array_equal(out.data, np.zeros((3, 2)))
+        out = frame_embed(np.random.default_rng(1).normal(size=(3, 4)), g)
+        np.testing.assert_array_equal(out, np.zeros((3, 2)))
 
     def test_tanh_inversion(self):
         g = zero_frame_gen()
         g.b_embed = Tensor(np.full(2, math.atanh(0.5)))
-        out = frame_embed(Tensor(np.ones((3, 4))), g)
-        np.testing.assert_allclose(out.data, np.full((3, 2), 0.5), atol=1e-15)
+        out = frame_embed(np.ones((3, 4)), g)
+        np.testing.assert_allclose(out, np.full((3, 2), 0.5), atol=1e-15)
 
     def test_opposing_features_cancel(self):
         g = zero_frame_gen(p=2, d_e=1)
         g.w_embed = Tensor([[1.0, 1.0]])
-        out = frame_embed(Tensor([[1.0, -1.0]]), g)
-        assert out.data.tolist() == [[0.0]]
+        out = frame_embed(np.array([[1.0, -1.0]]), g)
+        assert out.tolist() == [[0.0]]
 
 
 class TestFrameAttention:
     def test_identical_frames_get_uniform_weights(self):
-        e = Tensor(np.tile([[0.3, -0.7]], (5, 1)))
+        e = np.tile([[0.3, -0.7]], (5, 1))
         alpha = frame_attention(e)
-        np.testing.assert_allclose(alpha.data, np.full(5, 0.2), atol=1e-15)
+        np.testing.assert_allclose(alpha, np.full(5, 0.2), atol=1e-15)
 
     def test_closed_form_two_frames(self):
-        e = Tensor([[math.log(3.0)], [0.0]])
+        e = np.array([[math.log(3.0)], [0.0]])
         alpha = frame_attention(e)
-        np.testing.assert_allclose(alpha.data, [0.75, 0.25], atol=1e-15)
+        np.testing.assert_allclose(alpha, [0.75, 0.25], atol=1e-15)
 
     def test_mask_excludes_padded_frame(self):
-        e = Tensor([[0.0], [0.0], [0.9]])
+        e = np.array([[0.0], [0.0], [0.9]])
         alpha = frame_attention(e, valid=2)
-        assert alpha.data.tolist() == [0.5, 0.5, 0.0]
+        assert alpha.tolist() == [0.5, 0.5, 0.0]
 
     def test_mean_over_embedding_elements(self):
         # Means (ln2, 0) after averaging the two components.
-        e = Tensor([[2.0 * math.log(2.0), 0.0], [0.0, 0.0]])
+        e = np.array([[2.0 * math.log(2.0), 0.0], [0.0, 0.0]])
         alpha = frame_attention(e)
-        np.testing.assert_allclose(alpha.data, [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
+        np.testing.assert_allclose(alpha, [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
 
 
 class TestFramePool:
     def test_one_hot(self):
-        e = Tensor([[1.0, 2.0], [9.0, 9.0]])
-        u = frame_pool(e, Tensor([1.0, 0.0]))
-        assert u.data.tolist() == [1.0, 2.0]
+        u = frame_pool(np.array([[1.0, 2.0], [9.0, 9.0]]), np.array([1.0, 0.0]))
+        assert u.tolist() == [1.0, 2.0]
 
     def test_even_mix(self):
-        e = Tensor([[1.0, 0.0], [0.0, 1.0]])
-        u = frame_pool(e, Tensor([0.5, 0.5]))
-        assert u.data.tolist() == [0.5, 0.5]
+        u = frame_pool(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.5, 0.5]))
+        assert u.tolist() == [0.5, 0.5]
 
     def test_constant_rows_fixed_point(self):
-        e = Tensor(np.tile([[2.0, -1.0]], (4, 1)))
-        u = frame_pool(e, Tensor([0.1, 0.2, 0.3, 0.4]))
-        np.testing.assert_allclose(u.data, [2.0, -1.0], atol=1e-15)
+        e = np.tile([[2.0, -1.0]], (4, 1))
+        u = frame_pool(e, np.array([0.1, 0.2, 0.3, 0.4]))
+        np.testing.assert_allclose(u, [2.0, -1.0], atol=1e-15)
 
 
 class TestFrameParams:
     def test_zero_init_reduces_to_bn_defaults(self):
         g = zero_frame_gen()
-        gamma, beta = head_params(Tensor([0.4, -0.2]), g)
-        assert gamma.data.tolist() == [1.0] * 4
-        assert beta.data.tolist() == [0.0] * 4
+        gamma, beta = head_params(np.array([0.4, -0.2]), g)
+        assert gamma.tolist() == [1.0] * 4
+        assert beta.tolist() == [0.0] * 4
 
     def test_zero_input_returns_biases(self):
         g = random_frame_gen()
-        gamma, beta = head_params(tc.zeros(2), g)
-        np.testing.assert_array_equal(gamma.data, g.b_gamma.data)
-        np.testing.assert_array_equal(beta.data, g.b_beta.data)
+        gamma, beta = head_params(np.zeros(2), g)
+        np.testing.assert_array_equal(gamma, g.b_gamma.data)
+        np.testing.assert_array_equal(beta, g.b_beta.data)
 
     def test_hand_case(self):
         g = zero_frame_gen(p=3, d_e=1)
         g.w_gamma = Tensor([[2.0], [2.0], [2.0]])
-        gamma, _ = head_params(Tensor([3.0]), g)
-        assert gamma.data.tolist() == [7.0, 7.0, 7.0]
+        gamma, _ = head_params(np.array([3.0]), g)
+        assert gamma.tolist() == [7.0, 7.0, 7.0]
 
     def test_embed_width_must_be_smaller_than_features(self):
         with pytest.raises(errors.ContractError):
@@ -134,97 +138,92 @@ class TestUttProject:
     def test_zero_weights(self):
         g = random_utt_gen()
         g.w_key = g.w_query = g.w_value = tc.zeros(3, 4)
-        k, q, v = utt_project(Tensor(np.ones((2, 4))), g)
-        for t in (k, q, v):
-            np.testing.assert_array_equal(t.data, np.zeros((2, 3)))
+        for t in utt_project(np.ones((2, 4)), g):
+            np.testing.assert_array_equal(t, np.zeros((2, 3)))
 
     def test_selector_row(self):
         g = random_utt_gen(p=3, d_a=1)
         g.w_key = Tensor([[0.0, 1.0, 0.0]])
-        h = Tensor([[1.0, 5.0, 2.0], [0.0, -3.0, 9.0]])
+        h = np.array([[1.0, 5.0, 2.0], [0.0, -3.0, 9.0]])
         k, _, _ = utt_project(h, g)
-        assert k.data.tolist() == [[5.0], [-3.0]]
+        assert k.tolist() == [[5.0], [-3.0]]
 
     def test_matches_matmul(self):
         rng = np.random.default_rng(31)
         g = random_utt_gen(seed=31)
-        h = Tensor(rng.normal(size=(5, 4)))
+        h = rng.normal(size=(5, 4))
         k, q, v = utt_project(h, g)
-        np.testing.assert_allclose(k.data, h.data @ g.w_key.data.T, atol=1e-15)
-        np.testing.assert_allclose(q.data, h.data @ g.w_query.data.T, atol=1e-15)
-        np.testing.assert_allclose(v.data, h.data @ g.w_value.data.T, atol=1e-15)
+        np.testing.assert_allclose(k, h @ g.w_key.data.T, atol=1e-15)
+        np.testing.assert_allclose(q, h @ g.w_query.data.T, atol=1e-15)
+        np.testing.assert_allclose(v, h @ g.w_value.data.T, atol=1e-15)
 
 
 class TestUttAttention:
     def test_single_frame(self):
-        alpha = utt_attention(Tensor([[0.7, -0.2]]), Tensor([[1.5, 0.0]]))
-        assert alpha.data.tolist() == [[1.0]]
+        alpha = utt_attention(np.array([[0.7, -0.2]]), np.array([[1.5, 0.0]]))
+        assert alpha.tolist() == [[1.0]]
 
     def test_uniform_scores(self):
-        k = Tensor(np.ones((3, 4)))
+        k = np.ones((3, 4))
         alpha = utt_attention(k, k)
         # every score is 4/sqrt(4) = 2, so rows are uniform
-        np.testing.assert_allclose(alpha.data, np.full((3, 3), 1.0 / 3.0), atol=1e-15)
+        np.testing.assert_allclose(alpha, np.full((3, 3), 1.0 / 3.0), atol=1e-15)
 
     def test_diagonal_concentrates_with_scale(self):
         base = np.eye(3)
-        weak = utt_attention(Tensor(base), Tensor(base))
-        strong = utt_attention(Tensor(10.0 * base), Tensor(10.0 * base))
-        assert np.all(np.diag(strong.data) > np.diag(weak.data))
-        assert np.all(np.diag(strong.data) > 0.99)
+        weak = utt_attention(base, base)
+        strong = utt_attention(10.0 * base, 10.0 * base)
+        assert np.all(np.diag(strong) > np.diag(weak))
+        assert np.all(np.diag(strong) > 0.99)
 
     def test_rows_are_probability_vectors(self):
         rng = np.random.default_rng(37)
-        alpha = utt_attention(Tensor(rng.normal(size=(6, 3))), Tensor(rng.normal(size=(6, 3))))
-        assert np.all(alpha.data >= 0)
-        np.testing.assert_allclose(alpha.data.sum(axis=1), np.ones(6), atol=1e-12)
+        alpha = utt_attention(rng.normal(size=(6, 3)), rng.normal(size=(6, 3)))
+        assert np.all(alpha >= 0)
+        np.testing.assert_allclose(alpha.sum(axis=1), np.ones(6), atol=1e-12)
 
     def test_mask_zeroes_padded_columns(self):
         rng = np.random.default_rng(38)
-        alpha = utt_attention(
-            Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=(4, 3))), valid=2
-        )
-        assert np.all(alpha.data[:, 2:] == 0.0)
-        np.testing.assert_allclose(alpha.data.sum(axis=1), np.ones(4), atol=1e-12)
+        alpha = utt_attention(rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), valid=2)
+        assert np.all(alpha[:, 2:] == 0.0)
+        np.testing.assert_allclose(alpha.sum(axis=1), np.ones(4), atol=1e-12)
 
 
 class TestUttContext:
     def test_identity_attention_selects_self(self):
-        v = Tensor(np.random.default_rng(39).normal(size=(3, 2)))
-        c = utt_context(Tensor(np.eye(3)), v)
-        np.testing.assert_array_equal(c.data, v.data)
+        v = np.random.default_rng(39).normal(size=(3, 2))
+        np.testing.assert_array_equal(utt_context(np.eye(3), v), v)
 
     def test_uniform_average(self):
-        c = utt_context(Tensor(np.full((2, 2), 0.5)), Tensor([[2.0, 0.0], [0.0, 2.0]]))
-        np.testing.assert_allclose(c.data, np.ones((2, 2)), atol=1e-15)
+        c = utt_context(np.full((2, 2), 0.5), np.array([[2.0, 0.0], [0.0, 2.0]]))
+        np.testing.assert_allclose(c, np.ones((2, 2)), atol=1e-15)
 
     def test_constant_values_fixed_point(self):
-        alpha = Tensor([[0.9, 0.1], [0.5, 0.5]])
-        v = Tensor(np.tile([[3.0, -1.0]], (2, 1)))
-        c = utt_context(alpha, v)
-        np.testing.assert_allclose(c.data, v.data, atol=1e-15)
+        alpha = np.array([[0.9, 0.1], [0.5, 0.5]])
+        v = np.tile([[3.0, -1.0]], (2, 1))
+        np.testing.assert_allclose(utt_context(alpha, v), v, atol=1e-15)
 
 
 class TestUttParams:
     def test_zero_init_reduces_to_bn_defaults(self):
         g = UttAbnGenerator.init(4, 3, np.random.default_rng(0))
-        gamma, beta = head_params(Tensor(np.random.default_rng(1).normal(size=(5, 3))), g)
-        np.testing.assert_array_equal(gamma.data, np.ones((5, 4)))
-        np.testing.assert_array_equal(beta.data, np.zeros((5, 4)))
+        gamma, beta = head_params(np.random.default_rng(1).normal(size=(5, 3)), g)
+        np.testing.assert_array_equal(gamma, np.ones((5, 4)))
+        np.testing.assert_array_equal(beta, np.zeros((5, 4)))
 
     def test_zero_context_returns_biases(self):
         g = random_utt_gen()
-        gamma, beta = head_params(tc.zeros(2, 3), g)
-        np.testing.assert_array_equal(gamma.data, np.tile(g.b_gamma.data, (2, 1)))
-        np.testing.assert_array_equal(beta.data, np.tile(g.b_beta.data, (2, 1)))
+        gamma, beta = head_params(np.zeros((2, 3)), g)
+        np.testing.assert_array_equal(gamma, np.tile(g.b_gamma.data, (2, 1)))
+        np.testing.assert_array_equal(beta, np.tile(g.b_beta.data, (2, 1)))
 
     def test_identical_context_identical_params(self):
         g = random_utt_gen()
-        c = Tensor(np.tile([[0.3, 0.8, -0.5]], (4, 1)))
+        c = np.tile([[0.3, 0.8, -0.5]], (4, 1))
         gamma, beta = head_params(c, g)
         for row in range(1, 4):
-            np.testing.assert_array_equal(gamma.data[row], gamma.data[0])
-            np.testing.assert_array_equal(beta.data[row], beta.data[0])
+            np.testing.assert_array_equal(gamma[row], gamma[0])
+            np.testing.assert_array_equal(beta[row], beta[0])
 
 
 def random_batch(seed, batch=2, t_max=5, p=4, lengths=(5, 3)):
@@ -363,14 +362,14 @@ def per_utterance_reference(batch, state, gen, variant, mode):
     xhat = standardize_batch(batch, state, mode).data.reshape(batch.features.shape)
     out = np.zeros(batch.features.shape)
     for b, length in enumerate(batch.lengths):
-        h = Tensor(xhat[b, :length])
+        h = xhat[b, :length]
         if variant == "abn-f":
             e = frame_embed(h, gen)
             gamma, beta = head_params(frame_pool(e, frame_attention(e)), gen)
         else:
             k, q, v = utt_project(h, gen)
             gamma, beta = head_params(utt_context(utt_attention(k, q), v), gen)
-        out[b, :length] = tc.add(tc.mul(h, gamma), beta).data
+        out[b, :length] = h * gamma + beta
     return out
 
 
@@ -448,3 +447,101 @@ class TestGradientChecks:
             return tc.tsum(tc.mul(out.features, probe))
 
         assert finite_diff_check(f, Tensor(batch_feats)) < 1e-4
+
+
+def taped_generator(xhat, batch, gen, mode, dropout_rate=0.0, rng=None):
+    """A generator node rebuilt from taped primitives: the composition that
+    ``gen.apply`` replaces, kept as the bit-for-bit reference for its
+    forward, its VJP and its random draws."""
+    b, t_max, p = batch.features.shape
+    xhat = tc.reshape(xhat, (b, t_max, p))
+    mask = batch.frame_mask()
+    if isinstance(gen, FrameAbnGenerator):
+        e = tc.dropout(tc.tanh(tc.affine(xhat, gen.w_embed, gen.b_embed)), dropout_rate, rng, mode)
+        alpha = tc.masked_softmax(tc.tmean(e, axis=-1), mask)
+        u = tc.tsum(tc.mul(e, tc.reshape(alpha, alpha.shape + (1,))), axis=-2)
+        z = tc.reshape(u, (b, 1, u.shape[1]))
+    else:
+        k = tc.linear(xhat, gen.w_key)
+        q = tc.linear(xhat, gen.w_query)
+        v = tc.linear(xhat, gen.w_value)
+        scaled = tc.div(q, math.sqrt(float(k.shape[-1])))
+        alpha = tc.masked_softmax(tc.matmul(scaled, tc.transpose(k)), mask[:, None, :])
+        z = tc.dropout(tc.matmul(alpha, v), dropout_rate, rng, mode)
+    gamma = tc.affine(z, gen.w_gamma, gen.b_gamma)
+    beta = tc.affine(z, gen.w_beta, gen.b_beta)
+    return masked_affine(xhat, gamma, beta, batch)
+
+
+def run_generator(node, xhat, batch, gen, mode, rate, seed):
+    """Output, gradients (xhat, then each generator field) and the final
+    dropout-RNG state of one probed pass through ``node``."""
+    rng = np.random.default_rng(seed)
+    probe = Tensor(np.random.default_rng(seed + 1).normal(size=batch.features.shape))
+    tape = GradTape()
+    with recording(tape):
+        out = node(xhat, batch, gen, mode, rate, rng)
+        loss = tc.tsum(tc.mul(out.features, probe))
+    grads = backward(tape, loss)
+    wrt = [xhat] + [getattr(gen, f) for f in type(gen).__slots__]
+    return out.features.data, [grads.wrt(t) for t in wrt], rng.bit_generator.state
+
+
+def fused_generator(xhat, batch, gen, mode, dropout_rate, rng):
+    return gen.apply(xhat, batch, dropout_rate, rng, mode)
+
+
+class TestFusedNodeMatchesTapedComposition:
+    """Each generator's single node against the taped composition it
+    replaces: output, every gradient and the RNG stream, bit for bit."""
+
+    @pytest.mark.parametrize("mode,rate", [("train", 0.0), ("infer", 0.0), ("train", 0.3)])
+    @pytest.mark.parametrize("variant", ["abn-f", "abn-u"])
+    @pytest.mark.parametrize("lengths,p", [((6, 1, 4, 1, 3), 4), ((7, 7, 2, 1), 16)])
+    def test_bit_for_bit(self, variant, mode, rate, lengths, p):
+        t_max = max(lengths)
+        batch = random_batch(120 + p, batch=len(lengths), t_max=t_max, p=p, lengths=lengths)
+        stats = np.random.default_rng(121)
+        state = BatchNormState(
+            tc.ones(p), tc.zeros(p), Tensor(stats.normal(size=p)),
+            Tensor(stats.uniform(0.5, 2.0, size=p)), 1e-5, 0.1,
+        )
+        xhat = standardize_batch(batch, state, mode)
+        if variant == "abn-f":
+            gen = random_frame_gen(p, p // 2, seed=122)
+        else:
+            gen = random_utt_gen(p, 3, seed=122)
+        ref = run_generator(taped_generator, xhat, batch, gen, mode, rate, seed=123)
+        got = run_generator(fused_generator, xhat, batch, gen, mode, rate, seed=123)
+        np.testing.assert_array_equal(got[0], ref[0])
+        names = ["xhat", *type(gen).__slots__]
+        for name, g_got, g_ref in zip(names, got[1], ref[1]):
+            assert np.array_equal(g_got, g_ref), f"{variant} {mode} rate {rate}: d{name} differs"
+        assert got[2] == ref[2]
+        if rate and mode == "train":
+            assert got[2] != np.random.default_rng(123).bit_generator.state
+
+    @pytest.mark.parametrize("variant", ["abn-f", "abn-u"])
+    def test_records_one_node(self, variant):
+        batch = random_batch(130, batch=3, t_max=5, p=4, lengths=(5, 1, 3))
+        gen = random_frame_gen() if variant == "abn-f" else random_utt_gen()
+        xhat = Tensor(np.random.default_rng(131).normal(size=(15, 4)))
+        tape = GradTape()
+        with recording(tape):
+            gen.apply(xhat, batch, 0.3, np.random.default_rng(132), "train")
+        assert len(tape) == 1
+
+
+def test_every_variant_records_the_same_nodes_per_desk_batch():
+    cfg = load_config("configs/desk.cfg")
+    utts = sorted_for_batching(synth_generate(cfg.task(), 40, seed=1))
+    batch = make_batches(utts, cfg.max_frames_per_batch)[0]
+    counts = {}
+    for variant in VARIANTS:
+        model = Model(cfg.model_config(variant), np.random.default_rng([cfg.seed, 1]))
+        tape = GradTape()
+        with recording(tape):
+            logits = stack_forward(batch.features, model, "train", np.random.default_rng(0))
+            sequence_ctc_loss(logits, batch.labels)
+        counts[variant] = len(tape)
+    assert len(set(counts.values())) == 1, counts

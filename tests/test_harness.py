@@ -46,6 +46,28 @@ class TestAdam:
         np.testing.assert_allclose(state.m["w"], [0.2])
         np.testing.assert_allclose(state.v["w"], [0.004])
 
+    def test_in_place_update_matches_the_formula_bit_for_bit(self):
+        rng = np.random.default_rng(44)
+        shapes = {"w": (5, 3), "b": (5,)}
+        params = {name: Tensor(rng.normal(size=shape)) for name, shape in shapes.items()}
+        state = AdamState(params, beta1=0.9, beta2=0.999, eps=1e-8)
+        ref_params = {name: t.data for name, t in params.items()}
+        ref_m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        ref_v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        for t in range(1, 4):
+            grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+            params = adam_step(params, grads, state, lr=0.01)
+            for name, g in grads.items():
+                ref_m[name] = 0.9 * ref_m[name] + (1.0 - 0.9) * g
+                ref_v[name] = 0.999 * ref_v[name] + (1.0 - 0.999) * g * g
+                m_hat = ref_m[name] / (1.0 - 0.9 ** t)
+                v_hat = ref_v[name] / (1.0 - 0.999 ** t)
+                ref_params[name] = ref_params[name] - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        for name in shapes:
+            assert np.array_equal(params[name].data, ref_params[name])
+            assert np.array_equal(state.m[name], ref_m[name])
+            assert np.array_equal(state.v[name], ref_v[name])
+
 
 class TestLrSchedule:
     def test_keep(self):
@@ -286,6 +308,14 @@ class TestConfig:
             ("task_noise = nan", "task_noise"),
             ("task_gain_spread = nan", "task_gain_spread"),
             ("vocab = 2\ntask_distinct_neighbors = 1", "task_distinct_neighbors"),
+            ("initial_lr = inf", "initial_lr"),
+            ("halve_threshold = inf", "halve_threshold"),
+            ("adam_eps = inf", "adam_eps"),
+            ("bn_eps = inf", "bn_eps"),
+            ("task_noise = inf", "task_noise"),
+            ("task_gain_spread = inf", "task_gain_spread"),
+            ("task_offset_spread = inf", "task_offset_spread"),
+            ("task_offset_spread = nan", "task_offset_spread"),
         ],
         ids=["hidden", "features", "embed_dim", "attn_dim", "vocab",
              "task_distinct_neighbors", "embed_dim-features", "embed_dim-hidden",
@@ -294,7 +324,9 @@ class TestConfig:
              "stop_threshold-nan", "adam_beta1", "adam_beta1-nan", "adam_beta2", "adam_eps",
              "adam_eps-nan", "task_min_tokens", "task_max_tokens", "task_min_duration",
              "task_noise", "task_noise-nan", "task_gain_spread-nan",
-             "task_distinct_neighbors-vocab"],
+             "task_distinct_neighbors-vocab", "initial_lr-inf", "halve_threshold-inf",
+             "adam_eps-inf", "bn_eps-inf", "task_noise-inf", "task_gain_spread-inf",
+             "task_offset_spread-inf", "task_offset_spread-nan"],
     )
     def test_bounds_checked_at_parse(self, text, key):
         with pytest.raises(errors.ConfigError, match=key):
@@ -437,11 +469,13 @@ class TestCheckpoint:
             ({"variants": "abn-f,layer-norm"}, "variants"),
             ({"bn_eps": "0"}, "bn_eps"),
             ({"bn_eps": "nan"}, "bn_eps"),
+            ({"bn_eps": "inf"}, "bn_eps"),
             ({"bn_momentum": "2"}, "bn_momentum"),
         ],
         ids=["hidden", "features", "embed_dim", "attn_dim", "vocab",
              "embed_dim-features", "embed_dim-hidden", "num_layers", "dropout",
-             "variants-count", "variants-name", "bn_eps", "bn_eps-nan", "bn_momentum"],
+             "variants-count", "variants-name", "bn_eps", "bn_eps-nan", "bn_eps-inf",
+             "bn_momentum"],
     )
     def test_header_bounds_checked_at_load(self, tmp_path, settings, key):
         # tiny_model: 2 layers, hidden 3, features 4, vocab 5, widths 2.
