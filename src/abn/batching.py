@@ -6,7 +6,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .ctc import LabelSequence
+from .ctc import CtcTargets, LabelSequence
 from .data import SequenceBatch
 from .errors import BatchingError
 from .tensor import Tensor
@@ -19,7 +19,7 @@ class Utterance(NamedTuple):
 
 class Batch(NamedTuple):
     features: SequenceBatch
-    labels: list[LabelSequence]
+    labels: CtcTargets
 
 
 def make_batches(utterances: Sequence[Utterance], max_frames: int) -> list[Batch]:
@@ -28,6 +28,7 @@ def make_batches(utterances: Sequence[Utterance], max_frames: int) -> list[Batch
     Input must already be sorted by length, longest first. Each batch holds
     floor(max_frames / longest) utterances, all zero-padded to the longest
     in that batch, so batch_size * longest never exceeds ``max_frames``.
+    Each batch's frame layout and CTC lattice are built here, once.
     """
     lengths = [u.features.shape[0] for u in utterances]
     if any(a < b for a, b in zip(lengths, lengths[1:])):
@@ -49,7 +50,7 @@ def make_batches(utterances: Sequence[Utterance], max_frames: int) -> list[Batch
         batches.append(
             Batch(
                 SequenceBatch(Tensor(padded), [u.features.shape[0] for u in group]),
-                [u.labels for u in group],
+                CtcTargets([u.labels for u in group]),
             )
         )
         i += per_batch

@@ -1,12 +1,14 @@
 """Self-describing text checkpoints with lossless float64 roundtrips.
 
-Layout: a version line, the model configuration, then one ``tensor`` or
-``stat`` block per array (name, shape, and row-major values printed with
-17 significant digits), closed by an ``end`` sentinel that catches
-truncation. The blank symbol is index 0 by construction; the header
-records that for consumers of decoded outputs. Version 2 stores each LSTM
-direction as four gate-stacked tensors (``w_x``, ``w_h``, ``w_co``, ``b``);
-version 1 stored thirteen per-gate tensors and is no longer read.
+Layout: a version line, the training seed, the model configuration, then
+one ``tensor`` or ``stat`` block per array (name, shape, and row-major
+values printed with 17 significant digits), closed by an ``end`` sentinel
+that catches truncation. The blank symbol is index 0 by construction; the
+header records that for consumers of decoded outputs. The seed fixes the
+synthetic task's templates, so a model can be checked against the task it
+is scored on. Each LSTM direction is stored as four gate-stacked tensors
+(``w_x``, ``w_h``, ``w_co``, ``b``). Version 2 had no seed and version 1
+stored thirteen per-gate tensors; neither is read.
 """
 
 from __future__ import annotations
@@ -20,7 +22,13 @@ from .errors import CheckpointError, ContractError, ShapeError
 from .recurrent import Model, ModelConfig
 from .tensor import Tensor
 
-FORMAT_LINE = "abn-checkpoint v2"
+FORMAT_LINE = "abn-checkpoint v3"
+# Earlier formats, refused by name with the reason.
+_RETIRED = {
+    "abn-checkpoint v1": "stores per-gate LSTM tensors, a layout no longer read",
+    "abn-checkpoint v2": "records no training seed, so the task its model was"
+                         " trained on is unknown",
+}
 
 # The header's settings, in ModelConfig's field order with ``variants``
 # last, each with the parser of its declared type.
@@ -37,8 +45,8 @@ def _format_values(t: Tensor) -> str:
     return " ".join(f"{v:.17g}" for v in t.values)
 
 
-def save_checkpoint(model: Model, path: str) -> None:
-    """Write ``model`` to ``path`` atomically.
+def save_checkpoint(model: Model, path: str, seed: int) -> None:
+    """Write ``model``, trained on the task of ``seed``, to ``path`` atomically.
 
     The blocks stream into a temporary file beside ``path`` that then
     replaces it, so a failed or interrupted save leaves the previous
@@ -48,7 +56,7 @@ def save_checkpoint(model: Model, path: str) -> None:
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(f"{FORMAT_LINE}\n# blank symbol index: 0\n")
+            fh.write(f"{FORMAT_LINE}\n# blank symbol index: 0\nseed {int(seed)}\n")
             for name in _SETTINGS:
                 fh.write(f"config {name} {_format_setting(getattr(cfg, name))}\n")
             for kind, table in (("tensor", model.parameters()),
@@ -84,19 +92,24 @@ def _parse_array(name: str, dims_text: list[str], values_line: str) -> Tensor:
     return Tensor._wrap(flat.reshape(shape))
 
 
-def load_checkpoint(path: str) -> Model:
-    """Rebuild a model from a checkpoint, bit-exact."""
+def load_checkpoint(path: str, seed: int | None = None) -> Model:
+    """Rebuild a model from a checkpoint, bit-exact.
+
+    With ``seed``, the seed of the task the caller will score the model
+    on, a checkpoint trained on another task's seed is refused.
+    """
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    if lines and lines[0] == "abn-checkpoint v1":
+    if lines and lines[0] in _RETIRED:
         raise CheckpointError(
-            "checkpoint format v1 stores per-gate LSTM tensors, a layout no longer"
-            f" read; expected {FORMAT_LINE!r}"
+            f"checkpoint format {lines[0].split()[-1]} {_RETIRED[lines[0]]};"
+            f" expected {FORMAT_LINE!r}"
         )
     if not lines or lines[0] != FORMAT_LINE:
         head = lines[0] if lines else "<empty file>"
         raise CheckpointError(f"not a recognized checkpoint (header {head!r})")
 
+    seeds: list[str] = []
     raw_config: dict[str, str] = {}
     arrays: list[tuple[str, str, Tensor]] = []
     saw_end = False
@@ -110,7 +123,9 @@ def load_checkpoint(path: str) -> Model:
             saw_end = True
             break
         parts = line.split()
-        if parts[0] == "config" and len(parts) >= 3:
+        if parts[0] == "seed" and len(parts) == 2:
+            seeds.append(parts[1])
+        elif parts[0] == "config" and len(parts) >= 3:
             if parts[1] in raw_config:
                 raise CheckpointError(f"config field {parts[1]}: given twice")
             raw_config[parts[1]] = line.split(None, 2)[2]
@@ -124,6 +139,17 @@ def load_checkpoint(path: str) -> Model:
             raise CheckpointError(f"unrecognized checkpoint line: {line!r}")
     if not saw_end:
         raise CheckpointError("checkpoint truncated: no end marker")
+    if len(seeds) != 1:
+        raise CheckpointError(f"seed: given {len(seeds)} times, expected once")
+    try:
+        trained_seed = int(seeds[0])
+    except ValueError:
+        raise CheckpointError(f"seed: cannot parse {seeds[0]!r}") from None
+    if seed is not None and trained_seed != seed:
+        raise CheckpointError(
+            f"seed: the model was trained on the task of seed {trained_seed},"
+            f" but the config's seed is {seed}"
+        )
 
     settings = {}
     for name, parse in _SETTINGS.items():

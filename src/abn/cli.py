@@ -88,8 +88,9 @@ def _cmd_train(args) -> int:
 
 
 def _load_for_task(ckpt: str, cfg) -> Model:
-    """Load a checkpoint whose feature and vocabulary sizes match the task's."""
-    model = load_checkpoint(ckpt)
+    """Load a checkpoint trained on the task of ``cfg``: the same seed,
+    feature and vocabulary sizes."""
+    model = load_checkpoint(ckpt, seed=cfg.seed)
     if model.config.features != cfg.features or model.config.vocab != cfg.vocab:
         raise CheckpointError(
             f"checkpoint expects features={model.config.features},"

@@ -8,11 +8,12 @@ the whole loss is one fused, numerically stable operation on the tape.
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from collections.abc import Sequence
 
 import numpy as np
 from scipy.special import logsumexp
 
+from .data import Frames
 from .errors import ContractError, ShapeError
 from .tensor import Tensor, record_op
 
@@ -70,6 +71,47 @@ def _check_labels(labels: LabelSequence, vocab: int) -> None:
             raise ContractError(f"label token {t} outside vocabulary of {vocab}")
 
 
+class CtcTargets(Sequence):
+    """The label sequences of one batch, with their CTC lattice built once.
+
+    A read-only sequence of ``LabelSequence`` that also holds what the loss
+    needs of them on every call:
+
+    * ``ext`` ``[B, S]``, each utterance's blank-interleaved lattice
+      (-, l1, -, l2, ..., -), padded with blanks to the widest
+    * ``skip`` ``[B, S-2]``, 0 where a path may skip over a blank from two
+      columns back into a fresh token (not a repeat), -inf where it may not
+    * ``s_lens`` ``[B]``, each lattice's own width ``2 * len + 1``
+    * ``min_frames`` ``[B]``, the fewest frames that can emit each sequence
+    """
+
+    __slots__ = ("labels", "ext", "skip", "s_lens", "min_frames")
+
+    def __init__(self, labels: Sequence[LabelSequence]):
+        self.labels = tuple(labels)
+        self.s_lens = 2 * np.array([len(lab) for lab in self.labels]) + 1
+        ext = np.full((len(self.labels), int(self.s_lens.max())), BLANK)
+        for b, lab in enumerate(self.labels):
+            ext[b, 1 : self.s_lens[b] : 2] = lab.tokens
+        self.ext = ext
+        self.skip = np.where((ext[:, 2:] != BLANK) & (ext[:, 2:] != ext[:, :-2]), 0.0, -np.inf)
+        # A repeated token needs a blank frame between its two copies.
+        tokens = ext[:, 1::2]
+        repeats = ((tokens[:, 1:] == tokens[:, :-1]) & (tokens[:, 1:] != BLANK)).sum(axis=1)
+        self.min_frames = self.s_lens // 2 + repeats
+        for arr in (self.s_lens, self.ext, self.skip, self.min_frames):
+            arr.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, index):
+        return self.labels[index]
+
+    def __iter__(self):
+        return iter(self.labels)
+
+
 def ctc_loss(logits: Tensor, labels: LabelSequence) -> Tensor:
     """Negative log probability of all alignments collapsing to ``labels``.
 
@@ -80,22 +122,25 @@ def ctc_loss(logits: Tensor, labels: LabelSequence) -> Tensor:
     """
     if logits.ndim != 2:
         raise ShapeError(f"logits must be [frames, vocab], got {logits.shape}")
-    return _batched_ctc(logits, np.array([logits.shape[0]]), [labels])
+    frames = Frames(np.array([logits.shape[0]]), logits.shape[0])
+    return _batched_ctc(logits, frames, CtcTargets([labels]))
 
 
-def _batched_ctc(logits: Tensor, lengths: np.ndarray, labels) -> Tensor:
+def _batched_ctc(logits: Tensor, frames: Frames, targets: CtcTargets) -> Tensor:
     """Mean CTC loss over padded [B, T, V] logits (or one [T, V]), one taped node.
 
-    Utterance b scores its first ``lengths[b]`` frames against ``labels[b]``.
-    The alpha/beta recursions of Graves et al. (2006) run for every
-    utterance at once over a blank-interleaved lattice padded to the widest
-    one, [B, S].
+    Utterance b scores its first ``frames.lengths[b]`` frames against
+    ``targets[b]``. The alpha/beta recursions of Graves et al. (2006) run
+    for every utterance at once over the targets' lattice, [B, S].
     """
     u = logits.data.reshape((-1,) + logits.shape[-2:])
     n_utt, t_max, vocab = u.shape
-    for lab in labels:
-        _check_labels(lab, vocab)
-    if not all(ctc_feasible(int(n), lab) for n, lab in zip(lengths, labels)):
+    ext, skip, s_lens = targets.ext, targets.skip, targets.s_lens
+    if (ext >= vocab).any():
+        token = ext[ext >= vocab][0]
+        raise ContractError(f"label token {token} outside vocabulary of {vocab}")
+    lengths = frames.lengths
+    if (lengths < targets.min_frames).any():
         out = Tensor._wrap(np.float64(np.inf))
         record_op(out, (logits,), lambda g: (np.zeros(logits.shape),))
         return out
@@ -103,15 +148,7 @@ def _batched_ctc(logits: Tensor, lengths: np.ndarray, labels) -> Tensor:
     shift = u.max(axis=-1, keepdims=True)
     y_log = u - (shift + np.log(np.exp(u - shift).sum(axis=-1, keepdims=True)))
 
-    # Lattice (-, l1, -, l2, ..., -) per utterance, padded with blanks.
-    s_lens = 2 * np.array([len(lab) for lab in labels]) + 1
-    s_max = int(s_lens.max())
-    ext = np.full((n_utt, s_max), BLANK)
-    for b, lab in enumerate(labels):
-        ext[b, 1 : s_lens[b] : 2] = lab.tokens
-    # 0 where a path may skip over a blank into a fresh token (not a repeat)
-    # from two columns back, -inf where it may not; padded columns are blanks.
-    skip = np.where((ext[:, 2:] != BLANK) & (ext[:, 2:] != ext[:, :-2]), 0.0, -np.inf)
+    s_max = ext.shape[1]
     # emit[t, b, s]: log probability of lattice symbol s at frame t. Padded
     # columns need no mask: alpha only flows rightward out of the columns
     # that are read, and beta, which flows leftward, starts at -inf there.
@@ -155,8 +192,7 @@ def _batched_ctc(logits: Tensor, lengths: np.ndarray, labels) -> Tensor:
         occupancy = np.exp(alpha + beta - log_p[:, None])  # [T, B, S]
         one_hot = (ext[:, :, None] == np.arange(vocab)).astype(np.float64)  # [B, S, V]
         grad = np.exp(y_log) - np.matmul(occupancy.transpose(1, 0, 2), one_hot)
-        valid = np.arange(t_max) < lengths[:, None]  # [B, T]
-        grad *= valid[:, :, None] * (float(g) / n_utt)
+        grad *= frames.mask[:, :, None] * (float(g) / n_utt)
         return (grad.reshape(logits.shape),)
 
     record_op(out, (logits,), vjp)
@@ -229,12 +265,14 @@ def edit_distance(hyp: Sequence[int], ref: Sequence[int]) -> int:
 def sequence_ctc_loss(logits_batch, labels: Sequence[LabelSequence]) -> Tensor:
     """Mean CTC loss over a batch of padded logit sequences, one taped node.
 
-    Only each utterance's valid frames enter its loss; padded frames get a
-    zero gradient. Any infeasible utterance makes the batch loss infinite
-    and the gradient zero.
+    ``labels`` is a ``CtcTargets``, or any sequence of ``LabelSequence``,
+    which is wrapped in one here. Only each utterance's valid frames enter
+    its loss; padded frames get a zero gradient. Any infeasible utterance
+    makes the batch loss infinite and the gradient zero.
     """
     if logits_batch.batch_size != len(labels):
         raise ShapeError(
             f"{logits_batch.batch_size} utterances but {len(labels)} label sequences"
         )
-    return _batched_ctc(logits_batch.features, logits_batch.lengths, labels)
+    targets = labels if isinstance(labels, CtcTargets) else CtcTargets(labels)
+    return _batched_ctc(logits_batch.features, logits_batch.frames, targets)

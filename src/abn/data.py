@@ -1,4 +1,4 @@
-"""Padded utterance batches and their frame masks."""
+"""Padded utterance batches and their frame layout."""
 
 from __future__ import annotations
 
@@ -8,18 +8,47 @@ from .errors import ShapeError
 from .tensor import Tensor
 
 
+class Frames:
+    """Which frames of a padded ``[batch, max_frames, .]`` batch are real.
+
+    Built once from the lengths and shared, read-only, by every stage that
+    keeps the batch's layout (normalizers, generators, LSTM directions,
+    projection, CTC), so no stage rebuilds a mask:
+
+    * ``lengths`` ``[B]``, each utterance's true length
+    * ``mask`` ``[B, T]``, True on real frames
+    * ``mask_tm`` ``[T, B, 1]``, the same mask time-major
+    * ``full``, the shortest length: frames ``t < full`` are real in every
+      utterance
+    * ``valid``, the number of real frames
+    """
+
+    __slots__ = ("lengths", "mask", "mask_tm", "full", "valid")
+
+    def __init__(self, lengths: np.ndarray, max_frames: int):
+        steps = np.arange(max_frames)
+        self.lengths = lengths
+        self.mask = steps < lengths[:, None]
+        self.mask_tm = (steps[:, None] < lengths)[:, :, None]
+        self.full = int(lengths.min())
+        self.valid = int(lengths.sum())
+        for arr in (lengths, self.mask, self.mask_tm):
+            arr.flags.writeable = False
+
+
 class SequenceBatch:
     """A mini-batch of variable-length feature sequences.
 
     ``features`` is ``[batch, max_frames, dim]`` with zero padding past each
-    utterance's true length; ``lengths`` gives those true lengths. Padding
-    frames carry no information and every consumer must respect the mask.
+    utterance's true length; ``frames`` holds those true lengths and the
+    masks made from them. Padding frames carry no information and every
+    consumer must respect the mask.
     """
 
-    __slots__ = ("features", "lengths")
+    __slots__ = ("features", "frames")
 
     def __init__(self, features: Tensor, lengths):
-        lengths = np.asarray(lengths, dtype=np.int64)
+        lengths = np.array(lengths, dtype=np.int64)
         if features.ndim != 3:
             raise ShapeError(f"features must be [batch, frames, dim], got {features.shape}")
         if lengths.ndim != 1 or lengths.shape[0] != features.shape[0]:
@@ -29,16 +58,20 @@ class SequenceBatch:
         if np.any(lengths < 1) or np.any(lengths > features.shape[1]):
             raise ShapeError("each length must lie in [1, max_frames]")
         self.features = features
-        self.lengths = lengths
+        self.frames = Frames(lengths, features.shape[1])
 
     @classmethod
-    def _wrap(cls, features: Tensor, lengths: np.ndarray) -> "SequenceBatch":
+    def _wrap(cls, features: Tensor, frames: Frames) -> "SequenceBatch":
         # Internal fast path: features computed from a batch already checked
-        # against these lengths.
+        # against this layout.
         batch = cls.__new__(cls)
         batch.features = features
-        batch.lengths = lengths
+        batch.frames = frames
         return batch
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return self.frames.lengths
 
     @property
     def batch_size(self) -> int:
@@ -53,8 +86,8 @@ class SequenceBatch:
         return self.features.shape[2]
 
     def frame_mask(self) -> np.ndarray:
-        """Boolean ``[batch, max_frames]``, True on real frames."""
-        return np.arange(self.max_frames)[None, :] < self.lengths[:, None]
+        """Boolean ``[batch, max_frames]``, True on real frames (read-only)."""
+        return self.frames.mask
 
     def valid_frames(self) -> int:
-        return int(self.lengths.sum())
+        return self.frames.valid

@@ -102,7 +102,7 @@ class FrameAbnGenerator:
         Dropout, when active, hits the frame embeddings."""
         b, t_max, p = batch.features.shape
         x = xhat.data.reshape(b, t_max, p)
-        mask = batch.frame_mask()
+        mask = batch.frames.mask
         embedded = frame_embed(x, self)
         scale = tc.dropout_scale(embedded.shape, dropout_rate, rng, mode)
         e = embedded if scale is None else np.multiply(embedded, scale)
@@ -133,7 +133,7 @@ class FrameAbnGenerator:
         inputs = (xhat, self.w_embed, self.b_embed,
                   self.w_gamma, self.b_gamma, self.w_beta, self.b_beta)
         tc.record_op(out, inputs, vjp)
-        return SequenceBatch._wrap(out, batch.lengths)
+        return SequenceBatch._wrap(out, batch.frames)
 
 
 class UttAbnGenerator:
@@ -175,7 +175,7 @@ class UttAbnGenerator:
         Dropout, when active, hits the context vectors."""
         b, t_max, p = batch.features.shape
         x = xhat.data.reshape(b, t_max, p)
-        mask = batch.frame_mask()
+        mask = batch.frames.mask
         k, q, v = utt_project(x, self)
         alpha = utt_attention(k, q, mask[:, None, :])
         context = utt_context(alpha, v)
@@ -214,7 +214,7 @@ class UttAbnGenerator:
         inputs = (xhat, self.w_key, self.w_query, self.w_value,
                   self.w_gamma, self.b_gamma, self.w_beta, self.b_beta)
         tc.record_op(out, inputs, vjp)
-        return SequenceBatch._wrap(out, batch.lengths)
+        return SequenceBatch._wrap(out, batch.frames)
 
 
 def frame_embed(h_norm: np.ndarray, gen: FrameAbnGenerator) -> np.ndarray:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import recurrent
-from .ctc import LabelSequence, sequence_ctc_loss
+from . import tensor as tc
+from .ctc import CtcTargets, LabelSequence, sequence_ctc_loss
 from .data import SequenceBatch
 from .errors import ContractError
 from .recurrent import (
@@ -56,7 +57,7 @@ class StageCache:
             self.fwd.append(run_direction(normalized, layer.fwd, reverse=False))
             self.bwd.append(run_direction(normalized, layer.bwd, reverse=True))
             current = drop_layer_output(
-                join_directions(self.fwd[-1], self.bwd[-1], normalized.lengths),
+                join_directions(self.fwd[-1], self.bwd[-1], normalized.frames),
                 model.config, "train",
             )
         self.features = current
@@ -76,9 +77,41 @@ class StageCache:
         else:
             fwd, bwd = self.fwd[l], run_direction(normalized, layer.bwd, reverse=True)
         joined = drop_layer_output(
-            join_directions(fwd, bwd, normalized.lengths), model.config, "train"
+            join_directions(fwd, bwd, normalized.frames), model.config, "train"
         )
         return project(run_layers(joined, model, l + 1, "train"), model)
+
+
+def check_problem(
+    variant: str, seed: int, t_max: int, hidden: int = 4, features: int = 6, vocab: int = 3
+) -> tuple[Model, SequenceBatch, CtcTargets]:
+    """The model, batch and targets that the gradient check uses at one length."""
+    if vocab < 3:
+        raise ContractError("vocabulary must fit a blank plus two tokens")
+    rng = np.random.default_rng([seed, t_max])
+    model = Model(
+        ModelConfig(
+            2, hidden, features, vocab, variant,
+            dropout=0.0, embed_dim=2, attn_dim=2,
+        ),
+        rng,
+    )
+    lengths = [t_max, max(1, (t_max + 1) // 2)]
+    batch = SequenceBatch(Tensor(rng.normal(size=(2, t_max, features))), lengths)
+    return model, batch, CtcTargets([_labels_for(l, vocab) for l in lengths])
+
+
+def analytic_gradients(
+    model: Model, batch: SequenceBatch, targets: CtcTargets
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Every parameter's gradient of the train-mode loss, and the logits,
+    from one taped ``stack_forward`` and one ``backward``."""
+    tape = tc.GradTape()
+    with tc.recording(tape):
+        logits = stack_forward(batch, model, "train")
+        loss = sequence_ctc_loss(logits, targets)
+    grads = tc.backward(tape, loss)
+    return {name: grads.wrt(t) for name, t in model.parameters().items()}, logits.features.data
 
 
 def model_gradient_check(
@@ -95,19 +128,20 @@ def model_gradient_check(
     The loss is the full pipeline: normalized BiLSTM layers, logits, CTC.
     Dropout stays off; its resampling would break the central differences.
 
-    Each evaluation starts at the stage its parameter feeds
-    (``Model.parameter_stage``), on a ``StageCache`` built once per length
-    from the unperturbed model: a normalizer or generator parameter of
-    layer l reruns the stack from layer l's input; an LSTM weight reruns
-    only its direction on the cached normalized batch, joins the other
-    direction's cached output and continues at layer l+1; an output
-    parameter only projects the cached features. The taped analytic pass
-    takes the same path. Nothing below a parameter's stage reads it, and
-    train-mode statistics are per batch (the running-statistics update
-    never reaches the loss), so each loss is bitwise the one
-    ``stack_forward`` gives. Once per length, the unperturbed logits of
-    every stage's resume are compared with ``stack_forward``'s, and any
-    difference raises.
+    Per length, one taped ``stack_forward`` and one ``backward`` give every
+    parameter's analytic gradient (``analytic_gradients``). The numeric
+    sweep then runs untaped. Each of its evaluations starts at the stage
+    its parameter feeds (``Model.parameter_stage``), on a ``StageCache``
+    built once per length from the unperturbed model: a normalizer or
+    generator parameter of layer l reruns the stack from layer l's input;
+    an LSTM weight reruns only its direction on the cached normalized
+    batch, joins the other direction's cached output and continues at
+    layer l+1; an output parameter only projects the cached features.
+    Nothing below a parameter's stage reads it, and train-mode statistics
+    are per batch (the running-statistics update never reaches the loss),
+    so each loss is bitwise the one ``stack_forward`` gives. Once per
+    length, the unperturbed logits of every stage's resume are compared
+    with the taped pass's, and any difference raises.
 
     The step is wider than the single-op default because some parameters
     of a deep composite have gradients near the 1e-8 floor of the
@@ -120,44 +154,29 @@ def model_gradient_check(
     helps (9.9e-5 at h=1e-4), and h=1e-3 for the whole sweep raises the
     worst bn error to 3.7e-3 through truncation elsewhere. The defaults
     pass with little margin, at seed 0 only: at seeds 3 and 11 short
-    lengths exceed 1e-4 (ROADMAP open item 3, a gradient oracle that
+    lengths exceed 1e-4 (ROADMAP open item 4, a gradient oracle that
     passes at every seed).
     """
-    if vocab < 3:
-        raise ContractError("vocabulary must fit a blank plus two tokens")
     worst = 0.0
     for t_max in t_values:
-        rng = np.random.default_rng([seed, t_max])
-        model = Model(
-            ModelConfig(
-                2, hidden, features, vocab, variant,
-                dropout=0.0, embed_dim=2, attn_dim=2,
-            ),
-            rng,
-        )
-        lengths = [t_max, max(1, (t_max + 1) // 2)]
-        feats = Tensor(rng.normal(size=(2, t_max, features)))
-        batch = SequenceBatch(feats, lengths)
-        labels = [_labels_for(l, vocab) for l in lengths]
-
+        model, batch, targets = check_problem(variant, seed, t_max, hidden, features, vocab)
         cache = StageCache(model, batch)
-        params = model.parameters()
-        stages = {name: model.parameter_stage(name) for name in params}
-        full = stack_forward(batch, model, "train").features.data
+        analytic, full = analytic_gradients(model, batch, targets)
+        stages = {name: model.parameter_stage(name) for name in analytic}
         for stage in dict.fromkeys(stages.values()):
             if not np.array_equal(cache.resume(model, stage).features.data, full):
                 raise ContractError(f"resuming at {stage} disagrees with stack_forward")
 
-        for name, base in params.items():
+        for name, base in model.parameters().items():
             stage = stages[name]
 
             def f(theta, name=name, base=base, stage=stage):
                 model.set_parameter(name, theta)
                 try:
-                    return sequence_ctc_loss(cache.resume(model, stage), labels)
+                    return sequence_ctc_loss(cache.resume(model, stage), targets)
                 finally:
                     model.set_parameter(name, base)
 
-            err = finite_diff_check(f, base, h=h)
+            err = finite_diff_check(f, base, h=h, analytic=analytic[name])
             worst = max(worst, err)
     return worst

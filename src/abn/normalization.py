@@ -82,12 +82,12 @@ def standardize_batch(batch: SequenceBatch, state: BatchNormState, mode: str) ->
     b, t_max, p = batch.features.shape
     flat = batch.features.data.reshape(b * t_max, p)
     if mode == "train":
-        n = batch.valid_frames()
+        n = batch.frames.valid
         if n < 2:
             raise DegenerateBatchError(
                 f"need at least 2 valid frames for batch statistics, got {n}"
             )
-        maskcol = batch.frame_mask().astype(np.float64).reshape(-1, 1)
+        maskcol = batch.frames.mask.astype(np.float64).reshape(-1, 1)
         mu = np.sum(flat * maskcol, axis=0) / n
         diff = flat - mu
         squares = diff * maskcol
@@ -136,7 +136,7 @@ def masked_affine(
             f"affine shapes disagree: xhat {xhat.shape}, gamma {gamma.shape}, beta {beta.shape}"
         )
     x = xhat.data.reshape(b, t_max, p)
-    mask = batch.frame_mask()[:, :, None]
+    mask = batch.frames.mask[:, :, None]
     out = Tensor._wrap(masked_affine_array(x, gamma.data, beta.data, mask))
 
     def vjp(g):
@@ -144,7 +144,7 @@ def masked_affine(
         return g_x.reshape(xhat.shape), g_gamma, g_beta
 
     tc.record_op(out, (xhat, gamma, beta), vjp)
-    return SequenceBatch._wrap(out, batch.lengths)
+    return SequenceBatch._wrap(out, batch.frames)
 
 
 def masked_affine_array(

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import tensor as tc
-from .data import SequenceBatch
+from .data import Frames, SequenceBatch
 from .errors import ContractError, ShapeError
 from .generators import GENERATORS, VARIANTS, abn_forward
 from .normalization import BatchNormState
@@ -101,9 +101,7 @@ def run_direction(batch: SequenceBatch, params: LstmLayerParams, reverse: bool) 
     n = params.hidden
     w_x, w_co = params.w_x.data, params.w_co.data
     w_h_t = np.ascontiguousarray(params.w_h.data.T)
-    lengths = batch.lengths
-    full = int(lengths.min())  # frames t < full are valid in every utterance
-    mask = (np.arange(t_max)[:, None] < lengths)[:, :, None]  # [T, B, 1]
+    full, mask = batch.frames.full, batch.frames.mask_tm  # mask: [T, B, 1]
 
     # Each step overwrites its slice of the input projection with the gate
     # activations (sigmoid i, f, o; tanh candidate) that the VJP reads.
@@ -190,12 +188,16 @@ def bilstm_layer(
         )
     fwd = run_direction(batch, params_fwd, reverse=False)
     bwd = run_direction(batch, params_bwd, reverse=True)
-    return join_directions(fwd, bwd, batch.lengths)
+    return join_directions(fwd, bwd, batch.frames)
 
 
-def join_directions(fwd: Tensor, bwd: Tensor, lengths) -> SequenceBatch:
-    """Per-frame ``[forward, backward]`` halves of one BiLSTM layer."""
-    return SequenceBatch._wrap(tc.concat([fwd, bwd], axis=2), lengths)
+def join_directions(fwd: Tensor, bwd: Tensor, frames: Frames) -> SequenceBatch:
+    """Per-frame ``[forward, backward]`` halves of one BiLSTM layer, one taped
+    node: ``tc.concat`` on the last axis, whose VJP slices the halves apart."""
+    out = Tensor._wrap(np.concatenate((fwd.data, bwd.data), axis=2))
+    n = fwd.shape[2]
+    tc.record_op(out, (fwd, bwd), lambda g: (g[:, :, :n], g[:, :, n:]))
+    return SequenceBatch._wrap(out, frames)
 
 
 @dataclass(slots=True)
@@ -393,7 +395,7 @@ def drop_layer_output(
     """Dropout on a layer's BiLSTM output in train mode; identity otherwise."""
     if config.dropout > 0.0 and mode == "train":
         return SequenceBatch._wrap(
-            tc.dropout(joined.features, config.dropout, rng, mode), joined.lengths
+            tc.dropout(joined.features, config.dropout, rng, mode), joined.frames
         )
     return joined
 
@@ -417,17 +419,27 @@ def run_layers(
 
 
 def project(features: SequenceBatch, model: Model) -> SequenceBatch:
-    """Per-frame vocabulary logits from the last layer's output.
+    """Per-frame vocabulary logits from the last layer's output, one taped node.
 
-    Logits on padded frames carry only the projection bias and must not be
-    consumed.
+    The node makes the numpy calls of ``tc.affine`` on the frames flattened
+    to ``[B*T, 2n]`` and its VJP repeats the arithmetic of that composition,
+    bit for bit. Logits on padded frames carry only the projection bias and
+    must not be consumed.
     """
-    b, t_max, width = features.features.shape
-    flat = tc.reshape(features.features, (b * t_max, width))
-    logits = tc.affine(flat, model.out.w, model.out.b)
-    return SequenceBatch._wrap(
-        tc.reshape(logits, (b, t_max, model.config.vocab)), features.lengths
-    )
+    x, w, bias = features.features, model.out.w, model.out.b
+    b, t_max, width = x.shape
+    flat = x.data.reshape(b * t_max, width)
+    logits = tc.linear_array(flat, w.data)
+    logits += bias.data
+    out = Tensor._wrap(logits.reshape(b, t_max, w.shape[0]))
+
+    def vjp(g):
+        g = g.reshape(logits.shape)
+        g_x, g_w = tc.linear_vjp(g, flat, w.data)
+        return g_x.reshape(x.shape), g_w, tc._unbroadcast(g, bias.shape)
+
+    tc.record_op(out, (x, w, bias), vjp)
+    return SequenceBatch._wrap(out, features.frames)
 
 
 def stack_forward(

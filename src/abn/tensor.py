@@ -469,19 +469,26 @@ def finite_diff_check(
     f: Callable[[Tensor], Tensor],
     theta: Tensor,
     h: float = 1e-5,
+    analytic: np.ndarray | None = None,
 ) -> float:
     """Max relative error between the taped gradient of ``f`` at ``theta``
     and central finite differences.
 
     Relative error per coordinate is ``|analytic - numeric| / (|analytic| +
-    1e-8)``; the maximum over coordinates is returned.
+    1e-8)``; the maximum over coordinates is returned. A caller that
+    already holds the taped gradient (one backward pass can serve many
+    parameters) passes it as ``analytic``; ``f`` then only runs untaped.
     """
-    tape = GradTape()
-    with recording(tape):
-        out = f(theta)
-    if not isinstance(out, Tensor) or out.size != 1:
-        raise ContractError("finite_diff_check needs f to return a scalar Tensor")
-    analytic = backward(tape, out).wrt(theta).ravel()
+    if analytic is None:
+        tape = GradTape()
+        with recording(tape):
+            out = f(theta)
+        if not isinstance(out, Tensor) or out.size != 1:
+            raise ContractError("finite_diff_check needs f to return a scalar Tensor")
+        analytic = backward(tape, out).wrt(theta)
+    elif analytic.shape != theta.shape:
+        raise ShapeError(f"analytic gradient {analytic.shape} does not match {theta.shape}")
+    analytic = analytic.ravel()
 
     base = theta.data.ravel().copy()
     worst = 0.0

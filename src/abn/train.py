@@ -12,7 +12,7 @@ from .batching import Batch, make_batches
 from .checkpoint import save_checkpoint
 from .config import TrainConfig
 from .ctc import LabelSequence, edit_distance, greedy_decode, sequence_ctc_loss
-from .errors import EmptyEpochError
+from .errors import DegenerateBatchError, EmptyEpochError
 from .optim import AdamState, adam_step, lr_schedule
 from .recurrent import Model, stack_forward
 from .synth import sorted_for_batching, synth_generate
@@ -82,6 +82,15 @@ def run_training(cfg: TrainConfig, variant: str, out_dir: str) -> dict:
     dev_utts = sorted_for_batching(synth_generate(task, cfg.dev_utterances, seed=2))
     train_batches = make_batches(train_utts, cfg.max_frames_per_batch)
     dev_batches = make_batches(dev_utts, cfg.max_frames_per_batch)
+    # Batch statistics need 2 valid frames; refuse such a batch before
+    # epoch 1 rather than abort the run when it comes up.
+    for i, batch in enumerate(train_batches):
+        if batch.features.frames.valid < 2:
+            raise DegenerateBatchError(
+                f"train batch {i} has {batch.features.batch_size} utterance(s) and"
+                f" {batch.features.frames.valid} valid frame(s); batch statistics"
+                " need at least 2"
+            )
 
     model = Model(cfg.model_config(variant), np.random.default_rng([cfg.seed, 1]))
     drop_rng = np.random.default_rng([cfg.seed, 2])
@@ -166,7 +175,7 @@ def run_training(cfg: TrainConfig, variant: str, out_dir: str) -> dict:
                 if action == "halve":
                     lr *= 0.5
 
-    save_checkpoint(model, os.path.join(out_dir, "model.ckpt"))
+    save_checkpoint(model, os.path.join(out_dir, "model.ckpt"), cfg.seed)
     summary["dev_loss_history"] = dev_history
     summary["final_dev_loss"] = dev_history[-1]
     summary["final_dev_ter"] = dev_ter

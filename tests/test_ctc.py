@@ -10,6 +10,7 @@ from abn import errors
 from abn import tensor as tc
 from abn.ctc import (
     BLANK,
+    CtcTargets,
     LabelSequence,
     ctc_brute_force,
     ctc_feasible,
@@ -306,3 +307,61 @@ class TestPaddedBatchOracle:
                 assert math.isinf(got), (lengths, labels)
             else:
                 assert got == pytest.approx(expect, rel=0, abs=1e-9), (lengths, labels)
+
+
+class TestCtcTargets:
+    LABELS = [LabelSequence([1, 1, 2]), LabelSequence([]), LabelSequence([2]),
+              LabelSequence([2, 1, 2])]
+
+    def test_lattice_and_min_frames(self):
+        targets = CtcTargets(self.LABELS)
+        assert len(targets) == 4 and list(targets) == self.LABELS
+        assert targets[2] == LabelSequence([2])
+        np.testing.assert_array_equal(targets.s_lens, [7, 1, 3, 7])
+        np.testing.assert_array_equal(targets.ext, [
+            [0, 1, 0, 1, 0, 2, 0],
+            [0, 0, 0, 0, 0, 0, 0],
+            [0, 2, 0, 0, 0, 0, 0],
+            [0, 2, 0, 1, 0, 2, 0],
+        ])
+        # A skip two columns back needs a fresh token: not a blank, not a repeat.
+        for b, lab in enumerate(self.LABELS):
+            for s in range(5):
+                fresh = targets.ext[b, s + 2] not in (BLANK, targets.ext[b, s])
+                assert targets.skip[b, s] == (0.0 if fresh else -np.inf)
+        np.testing.assert_array_equal(targets.min_frames, [min_frames(l) for l in self.LABELS])
+
+    @pytest.mark.parametrize("with_grad", [False, True])
+    def test_same_bits_as_the_plain_list(self, with_grad):
+        rng = np.random.default_rng(83)
+        feats = Tensor(rng.normal(size=(4, 7, 3)))
+        batch = SequenceBatch(feats, [7, 1, 3, 6])
+        results = []
+        for labels in (self.LABELS, CtcTargets(self.LABELS)):
+            tape = GradTape()
+            with recording(tape):
+                loss = sequence_ctc_loss(batch, labels)
+            grad = backward(tape, loss).wrt(feats) if with_grad else None
+            results.append((loss.item(), grad))
+        assert results[0][0] == results[1][0]
+        if with_grad:
+            assert np.array_equal(results[0][1], results[1][1])
+
+    def test_out_of_vocabulary_raises_alike(self):
+        batch = SequenceBatch(Tensor(np.zeros((2, 4, 3))), [4, 2])
+        labels = [LabelSequence([1, 2]), LabelSequence([5])]
+        messages = []
+        for given in (labels, CtcTargets(labels)):
+            with pytest.raises(errors.ContractError) as exc:
+                sequence_ctc_loss(batch, given)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1] == "label token 5 outside vocabulary of 3"
+
+    def test_infeasible_member_infinite_alike(self):
+        batch = SequenceBatch(Tensor(np.zeros((2, 3, 3))), [3, 2])
+        labels = [LabelSequence([1]), LabelSequence([2, 2])]
+        assert math.isinf(sequence_ctc_loss(batch, labels).item())
+        assert math.isinf(sequence_ctc_loss(batch, CtcTargets(labels)).item())
+        # One frame more for the repeat and both are finite again.
+        batch = SequenceBatch(Tensor(np.zeros((2, 3, 3))), [3, 3])
+        assert math.isfinite(sequence_ctc_loss(batch, CtcTargets(labels)).item())

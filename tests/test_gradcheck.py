@@ -1,4 +1,5 @@
-"""The stage-cached model gradient check: exact resumes and injected faults."""
+"""The stage-cached model gradient check: exact resumes, the one-pass analytic
+gradient and injected faults."""
 
 import numpy as np
 import pytest
@@ -65,6 +66,22 @@ class TestResume:
             model.parameter_stage("layer9.fwd.w_x")
         with pytest.raises(errors.ContractError, match="stage"):
             StageCache(model, batch).resume(model, Stage(0, "gen"))
+
+
+class TestOnePassAnalytic:
+    @pytest.mark.parametrize("t_max", [1, 2, 7])
+    @pytest.mark.parametrize("variant", ["bn", "abn-f", "abn-u"])
+    def test_matches_per_stage_taped_resume(self, variant, t_max):
+        model, batch, targets = gradcheck.check_problem(variant, 0, t_max)
+        cache = StageCache(model, batch)
+        analytic, logits = gradcheck.analytic_gradients(model, batch, targets)
+        np.testing.assert_array_equal(logits, stack_forward(batch, model, "train").features.data)
+        assert analytic.keys() == model.parameters().keys()
+        for name, t in model.parameters().items():
+            tape = tensor.GradTape()
+            with tensor.recording(tape):
+                loss = sequence_ctc_loss(cache.resume(model, model.parameter_stage(name)), targets)
+            assert np.array_equal(analytic[name], tensor.backward(tape, loss).wrt(t)), name
 
 
 def _scaled(record, index):

@@ -376,7 +376,7 @@ class TestCheckpoint:
         batch = SequenceBatch(Tensor(rng.normal(size=(2, 3, 4))), [3, 2])
         stack_forward(batch, model, "train")
         path = str(tmp_path / "m.ckpt")
-        save_checkpoint(model, path)
+        save_checkpoint(model, path, 0)
         loaded = load_checkpoint(path)
         for name, t in model.parameters().items():
             np.testing.assert_array_equal(loaded.parameters()[name].data, t.data,
@@ -397,10 +397,33 @@ class TestCheckpoint:
         path.write_text("abn-checkpoint v1\nend\n")
         with pytest.raises(errors.CheckpointError, match="v1.*no longer read"):
             load_checkpoint(str(path))
+        # So is v2, which does not say which task its model was trained on.
+        path.write_text("abn-checkpoint v2\nend\n")
+        with pytest.raises(errors.CheckpointError, match="v2.*no training seed"):
+            load_checkpoint(str(path))
+
+    def test_training_seed_recorded_and_checked(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(tiny_model(), str(path), 7)
+        assert path.read_text().splitlines()[:3] == [
+            "abn-checkpoint v3", "# blank symbol index: 0", "seed 7"]
+        load_checkpoint(str(path))
+        load_checkpoint(str(path), seed=7)
+        with pytest.raises(errors.CheckpointError, match="seed: .* seed 7, .* seed is 0"):
+            load_checkpoint(str(path), seed=0)
+
+    @pytest.mark.parametrize("edit", ["drop", "twice", "text"])
+    def test_malformed_seed_line_rejected(self, tmp_path, edit):
+        path, lines = self._saved_lines(tmp_path)
+        assert lines[2] == "seed 0"
+        lines[2:3] = {"drop": [], "twice": ["seed 0", "seed 0"], "text": ["seed zero"]}[edit]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(errors.CheckpointError, match="^seed: "):
+            load_checkpoint(str(path))
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(tiny_model(), str(path))
+        save_checkpoint(tiny_model(), str(path), 0)
         before = path.read_bytes()
         original = checkpoint._format_values
         written = []
@@ -413,14 +436,14 @@ class TestCheckpoint:
 
         monkeypatch.setattr(checkpoint, "_format_values", failing_format)
         with pytest.raises(OSError, match="disk full"):
-            save_checkpoint(tiny_model(seed=1), str(path))
+            save_checkpoint(tiny_model(seed=1), str(path), 0)
         assert len(written) == 2  # the failure came partway through the blocks
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
     def test_truncation_detected(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(tiny_model(), str(path))
+        save_checkpoint(tiny_model(), str(path), 0)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[: len(lines) // 2]) + "\n")
         with pytest.raises(errors.CheckpointError):
@@ -428,7 +451,7 @@ class TestCheckpoint:
 
     def test_value_count_mismatch_names_parameter(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(tiny_model(), str(path))
+        save_checkpoint(tiny_model(), str(path), 0)
         lines = path.read_text().splitlines()
         idx = next(i for i, l in enumerate(lines) if l.startswith("tensor "))
         name = lines[idx].split()[1]
@@ -443,14 +466,14 @@ class TestCheckpoint:
         awkward = Tensor(np.array([1.0 / 3.0, np.pi, 2.0 / 7.0, 1e-17, -5.0]))
         model.set_parameter("out.b", awkward)
         path = str(tmp_path / "m.ckpt")
-        save_checkpoint(model, path)
+        save_checkpoint(model, path, 0)
         loaded = load_checkpoint(path)
         np.testing.assert_array_equal(loaded.parameters()["out.b"].data, awkward.data)
 
     @staticmethod
     def _saved_lines(tmp_path):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(tiny_model(), str(path))
+        save_checkpoint(tiny_model(), str(path), 0)
         return path, path.read_text().splitlines()
 
     @pytest.mark.parametrize(
@@ -525,7 +548,7 @@ class TestCheckpoint:
     def test_stat_naming_a_trainable_tensor_rejected(self, tmp_path):
         model = Model(ModelConfig(1, 3, 4, 5, "bn"), np.random.default_rng(0))
         path = tmp_path / "m.ckpt"
-        save_checkpoint(model, str(path))
+        save_checkpoint(model, str(path), 0)
         text = path.read_text().replace("tensor layer0.bn.gamma ", "stat layer0.bn.gamma ")
         path.write_text(text)
         with pytest.raises(errors.CheckpointError, match=r"layer0\.bn\.gamma: stored as stat"):

@@ -5,17 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from abn import errors
+from abn import errors, recurrent
 from abn import tensor as tc
-from abn.data import SequenceBatch
+from abn.data import Frames, SequenceBatch
 from abn.recurrent import (
     LstmLayerParams,
     Model,
     ModelConfig,
     bilstm_layer,
+    join_directions,
+    project,
     stack_forward,
 )
-from abn.tensor import Tensor, finite_diff_check
+from abn.tensor import GradTape, Tensor, backward, finite_diff_check, recording
 
 
 class LstmState:
@@ -440,3 +442,86 @@ class TestStackForward:
             stack_forward(batch, model, "train")
         out = stack_forward(batch, model, "train", rng=np.random.default_rng(51))
         assert out.features.shape == (1, 2, 4)
+
+
+    @pytest.mark.parametrize("variant", ["bn", "abn-f", "abn-u"])
+    def test_every_stage_shares_the_input_frames(self, monkeypatch, variant):
+        model = Model(ModelConfig(2, 3, 4, 5, variant, dropout=0.3, embed_dim=2, attn_dim=2),
+                      np.random.default_rng(52))
+        batch = SequenceBatch(Tensor(np.random.default_rng(53).normal(size=(3, 5, 4))), [5, 1, 3])
+        seen = []
+
+        def spy(stage):
+            def wrapped(*args, **kwargs):
+                out = stage(*args, **kwargs)
+                seen.extend((stage.__name__, getattr(x, "frames", x)) for x in (*args, out)
+                            if isinstance(x, (SequenceBatch, Frames)))
+                return out
+            return wrapped
+
+        for name in ("abn_forward", "bilstm_layer", "run_direction", "join_directions",
+                     "drop_layer_output", "project"):
+            monkeypatch.setattr(recurrent, name, spy(getattr(recurrent, name)))
+        with recording(GradTape()):
+            logits = recurrent.stack_forward(batch, model, "train", np.random.default_rng(54))
+        # Per layer, the input and output of the normalizer, the BiLSTM, the
+        # join and the dropout, and each direction's input; then the
+        # projection's input and output.
+        assert len(seen) == 2 * 10 + 2
+        for stage, frames in seen:
+            assert frames is batch.frames, stage
+        assert logits.frames is batch.frames
+
+
+def taped_project(features, model):
+    """The projection as taped primitives: the composition ``project`` replaces."""
+    b, t_max, width = features.features.shape
+    flat = tc.reshape(features.features, (b * t_max, width))
+    logits = tc.affine(flat, model.out.w, model.out.b)
+    return tc.reshape(logits, (b, t_max, model.config.vocab))
+
+
+def taped_join(fwd, bwd, frames):
+    return tc.concat([fwd, bwd], axis=2)
+
+
+class TestFusedOutputStage:
+    """``project`` and ``join_directions`` against the taped primitives they
+    replace: output and every gradient, bit for bit, in one node each."""
+
+    LENGTHS = (6, 1, 4, 1)
+
+    def _probe(self, node, inputs, wrt):
+        probe = Tensor(np.random.default_rng(60).normal(size=node(*inputs).shape))
+        tape = GradTape()
+        with recording(tape):
+            out = node(*inputs)
+            n_nodes = len(tape)
+            loss = tc.tsum(tc.mul(out, probe))
+        grads = backward(tape, loss)
+        return out.data, [grads.wrt(t) for t in wrt], n_nodes
+
+    def test_project(self):
+        rng = np.random.default_rng(61)
+        model = Model(ModelConfig(1, 3, 4, 5, "bn"), rng)
+        model.set_parameter("out.b", Tensor(rng.normal(size=5)))
+        feats = SequenceBatch(Tensor(rng.normal(size=(4, 6, 6))), self.LENGTHS)
+        wrt = [feats.features, model.out.w, model.out.b]
+        got = self._probe(lambda f, m: project(f, m).features, (feats, model), wrt)
+        ref = self._probe(taped_project, (feats, model), wrt)
+        np.testing.assert_array_equal(got[0], ref[0])
+        for name, g_got, g_ref in zip(("features", "w", "b"), got[1], ref[1]):
+            assert np.array_equal(g_got, g_ref), f"d{name} differs"
+        assert (got[2], ref[2]) == (1, 4)
+
+    def test_join_directions(self):
+        rng = np.random.default_rng(62)
+        frames = SequenceBatch(Tensor(np.zeros((4, 6, 1))), self.LENGTHS).frames
+        fwd, bwd = (Tensor(rng.normal(size=(4, 6, 3))) for _ in range(2))
+        got = self._probe(lambda a, b, f: join_directions(a, b, f).features,
+                          (fwd, bwd, frames), [fwd, bwd])
+        ref = self._probe(taped_join, (fwd, bwd, frames), [fwd, bwd])
+        np.testing.assert_array_equal(got[0], ref[0])
+        for g_got, g_ref in zip(got[1], ref[1]):
+            assert np.array_equal(g_got, g_ref)
+        assert (got[2], ref[2]) == (1, 1)

@@ -255,6 +255,19 @@ class TestFiniteDiffCheck:
         err = finite_diff_check(f, Tensor(rng.normal(size=(2, 3))))
         assert err < 1e-4
 
+    def test_given_analytic_gradient(self):
+        theta = Tensor(np.random.default_rng(22).normal(size=(2, 2)))
+
+        def f(t):
+            return tc.tsum(tc.tanh(t))
+
+        exact = 1.0 - np.tanh(theta.data) ** 2
+        assert finite_diff_check(f, theta, analytic=exact) == finite_diff_check(f, theta)
+        # A wrong gradient is caught, and one of the wrong shape refused.
+        assert finite_diff_check(f, theta, analytic=1.01 * exact) > 1e-3
+        with pytest.raises(errors.ShapeError):
+            finite_diff_check(f, theta, analytic=exact.ravel())
+
 
 def _check(f, shape, seed, tol=1e-4):
     rng = np.random.default_rng(seed)

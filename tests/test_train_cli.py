@@ -5,6 +5,9 @@ import pytest
 
 from abn import cli as cli_mod
 from abn import ctc, errors
+from abn import train as train_mod
+from abn.batching import Utterance
+from abn.ctc import LabelSequence
 from abn.checkpoint import load_checkpoint
 from abn.cli import cli
 from abn.config import parse_config_text
@@ -133,6 +136,21 @@ class TestNonFiniteGradients:
         assert cli(["train", "--config", cfg, "--out-dir", str(tmp_path / "cli")]) == 1
 
 
+class TestDegenerateBatches:
+    def test_refused_before_epoch_one(self, tmp_path, monkeypatch):
+        # The train split sorts into batches of lengths [5, 5] and [1]; the
+        # last holds a single 1-frame utterance.
+        rng = np.random.default_rng(0)
+        corpus = [Utterance(rng.normal(size=(n, 4)), LabelSequence([1])) for n in (5, 5, 1)]
+        generate = train_mod.synth_generate
+        monkeypatch.setattr(train_mod, "synth_generate",
+                            lambda task, n, seed: corpus if seed == 1 else generate(task, n, seed))
+        with pytest.raises(errors.DegenerateBatchError,
+                           match=r"train batch 1 has 1 utterance\(s\) and 1 valid frame"):
+            run_training(tiny_config(max_frames_per_batch=10), "abn-f", str(tmp_path))
+        assert not (tmp_path / "metrics.csv").exists()
+
+
 class TestCli:
     def test_train_then_eval(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
@@ -154,6 +172,21 @@ class TestCli:
         read = lambda d: (tmp_path / d / "metrics.csv").read_text()
         assert read("a") == read("b")
         assert read("a") != read("c")
+
+    def test_eval_and_decode_refuse_another_seeds_task(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)  # seed = 0
+        out = tmp_path / "run"
+        assert cli(["train", "--config", cfg, "--seed", "1", "--out-dir", str(out)]) == 0
+        ckpt = str(out / "model.ckpt")
+        capsys.readouterr()
+        for command in (["eval"], ["decode", "--seed", "1"]):
+            assert cli(command + ["--ckpt", ckpt, "--config", cfg]) == 1
+            assert "seed" in capsys.readouterr().err
+        matching = tmp_path / "seed1.cfg"
+        matching.write_text(TINY_CFG.replace("seed = 0", "seed = 1"))
+        for command in (["eval"], ["decode", "--seed", "5"]):
+            assert cli(command + ["--ckpt", ckpt, "--config", str(matching)]) == 0
+        assert "dev_ter=" in capsys.readouterr().out
 
     def test_decode_prints_pairs(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
