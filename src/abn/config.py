@@ -72,7 +72,7 @@ class TrainConfig:
         for key in ("adam_beta1", "adam_beta2"):
             if not 0.0 <= getattr(self, key) < 1.0:
                 raise ConfigError(f"{key} must lie in [0, 1), got {getattr(self, key)}")
-        for key in ("epochs", "max_frames_per_batch"):
+        for key in ("epochs", "max_frames_per_batch", "train_utterances", "dev_utterances"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
         if self.task_distinct_neighbors not in (0, 1):

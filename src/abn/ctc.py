@@ -53,18 +53,6 @@ class LabelSequence:
         return f"LabelSequence({self.tokens})"
 
 
-def min_frames(labels: LabelSequence) -> int:
-    """Fewest frames that can emit the labels (repeats force a blank between)."""
-    repeats = sum(
-        1 for a, b in zip(labels.tokens, labels.tokens[1:]) if a == b
-    )
-    return len(labels) + repeats
-
-
-def ctc_feasible(t_frames: int, labels: LabelSequence) -> bool:
-    return t_frames >= min_frames(labels)
-
-
 def _check_labels(labels: LabelSequence, vocab: int) -> None:
     for t in labels.tokens:
         if t >= vocab:

@@ -85,9 +85,5 @@ class SequenceBatch:
     def dim(self) -> int:
         return self.features.shape[2]
 
-    def frame_mask(self) -> np.ndarray:
-        """Boolean ``[batch, max_frames]``, True on real frames (read-only)."""
-        return self.frames.mask
-
     def valid_frames(self) -> int:
         return self.frames.valid

@@ -20,9 +20,10 @@ moves the parameters away from that safe point.
 Everything a generator does after standardization (attention, the output
 heads and ``(xhat * gamma + beta) * mask``) is one taped node, its
 ``apply``. The forward runs the plain-numpy stage functions below. The
-hand-written VJP repeats, in reverse, the arithmetic that the tape's
-primitives would do for the same stages, in the order the tape would add
-the gradients, so it matches that taped composition bit for bit.
+hand-written VJP repeats, in reverse, the arithmetic that generic taped
+primitives (the tests' reference library, ``tests/taped.py``) would do for
+the same stages, in the order the tape would add the gradients, so it
+matches that taped composition bit for bit.
 """
 
 from __future__ import annotations

@@ -176,9 +176,15 @@ def run_direction(batch: SequenceBatch, params: LstmLayerParams, reverse: bool) 
 
 
 def bilstm_layer(
-    batch: SequenceBatch, params_fwd: LstmLayerParams, params_bwd: LstmLayerParams
+    batch: SequenceBatch,
+    params_fwd: LstmLayerParams,
+    params_bwd: LstmLayerParams,
+    rate: float = 0.0,
+    mode: str = "infer",
+    rng: np.random.Generator | None = None,
 ) -> SequenceBatch:
-    """Bidirectional pass; per-frame outputs are [forward, backward] halves.
+    """Bidirectional pass; per-frame outputs are [forward, backward] halves,
+    with dropout at ``rate`` on them in train mode (``join_directions``).
 
     Padded frames emit exact zeros in both halves.
     """
@@ -188,16 +194,39 @@ def bilstm_layer(
         )
     fwd = run_direction(batch, params_fwd, reverse=False)
     bwd = run_direction(batch, params_bwd, reverse=True)
-    return join_directions(fwd, bwd, batch.frames)
+    return join_directions(fwd, bwd, batch.frames, rate, mode, rng)
 
 
-def join_directions(fwd: Tensor, bwd: Tensor, frames: Frames) -> SequenceBatch:
-    """Per-frame ``[forward, backward]`` halves of one BiLSTM layer, one taped
-    node: ``tc.concat`` on the last axis, whose VJP slices the halves apart."""
-    out = Tensor._wrap(np.concatenate((fwd.data, bwd.data), axis=2))
+def join_directions(
+    fwd: Tensor,
+    bwd: Tensor,
+    frames: Frames,
+    rate: float = 0.0,
+    mode: str = "infer",
+    rng: np.random.Generator | None = None,
+) -> SequenceBatch:
+    """Per-frame ``[forward, backward]`` halves of one BiLSTM layer, with
+    inverted dropout in train mode, as one taped node.
+
+    The halves are concatenated on the last axis and multiplied by
+    ``tc.dropout_scale`` of the joined shape, drawn from ``rng`` here, once
+    both directions have run. At inference or rate 0 nothing is drawn. The
+    VJP scales the output gradient, then slices the halves apart.
+    """
+    out = np.concatenate((fwd.data, bwd.data), axis=2)
+    scale = tc.dropout_scale(out.shape, rate, rng, mode)
+    if scale is not None:
+        out *= scale
     n = fwd.shape[2]
-    tc.record_op(out, (fwd, bwd), lambda g: (g[:, :, :n], g[:, :, n:]))
-    return SequenceBatch._wrap(out, frames)
+
+    def vjp(g):
+        if scale is not None:
+            g = g * scale
+        return g[:, :, :n], g[:, :, n:]
+
+    result = Tensor._wrap(out)
+    tc.record_op(result, (fwd, bwd), vjp)
+    return SequenceBatch._wrap(result, frames)
 
 
 @dataclass(slots=True)
@@ -386,20 +415,6 @@ class Model:
         return counts
 
 
-def drop_layer_output(
-    joined: SequenceBatch,
-    config: ModelConfig,
-    mode: str,
-    rng: np.random.Generator | None = None,
-) -> SequenceBatch:
-    """Dropout on a layer's BiLSTM output in train mode; identity otherwise."""
-    if config.dropout > 0.0 and mode == "train":
-        return SequenceBatch._wrap(
-            tc.dropout(joined.features, config.dropout, rng, mode), joined.frames
-        )
-    return joined
-
-
 def run_layers(
     current: SequenceBatch,
     model: Model,
@@ -412,18 +427,16 @@ def run_layers(
         # Rebinding ``current`` at once lets an untaped pass free each
         # layer's input as soon as its normalized copy exists.
         current = abn_forward(current, layer.norm, layer.gen, mode, model.config.dropout, rng)
-        current = drop_layer_output(
-            bilstm_layer(current, layer.fwd, layer.bwd), model.config, mode, rng
-        )
+        current = bilstm_layer(current, layer.fwd, layer.bwd, model.config.dropout, mode, rng)
     return current
 
 
 def project(features: SequenceBatch, model: Model) -> SequenceBatch:
     """Per-frame vocabulary logits from the last layer's output, one taped node.
 
-    The node makes the numpy calls of ``tc.affine`` on the frames flattened
-    to ``[B*T, 2n]`` and its VJP repeats the arithmetic of that composition,
-    bit for bit. Logits on padded frames carry only the projection bias and
+    The node applies the weight and then adds the bias to the frames
+    flattened to ``[B*T, 2n]``; its VJP gives the gradients of that affine
+    map. Logits on padded frames carry only the projection bias and
     must not be consumed.
     """
     x, w, bias = features.features, model.out.w, model.out.b

@@ -1,8 +1,12 @@
-"""Dense float64 tensors with taped reverse-mode gradients.
+"""Dense float64 tensors, the gradient tape, and the numpy cores that the
+fused nodes share.
 
-Every forward operation runs eagerly on numpy arrays. While a ``GradTape``
-is active (see ``recording``), each operation appends one node holding a
-closure that maps the output gradient back to input gradients; replaying
+Every forward operation runs eagerly on numpy arrays. The program's
+differentiable operations are fused nodes, each written by hand in the
+module whose stage it computes (an LSTM direction, a normalizer, a
+generator, the join, the projection, CTC). While a ``GradTape`` is active
+(see ``recording``), each of them appends one node (``record_op``) holding
+a closure that maps the output gradient back to input gradients; replaying
 the tape in reverse visits every node exactly once in reverse topological
 order, because nodes are appended in execution order. Inference paths
 simply run with no active tape and allocate nothing.
@@ -13,12 +17,10 @@ tolerances and speed is secondary.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ContractError, DomainError, ShapeError
 
@@ -91,7 +93,7 @@ class _Node:
 
 
 class GradTape:
-    """Ordered record of executed primitive operations."""
+    """Ordered record of executed operations, one node each."""
 
     __slots__ = ("nodes",)
 
@@ -133,10 +135,6 @@ def record_op(output: Tensor, inputs: tuple[Tensor, ...], vjp) -> None:
         _ACTIVE_TAPE.nodes.append(_Node(output, inputs, vjp))
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcasted gradient back down to ``shape``."""
     if grad.shape == shape:
@@ -150,108 +148,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _broadcast_op(a, b, forward, name: str):
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        out_data = forward(a.data, b.data)
-    except ValueError:
-        raise ShapeError(f"{name}: cannot combine shapes {a.shape} and {b.shape}") from None
-    return a, b, Tensor._wrap(out_data)
-
-
-def add(a, b) -> Tensor:
-    a, b, out = _broadcast_op(a, b, np.add, "add")
-
-    def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
-
-    record_op(out, (a, b), vjp)
-    return out
-
-
-def sub(a, b) -> Tensor:
-    a, b, out = _broadcast_op(a, b, np.subtract, "sub")
-
-    def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
-
-    record_op(out, (a, b), vjp)
-    return out
-
-
-def mul(a, b) -> Tensor:
-    a, b, out = _broadcast_op(a, b, np.multiply, "mul")
-
-    def vjp(g):
-        return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
-        )
-
-    record_op(out, (a, b), vjp)
-    return out
-
-
-def div(a, b) -> Tensor:
-    a, b, out = _broadcast_op(a, b, np.divide, "div")
-
-    def vjp(g):
-        return (
-            _unbroadcast(g / b.data, a.data.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
-        )
-
-    record_op(out, (a, b), vjp)
-    return out
-
-
-def matmul(a, b) -> Tensor:
-    """Matrix product over the last two axes; leading (batch) axes must be equal."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim != a.ndim or a.shape[:-2] != b.shape[:-2]:
-        raise ShapeError(
-            f"matmul needs operands of 2+ axes with equal batch axes, got {a.shape} and {b.shape}"
-        )
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner dimensions disagree for {a.shape} @ {b.shape}")
-    out = Tensor._wrap(a.data @ b.data)
-
-    def vjp(g):
-        return g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g
-
-    record_op(out, (a, b), vjp)
-    return out
-
-
-def transpose(a) -> Tensor:
-    """Swap the last two axes."""
-    a = _as_tensor(a)
-    if a.ndim < 2:
-        raise ShapeError(f"transpose needs at least 2 axes, got {a.shape}")
-    out = Tensor._wrap(np.swapaxes(a.data, -1, -2).copy())
-    record_op(out, (a,), lambda g: (np.swapaxes(g, -1, -2),))
-    return out
-
-
-def linear(x, w) -> Tensor:
-    """``x @ w.T`` over the last axis of ``x``, which holds one sample
-    (a vector) or a batch of them (rows, or ``[B, T, in]`` frames).
-
-    ``w`` is stored ``[out_features, in_features]``. All samples go
-    through one 2-d product.
-    """
-    x, w = _as_tensor(x), _as_tensor(w)
-    if w.ndim != 2:
-        raise ShapeError(f"linear: weight must be 2-d, got {w.shape}")
-    if x.shape[-1:] != (w.shape[1],):
-        raise ShapeError(f"linear: cannot apply weight {w.shape} to input {x.shape}")
-    out = Tensor._wrap(linear_array(x.data, w.data))
-    record_op(out, (x, w), lambda g: linear_vjp(g, x.data, w.data))
-    return out
-
-
 def linear_array(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``linear`` on arrays: ``x @ w.T`` over the last axis, in one 2-d product."""
+    """``x @ w.T`` over the last axis of ``x``, which holds one sample (a
+    vector) or a batch of them, in one 2-d product; ``w`` is stored
+    ``[out_features, in_features]``."""
     return (x.reshape(-1, x.shape[-1]) @ w.T).reshape(x.shape[:-1] + (w.shape[0],))
 
 
@@ -259,77 +159,6 @@ def linear_vjp(g: np.ndarray, x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray,
     """Gradients of ``linear_array`` for ``x`` and ``w``."""
     g_rows = g.reshape(-1, g.shape[-1])
     return (g_rows @ w).reshape(x.shape), g_rows.T @ x.reshape(-1, x.shape[-1])
-
-
-def affine(x, w, b) -> Tensor:
-    """Weight application plus bias, ``linear(x, w) + b``, sample by sample."""
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    if b.ndim != 1 or b.shape[0] != w.shape[0]:
-        raise ShapeError(f"affine: bias {b.shape} does not match weight {w.shape}")
-    y = linear(x, w)
-    return add(y, b)
-
-
-def sigmoid(x) -> Tensor:
-    x = _as_tensor(x)
-    out = Tensor._wrap(expit(x.data))
-
-    def vjp(g):
-        y = out.data
-        return (g * y * (1.0 - y),)
-
-    record_op(out, (x,), vjp)
-    return out
-
-
-def tanh(x) -> Tensor:
-    x = _as_tensor(x)
-    out = Tensor._wrap(np.tanh(x.data))
-
-    def vjp(g):
-        y = out.data
-        return (g * (1.0 - y * y),)
-
-    record_op(out, (x,), vjp)
-    return out
-
-
-def sqrt(x) -> Tensor:
-    x = _as_tensor(x)
-    if np.any(x.data < 0):
-        raise DomainError("sqrt requires non-negative inputs")
-    out = Tensor._wrap(np.sqrt(x.data))
-    record_op(out, (x,), lambda g: (g * 0.5 / out.data,))
-    return out
-
-
-def tsum(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    x = _as_tensor(x)
-    out = Tensor._wrap(np.sum(x.data, axis=axis, keepdims=keepdims, dtype=np.float64))
-
-    def vjp(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, x.data.shape).copy(),)
-
-    record_op(out, (x,), vjp)
-    return out
-
-
-def tmean(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    x = _as_tensor(x)
-    count = x.size if axis is None else x.shape[axis]
-    return div(tsum(x, axis=axis, keepdims=keepdims), float(count))
-
-
-def masked_softmax(scores, valid=None) -> Tensor:
-    """Softmax over the last axis restricted to valid positions; taped
-    ``masked_softmax_array``."""
-    scores = _as_tensor(scores)
-    p = masked_softmax_array(scores.data, valid)
-    out = Tensor._wrap(p)
-    record_op(out, (scores,), lambda g: (masked_softmax_vjp(g, p),))
-    return out
 
 
 def masked_softmax_array(scores: np.ndarray, valid=None) -> np.ndarray:
@@ -373,42 +202,6 @@ def masked_softmax_array(scores: np.ndarray, valid=None) -> np.ndarray:
 def masked_softmax_vjp(g: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Gradient of ``masked_softmax_array``'s scores, from its output ``p``."""
     return p * (g - (g * p).sum(axis=-1, keepdims=True))
-
-
-def reshape(x, shape: tuple[int, ...]) -> Tensor:
-    x = _as_tensor(x)
-    if math.prod(shape) != x.size:
-        raise ShapeError(f"cannot reshape {x.shape} into {shape}")
-    out = Tensor._wrap(np.reshape(x.data, shape))
-    record_op(out, (x,), lambda g: (np.reshape(g, x.data.shape),))
-    return out
-
-
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
-    if not parts:
-        raise ShapeError("concat needs at least one tensor")
-    try:
-        out = Tensor._wrap(np.concatenate([p.data for p in parts], axis=axis))
-    except ValueError:
-        raise ShapeError(
-            f"concat: incompatible shapes {[p.shape for p in parts]} on axis {axis}"
-        ) from None
-    offsets = np.cumsum([p.shape[axis] for p in parts])[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, offsets, axis=axis))
-
-    record_op(out, tuple(parts), vjp)
-    return out
-
-
-def dropout(x, rate: float, rng: np.random.Generator | None, mode: str) -> Tensor:
-    """Inverted dropout: scales kept entries by ``1/(1-rate)`` during
-    training; identity at inference or rate 0."""
-    x = _as_tensor(x)
-    scale = dropout_scale(x.shape, rate, rng, mode)
-    return x if scale is None else mul(x, Tensor._wrap(scale))
 
 
 def dropout_scale(

@@ -33,6 +33,8 @@ from abn.optim import lr_schedule
 from abn.tensor import Tensor, finite_diff_check
 from abn.train import run_training
 
+import taped
+
 DESK_CONFIG = "configs/desk.cfg"
 
 
@@ -96,7 +98,7 @@ def _op_gradient_cases():
     }
 
     def dot(a, probe):
-        return tc.tsum(tc.mul(a, probe))
+        return taped.tsum(taped.mul(a, probe))
 
     def standardize(theta, lens, mode):
         state = BatchNormState(tc.ones(2), tc.zeros(2), *running, 1e-5, 0.1)
@@ -114,27 +116,27 @@ def _op_gradient_cases():
                    lambda th, gamma=gamma: dot(affine(xhat342, gamma, th), probe342), beta)
 
     return [
-        ("add", lambda th: dot(tc.add(th, c23), p23), m),
-        ("sub", lambda th: dot(tc.sub(c23, th), p23), m),
-        ("mul", lambda th: dot(tc.mul(th, c23), p23), m),
-        ("div", lambda th: dot(tc.div(c23, th), p23), pos),
-        ("matmul", lambda th: dot(tc.matmul(th, c32), p22), m),
-        ("transpose", lambda th: dot(tc.transpose(th), p23), Tensor(c32.data)),
-        ("matmul_3d", lambda th: dot(tc.matmul(th, c242), p232), m234),
-        ("transpose_3d", lambda th: dot(tc.transpose(th), p243), m234),
-        ("linear_x", lambda th: dot(tc.linear(th, w23), p42), x43),
-        ("linear_w", lambda th: dot(tc.linear(x43, th), p42), w23),
-        ("affine_b", lambda th: dot(tc.affine(x43, w23, th), p42), Tensor(rng.normal(size=2))),
-        ("sigmoid", lambda th: dot(tc.sigmoid(th), p23), m),
-        ("tanh", lambda th: dot(tc.tanh(th), p23), m),
-        ("sqrt", lambda th: dot(tc.sqrt(th), p23), pos),
-        ("tsum_axis", lambda th: dot(tc.tsum(th, axis=1), p2), m),
-        ("tmean", lambda th: dot(tc.tmean(th, axis=0), c3), m),
-        ("softmax_1d", lambda th: dot(tc.masked_softmax(th, 3), p4), vec),
-        ("softmax_2d", lambda th: dot(tc.masked_softmax(th, mask2), p23), m),
-        ("softmax_3d", lambda th: dot(tc.masked_softmax(th, key_mask), p233), s233),
-        ("reshape", lambda th: dot(tc.reshape(th, (3, 2)), p32), m),
-        ("concat", lambda th: dot(tc.concat((th, c23), axis=0), p43), m),
+        ("add", lambda th: dot(taped.add(th, c23), p23), m),
+        ("sub", lambda th: dot(taped.sub(c23, th), p23), m),
+        ("mul", lambda th: dot(taped.mul(th, c23), p23), m),
+        ("div", lambda th: dot(taped.div(c23, th), p23), pos),
+        ("matmul", lambda th: dot(taped.matmul(th, c32), p22), m),
+        ("transpose", lambda th: dot(taped.transpose(th), p23), Tensor(c32.data)),
+        ("matmul_3d", lambda th: dot(taped.matmul(th, c242), p232), m234),
+        ("transpose_3d", lambda th: dot(taped.transpose(th), p243), m234),
+        ("linear_x", lambda th: dot(taped.linear(th, w23), p42), x43),
+        ("linear_w", lambda th: dot(taped.linear(x43, th), p42), w23),
+        ("affine_b", lambda th: dot(taped.affine(x43, w23, th), p42), Tensor(rng.normal(size=2))),
+        ("sigmoid", lambda th: dot(taped.sigmoid(th), p23), m),
+        ("tanh", lambda th: dot(taped.tanh(th), p23), m),
+        ("sqrt", lambda th: dot(taped.sqrt(th), p23), pos),
+        ("tsum_axis", lambda th: dot(taped.tsum(th, axis=1), p2), m),
+        ("tmean", lambda th: dot(taped.tmean(th, axis=0), c3), m),
+        ("softmax_1d", lambda th: dot(taped.masked_softmax(th, 3), p4), vec),
+        ("softmax_2d", lambda th: dot(taped.masked_softmax(th, mask2), p23), m),
+        ("softmax_3d", lambda th: dot(taped.masked_softmax(th, key_mask), p233), s233),
+        ("reshape", lambda th: dot(taped.reshape(th, (3, 2)), p32), m),
+        ("concat", lambda th: dot(taped.concat((th, c23), axis=0), p43), m),
         ("standardize_train",
          lambda th: dot(standardize(th, lengths, "train"), probe_rows), x342),
         ("standardize_t1", lambda th: dot(standardize(th, [1, 1], "train"), probe_t1), x212),
@@ -202,7 +204,7 @@ class TestBnStatistics:
             batch = _random_batch(rng, batch=4, t_max=7, dim=6)
             state = BatchNormState.fresh(6, epsilon=eps)
             xhat = standardize_batch(batch, state, "train").data
-            mask = batch.frame_mask().reshape(-1)
+            mask = batch.frames.mask.reshape(-1)
             valid = xhat[mask]
             raw = batch.features.data.reshape(-1, 6)[mask]
             sigma2 = raw.var(axis=0)
@@ -239,7 +241,7 @@ class TestAttentionProperties:
         for _ in range(30):
             scores = Tensor(rng.normal(scale=3.0, size=(5, 5)))
             valid = int(rng.integers(1, 6))
-            alpha = tc.masked_softmax(scores, valid).data
+            alpha = taped.masked_softmax(scores, valid).data
             row_dev = max(row_dev, float(np.max(np.abs(alpha.sum(axis=1) - 1.0))))
             pad_mass = max(pad_mass, float(np.abs(alpha[:, valid:]).max(initial=0.0)))
 

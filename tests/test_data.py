@@ -38,7 +38,6 @@ class TestFrames:
     def test_batch_readers_see_the_layout(self):
         batch = batch_of((5, 1, 3), 5)
         assert batch.lengths is batch.frames.lengths
-        assert batch.frame_mask() is batch.frames.mask
         assert batch.valid_frames() == 9
 
     def test_shared_arrays_are_read_only(self):

@@ -1,5 +1,6 @@
 """Attention-generated scale/shift: both variants, reduction, gradients."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,6 +29,8 @@ from abn.normalization import BatchNormState, bn_forward, masked_affine, standar
 from abn.recurrent import Model, stack_forward
 from abn.synth import sorted_for_batching, synth_generate
 from abn.tensor import GradTape, Tensor, backward, finite_diff_check, recording
+
+import taped
 
 
 def zero_frame_gen(p=4, d_e=2):
@@ -410,7 +413,7 @@ class TestGradientChecks:
                     **{k: (theta if k == field else getattr(base, k)) for k in fields}
                 )
                 out = abn_forward(batch, BatchNormState.fresh(p), gen, "train")
-                return tc.tsum(tc.mul(out.features, probe))
+                return taped.tsum(taped.mul(out.features, probe))
 
             err = finite_diff_check(f, getattr(base, field))
             assert err < 1e-4, f"{field} grad err {err} at t_max={t_max}"
@@ -429,7 +432,7 @@ class TestGradientChecks:
                     **{k: (theta if k == field else getattr(base, k)) for k in fields}
                 )
                 out = abn_forward(batch, BatchNormState.fresh(p), gen, "train")
-                return tc.tsum(tc.mul(out.features, probe))
+                return taped.tsum(taped.mul(out.features, probe))
 
             err = finite_diff_check(f, getattr(base, field))
             assert err < 1e-4, f"{field} grad err {err} at t_max={t_max}"
@@ -444,7 +447,7 @@ class TestGradientChecks:
             out = abn_forward(
                 SequenceBatch(theta, [3, 2]), BatchNormState.fresh(p), gen, "train"
             )
-            return tc.tsum(tc.mul(out.features, probe))
+            return taped.tsum(taped.mul(out.features, probe))
 
         assert finite_diff_check(f, Tensor(batch_feats)) < 1e-4
 
@@ -454,22 +457,22 @@ def taped_generator(xhat, batch, gen, mode, dropout_rate=0.0, rng=None):
     ``gen.apply`` replaces, kept as the bit-for-bit reference for its
     forward, its VJP and its random draws."""
     b, t_max, p = batch.features.shape
-    xhat = tc.reshape(xhat, (b, t_max, p))
-    mask = batch.frame_mask()
+    xhat = taped.reshape(xhat, (b, t_max, p))
+    mask = batch.frames.mask
     if isinstance(gen, FrameAbnGenerator):
-        e = tc.dropout(tc.tanh(tc.affine(xhat, gen.w_embed, gen.b_embed)), dropout_rate, rng, mode)
-        alpha = tc.masked_softmax(tc.tmean(e, axis=-1), mask)
-        u = tc.tsum(tc.mul(e, tc.reshape(alpha, alpha.shape + (1,))), axis=-2)
-        z = tc.reshape(u, (b, 1, u.shape[1]))
+        e = taped.dropout(taped.tanh(taped.affine(xhat, gen.w_embed, gen.b_embed)), dropout_rate, rng, mode)
+        alpha = taped.masked_softmax(taped.tmean(e, axis=-1), mask)
+        u = taped.tsum(taped.mul(e, taped.reshape(alpha, alpha.shape + (1,))), axis=-2)
+        z = taped.reshape(u, (b, 1, u.shape[1]))
     else:
-        k = tc.linear(xhat, gen.w_key)
-        q = tc.linear(xhat, gen.w_query)
-        v = tc.linear(xhat, gen.w_value)
-        scaled = tc.div(q, math.sqrt(float(k.shape[-1])))
-        alpha = tc.masked_softmax(tc.matmul(scaled, tc.transpose(k)), mask[:, None, :])
-        z = tc.dropout(tc.matmul(alpha, v), dropout_rate, rng, mode)
-    gamma = tc.affine(z, gen.w_gamma, gen.b_gamma)
-    beta = tc.affine(z, gen.w_beta, gen.b_beta)
+        k = taped.linear(xhat, gen.w_key)
+        q = taped.linear(xhat, gen.w_query)
+        v = taped.linear(xhat, gen.w_value)
+        scaled = taped.div(q, math.sqrt(float(k.shape[-1])))
+        alpha = taped.masked_softmax(taped.matmul(scaled, taped.transpose(k)), mask[:, None, :])
+        z = taped.dropout(taped.matmul(alpha, v), dropout_rate, rng, mode)
+    gamma = taped.affine(z, gen.w_gamma, gen.b_gamma)
+    beta = taped.affine(z, gen.w_beta, gen.b_beta)
     return masked_affine(xhat, gamma, beta, batch)
 
 
@@ -481,7 +484,7 @@ def run_generator(node, xhat, batch, gen, mode, rate, seed):
     tape = GradTape()
     with recording(tape):
         out = node(xhat, batch, gen, mode, rate, rng)
-        loss = tc.tsum(tc.mul(out.features, probe))
+        loss = taped.tsum(taped.mul(out.features, probe))
     grads = backward(tape, loss)
     wrt = [xhat] + [getattr(gen, f) for f in type(gen).__slots__]
     return out.features.data, [grads.wrt(t) for t in wrt], rng.bit_generator.state
@@ -532,18 +535,36 @@ class TestFusedNodeMatchesTapedComposition:
         assert len(tape) == 1
 
 
-def test_every_variant_records_the_same_nodes_per_desk_batch():
-    cfg = load_config("configs/desk.cfg")
+def _desk_train_tape(variant, dropout):
+    """The tape of one desk train batch's forward and loss."""
+    cfg = dataclasses.replace(load_config("configs/desk.cfg"), dropout=dropout)
     utts = sorted_for_batching(synth_generate(cfg.task(), 40, seed=1))
     batch = make_batches(utts, cfg.max_frames_per_batch)[0]
-    counts = {}
-    for variant in VARIANTS:
-        model = Model(cfg.model_config(variant), np.random.default_rng([cfg.seed, 1]))
-        tape = GradTape()
-        with recording(tape):
-            logits = stack_forward(batch.features, model, "train", np.random.default_rng(0))
-            sequence_ctc_loss(logits, batch.labels)
-        counts[variant] = len(tape)
+    model = Model(cfg.model_config(variant), np.random.default_rng([cfg.seed, 1]))
+    tape = GradTape()
+    with recording(tape):
+        logits = stack_forward(batch.features, model, "train", np.random.default_rng(0))
+        sequence_ctc_loss(logits, batch.labels)
+    return tape
+
+
+def test_every_variant_records_the_same_nodes_per_desk_batch():
+    counts = {variant: len(_desk_train_tape(variant, 0.0)) for variant in VARIANTS}
     # Per layer: standardize, the normalizer's affine or generator node, two
     # directions and the join; then the projection and the CTC loss.
     assert counts == dict.fromkeys(VARIANTS, 12), counts
+
+
+# The fused nodes of the program, by the function or method that records them.
+FUSED_NODES = {"run_direction", "join_directions", "project", "standardize_batch",
+               "masked_affine", "FrameAbnGenerator.apply", "UttAbnGenerator.apply",
+               "_batched_ctc"}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_desk_train_step_with_dropout_records_only_fused_nodes(variant):
+    tape = _desk_train_tape(variant, 0.3)
+    # Dropout adds no node: the generators and the joins apply it inside theirs.
+    assert len(tape) == 12
+    owners = {node.vjp.__qualname__.split(".<locals>")[0] for node in tape.nodes}
+    assert owners <= FUSED_NODES, owners - FUSED_NODES

@@ -67,15 +67,24 @@ class TestResume:
         with pytest.raises(errors.ContractError, match="stage"):
             StageCache(model, batch).resume(model, Stage(0, "gen"))
 
+    def test_disagreeing_resume_raises(self, monkeypatch):
+        # A cached walk that joins the halves the other way round differs
+        # from the stack's own walk, which the resume at layer 0 runs.
+        original = gradcheck.join_directions
+        monkeypatch.setattr(gradcheck, "join_directions",
+                            lambda fwd, bwd, *rest: original(bwd, fwd, *rest))
+        with pytest.raises(errors.ContractError, match="disagrees"):
+            model_gradient_check("bn", t_values=(2,))
+
 
 class TestOnePassAnalytic:
     @pytest.mark.parametrize("t_max", [1, 2, 7])
     @pytest.mark.parametrize("variant", ["bn", "abn-f", "abn-u"])
     def test_matches_per_stage_taped_resume(self, variant, t_max):
         model, batch, targets = gradcheck.check_problem(variant, 0, t_max)
-        cache = StageCache(model, batch)
-        analytic, logits = gradcheck.analytic_gradients(model, batch, targets)
-        np.testing.assert_array_equal(logits, stack_forward(batch, model, "train").features.data)
+        analytic, cache = gradcheck.analytic_gradients(model, batch, targets)
+        np.testing.assert_array_equal(cache.logits.features.data,
+                                      stack_forward(batch, model, "train").features.data)
         assert analytic.keys() == model.parameters().keys()
         for name, t in model.parameters().items():
             tape = tensor.GradTape()

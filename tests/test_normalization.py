@@ -14,6 +14,8 @@ from abn.normalization import (
 )
 from abn.tensor import GradTape, Tensor, backward, finite_diff_check, recording
 
+import taped
+
 
 def batch_of(features, lengths):
     return SequenceBatch(Tensor(features), lengths)
@@ -117,11 +119,11 @@ class TestAffine:
         gamma = np.array([[[2.0, -1.0]], [[0.5, 3.0]]])  # [B, 1, p]
         beta = np.full((2, 1, 2), 0.25)
         out = masked_affine(Tensor(xhat), Tensor(gamma), Tensor(beta), batch).features.data
-        expect = (xhat * gamma + beta) * batch.frame_mask()[:, :, None]
+        expect = (xhat * gamma + beta) * batch.frames.mask[:, :, None]
         np.testing.assert_array_equal(out, expect)
         gamma_t = np.random.default_rng(5).normal(size=(2, 3, 2))  # [B, T, p]
         out = masked_affine(Tensor(xhat), Tensor(gamma_t), Tensor(gamma_t), batch)
-        expect = (xhat * gamma_t + gamma_t) * batch.frame_mask()[:, :, None]
+        expect = (xhat * gamma_t + gamma_t) * batch.frames.mask[:, :, None]
         np.testing.assert_array_equal(out.features.data, expect)
 
     def test_mismatched_shapes_rejected(self):
@@ -136,16 +138,16 @@ def taped_standardize(batch, state, mode):
     """The standardization rebuilt from taped primitives: the reference for
     the fused node's forward and its closed-form VJP."""
     b, t_max, p = batch.features.shape
-    flat = tc.reshape(batch.features, (b * t_max, p))
+    flat = taped.reshape(batch.features, (b * t_max, p))
     if mode == "train":
         n = float(batch.valid_frames())
-        maskcol = Tensor(batch.frame_mask().astype(float).reshape(-1, 1))
-        mu = tc.div(tc.tsum(tc.mul(flat, maskcol), axis=0), n)
-        centered = tc.mul(tc.sub(flat, mu), maskcol)
-        var = tc.div(tc.tsum(tc.mul(centered, centered), axis=0), n)
+        maskcol = Tensor(batch.frames.mask.astype(float).reshape(-1, 1))
+        mu = taped.div(taped.tsum(taped.mul(flat, maskcol), axis=0), n)
+        centered = taped.mul(taped.sub(flat, mu), maskcol)
+        var = taped.div(taped.tsum(taped.mul(centered, centered), axis=0), n)
     else:
         mu, var = state.running_mean, state.running_var
-    return tc.div(tc.sub(flat, mu), tc.sqrt(tc.add(var, state.epsilon)))
+    return taped.div(taped.sub(flat, mu), taped.sqrt(taped.add(var, state.epsilon)))
 
 
 class TestStandardizeNode:
@@ -171,7 +173,7 @@ class TestStandardizeNode:
             tape = GradTape()
             with recording(tape):
                 out = fn(SequenceBatch(feats, lengths), state(), mode)
-                loss = tc.tsum(tc.mul(out, probe))
+                loss = taped.tsum(taped.mul(out, probe))
             outs.append(out.data)
             grads.append(backward(tape, loss).wrt(feats))
             if fn is standardize_batch:
@@ -180,7 +182,7 @@ class TestStandardizeNode:
         # Both cancel terms of size |g| / std, which set the roundoff; at
         # T=1 the gradient itself is far smaller (two frames standardize to
         # nearly +-1 whatever their values).
-        valid = feats.data[SequenceBatch(feats, lengths).frame_mask()]
+        valid = feats.data[SequenceBatch(feats, lengths).frames.mask]
         used_var = valid.var(axis=0) if mode == "train" else var.data
         scale = np.max(np.abs(probe.data)) / np.sqrt(used_var.min() + 1e-5)
         np.testing.assert_allclose(grads[0], grads[1], rtol=0.0, atol=1e-12 * scale)
@@ -190,7 +192,7 @@ class TestStandardizeNode:
         batch = batch_of(rng.normal(size=(3, 4, 2)), [4, 1, 3])
         state = BatchNormState.fresh(2, momentum=0.25)
         standardize_batch(batch, state, "train")
-        valid = batch.features.data[batch.frame_mask()]
+        valid = batch.features.data[batch.frames.mask]
         np.testing.assert_allclose(state.running_mean.data, 0.25 * valid.mean(axis=0),
                                    rtol=1e-14)
         np.testing.assert_allclose(state.running_var.data, 0.75 + 0.25 * valid.var(axis=0),
@@ -205,7 +207,7 @@ class TestForward:
         b = batch_of(feats, lengths)
         state = BatchNormState.fresh(4)
         out = bn_forward(b, state, "train")
-        mask = b.frame_mask()
+        mask = b.frames.mask
         vals = out.features.data[mask]  # [n_valid, 4]
         n = vals.shape[0]
         mean = vals.mean(axis=0)
@@ -276,7 +278,7 @@ class TestGradients:
         def f(theta):
             state = BatchNormState.fresh(2)
             out = bn_forward(SequenceBatch(theta, lengths), state, "train")
-            return tc.tsum(tc.mul(out.features, probe))
+            return taped.tsum(taped.mul(out.features, probe))
 
         assert finite_diff_check(f, Tensor(feats)) < 1e-4
 
@@ -290,7 +292,7 @@ class TestGradients:
             state = BatchNormState.fresh(2)
             state.gamma, state.beta = gamma, beta
             out = bn_forward(SequenceBatch(feats, lengths), state, "train")
-            return tc.tsum(tc.mul(out.features, probe))
+            return taped.tsum(taped.mul(out.features, probe))
 
         base_beta = Tensor(rng.normal(size=(2,)))
         err = finite_diff_check(lambda g: loss_with(g, base_beta), Tensor([1.3, 0.7]))
@@ -305,7 +307,7 @@ class TestGradients:
         tape = GradTape()
         with recording(tape):
             out = bn_forward(SequenceBatch(feats, [2]), BatchNormState.fresh(2), "train")
-            loss = tc.tsum(tc.mul(out.features, probe))
+            loss = taped.tsum(taped.mul(out.features, probe))
         g = backward(tape, loss).wrt(feats)
         assert np.all(g[0, 2:] == 0.0)
         assert np.any(g[0, :2] != 0.0)

@@ -19,6 +19,8 @@ from abn.recurrent import (
 )
 from abn.tensor import GradTape, Tensor, backward, finite_diff_check, recording
 
+import taped
+
 
 class LstmState:
     """Hidden and cell vectors; either [n] or batched [batch, n]."""
@@ -54,15 +56,15 @@ def lstm_step(x_norm: Tensor, prev: LstmState, params: LstmLayerParams) -> LstmS
 
     def gate(k):
         rows = slice(k * n, (k + 1) * n)
-        z = tc.add(tc.linear(h, Tensor._wrap(params.w_h.data[rows])),
-                   tc.linear(x_norm, Tensor._wrap(params.w_x.data[rows])))
-        return tc.add(z, Tensor._wrap(params.b.data[rows]))
+        z = taped.add(taped.linear(h, Tensor._wrap(params.w_h.data[rows])),
+                   taped.linear(x_norm, Tensor._wrap(params.w_x.data[rows])))
+        return taped.add(z, Tensor._wrap(params.b.data[rows]))
 
-    i = tc.sigmoid(gate(0))
-    f = tc.sigmoid(gate(1))
-    c_new = tc.add(tc.mul(f, c), tc.mul(i, tc.tanh(gate(2))))
-    o = tc.sigmoid(tc.add(gate(3), tc.mul(params.w_co, c_new)))
-    h_new = tc.mul(o, tc.tanh(c_new))
+    i = taped.sigmoid(gate(0))
+    f = taped.sigmoid(gate(1))
+    c_new = taped.add(taped.mul(f, c), taped.mul(i, taped.tanh(gate(2))))
+    o = taped.sigmoid(taped.add(gate(3), taped.mul(params.w_co, c_new)))
+    h_new = taped.mul(o, taped.tanh(c_new))
     return LstmState(h_new, c_new)
 
 
@@ -205,7 +207,7 @@ class TestBilstmLayer:
         pb.b = Tensor(rng.normal(size=12))
         batches += [(lengths, rng.normal(size=(3, 5, 4))) for lengths in ([5, 5, 5], [1, 5, 2])]
         for lengths, feats in batches:
-            mask = SequenceBatch(Tensor(feats), lengths).frame_mask()
+            mask = SequenceBatch(Tensor(feats), lengths).frames.mask
 
             def unroll(params, order):
                 h, c = np.zeros((3, 3)), np.zeros((3, 3))
@@ -245,7 +247,7 @@ class TestBilstmLayer:
 
             def f(theta, lengths=lengths, probe=probe):
                 out = bilstm_layer(SequenceBatch(theta, lengths), pf, pb)
-                return tc.tsum(tc.mul(out.features, probe))
+                return taped.tsum(taped.mul(out.features, probe))
 
             assert finite_diff_check(f, feats) < 1e-4, lengths
 
@@ -259,7 +261,7 @@ class TestBilstmLayer:
                         setattr(swapped, name, theta)
                         pair = (swapped, pb) if params is pf else (pf, swapped)
                         out = bilstm_layer(SequenceBatch(feats, lengths), *pair)
-                        return tc.tsum(tc.mul(out.features, probe))
+                        return taped.tsum(taped.mul(out.features, probe))
 
                     err = finite_diff_check(g, getattr(params, name))
                     assert err < 1e-4, f"{lengths} {direction}.{name}: {err}"
@@ -391,7 +393,7 @@ class TestStackForward:
             corrupted = feats.copy()
             corrupted[1, 3:] = 1e4
             out2 = stack_forward(SequenceBatch(Tensor(corrupted), lengths), model, "infer")
-            mask = out1.frame_mask()
+            mask = out1.frames.mask
             np.testing.assert_array_equal(
                 out1.features.data[mask], out2.features.data[mask]
             )
@@ -417,7 +419,7 @@ class TestStackForward:
                     out = stack_forward(
                         SequenceBatch(feats, lengths), model, "train"
                     )
-                    return tc.tsum(tc.mul(out.features, probe))
+                    return taped.tsum(taped.mul(out.features, probe))
                 finally:
                     model.set_parameter(name, base)
 
@@ -460,14 +462,14 @@ class TestStackForward:
             return wrapped
 
         for name in ("abn_forward", "bilstm_layer", "run_direction", "join_directions",
-                     "drop_layer_output", "project"):
+                     "project"):
             monkeypatch.setattr(recurrent, name, spy(getattr(recurrent, name)))
         with recording(GradTape()):
             logits = recurrent.stack_forward(batch, model, "train", np.random.default_rng(54))
-        # Per layer, the input and output of the normalizer, the BiLSTM, the
-        # join and the dropout, and each direction's input; then the
+        # Per layer, the input and output of the normalizer, the BiLSTM and
+        # the join (with its dropout), and each direction's input; then the
         # projection's input and output.
-        assert len(seen) == 2 * 10 + 2
+        assert len(seen) == 2 * 8 + 2
         for stage, frames in seen:
             assert frames is batch.frames, stage
         assert logits.frames is batch.frames
@@ -476,13 +478,14 @@ class TestStackForward:
 def taped_project(features, model):
     """The projection as taped primitives: the composition ``project`` replaces."""
     b, t_max, width = features.features.shape
-    flat = tc.reshape(features.features, (b * t_max, width))
-    logits = tc.affine(flat, model.out.w, model.out.b)
-    return tc.reshape(logits, (b, t_max, model.config.vocab))
+    flat = taped.reshape(features.features, (b * t_max, width))
+    logits = taped.affine(flat, model.out.w, model.out.b)
+    return taped.reshape(logits, (b, t_max, model.config.vocab))
 
 
-def taped_join(fwd, bwd, frames):
-    return tc.concat([fwd, bwd], axis=2)
+def taped_join(fwd, bwd, frames, rate=0.0, mode="infer", rng=None):
+    """The join as taped primitives: ``concat``, then ``dropout`` of the joined shape."""
+    return taped.dropout(taped.concat([fwd, bwd], axis=2), rate, rng, mode)
 
 
 class TestFusedOutputStage:
@@ -497,7 +500,7 @@ class TestFusedOutputStage:
         with recording(tape):
             out = node(*inputs)
             n_nodes = len(tape)
-            loss = tc.tsum(tc.mul(out, probe))
+            loss = taped.tsum(taped.mul(out, probe))
         grads = backward(tape, loss)
         return out.data, [grads.wrt(t) for t in wrt], n_nodes
 
@@ -525,3 +528,26 @@ class TestFusedOutputStage:
         for g_got, g_ref in zip(got[1], ref[1]):
             assert np.array_equal(g_got, g_ref)
         assert (got[2], ref[2]) == (1, 1)
+
+    def test_join_with_dropout_matches_taped_reference(self):
+        rng = np.random.default_rng(63)
+        frames = SequenceBatch(Tensor(np.zeros((4, 6, 1))), self.LENGTHS).frames
+        fwd, bwd = (Tensor(rng.normal(size=(4, 6, 3))) for _ in range(2))
+        probe = Tensor(rng.normal(size=(4, 6, 6)))
+        runs = []
+        for join in (lambda *a: join_directions(*a).features, taped_join):
+            drop_rng = np.random.default_rng(64)
+            tape = GradTape()
+            with recording(tape):
+                out = join(fwd, bwd, frames, 0.3, "train", drop_rng)
+                n_nodes = len(tape)
+                loss = taped.tsum(taped.mul(out, probe))
+            grads = backward(tape, loss)
+            runs.append((out.data, grads.wrt(fwd), grads.wrt(bwd),
+                         drop_rng.bit_generator.state, n_nodes))
+        got, ref = runs
+        assert (got[0] == 0.0).any()  # some entries were dropped
+        for name, a, b in zip(("output", "d_fwd", "d_bwd"), got, ref):
+            assert np.array_equal(a, b), name
+        assert got[3] == ref[3]  # the same draws from the generator
+        assert (got[4], ref[4]) == (1, 2)
