@@ -25,16 +25,23 @@ GRADCHECK_TOLERANCE = 1e-4
 ORACLE_TOLERANCE = 1e-9
 
 
-def _at_least_one(text: str) -> int:
-    """An integer option that counts work to do: 0 or less would check or
-    print nothing and still report success."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(least: int):
+    """An integer option bounded below: a count of 0 or less would check or
+    print nothing and still report success, and numpy refuses a negative seed."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return parse
+
+
+_at_least_one, _non_negative = _int_at_least(1), _int_at_least(0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,12 +65,12 @@ def _build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--ckpt", required=True)
     dec.add_argument("--config", default=None, help="task parameters (defaults if omitted)")
     dec.add_argument("--count", type=_at_least_one, default=5)
-    dec.add_argument("--seed", type=int, default=3)
+    dec.add_argument("--seed", type=_non_negative, default=3)
 
     gc = sub.add_parser("gradcheck", help="finite-difference check of the full stack")
     gc.add_argument("--variant", choices=VARIANTS, default=None,
                     help="single variant (default: all three)")
-    gc.add_argument("--seed", type=int, default=0)
+    gc.add_argument("--seed", type=_non_negative, default=0)
 
     oracle = sub.add_parser("ctc-oracle", help="CTC loss vs exhaustive enumeration")
     oracle.add_argument("--max-t", type=_at_least_one, default=6)

@@ -75,6 +75,8 @@ class TrainConfig:
         for key in ("epochs", "max_frames_per_batch", "train_utterances", "dev_utterances"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.task_distinct_neighbors not in (0, 1):
             raise ConfigError(
                 f"task_distinct_neighbors must be 0 or 1, got {self.task_distinct_neighbors}"

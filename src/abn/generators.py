@@ -1,29 +1,26 @@
-"""Attention-driven generation of batch-norm scale/shift parameters.
+"""Where batch norm's scale (gamma) and shift (beta) come from, and the one
+taped node that normalizes with them.
 
-Two generator flavors share one pipeline: standardize the mini-batch,
-feed its standardized frames to an attention network, and use its output
-to produce the scale (gamma) and shift (beta) applied in place of the
-learned BN parameters. The whole padded [B, T, D] batch goes through the
-network at once; masks keep each utterance's attention on its own valid
-frames.
-
-* ``FrameAbnGenerator`` embeds frames, attends over them with one weight
-  per frame, pools to a single utterance vector, and emits ONE
+* ``LearnedScaleShift`` (bn) learns one constant pair.
+* ``FrameAbnGenerator`` (abn-f) embeds frames, attends over them with one
+  weight per frame, pools to a single utterance vector, and emits ONE
   (gamma, beta) pair for the whole utterance.
-* ``UttAbnGenerator`` runs scaled dot-product self-attention across the
-  utterance and emits a (gamma_t, beta_t) pair PER FRAME.
+* ``UttAbnGenerator`` (abn-u) runs scaled dot-product self-attention
+  across the utterance and emits a (gamma_t, beta_t) pair PER FRAME.
 
-Both zero-initialize their output heads with a bias of one on the scale,
-so a fresh generator reproduces plain batch norm exactly; training then
-moves the parameters away from that safe point.
+The generators read the standardized frames of the whole padded [B, T, D]
+batch at once; masks keep each utterance's attention on its own valid
+frames. Both zero-initialize their output heads with a bias of one on the
+scale, so a fresh generator reproduces plain batch norm exactly.
 
-Everything a generator does after standardization (attention, the output
-heads and ``(xhat * gamma + beta) * mask``) is one taped node, its
-``apply``. The forward runs the plain-numpy stage functions below. The
-hand-written VJP repeats, in reverse, the arithmetic that generic taped
-primitives (the tests' reference library, ``tests/taped.py``) would do for
-the same stages, in the order the tape would add the gradients, so it
-matches that taped composition bit for bit.
+``abn_forward`` is every variant's normalizer, one taped node: standardize,
+take (gamma, beta) from the source's ``scale_shift``, then ``(xhat * gamma
++ beta) * mask``. Each ``scale_shift`` runs the plain-numpy stage functions
+below and returns a ``back`` whose hand-written VJP repeats, in reverse,
+the arithmetic that generic taped primitives (the tests' reference
+library, ``tests/taped.py``) would do for the same stages, in the order
+the tape would add the gradients, so the node matches that taped
+composition bit for bit.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ from .data import SequenceBatch
 from .errors import ContractError, ShapeError
 from .normalization import (
     BatchNormState,
-    bn_forward,
     masked_affine_array,
     masked_affine_vjp,
     standardize_batch,
@@ -57,6 +53,32 @@ def _fresh_heads(p: int, d: int) -> dict[str, Tensor]:
     """Output heads that emit gamma = 1 and beta = 0 whatever their input."""
     return dict(w_gamma=tc.zeros(p, d), b_gamma=tc.ones(p),
                 w_beta=tc.zeros(p, d), b_beta=tc.zeros(p))
+
+
+class LearnedScaleShift:
+    """Plain batch norm's learned scale and shift, ``[p]`` each: one pair
+    for every frame of every utterance."""
+
+    __slots__ = ("gamma", "beta")
+
+    def __init__(self, gamma, beta):
+        if gamma.ndim != 1 or beta.shape != gamma.shape:
+            raise ShapeError(f"gamma {gamma.shape} and beta {beta.shape} must share one [p] shape")
+        self.gamma = gamma
+        self.beta = beta
+
+    @classmethod
+    def init(cls, feature_dim: int, width=None, rng=None):
+        """gamma = 1 and beta = 0. There is no width, and nothing is drawn."""
+        return cls(tc.ones(feature_dim), tc.zeros(feature_dim))
+
+    @property
+    def feature_dim(self) -> int:
+        return self.gamma.shape[0]
+
+    def scale_shift(self, x, mask, dropout_rate: float, rng, mode: str):
+        """The learned pair, whatever the frames; dropout leaves it alone."""
+        return self.gamma.data, self.beta.data, lambda g_x, g_gamma, g_beta: (g_gamma, g_beta)
 
 
 class FrameAbnGenerator:
@@ -97,24 +119,18 @@ class FrameAbnGenerator:
     def feature_dim(self) -> int:
         return self.w_embed.shape[1]
 
-    def apply(self, xhat: Tensor, batch: SequenceBatch, dropout_rate: float, rng, mode: str):
-        """Scale and shift the standardized frames ``xhat`` (``[B*T, p]``)
-        with one generated (gamma, beta) pair per utterance: one taped node.
-        Dropout, when active, hits the frame embeddings."""
-        b, t_max, p = batch.features.shape
-        x = xhat.data.reshape(b, t_max, p)
-        mask = batch.frames.mask
+    def scale_shift(self, x: np.ndarray, mask: np.ndarray, dropout_rate: float, rng, mode: str):
+        """One generated (gamma, beta) pair per utterance, ``[B, 1, p]``, from
+        the standardized frames ``x`` (``[B, T, p]``, frame mask ``[B, T]``),
+        and their ``back``. Dropout, when active, hits the frame embeddings."""
         embedded = frame_embed(x, self)
         scale = tc.dropout_scale(embedded.shape, dropout_rate, rng, mode)
         e = embedded if scale is None else np.multiply(embedded, scale)
         alpha = frame_attention(e, mask)
         z = frame_pool(e, alpha)[:, None, :]  # [B, 1, d_e]
         gamma, beta = head_params(z, self)
-        mask3 = mask[:, :, None]
-        out = Tensor._wrap(masked_affine_array(x, gamma, beta, mask3))
 
-        def vjp(g):
-            g_x, g_gamma, g_beta = masked_affine_vjp(g, x, gamma, mask3)
+        def back(g_x, g_gamma, g_beta):
             g_z, *g_heads = _heads_vjp(g_gamma, g_beta, z, self)
             # frame_pool: g_z reaches every frame, weighted by its alpha.
             weights = alpha[:, :, None]
@@ -129,12 +145,9 @@ class FrameAbnGenerator:
             g_x_embed, g_w_embed = tc.linear_vjp(g_pre, x, self.w_embed.data)
             g_b_embed = tc._unbroadcast(g_pre, self.b_embed.shape)
             g_x += g_x_embed
-            return (g_x.reshape(xhat.shape), g_w_embed, g_b_embed, *g_heads)
+            return (g_w_embed, g_b_embed, *g_heads)
 
-        inputs = (xhat, self.w_embed, self.b_embed,
-                  self.w_gamma, self.b_gamma, self.w_beta, self.b_beta)
-        tc.record_op(out, inputs, vjp)
-        return SequenceBatch._wrap(out, batch.frames)
+        return gamma, beta, back
 
 
 class UttAbnGenerator:
@@ -170,13 +183,10 @@ class UttAbnGenerator:
     def feature_dim(self) -> int:
         return self.w_key.shape[1]
 
-    def apply(self, xhat: Tensor, batch: SequenceBatch, dropout_rate: float, rng, mode: str):
-        """Scale and shift the standardized frames ``xhat`` (``[B*T, p]``)
-        with one generated (gamma_t, beta_t) pair per frame: one taped node.
-        Dropout, when active, hits the context vectors."""
-        b, t_max, p = batch.features.shape
-        x = xhat.data.reshape(b, t_max, p)
-        mask = batch.frames.mask
+    def scale_shift(self, x: np.ndarray, mask: np.ndarray, dropout_rate: float, rng, mode: str):
+        """One generated (gamma_t, beta_t) pair per frame, ``[B, T, p]``, from
+        the standardized frames ``x`` (``[B, T, p]``, frame mask ``[B, T]``),
+        and their ``back``. Dropout, when active, hits the context vectors."""
         k, q, v = utt_project(x, self)
         alpha = utt_attention(k, q, mask[:, None, :])
         context = utt_context(alpha, v)
@@ -187,12 +197,9 @@ class UttAbnGenerator:
         scale = tc.dropout_scale(context.shape, dropout_rate, rng, mode)
         c = context if scale is None else np.multiply(context, scale)
         gamma, beta = head_params(c, self)
-        mask3 = mask[:, :, None]
-        out = Tensor._wrap(masked_affine_array(x, gamma, beta, mask3))
 
-        def vjp(g):
+        def back(g_x, g_gamma, g_beta):
             k, q, v, alpha = saved
-            g_x, g_gamma, g_beta = masked_affine_vjp(g, x, gamma, mask3)
             g_c, *g_heads = _heads_vjp(g_gamma, g_beta, c, self)
             if scale is not None:
                 g_c *= scale
@@ -210,12 +217,9 @@ class UttAbnGenerator:
             g_x += g_x_q
             g_x_k, g_w_key = tc.linear_vjp(g_k, x, self.w_key.data)
             g_x += g_x_k
-            return (g_x.reshape(xhat.shape), g_w_key, g_w_query, g_w_value, *g_heads)
+            return (g_w_key, g_w_query, g_w_value, *g_heads)
 
-        inputs = (xhat, self.w_key, self.w_query, self.w_value,
-                  self.w_gamma, self.b_gamma, self.w_beta, self.b_beta)
-        tc.record_op(out, inputs, vjp)
-        return SequenceBatch._wrap(out, batch.frames)
+        return gamma, beta, back
 
 
 def frame_embed(h_norm: np.ndarray, gen: FrameAbnGenerator) -> np.ndarray:
@@ -300,10 +304,14 @@ def utt_context(alpha: np.ndarray, v: np.ndarray) -> np.ndarray:
     return alpha @ v
 
 
-# Each attention variant's generator class, and the ModelConfig field that
-# holds its width. Plain "bn" has no generator.
-GENERATORS = {"abn-f": (FrameAbnGenerator, "embed_dim"), "abn-u": (UttAbnGenerator, "attn_dim")}
-VARIANTS = ("bn", *GENERATORS)
+# Each variant's source of scale and shift, and the ModelConfig field that
+# holds its width (bn has none).
+GENERATORS = {
+    "bn": (LearnedScaleShift, None),
+    "abn-f": (FrameAbnGenerator, "embed_dim"),
+    "abn-u": (UttAbnGenerator, "attn_dim"),
+}
+VARIANTS = tuple(GENERATORS)
 
 
 def abn_forward(
@@ -314,19 +322,32 @@ def abn_forward(
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> SequenceBatch:
-    """Normalize a batch with learned or attention-generated scale/shift.
+    """Normalize a batch with learned or attention-generated scale/shift,
+    as one taped node.
 
-    With no generator (``gen is None``) this is plain batch norm with the
-    state's learned parameters. A generator standardizes identically, then
-    generates (gamma, beta) from the standardized activations themselves
-    and applies those instead, in one taped node (``gen.apply``). Dropout,
-    when active, hits the generator's intermediate activations only (frame
-    embeddings, or context vectors), never the main signal.
+    The node standardizes the batch (``standardize_batch``), takes (gamma,
+    beta) from ``gen.scale_shift`` and returns ``(xhat * gamma + beta) *
+    mask``. Its inputs are ``batch.features`` and the fields of ``gen``.
+    The VJP runs the affine's backward, the source's ``back`` (which adds
+    its shares of xhat's gradient in place and returns its fields'
+    gradients), then the standardization's. Dropout, when active, hits the
+    generator's intermediate activations only (frame embeddings, or context
+    vectors), never the main signal.
     """
-    if gen is None:
-        return bn_forward(batch, state, mode)
     if gen.feature_dim != batch.dim:
         raise ShapeError(
             f"generator feature dim {gen.feature_dim} does not match batch {batch.dim}"
         )
-    return gen.apply(standardize_batch(batch, state, mode), batch, dropout_rate, rng, mode)
+    x, standardize_vjp = standardize_batch(batch, state, mode)
+    gamma, beta, back = gen.scale_shift(x, batch.frames.mask, dropout_rate, rng, mode)
+    mask = batch.frames.mask[:, :, None]
+    out = Tensor._wrap(masked_affine_array(x, gamma, beta, mask))
+
+    def vjp(g):
+        g_x, g_gamma, g_beta = masked_affine_vjp(g, x, gamma, mask)
+        shares = back(g_x, g_gamma, g_beta)
+        return (standardize_vjp(g_x), *shares)
+
+    fields = [getattr(gen, name) for name in type(gen).__slots__]
+    tc.record_op(out, (batch.features, *fields), vjp)
+    return SequenceBatch._wrap(out, batch.frames)

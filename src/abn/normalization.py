@@ -3,8 +3,10 @@
 Statistics are per feature, pooled over every valid frame of every
 utterance in the mini-batch; padded frames never contribute. Training mode
 standardizes with batch statistics and folds them into exponential running
-averages; inference standardizes with the running averages. Outputs are
-zeroed on padded frames so downstream consumers see no garbage there.
+averages; inference standardizes with the running averages. This module
+holds the statistics, the standardization and the masked scale/shift
+arithmetic; ``abn.generators.abn_forward`` joins them in one taped node,
+whose outputs are zero on padded frames.
 """
 
 from __future__ import annotations
@@ -18,24 +20,23 @@ from .tensor import Tensor
 
 
 class BatchNormState:
-    """Learnable scale/shift plus running statistics for one normalizer."""
+    """Running statistics of one normalizer, with its variance floor and
+    update weight. The scale and shift come from the layer's generator."""
 
-    __slots__ = ("gamma", "beta", "running_mean", "running_var", "epsilon", "momentum")
+    __slots__ = ("running_mean", "running_var", "epsilon", "momentum")
 
-    def __init__(self, gamma, beta, running_mean, running_var, epsilon, momentum):
+    def __init__(self, running_mean, running_var, epsilon, momentum):
         if not epsilon > 0:
             raise ShapeError(f"epsilon must be positive, got {epsilon}")
         if not 0.0 < momentum <= 1.0:
             raise ShapeError(f"momentum must lie in (0, 1], got {momentum}")
-        p = gamma.shape[0]
-        for name, t in (("beta", beta), ("running_mean", running_mean),
-                        ("running_var", running_var)):
-            if t.shape != (p,):
-                raise ShapeError(f"{name} shape {t.shape} does not match gamma {gamma.shape}")
+        if running_mean.ndim != 1 or running_var.shape != running_mean.shape:
+            raise ShapeError(
+                f"running_var shape {running_var.shape} does not match"
+                f" running_mean {running_mean.shape}"
+            )
         if not np.all(running_var.data >= 0):
             raise ShapeError("running_var must be non-negative")
-        self.gamma = gamma
-        self.beta = beta
         self.running_mean = running_mean
         self.running_var = running_var
         self.epsilon = float(epsilon)
@@ -43,29 +44,23 @@ class BatchNormState:
 
     @classmethod
     def fresh(cls, feature_dim: int, epsilon: float = 1e-5, momentum: float = 0.1):
-        return cls(
-            gamma=tc.ones(feature_dim),
-            beta=tc.zeros(feature_dim),
-            running_mean=tc.zeros(feature_dim),
-            running_var=tc.ones(feature_dim),
-            epsilon=epsilon,
-            momentum=momentum,
-        )
+        return cls(tc.zeros(feature_dim), tc.ones(feature_dim), epsilon, momentum)
 
     @property
     def feature_dim(self) -> int:
-        return self.gamma.shape[0]
+        return self.running_mean.shape[0]
 
 
-def standardize_batch(batch: SequenceBatch, state: BatchNormState, mode: str) -> Tensor:
-    """Standardized (pre-affine) frames, flattened to [batch*frames, dim].
+def standardize_batch(batch: SequenceBatch, state: BatchNormState, mode: str):
+    """Standardized (pre-affine) frames ``[B, T, p]`` and their VJP.
 
-    One taped node. Train mode takes the per-feature mean and population
-    variance over the valid frames and updates the running averages in
-    place; infer mode reads the running averages. Every row, padded ones
-    included, is ``(x - mu) / sqrt(var + epsilon)``. The affine stage is
-    left to the caller because generated scale/shift parameters substitute
-    for the learned ones in the attention variants.
+    Train mode takes the per-feature mean and population variance over the
+    valid frames and updates the running averages in place; infer mode
+    reads the running averages. Every frame, padded ones included, is
+    ``(x - mu) / sqrt(var + epsilon)``. Nothing is recorded: the caller's
+    node (``abn.generators.abn_forward``) scales and shifts the frames and
+    runs the returned VJP, which maps a ``[B, T, p]`` gradient of the
+    standardized frames to one of ``batch.features``.
 
     The VJP is the closed-form batch-norm backward (Ioffe & Szegedy 2015,
     section 3). Padded rows of xhat also read mu and var, so its sums run
@@ -103,48 +98,15 @@ def standardize_batch(batch: SequenceBatch, state: BatchNormState, mode: str) ->
     std = np.sqrt(var + state.epsilon)
     xhat = diff
     xhat /= std
-    out = Tensor._wrap(xhat)
 
     def vjp(g):
         if mode == "infer":
-            return ((g / std).reshape(b, t_max, p),)
+            return g / std
         g = g.reshape(b * t_max, p)
         shift = np.sum(g, axis=0) / n + xhat * (np.sum(g * xhat, axis=0) / n)
-        return (((g - maskcol * shift) / std).reshape(b, t_max, p),)
+        return ((g - maskcol * shift) / std).reshape(b, t_max, p)
 
-    tc.record_op(out, (batch.features,), vjp)
-    return out
-
-
-def masked_affine(
-    xhat: Tensor, gamma: Tensor, beta: Tensor, batch: SequenceBatch
-) -> SequenceBatch:
-    """``(xhat * gamma + beta) * mask`` in the batch's layout, one taped node.
-
-    ``xhat`` holds the batch's standardized frames, ``[B*T, p]`` or
-    ``[B, T, p]``. ``gamma`` and ``beta`` share one shape that broadcasts
-    to ``[B, T, p]``: learned ``[p]``, one pair per utterance ``[B, 1, p]``,
-    or one per frame ``[B, T, p]``. Padded frames come out exactly zero and
-    pass no gradient back. Plain batch norm runs this node; the attention
-    generators' nodes end in the same arithmetic (``masked_affine_array``
-    and ``masked_affine_vjp``), so zero-initialized generator heads
-    reproduce plain batch norm bit for bit.
-    """
-    b, t_max, p = batch.features.shape
-    if gamma.shape != beta.shape or gamma.shape[-1] != p:
-        raise ShapeError(
-            f"affine shapes disagree: xhat {xhat.shape}, gamma {gamma.shape}, beta {beta.shape}"
-        )
-    x = xhat.data.reshape(b, t_max, p)
-    mask = batch.frames.mask[:, :, None]
-    out = Tensor._wrap(masked_affine_array(x, gamma.data, beta.data, mask))
-
-    def vjp(g):
-        g_x, g_gamma, g_beta = masked_affine_vjp(g, x, gamma.data, mask)
-        return g_x.reshape(xhat.shape), g_gamma, g_beta
-
-    tc.record_op(out, (xhat, gamma, beta), vjp)
-    return SequenceBatch._wrap(out, batch.frames)
+    return xhat.reshape(b, t_max, p), vjp
 
 
 def masked_affine_array(
@@ -165,8 +127,3 @@ def masked_affine_vjp(g: np.ndarray, x: np.ndarray, gamma: np.ndarray, mask: np.
     """Gradients of ``masked_affine_array`` for ``x``, ``gamma`` and ``beta``."""
     g = g * mask
     return g * gamma, tc._unbroadcast(g * x, gamma.shape), tc._unbroadcast(g, gamma.shape)
-
-
-def bn_forward(batch: SequenceBatch, state: BatchNormState, mode: str) -> SequenceBatch:
-    """Full batch-norm pass: standardize, scale/shift, re-zero padding."""
-    return masked_affine(standardize_batch(batch, state, mode), state.gamma, state.beta, batch)

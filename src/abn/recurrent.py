@@ -24,7 +24,7 @@ from scipy.special import expit
 from . import tensor as tc
 from .data import Frames, SequenceBatch
 from .errors import ContractError, ShapeError
-from .generators import GENERATORS, VARIANTS, abn_forward
+from .generators import GENERATORS, VARIANTS, LearnedScaleShift, abn_forward
 from .normalization import BatchNormState
 from .tensor import Tensor
 
@@ -287,7 +287,7 @@ class ModelConfig:
 
 
 class Layer:
-    """One stack stage: a normalizer, its generator (``None`` for bn), and a BiLSTM."""
+    """One stack stage: a normalizer, its source of scale and shift, and a BiLSTM."""
 
     __slots__ = ("norm", "gen", "fwd", "bwd")
 
@@ -316,7 +316,7 @@ class Projection:
 class Stage(NamedTuple):
     """Where a parameter enters the stack: ``part`` of layer ``layer``.
 
-    ``part`` is ``"norm"`` (the normalizer or its generator), ``"fwd"`` or
+    ``part`` is ``"norm"`` (the normalizer and its scale and shift), ``"fwd"`` or
     ``"bwd"`` (one LSTM direction), or ``"out"`` (the projection, with
     ``layer`` equal to the number of layers). No stage before it reads the
     parameter.
@@ -335,10 +335,8 @@ class Model:
         for l in range(config.num_layers):
             dim = config.layer_input_dim(l)
             norm = BatchNormState.fresh(dim, config.bn_eps, config.bn_momentum)
-            gen = None
-            if config.variants[l] in GENERATORS:
-                cls, width = GENERATORS[config.variants[l]]
-                gen = cls.init(dim, getattr(config, width), rng)
+            cls, width = GENERATORS[config.variants[l]]
+            gen = cls.init(dim, getattr(config, width) if width else None, rng)
             fwd = LstmLayerParams.init(config.hidden, dim, rng)
             bwd = LstmLayerParams.init(config.hidden, dim, rng)
             self.layers.append(Layer(norm, gen, fwd, bwd))
@@ -355,12 +353,10 @@ class Model:
         reg: dict[str, tuple[object, str, Stage | None]] = {}
         for l, layer in enumerate(self.layers):
             norm = Stage(l, "norm")
-            if layer.gen is None:
-                for field in ("gamma", "beta"):
-                    reg[f"layer{l}.bn.{field}"] = (layer.norm, field, norm)
-            else:
-                for field in type(layer.gen).__slots__:
-                    reg[f"layer{l}.gen.{field}"] = (layer.gen, field, norm)
+            # Checkpoint names keep bn's learned pair beside its running statistics.
+            group = "bn" if isinstance(layer.gen, LearnedScaleShift) else "gen"
+            for field in type(layer.gen).__slots__:
+                reg[f"layer{l}.{group}.{field}"] = (layer.gen, field, norm)
             for field in ("running_mean", "running_var"):
                 reg[f"layer{l}.bn.{field}"] = (layer.norm, field, None)
             for direction in ("fwd", "bwd"):
@@ -373,11 +369,7 @@ class Model:
         return reg
 
     def parameters(self) -> dict[str, Tensor]:
-        """Trainable tensors by name, in stable order.
-
-        Layers normalized by a generated variant contribute the generator's
-        weights instead of the (unused) learned scale/shift.
-        """
+        """Trainable tensors by name, in stable order."""
         return {name: getattr(obj, attr)
                 for name, (obj, attr, stage) in self._registry.items() if stage is not None}
 

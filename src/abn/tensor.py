@@ -3,13 +3,13 @@ fused nodes share.
 
 Every forward operation runs eagerly on numpy arrays. The program's
 differentiable operations are fused nodes, each written by hand in the
-module whose stage it computes (an LSTM direction, a normalizer, a
-generator, the join, the projection, CTC). While a ``GradTape`` is active
-(see ``recording``), each of them appends one node (``record_op``) holding
-a closure that maps the output gradient back to input gradients; replaying
-the tape in reverse visits every node exactly once in reverse topological
-order, because nodes are appended in execution order. Inference paths
-simply run with no active tape and allocate nothing.
+module whose stage it computes (the normalizer with its scale and shift,
+an LSTM direction, the join, the projection, CTC). While a ``GradTape`` is
+active (see ``recording``), each of them appends one node (``record_op``)
+holding a closure that maps the output gradient back to input gradients;
+replaying the tape in reverse visits every node exactly once in reverse
+topological order, because nodes are appended in execution order.
+Inference paths simply run with no active tape and allocate nothing.
 
 All math is double precision: the test suite leans on tight gradient
 tolerances and speed is secondary.

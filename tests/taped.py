@@ -6,11 +6,14 @@ operations those nodes are checked against: a test composes them into the
 stage a fused node replaces and asserts the same output and gradients,
 bit for bit. Acceptance criterion 1 (``tests/test_acceptance.py``) checks
 each primitive against central finite differences; ``dropout`` is a ``mul``
-by factors drawn with ``abn.tensor.dropout_scale``.
+by factors drawn with ``abn.tensor.dropout_scale``. ``standardize`` and
+``masked_affine`` are the two halves of the normalizer node
+(``abn.generators.abn_forward``) as one node each, over the program's own
+numpy cores.
 
 The primitives record on the active tape of ``abn.tensor`` (one node each,
-but ``affine`` and ``tmean`` are two) and run eagerly on float64 arrays; scalars and arrays are accepted wherever a
-``Tensor`` is.
+but ``affine`` and ``tmean`` are two) and run eagerly on float64 arrays;
+scalars and arrays are accepted wherever a ``Tensor`` is.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
+from abn.data import SequenceBatch
 from abn.errors import DomainError, ShapeError
+from abn.normalization import masked_affine_array, masked_affine_vjp, standardize_batch
 from abn.tensor import (
     Tensor,
     _unbroadcast,
@@ -243,3 +248,30 @@ def dropout(x, rate: float, rng: np.random.Generator | None, mode: str) -> Tenso
     x = _as_tensor(x)
     scale = dropout_scale(x.shape, rate, rng, mode)
     return x if scale is None else mul(x, Tensor._wrap(scale))
+
+
+def standardize(batch: SequenceBatch, state, mode: str) -> Tensor:
+    """The batch's standardized frames ``[B, T, p]``: the array and the
+    closed-form VJP of ``standardize_batch``, as one node."""
+    xhat, vjp = standardize_batch(batch, state, mode)
+    out = Tensor._wrap(xhat)
+    record_op(out, (batch.features,), lambda g: (vjp(g),))
+    return out
+
+
+def masked_affine(xhat, gamma, beta, batch: SequenceBatch) -> SequenceBatch:
+    """``(xhat * gamma + beta) * mask`` in the batch's layout, as one node
+    over ``masked_affine_array`` and ``masked_affine_vjp``. ``gamma`` and
+    ``beta`` share one shape that broadcasts to ``[B, T, p]``: ``[p]``,
+    ``[B, 1, p]`` or ``[B, T, p]``."""
+    xhat, gamma, beta = _as_tensor(xhat), _as_tensor(gamma), _as_tensor(beta)
+    x = xhat.data.reshape(batch.features.shape)
+    mask = batch.frames.mask[:, :, None]
+    out = Tensor._wrap(masked_affine_array(x, gamma.data, beta.data, mask))
+
+    def vjp(g):
+        g_x, g_gamma, g_beta = masked_affine_vjp(g, x, gamma.data, mask)
+        return g_x.reshape(xhat.shape), g_gamma, g_beta
+
+    record_op(out, (xhat, gamma, beta), vjp)
+    return SequenceBatch._wrap(out, batch.frames)

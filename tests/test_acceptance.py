@@ -10,13 +10,13 @@ import time
 
 import numpy as np
 
-from abn import tensor as tc
 from abn.batching import Utterance, make_batches
 from abn.config import load_config
 from abn.ctc import LabelSequence, ctc_brute_force, ctc_loss
 from abn.data import SequenceBatch
 from abn.generators import (
     FrameAbnGenerator,
+    LearnedScaleShift,
     UttAbnGenerator,
     abn_forward,
     frame_attention,
@@ -28,7 +28,7 @@ from abn.generators import (
     utt_project,
 )
 from abn.gradcheck import model_gradient_check
-from abn.normalization import BatchNormState, bn_forward, masked_affine, standardize_batch
+from abn.normalization import BatchNormState, standardize_batch
 from abn.optim import lr_schedule
 from abn.tensor import Tensor, finite_diff_check
 from abn.train import run_training
@@ -87,8 +87,8 @@ def _op_gradient_cases():
     lengths = [4, 2, 3]
     x342 = Tensor(nrng.normal(1.0, 2.0, size=(3, 4, 2)))
     x212 = Tensor(nrng.normal(1.0, 2.0, size=(2, 1, 2)))
-    probe_rows = Tensor(nrng.normal(size=(12, 2)))
-    probe_t1 = Tensor(nrng.normal(size=(2, 2)))
+    probe_rows = Tensor(nrng.normal(size=(12, 2)).reshape(3, 4, 2))
+    probe_t1 = Tensor(nrng.normal(size=(2, 2)).reshape(2, 1, 2))
     running = (Tensor(nrng.normal(size=2)), Tensor(nrng.uniform(0.5, 2.0, size=2)))
     xhat342 = Tensor(nrng.normal(size=(3, 4, 2)))
     probe342 = Tensor(nrng.normal(size=(3, 4, 2)))
@@ -101,11 +101,11 @@ def _op_gradient_cases():
         return taped.tsum(taped.mul(a, probe))
 
     def standardize(theta, lens, mode):
-        state = BatchNormState(tc.ones(2), tc.zeros(2), *running, 1e-5, 0.1)
-        return standardize_batch(SequenceBatch(theta, lens), state, mode)
+        state = BatchNormState(*running, 1e-5, 0.1)
+        return taped.standardize(SequenceBatch(theta, lens), state, mode)
 
     def affine(xhat, gamma, beta):
-        return masked_affine(xhat, gamma, beta, SequenceBatch(x342, lengths)).features
+        return taped.masked_affine(xhat, gamma, beta, SequenceBatch(x342, lengths)).features
 
     def affine_cases():
         for shape, (gamma, beta) in scale_shift.items():
@@ -181,7 +181,9 @@ class TestReductionEquivalence:
                     gen = FrameAbnGenerator.init(5, 3, rng)
                 else:
                     gen = UttAbnGenerator.init(5, 3, rng)
-                plain = bn_forward(batch, BatchNormState.fresh(5), "train")
+                plain = abn_forward(
+                    batch, BatchNormState.fresh(5), LearnedScaleShift.init(5), "train"
+                )
                 adaptive = abn_forward(batch, BatchNormState.fresh(5), gen, "train")
                 worst = max(worst, float(np.max(np.abs(plain.features.data - adaptive.features.data))))
         elapsed = time.monotonic() - t0
@@ -203,7 +205,7 @@ class TestBnStatistics:
         for _ in range(50):
             batch = _random_batch(rng, batch=4, t_max=7, dim=6)
             state = BatchNormState.fresh(6, epsilon=eps)
-            xhat = standardize_batch(batch, state, "train").data
+            xhat = standardize_batch(batch, state, "train")[0].reshape(-1, 6)
             mask = batch.frames.mask.reshape(-1)
             valid = xhat[mask]
             raw = batch.features.data.reshape(-1, 6)[mask]
@@ -218,8 +220,9 @@ class TestBnStatistics:
         for b, length in enumerate(batch.lengths):
             noisy[b, length:] = 1e6
         tampered = SequenceBatch(Tensor(noisy), batch.lengths)
-        out_a = bn_forward(batch, BatchNormState.fresh(6), "train").features.data
-        out_b = bn_forward(tampered, BatchNormState.fresh(6), "train").features.data
+        bn = LearnedScaleShift.init(6)
+        out_a = abn_forward(batch, BatchNormState.fresh(6), bn, "train").features.data
+        out_b = abn_forward(tampered, BatchNormState.fresh(6), bn, "train").features.data
         pad_leak = float(np.max(np.abs(out_a - out_b)))
 
         elapsed = time.monotonic() - t0

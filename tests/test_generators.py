@@ -15,6 +15,7 @@ from abn.data import SequenceBatch
 from abn.generators import (
     VARIANTS,
     FrameAbnGenerator,
+    LearnedScaleShift,
     UttAbnGenerator,
     abn_forward,
     frame_attention,
@@ -25,7 +26,7 @@ from abn.generators import (
     utt_context,
     utt_project,
 )
-from abn.normalization import BatchNormState, bn_forward, masked_affine, standardize_batch
+from abn.normalization import BatchNormState, standardize_batch
 from abn.recurrent import Model, stack_forward
 from abn.synth import sorted_for_batching, synth_generate
 from abn.tensor import GradTape, Tensor, backward, finite_diff_check, recording
@@ -54,6 +55,27 @@ def random_utt_gen(p=4, d_a=3, seed=0):
     g.w_gamma = Tensor(rng.normal(0, 0.3, size=(p, d_a)))
     g.w_beta = Tensor(rng.normal(0, 0.3, size=(p, d_a)))
     return g
+
+
+def random_learned(p=4, seed=0):
+    rng = np.random.default_rng(seed)
+    gamma, beta = rng.normal(1.0, 0.3, size=p), rng.normal(0, 0.3, size=p)
+    return LearnedScaleShift(Tensor(gamma), Tensor(beta))
+
+
+def random_source(variant, p=4, seed=0):
+    """A scale/shift source of ``variant`` with every field away from its
+    initial value."""
+    if variant == "bn":
+        return random_learned(p, seed)
+    if variant == "abn-f":
+        return random_frame_gen(p, p // 2, seed)
+    return random_utt_gen(p, 3, seed)
+
+
+def plain_bn(batch, p):
+    """Train-mode plain batch norm: the normalizer node with a fresh state and learned pair."""
+    return abn_forward(batch, BatchNormState.fresh(p), LearnedScaleShift.init(p), "train")
 
 
 class TestFrameEmbed:
@@ -244,7 +266,7 @@ class TestReduction:
             ("abn-u", lambda: UttAbnGenerator.init(4, 3, np.random.default_rng(5))),
         ):
             batch = random_batch(50)
-            ref = bn_forward(batch, BatchNormState.fresh(4), "train")
+            ref = plain_bn(batch, 4)
             out = abn_forward(batch, BatchNormState.fresh(4), make(), "train")
             diff = np.abs(ref.features.data - out.features.data).max()
             assert diff <= 1e-12, f"{variant} diverged from plain bn by {diff}"
@@ -255,24 +277,18 @@ class TestReduction:
         for seed in range(20):
             lengths = (np.random.default_rng(seed).integers(1, 7), 6)
             batch = random_batch(seed, batch=2, t_max=6, p=3, lengths=lengths)
-            ref = bn_forward(batch, BatchNormState.fresh(3), "train")
+            ref = plain_bn(batch, 3)
             for gen in (gen_f, gen_u):
                 out = abn_forward(batch, BatchNormState.fresh(3), gen, "train")
                 assert np.abs(ref.features.data - out.features.data).max() <= 1e-12
 
 
 class TestAbnForward:
-    def test_bn_variant_delegates(self):
-        batch = random_batch(60)
-        ref = bn_forward(batch, BatchNormState.fresh(4), "train")
-        out = abn_forward(batch, BatchNormState.fresh(4), None, "train")
-        np.testing.assert_array_equal(ref.features.data, out.features.data)
-
     def test_distinct_utterances_get_distinct_params(self):
         batch = random_batch(61)
         gen = random_frame_gen()
         out = abn_forward(batch, BatchNormState.fresh(4), gen, "train")
-        ref = bn_forward(batch, BatchNormState.fresh(4), "train")
+        ref = plain_bn(batch, 4)
         # Both utterances must deviate from plain bn, and differently:
         # recover each utterance's effective gamma by ratio where beta is small.
         d0 = out.features.data[0, :3] - ref.features.data[0, :3]
@@ -299,11 +315,9 @@ class TestAbnForward:
 
         # Compute the standardized frames to find the value vectors, then
         # build a frame generator whose pooled embedding equals each one.
-        from abn.normalization import standardize_batch
-
-        xhat = standardize_batch(batch, BatchNormState.fresh(p), "train")
+        xhat, _ = standardize_batch(batch, BatchNormState.fresh(p), "train")
         for b in range(2):
-            h = xhat.data[b]  # single standardized frame of utterance b
+            h = xhat[b, 0]  # single standardized frame of utterance b
             v = gen_u.w_value.data @ h
             assert np.all(np.abs(v) < 0.99), "values too large for tanh inversion"
             gen_f = FrameAbnGenerator.init(p, d, np.random.default_rng(73))
@@ -362,7 +376,7 @@ class TestAbnForward:
 def per_utterance_reference(batch, state, gen, variant, mode):
     """``abn_forward`` rebuilt from the unbatched helpers, applied to each
     utterance's valid frames on their own."""
-    xhat = standardize_batch(batch, state, mode).data.reshape(batch.features.shape)
+    xhat, _ = standardize_batch(batch, state, mode)
     out = np.zeros(batch.features.shape)
     for b, length in enumerate(batch.lengths):
         h = xhat[b, :length]
@@ -389,7 +403,7 @@ class TestBatchedMatchesPerUtterance:
         mean, var = Tensor(stats.normal(size=p)), Tensor(stats.uniform(0.5, 2.0, size=p))
 
         def state():
-            return BatchNormState(tc.ones(p), tc.zeros(p), mean, var, 1e-5, 0.1)
+            return BatchNormState(mean, var, 1e-5, 0.1)
 
         out = abn_forward(batch, state(), gen, mode).features.data
         ref = per_utterance_reference(batch, state(), gen, variant, mode)
@@ -399,6 +413,25 @@ class TestBatchedMatchesPerUtterance:
 
 
 class TestGradientChecks:
+    @pytest.mark.parametrize("t_max,lengths", [(1, (1, 1)), (2, (2, 1)), (7, (7, 4))])
+    def test_bn_all_parameters(self, t_max, lengths):
+        p = 4
+        batch = random_batch(85 + t_max, batch=2, t_max=t_max, p=p, lengths=lengths)
+        probe = Tensor(np.random.default_rng(86).normal(size=(2, t_max, p)))
+        base = random_learned(p, seed=87)
+        fields = ("gamma", "beta")
+
+        for field in fields:
+            def f(theta, field=field):
+                pair = LearnedScaleShift(
+                    **{k: (theta if k == field else getattr(base, k)) for k in fields}
+                )
+                out = abn_forward(batch, BatchNormState.fresh(p), pair, "train")
+                return taped.tsum(taped.mul(out.features, probe))
+
+            err = finite_diff_check(f, getattr(base, field))
+            assert err < 1e-4, f"{field} grad err {err} at t_max={t_max}"
+
     @pytest.mark.parametrize("t_max,lengths", [(1, (1, 1)), (2, (2, 1)), (7, (7, 4))])
     def test_abn_f_all_parameters(self, t_max, lengths):
         p, d_e = 4, 2
@@ -453,11 +486,10 @@ class TestGradientChecks:
 
 
 def taped_generator(xhat, batch, gen, mode, dropout_rate=0.0, rng=None):
-    """A generator node rebuilt from taped primitives: the composition that
-    ``gen.apply`` replaces, kept as the bit-for-bit reference for its
-    forward, its VJP and its random draws."""
+    """A generator's scale and shift and the affine, rebuilt from taped
+    primitives on the standardized frames ``xhat`` (``[B, T, p]``): the
+    reference for ``scale_shift``'s forward, its VJP and its random draws."""
     b, t_max, p = batch.features.shape
-    xhat = taped.reshape(xhat, (b, t_max, p))
     mask = batch.frames.mask
     if isinstance(gen, FrameAbnGenerator):
         e = taped.dropout(taped.tanh(taped.affine(xhat, gen.w_embed, gen.b_embed)), dropout_rate, rng, mode)
@@ -473,65 +505,71 @@ def taped_generator(xhat, batch, gen, mode, dropout_rate=0.0, rng=None):
         z = taped.dropout(taped.matmul(alpha, v), dropout_rate, rng, mode)
     gamma = taped.affine(z, gen.w_gamma, gen.b_gamma)
     beta = taped.affine(z, gen.w_beta, gen.b_beta)
-    return masked_affine(xhat, gamma, beta, batch)
+    return taped.masked_affine(xhat, gamma, beta, batch)
 
 
-def run_generator(node, xhat, batch, gen, mode, rate, seed):
-    """Output, gradients (xhat, then each generator field) and the final
-    dropout-RNG state of one probed pass through ``node``."""
+def taped_normalizer(batch, state, gen, mode, dropout_rate=0.0, rng=None):
+    """``abn_forward`` rebuilt from the tests' reference nodes: the
+    standardization, then the taped generator or, for bn, the affine with
+    the learned pair."""
+    xhat = taped.standardize(batch, state, mode)
+    if isinstance(gen, LearnedScaleShift):
+        return taped.masked_affine(xhat, gen.gamma, gen.beta, batch)
+    return taped_generator(xhat, batch, gen, mode, dropout_rate, rng)
+
+
+def run_normalizer(node, batch, state, gen, mode, rate, seed):
+    """Output, gradients (the features, then each field of ``gen``), the
+    running statistics and the final dropout-RNG state of one probed pass
+    through ``node``."""
     rng = np.random.default_rng(seed)
     probe = Tensor(np.random.default_rng(seed + 1).normal(size=batch.features.shape))
     tape = GradTape()
     with recording(tape):
-        out = node(xhat, batch, gen, mode, rate, rng)
+        out = node(batch, state, gen, mode, rate, rng)
         loss = taped.tsum(taped.mul(out.features, probe))
     grads = backward(tape, loss)
-    wrt = [xhat] + [getattr(gen, f) for f in type(gen).__slots__]
-    return out.features.data, [grads.wrt(t) for t in wrt], rng.bit_generator.state
-
-
-def fused_generator(xhat, batch, gen, mode, dropout_rate, rng):
-    return gen.apply(xhat, batch, dropout_rate, rng, mode)
+    wrt = [batch.features] + [getattr(gen, f) for f in type(gen).__slots__]
+    stats = [state.running_mean.data, state.running_var.data]
+    return out.features.data, [grads.wrt(t) for t in wrt], stats, rng.bit_generator.state
 
 
 class TestFusedNodeMatchesTapedComposition:
-    """Each generator's single node against the taped composition it
-    replaces: output, every gradient and the RNG stream, bit for bit."""
+    """Each variant's single normalizer node against the taped composition
+    it replaces: output, every gradient, the running statistics and the RNG
+    stream, bit for bit."""
 
-    @pytest.mark.parametrize("mode,rate", [("train", 0.0), ("infer", 0.0), ("train", 0.3)])
-    @pytest.mark.parametrize("variant", ["abn-f", "abn-u"])
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("lengths,p", [((6, 1, 4, 1, 3), 4), ((7, 7, 2, 1), 16)])
     def test_bit_for_bit(self, variant, mode, rate, lengths, p):
         t_max = max(lengths)
         batch = random_batch(120 + p, batch=len(lengths), t_max=t_max, p=p, lengths=lengths)
         stats = np.random.default_rng(121)
-        state = BatchNormState(
-            tc.ones(p), tc.zeros(p), Tensor(stats.normal(size=p)),
-            Tensor(stats.uniform(0.5, 2.0, size=p)), 1e-5, 0.1,
-        )
-        xhat = standardize_batch(batch, state, mode)
-        if variant == "abn-f":
-            gen = random_frame_gen(p, p // 2, seed=122)
-        else:
-            gen = random_utt_gen(p, 3, seed=122)
-        ref = run_generator(taped_generator, xhat, batch, gen, mode, rate, seed=123)
-        got = run_generator(fused_generator, xhat, batch, gen, mode, rate, seed=123)
+        mean, var = Tensor(stats.normal(size=p)), Tensor(stats.uniform(0.5, 2.0, size=p))
+        gen = random_source(variant, p, seed=122)
+        ref = run_normalizer(taped_normalizer, batch, BatchNormState(mean, var, 1e-5, 0.1),
+                             gen, mode, rate, seed=123)
+        got = run_normalizer(abn_forward, batch, BatchNormState(mean, var, 1e-5, 0.1),
+                             gen, mode, rate, seed=123)
         np.testing.assert_array_equal(got[0], ref[0])
-        names = ["xhat", *type(gen).__slots__]
+        names = ["features", *type(gen).__slots__]
         for name, g_got, g_ref in zip(names, got[1], ref[1]):
             assert np.array_equal(g_got, g_ref), f"{variant} {mode} rate {rate}: d{name} differs"
-        assert got[2] == ref[2]
-        if rate and mode == "train":
-            assert got[2] != np.random.default_rng(123).bit_generator.state
+        for s_got, s_ref in zip(got[2], ref[2]):
+            assert np.array_equal(s_got, s_ref), f"{variant} {mode} rate {rate}: statistics differ"
+        assert got[3] == ref[3]
+        drew = got[3] != np.random.default_rng(123).bit_generator.state
+        assert drew == (rate > 0 and mode == "train" and variant != "bn")
 
-    @pytest.mark.parametrize("variant", ["abn-f", "abn-u"])
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_records_one_node(self, variant):
         batch = random_batch(130, batch=3, t_max=5, p=4, lengths=(5, 1, 3))
-        gen = random_frame_gen() if variant == "abn-f" else random_utt_gen()
-        xhat = Tensor(np.random.default_rng(131).normal(size=(15, 4)))
         tape = GradTape()
         with recording(tape):
-            gen.apply(xhat, batch, 0.3, np.random.default_rng(132), "train")
+            abn_forward(batch, BatchNormState.fresh(4), random_source(variant), "train",
+                        0.3, np.random.default_rng(132))
         assert len(tape) == 1
 
 
@@ -550,21 +588,19 @@ def _desk_train_tape(variant, dropout):
 
 def test_every_variant_records_the_same_nodes_per_desk_batch():
     counts = {variant: len(_desk_train_tape(variant, 0.0)) for variant in VARIANTS}
-    # Per layer: standardize, the normalizer's affine or generator node, two
-    # directions and the join; then the projection and the CTC loss.
-    assert counts == dict.fromkeys(VARIANTS, 12), counts
+    # Per layer: the normalizer, two directions and the join; then the
+    # projection and the CTC loss.
+    assert counts == dict.fromkeys(VARIANTS, 10), counts
 
 
-# The fused nodes of the program, by the function or method that records them.
-FUSED_NODES = {"run_direction", "join_directions", "project", "standardize_batch",
-               "masked_affine", "FrameAbnGenerator.apply", "UttAbnGenerator.apply",
-               "_batched_ctc"}
+# The fused nodes of the program, by the function that records them.
+FUSED_NODES = {"run_direction", "join_directions", "project", "abn_forward", "_batched_ctc"}
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_desk_train_step_with_dropout_records_only_fused_nodes(variant):
     tape = _desk_train_tape(variant, 0.3)
     # Dropout adds no node: the generators and the joins apply it inside theirs.
-    assert len(tape) == 12
+    assert len(tape) == 10
     owners = {node.vjp.__qualname__.split(".<locals>")[0] for node in tape.nodes}
     assert owners <= FUSED_NODES, owners - FUSED_NODES

@@ -319,6 +319,7 @@ class TestConfig:
             ("train_utterances = 0", "train_utterances"),
             ("dev_utterances = 0", "dev_utterances"),
             ("dev_utterances = -3", "dev_utterances"),
+            ("seed = -1", "seed"),
         ],
         ids=["hidden", "features", "embed_dim", "attn_dim", "vocab",
              "task_distinct_neighbors", "embed_dim-features", "embed_dim-hidden",
@@ -330,7 +331,7 @@ class TestConfig:
              "task_distinct_neighbors-vocab", "initial_lr-inf", "halve_threshold-inf",
              "adam_eps-inf", "bn_eps-inf", "task_noise-inf", "task_gain_spread-inf",
              "task_offset_spread-inf", "task_offset_spread-nan", "train_utterances",
-             "dev_utterances", "dev_utterances-negative"],
+             "dev_utterances", "dev_utterances-negative", "seed-negative"],
     )
     def test_bounds_checked_at_parse(self, text, key):
         with pytest.raises(errors.ConfigError, match=key):

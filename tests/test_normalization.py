@@ -6,12 +6,8 @@ import pytest
 from abn import errors
 from abn import tensor as tc
 from abn.data import SequenceBatch
-from abn.normalization import (
-    BatchNormState,
-    bn_forward,
-    masked_affine,
-    standardize_batch,
-)
+from abn.generators import LearnedScaleShift, abn_forward
+from abn.normalization import BatchNormState, standardize_batch
 from abn.tensor import GradTape, Tensor, backward, finite_diff_check, recording
 
 import taped
@@ -19,6 +15,11 @@ import taped
 
 def batch_of(features, lengths):
     return SequenceBatch(Tensor(features), lengths)
+
+
+def plain_bn(batch, state, mode):
+    """Plain batch norm: the normalizer node with a fresh learned pair."""
+    return abn_forward(batch, state, LearnedScaleShift.init(batch.dim), mode)
 
 
 def batch_statistics(batch):
@@ -32,17 +33,16 @@ def batch_statistics(batch):
 def standardize_with(x, mu, var, epsilon):
     """Infer-mode standardization of rows ``x`` with the given statistics."""
     x = np.asarray(x, dtype=float)
-    state = BatchNormState(
-        tc.ones(x.shape[-1]), tc.zeros(x.shape[-1]), Tensor(mu), Tensor(var), epsilon, 0.1
-    )
-    return standardize_batch(batch_of(x[:, None, :], [1] * x.shape[0]), state, "infer")
+    state = BatchNormState(Tensor(mu), Tensor(var), epsilon, 0.1)
+    xhat, _ = standardize_batch(batch_of(x[:, None, :], [1] * x.shape[0]), state, "infer")
+    return Tensor(xhat.reshape(x.shape))
 
 
 def affine_of(xhat, gamma, beta):
-    """``masked_affine`` on rows ``xhat``, each a one-frame utterance."""
+    """The masked affine on rows ``xhat``, each a one-frame utterance."""
     xhat = np.atleast_2d(np.asarray(xhat, dtype=float))
     batch = batch_of(np.zeros((xhat.shape[0], 1, xhat.shape[1])), [1] * xhat.shape[0])
-    return masked_affine(Tensor(xhat), Tensor(gamma), Tensor(beta), batch).features
+    return taped.masked_affine(xhat, gamma, beta, batch).features
 
 
 class TestStatistics:
@@ -118,25 +118,25 @@ class TestAffine:
         batch = batch_of(np.zeros((2, 3, 2)), [3, 2])
         gamma = np.array([[[2.0, -1.0]], [[0.5, 3.0]]])  # [B, 1, p]
         beta = np.full((2, 1, 2), 0.25)
-        out = masked_affine(Tensor(xhat), Tensor(gamma), Tensor(beta), batch).features.data
+        out = taped.masked_affine(xhat, gamma, beta, batch).features.data
         expect = (xhat * gamma + beta) * batch.frames.mask[:, :, None]
         np.testing.assert_array_equal(out, expect)
         gamma_t = np.random.default_rng(5).normal(size=(2, 3, 2))  # [B, T, p]
-        out = masked_affine(Tensor(xhat), Tensor(gamma_t), Tensor(gamma_t), batch)
+        out = taped.masked_affine(xhat, gamma_t, gamma_t, batch)
         expect = (xhat * gamma_t + gamma_t) * batch.frames.mask[:, :, None]
         np.testing.assert_array_equal(out.features.data, expect)
 
     def test_mismatched_shapes_rejected(self):
         batch = batch_of(np.zeros((1, 2, 2)), [2])
         with pytest.raises(errors.ShapeError):
-            masked_affine(tc.zeros(2, 2), tc.ones(2), tc.zeros(1, 1, 2), batch)
+            LearnedScaleShift(tc.ones(2), tc.zeros(1, 1, 2))
         with pytest.raises(errors.ShapeError):
-            masked_affine(tc.zeros(2, 2), tc.ones(3), tc.zeros(3), batch)
+            abn_forward(batch, BatchNormState.fresh(2), LearnedScaleShift.init(3), "train")
 
 
 def taped_standardize(batch, state, mode):
     """The standardization rebuilt from taped primitives: the reference for
-    the fused node's forward and its closed-form VJP."""
+    closed-form forward and VJP of ``standardize_batch``."""
     b, t_max, p = batch.features.shape
     flat = taped.reshape(batch.features, (b * t_max, p))
     if mode == "train":
@@ -147,7 +147,8 @@ def taped_standardize(batch, state, mode):
         var = taped.div(taped.tsum(taped.mul(centered, centered), axis=0), n)
     else:
         mu, var = state.running_mean, state.running_var
-    return taped.div(taped.sub(flat, mu), taped.sqrt(taped.add(var, state.epsilon)))
+    xhat = taped.div(taped.sub(flat, mu), taped.sqrt(taped.add(var, state.epsilon)))
+    return taped.reshape(xhat, (b, t_max, p))
 
 
 class TestStandardizeNode:
@@ -161,22 +162,22 @@ class TestStandardizeNode:
         rng = np.random.default_rng(31)
         p = 3
         feats = Tensor(rng.normal(1.0, 2.0, size=(len(lengths), t_max, p)))
-        probe = Tensor(rng.normal(size=(len(lengths) * t_max, p)))
+        probe = Tensor(rng.normal(size=(len(lengths) * t_max, p)).reshape(-1, t_max, p))
 
         mean, var = Tensor(rng.normal(size=p)), Tensor(rng.uniform(0.5, 2.0, size=p))
 
         def state():
-            return BatchNormState(tc.ones(p), tc.zeros(p), mean, var, 1e-5, 0.1)
+            return BatchNormState(mean, var, 1e-5, 0.1)
 
         grads, outs = [], []
-        for fn in (standardize_batch, taped_standardize):
+        for fn in (taped.standardize, taped_standardize):
             tape = GradTape()
             with recording(tape):
                 out = fn(SequenceBatch(feats, lengths), state(), mode)
                 loss = taped.tsum(taped.mul(out, probe))
             outs.append(out.data)
             grads.append(backward(tape, loss).wrt(feats))
-            if fn is standardize_batch:
+            if fn is taped.standardize:
                 assert len(tape) == 3  # the node, then the probe's mul and sum
         np.testing.assert_array_equal(outs[0], outs[1])
         # Both cancel terms of size |g| / std, which set the roundoff; at
@@ -206,7 +207,7 @@ class TestForward:
         lengths = [6, 4, 5]
         b = batch_of(feats, lengths)
         state = BatchNormState.fresh(4)
-        out = bn_forward(b, state, "train")
+        out = plain_bn(b, state, "train")
         mask = b.frames.mask
         vals = out.features.data[mask]  # [n_valid, 4]
         n = vals.shape[0]
@@ -221,21 +222,21 @@ class TestForward:
     def test_train_updates_running_stats(self):
         b = batch_of([[[1.0], [3.0]]], [2])
         state = BatchNormState.fresh(1, momentum=0.1)
-        bn_forward(b, state, "train")
+        plain_bn(b, state, "train")
         assert state.running_mean.data.tolist() == [pytest.approx(0.9 * 0.0 + 0.1 * 2.0)]
         assert state.running_var.data.tolist() == [pytest.approx(0.9 * 1.0 + 0.1 * 1.0)]
 
     def test_momentum_one_copies_batch_stats(self):
         b = batch_of([[[1.0], [3.0]]], [2])
         state = BatchNormState.fresh(1, momentum=1.0)
-        bn_forward(b, state, "train")
+        plain_bn(b, state, "train")
         assert state.running_mean.data.tolist() == [2.0]
         assert state.running_var.data.tolist() == [1.0]
 
     def test_infer_uses_running_stats(self):
         b = batch_of([[[1.0], [2.0]]], [2])
         state = BatchNormState.fresh(1, epsilon=1e-5)
-        out = bn_forward(b, state, "infer")
+        out = plain_bn(b, state, "infer")
         expect = np.array([1.0, 2.0]) / np.sqrt(1.0 + 1e-5)
         np.testing.assert_allclose(out.features.data[0, :, 0], expect)
 
@@ -243,7 +244,7 @@ class TestForward:
         b = batch_of([[[1.0], [2.0]]], [2])
         state = BatchNormState.fresh(1)
         before = state.running_mean.data.copy()
-        bn_forward(b, state, "infer")
+        plain_bn(b, state, "infer")
         np.testing.assert_array_equal(state.running_mean.data, before)
 
     def test_padded_frames_zeroed(self):
@@ -252,7 +253,7 @@ class TestForward:
         feats[1, 1:] = -9.0
         b = batch_of(feats, [2, 1])
         state = BatchNormState.fresh(3)
-        out = bn_forward(b, state, "train")
+        out = plain_bn(b, state, "train")
         assert np.all(out.features.data[0, 2:] == 0.0)
         assert np.all(out.features.data[1, 1:] == 0.0)
 
@@ -260,11 +261,11 @@ class TestForward:
         rng = np.random.default_rng(11)
         feats = rng.normal(size=(2, 5, 3))
         lengths = [4, 2]
-        out1 = bn_forward(batch_of(feats, lengths), BatchNormState.fresh(3), "train")
+        out1 = plain_bn(batch_of(feats, lengths), BatchNormState.fresh(3), "train")
         corrupted = feats.copy()
         corrupted[0, 4:] = 1e6
         corrupted[1, 2:] = -1e6
-        out2 = bn_forward(batch_of(corrupted, lengths), BatchNormState.fresh(3), "train")
+        out2 = plain_bn(batch_of(corrupted, lengths), BatchNormState.fresh(3), "train")
         np.testing.assert_array_equal(out1.features.data, out2.features.data)
 
 
@@ -277,7 +278,7 @@ class TestGradients:
 
         def f(theta):
             state = BatchNormState.fresh(2)
-            out = bn_forward(SequenceBatch(theta, lengths), state, "train")
+            out = plain_bn(SequenceBatch(theta, lengths), state, "train")
             return taped.tsum(taped.mul(out.features, probe))
 
         assert finite_diff_check(f, Tensor(feats)) < 1e-4
@@ -289,9 +290,8 @@ class TestGradients:
         probe = Tensor(rng.normal(size=(2, 3, 2)))
 
         def loss_with(gamma, beta):
-            state = BatchNormState.fresh(2)
-            state.gamma, state.beta = gamma, beta
-            out = bn_forward(SequenceBatch(feats, lengths), state, "train")
+            out = abn_forward(SequenceBatch(feats, lengths), BatchNormState.fresh(2),
+                              LearnedScaleShift(gamma, beta), "train")
             return taped.tsum(taped.mul(out.features, probe))
 
         base_beta = Tensor(rng.normal(size=(2,)))
@@ -306,7 +306,7 @@ class TestGradients:
         probe = Tensor(rng.normal(size=(1, 4, 2)))
         tape = GradTape()
         with recording(tape):
-            out = bn_forward(SequenceBatch(feats, [2]), BatchNormState.fresh(2), "train")
+            out = plain_bn(SequenceBatch(feats, [2]), BatchNormState.fresh(2), "train")
             loss = taped.tsum(taped.mul(out.features, probe))
         g = backward(tape, loss).wrt(feats)
         assert np.all(g[0, 2:] == 0.0)
@@ -315,9 +315,10 @@ class TestGradients:
 
 class TestStateValidation:
     def test_fresh_defaults(self):
+        pair = LearnedScaleShift.init(3)
+        assert pair.gamma.data.tolist() == [1.0, 1.0, 1.0]
+        assert pair.beta.data.tolist() == [0.0, 0.0, 0.0]
         s = BatchNormState.fresh(3)
-        assert s.gamma.data.tolist() == [1.0, 1.0, 1.0]
-        assert s.beta.data.tolist() == [0.0, 0.0, 0.0]
         assert s.running_mean.data.tolist() == [0.0, 0.0, 0.0]
         assert s.running_var.data.tolist() == [1.0, 1.0, 1.0]
         assert s.epsilon == 1e-5
@@ -339,4 +340,4 @@ class TestStateValidation:
         state = BatchNormState.fresh(3)
         b = batch_of(np.ones((1, 2, 2)), [2])
         with pytest.raises(errors.ShapeError):
-            bn_forward(b, state, "train")
+            plain_bn(b, state, "train")

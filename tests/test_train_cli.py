@@ -261,6 +261,25 @@ class TestCli:
         assert "must be at least 1" in captured.err
         assert "PASS" not in captured.out
 
+    @pytest.mark.parametrize("argv", [
+        ["decode", "--ckpt", "absent.ckpt", "--seed", "-1"],
+        ["gradcheck", "--seed", "-1"],
+    ])
+    def test_negative_seeds_are_usage_errors(self, argv, capsys):
+        # numpy refuses a negative seed with a traceback.
+        with pytest.raises(SystemExit) as exc:
+            cli(argv)
+        assert exc.value.code == 2
+        assert "must be at least 0" in capsys.readouterr().err
+
+    def test_negative_train_seed_is_refused_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = cli(["train", "--config", write_cfg(tmp_path), "--seed", "-3",
+                  "--out-dir", str(out)])
+        assert rc == 1
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             cli(["frobnicate"])
