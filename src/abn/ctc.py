@@ -120,6 +120,11 @@ def _batched_ctc(logits: Tensor, frames: Frames, targets: CtcTargets) -> Tensor:
     Utterance b scores its first ``frames.lengths[b]`` frames against
     ``targets[b]``. The alpha/beta recursions of Graves et al. (2006) run
     for every utterance at once over the targets' lattice, [B, S].
+
+    Untaped, the logits may carry a leading replica axis, ``[R, B, T, V]``
+    (``abn.tensor.per_replica``). The replicas' utterances then run as
+    ``R*B`` rows of one recursion, and the result is ``[R]``, each
+    replica's mean.
     """
     u = logits.data.reshape((-1,) + logits.shape[-2:])
     n_utt, t_max, vocab = u.shape
@@ -128,10 +133,15 @@ def _batched_ctc(logits: Tensor, frames: Frames, targets: CtcTargets) -> Tensor:
         token = ext[ext >= vocab][0]
         raise ContractError(f"label token {token} outside vocabulary of {vocab}")
     lengths = frames.lengths
+    lead = logits.shape[:-3]
     if (lengths < targets.min_frames).any():
-        out = Tensor._wrap(np.float64(np.inf))
+        out = Tensor._wrap(np.full(lead, np.inf))
         record_op(out, (logits,), lambda g: (np.zeros(logits.shape),))
         return out
+    if lead:
+        reps = n_utt // len(targets)
+        ext, skip = np.tile(ext, (reps, 1)), np.tile(skip, (reps, 1))
+        s_lens, lengths = np.tile(s_lens, reps), np.tile(lengths, reps)
 
     shift = u.max(axis=-1, keepdims=True)
     y_log = u - (shift + np.log(np.exp(u - shift).sum(axis=-1, keepdims=True)))
@@ -158,7 +168,8 @@ def _batched_ctc(logits: Tensor, frames: Frames, targets: CtcTargets) -> Tensor:
     final = alpha[ends, utt]
     before_last = np.where(s_lens > 1, final[utt, s_lens - 2], -np.inf)
     log_p = np.logaddexp(final[utt, s_lens - 1], before_last)
-    out = Tensor._wrap(np.float64(-log_p.sum() / n_utt))
+    n_b = len(targets)
+    out = Tensor._wrap(-log_p.reshape(lead + (n_b,)).sum(axis=-1) / n_b)
 
     def vjp(g):
         # Backward recursion; beta[t, b, s] covers frames t+1..ends[b] (the

@@ -73,17 +73,19 @@ class SequenceBatch:
     def lengths(self) -> np.ndarray:
         return self.frames.lengths
 
+    # Read from the trailing axes: features computed in a replica pass
+    # carry a leading replica axis (``abn.tensor.per_replica``).
     @property
     def batch_size(self) -> int:
-        return self.features.shape[0]
+        return self.features.shape[-3]
 
     @property
     def max_frames(self) -> int:
-        return self.features.shape[1]
+        return self.features.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.features.shape[2]
+        return self.features.shape[-1]
 
     def valid_frames(self) -> int:
         return self.frames.valid

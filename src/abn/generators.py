@@ -74,11 +74,12 @@ class LearnedScaleShift:
 
     @property
     def feature_dim(self) -> int:
-        return self.gamma.shape[0]
+        return self.gamma.shape[-1]
 
     def scale_shift(self, x, mask, dropout_rate: float, rng, mode: str):
         """The learned pair, whatever the frames; dropout leaves it alone."""
-        return self.gamma.data, self.beta.data, lambda g_x, g_gamma, g_beta: (g_gamma, g_beta)
+        gamma, beta = (tc.per_replica(t.data, 1, 4) for t in (self.gamma, self.beta))
+        return gamma, beta, lambda g_x, g_gamma, g_beta: (g_gamma, g_beta)
 
 
 class FrameAbnGenerator:
@@ -117,7 +118,7 @@ class FrameAbnGenerator:
 
     @property
     def feature_dim(self) -> int:
-        return self.w_embed.shape[1]
+        return self.w_embed.shape[-1]
 
     def scale_shift(self, x: np.ndarray, mask: np.ndarray, dropout_rate: float, rng, mode: str):
         """One generated (gamma, beta) pair per utterance, ``[B, 1, p]``, from
@@ -127,7 +128,7 @@ class FrameAbnGenerator:
         scale = tc.dropout_scale(embedded.shape, dropout_rate, rng, mode)
         e = embedded if scale is None else np.multiply(embedded, scale)
         alpha = frame_attention(e, mask)
-        z = frame_pool(e, alpha)[:, None, :]  # [B, 1, d_e]
+        z = frame_pool(e, alpha)[..., None, :]  # [B, 1, d_e]
         gamma, beta = head_params(z, self)
 
         def back(g_x, g_gamma, g_beta):
@@ -181,7 +182,7 @@ class UttAbnGenerator:
 
     @property
     def feature_dim(self) -> int:
-        return self.w_key.shape[1]
+        return self.w_key.shape[-1]
 
     def scale_shift(self, x: np.ndarray, mask: np.ndarray, dropout_rate: float, rng, mode: str):
         """One generated (gamma_t, beta_t) pair per frame, ``[B, T, p]``, from
@@ -230,7 +231,7 @@ def frame_embed(h_norm: np.ndarray, gen: FrameAbnGenerator) -> np.ndarray:
     tanh(W h + b), of width embed_dim.
     """
     e = tc.linear_array(h_norm, gen.w_embed.data)
-    e += gen.b_embed.data
+    e += tc.per_replica(gen.b_embed.data, 1, e.ndim)
     return np.tanh(e, out=e)
 
 
@@ -255,9 +256,9 @@ def head_params(z: np.ndarray, gen) -> tuple[np.ndarray, np.ndarray]:
     per-frame context vectors (one pair per frame).
     """
     gamma = tc.linear_array(z, gen.w_gamma.data)
-    gamma += gen.b_gamma.data
+    gamma += tc.per_replica(gen.b_gamma.data, 1, gamma.ndim)
     beta = tc.linear_array(z, gen.w_beta.data)
-    beta += gen.b_beta.data
+    beta += tc.per_replica(gen.b_beta.data, 1, beta.ndim)
     return gamma, beta
 
 
@@ -333,6 +334,10 @@ def abn_forward(
     gradients), then the standardization's. Dropout, when active, hits the
     generator's intermediate activations only (frame embeddings, or context
     vectors), never the main signal.
+
+    Untaped in train mode, the batch and one field of ``gen`` may carry a
+    leading replica axis (``tc.per_replica``); every stage keeps it, and
+    the running statistics are left alone.
     """
     if gen.feature_dim != batch.dim:
         raise ShapeError(

@@ -19,9 +19,16 @@ from .recurrent import (
     run_layers,
 )
 # Not called here: ``perfbench/spans.py`` wraps ``abn.gradcheck.stack_forward``
-# by name, and a missing name is reported as an unwrapped trace target.
+# and ``abn.gradcheck.finite_diff_check`` by name, and a missing name is
+# reported as an unwrapped trace target.
 from .recurrent import stack_forward  # noqa: F401
-from .tensor import Tensor, finite_diff_check
+from .tensor import finite_diff_check  # noqa: F401
+from .tensor import Tensor, central_error, central_points
+
+# At most this many parameter values per replica pass (R times the size of
+# the perturbed tensor): a bigger tensor splits its 2N points into chunks,
+# so that the replicated parameter and the activations stay small.
+REPLICA_VALUES = 1 << 15
 
 DEFAULT_T_VALUES = (1, 2, 5, 7)
 
@@ -34,7 +41,8 @@ def _labels_for(length: int, vocab: int) -> LabelSequence:
 
 
 class StageCache:
-    """Stage outputs of the unperturbed stack on one batch.
+    """Stage outputs of the unperturbed stack on one batch, and the resume
+    that recomputes the stack above a stage, for one model or for R.
 
     Per layer it keeps the input, the normalized batch and the output of
     each LSTM direction; ``features`` is the projection's input and
@@ -65,20 +73,47 @@ class StageCache:
         self.features = current
         self.logits = project(current, model)
 
-    def resume(self, model: Model, stage: Stage) -> SequenceBatch:
-        """Train-mode logits, recomputed from ``stage`` on and cached below it."""
+    def resume(
+        self, model: Model, stage: Stage, replicas: tuple[str, Tensor] | None = None
+    ) -> SequenceBatch:
+        """Train-mode logits, recomputed from ``stage`` on and cached below it.
+
+        ``replicas``, a parameter's name and ``[R, *shape]`` values for it,
+        runs R models at once, untaped: the parameter, which must enter at
+        ``stage``, takes one value per replica (``Model.replicas``), the
+        cached stage inputs are copied to every replica, and the logits are
+        ``[R, B, T, V]``. Each replica's logits are bit for bit those of a
+        resume with that value set. Without ``replicas`` nothing is copied.
+        """
         l, part = stage
-        if part == "out":
-            return project(self.features, model)
-        if part == "norm":
-            return project(run_layers(self.inputs[l], model, l, "train"), model)
-        if part not in ("fwd", "bwd"):
+        if part not in ("norm", "fwd", "bwd", "out"):
             raise ContractError(f"no cached resume for stage {stage}")
-        layer, normalized = model.layers[l], self.normalized[l]
+        if replicas is None:
+            return self._walk(model, l, part, lambda a: a)
+        name, values = replicas
+        if model.parameter_stage(name) != stage:
+            raise ContractError(f"{name} does not enter the stack at {stage}")
+        count = values.shape[0]
+
+        def spread(a):
+            # A cached activation, the same for every replica.
+            if isinstance(a, SequenceBatch):
+                return SequenceBatch._wrap(spread(a.features), a.frames)
+            return Tensor._wrap(np.repeat(a.data[None], count, axis=0))
+
+        with model.replicas(name, values):
+            return self._walk(model, l, part, spread)
+
+    def _walk(self, model, l, part, spread) -> SequenceBatch:
+        if part == "out":
+            return project(spread(self.features), model)
+        if part == "norm":
+            return project(run_layers(spread(self.inputs[l]), model, l, "train"), model)
+        layer, normalized = model.layers[l], spread(self.normalized[l])
         if part == "fwd":
-            fwd, bwd = run_direction(normalized, layer.fwd, reverse=False), self.bwd[l]
+            fwd, bwd = run_direction(normalized, layer.fwd, reverse=False), spread(self.bwd[l])
         else:
-            fwd, bwd = self.fwd[l], run_direction(normalized, layer.bwd, reverse=True)
+            fwd, bwd = spread(self.fwd[l]), run_direction(normalized, layer.bwd, reverse=True)
         joined = join_directions(fwd, bwd, normalized.frames, model.config.dropout, "train")
         return project(run_layers(joined, model, l + 1, "train"), model)
 
@@ -115,6 +150,22 @@ def analytic_gradients(
     return {name: grads.wrt(t) for name, t in model.parameters().items()}, cache
 
 
+def replica_losses(
+    cache: StageCache, model: Model, name: str, targets: CtcTargets, h: float
+) -> np.ndarray:
+    """The loss at each of parameter ``name``'s ``central_points``, from
+    replica passes of at most ``REPLICA_VALUES`` values each."""
+    base = model.parameters()[name].data
+    stage, total = model.parameter_stage(name), 2 * base.size
+    step = max(1, REPLICA_VALUES // base.size)
+    losses = []
+    for start in range(0, total, step):
+        points = Tensor._wrap(central_points(base, h, start, min(start + step, total)))
+        logits = cache.resume(model, stage, (name, points))
+        losses.append(sequence_ctc_loss(logits, targets).data)
+    return np.concatenate(losses)
+
+
 def model_gradient_check(
     variant: str,
     seed: int = 0,
@@ -131,18 +182,23 @@ def model_gradient_check(
 
     Per length, one taped walk of the stack and one ``backward`` give every
     parameter's analytic gradient (``analytic_gradients``); that walk also
-    fills the ``StageCache`` of the unperturbed model. The numeric sweep
-    then runs untaped. Each of its evaluations starts at the stage its
-    parameter feeds (``Model.parameter_stage``), on that cache: a normalizer or
-    generator parameter of layer l reruns the stack from layer l's input;
-    an LSTM weight reruns only its direction on the cached normalized
-    batch, joins the other direction's cached output and continues at
-    layer l+1; an output parameter only projects the cached features.
-    Nothing below a parameter's stage reads it, and train-mode statistics
-    are per batch (the running-statistics update never reaches the loss),
-    so each loss is bitwise the one ``stack_forward`` gives. Once per
-    length, the unperturbed logits of every stage's resume are compared
-    with the taped pass's, and any difference raises.
+    fills the ``StageCache`` of the unperturbed model. The numeric side
+    runs untaped, one replica pass per parameter tensor (``replica_losses``;
+    a large tensor takes several): the tensor's 2N central-difference
+    points (``central_points``) become R = 2N models, on a leading replica
+    axis, that resume at once from the stage the tensor feeds
+    (``Model.parameter_stage``). A normalizer or generator parameter of
+    layer l reruns the stack from layer l's input; an LSTM weight reruns
+    only its direction on the cached normalized batch, joins the other
+    direction's cached output and continues at layer l+1; an output
+    parameter only projects the cached features. CTC returns one mean loss
+    per replica, and ``central_error`` compares the differences with the
+    analytic gradient. Nothing below a parameter's stage reads it,
+    train-mode statistics are per batch, and each replica's products run
+    as their own 2-d products, so each loss is bitwise the one
+    ``stack_forward`` gives at that point. Once per length and stage, a
+    replica pass at the unperturbed value is compared with the taped
+    pass's logits, and any difference raises.
 
     The step is wider than the single-op default because some parameters
     of a deep composite have gradients near the 1e-8 floor of the
@@ -162,22 +218,15 @@ def model_gradient_check(
     for t_max in t_values:
         model, batch, targets = check_problem(variant, seed, t_max, hidden, features, vocab)
         analytic, cache = analytic_gradients(model, batch, targets)
-        full = cache.logits.features.data
-        stages = {name: model.parameter_stage(name) for name in analytic}
-        for stage in dict.fromkeys(stages.values()):
-            if not np.array_equal(cache.resume(model, stage).features.data, full):
+        params = model.parameters()
+        first = {}
+        for name in params:
+            first.setdefault(model.parameter_stage(name), name)
+        for stage, name in first.items():
+            logits = cache.resume(model, stage, (name, Tensor._wrap(params[name].data[None])))
+            if not np.array_equal(logits.features.data[0], cache.logits.features.data):
                 raise ContractError(f"resuming at {stage} disagrees with the taped pass")
-
-        for name, base in model.parameters().items():
-            stage = stages[name]
-
-            def f(theta, name=name, base=base, stage=stage):
-                model.set_parameter(name, theta)
-                try:
-                    return sequence_ctc_loss(cache.resume(model, stage), targets)
-                finally:
-                    model.set_parameter(name, base)
-
-            err = finite_diff_check(f, base, h=h, analytic=analytic[name])
-            worst = max(worst, err)
+        for name in params:
+            losses = replica_losses(cache, model, name, targets, h)
+            worst = max(worst, central_error(losses, analytic[name], h))
     return worst

@@ -67,6 +67,10 @@ def standardize_batch(batch: SequenceBatch, state: BatchNormState, mode: str):
     over every row, while only valid rows pass gradient into the
     statistics: with ``m`` the frame mask and ``n`` the valid count,
     ``dx = (g - m * (sum(g) + xhat * sum(g * xhat)) / n) / sqrt(var + eps)``.
+
+    Untaped in train mode, the batch may carry a leading replica axis
+    (``tc.per_replica``): each replica then takes its own statistics, and
+    the running averages are not updated.
     """
     if mode not in ("train", "infer"):
         raise ShapeError(f"mode must be 'train' or 'infer', got {mode!r}")
@@ -74,8 +78,8 @@ def standardize_batch(batch: SequenceBatch, state: BatchNormState, mode: str):
         raise ShapeError(
             f"batch feature dim {batch.dim} does not match state {state.feature_dim}"
         )
-    b, t_max, p = batch.features.shape
-    flat = batch.features.data.reshape(b * t_max, p)
+    lead, (b, t_max, p) = batch.features.shape[:-3], batch.features.shape[-3:]
+    flat = batch.features.data.reshape(lead + (b * t_max, p))
     if mode == "train":
         n = batch.frames.valid
         if n < 2:
@@ -83,15 +87,16 @@ def standardize_batch(batch: SequenceBatch, state: BatchNormState, mode: str):
                 f"need at least 2 valid frames for batch statistics, got {n}"
             )
         maskcol = batch.frames.mask.astype(np.float64).reshape(-1, 1)
-        mu = np.sum(flat * maskcol, axis=0) / n
+        mu = np.sum(flat * maskcol, axis=-2, keepdims=True) / n
         diff = flat - mu
         squares = diff * maskcol
         squares *= squares
-        var = np.sum(squares, axis=0) / n
+        var = np.sum(squares, axis=-2, keepdims=True) / n
         del squares  # one [B*T, p] array fewer while xhat is made
-        m = state.momentum
-        state.running_mean = Tensor._wrap((1.0 - m) * state.running_mean.data + m * mu)
-        state.running_var = Tensor._wrap((1.0 - m) * state.running_var.data + m * var)
+        if not lead:  # a replica pass keeps the one [p] of each statistic
+            m = state.momentum
+            state.running_mean = Tensor._wrap((1.0 - m) * state.running_mean.data + m * mu[0])
+            state.running_var = Tensor._wrap((1.0 - m) * state.running_var.data + m * var[0])
     else:
         mu, var = state.running_mean.data, state.running_var.data
         diff = flat - mu
@@ -106,7 +111,7 @@ def standardize_batch(batch: SequenceBatch, state: BatchNormState, mode: str):
         shift = np.sum(g, axis=0) / n + xhat * (np.sum(g * xhat, axis=0) / n)
         return ((g - maskcol * shift) / std).reshape(b, t_max, p)
 
-    return xhat.reshape(b, t_max, p), vjp
+    return xhat.reshape(lead + (b, t_max, p)), vjp
 
 
 def masked_affine_array(

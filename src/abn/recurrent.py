@@ -15,6 +15,7 @@ the bias-free equations exactly.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -63,13 +64,15 @@ class LstmLayerParams:
         b[hidden : 2 * hidden] = 1.0  # positive forget bias keeps early memory open
         return cls(Tensor(w_x), Tensor(w_h), tc.zeros(hidden), Tensor(b))
 
+    # Read from the trailing axes: in a replica pass one field carries a
+    # leading replica axis (``tc.per_replica``).
     @property
     def hidden(self) -> int:
-        return self.w_co.shape[0]
+        return self.w_co.shape[-1]
 
     @property
     def input_dim(self) -> int:
-        return self.w_x.shape[1]
+        return self.w_x.shape[-1]
 
 
 def run_direction(batch: SequenceBatch, params: LstmLayerParams, reverse: bool) -> Tensor:
@@ -91,35 +94,42 @@ def run_direction(batch: SequenceBatch, params: LstmLayerParams, reverse: bool) 
     padding and starts evolving at the utterance's last valid frame.
     Frames before the shortest length are valid for every utterance and
     skip the mask.
+
+    Untaped, ``batch`` and ``params`` may carry a leading replica axis R
+    (``tc.per_replica``), and the result is then ``[R, B, T, n]``. Every
+    product keeps R as a batch axis, and the kernel runs ``[T, R, B, .]``,
+    so each replica's numbers are bit for bit those of its own pass.
     """
     x = batch.features
     if x.shape[-1] != params.input_dim:
         raise ShapeError(
             f"input dim {x.shape[-1]} does not match weights {params.input_dim}"
         )
-    b, t_max, p = x.shape
+    lead, (b, t_max, p) = x.shape[:-3], x.shape[-3:]
     n = params.hidden
-    w_x, w_co = params.w_x.data, params.w_co.data
-    w_h_t = np.ascontiguousarray(params.w_h.data.T)
+    w_x, w_co = params.w_x.data, tc.per_replica(params.w_co.data, 1, 3)
+    w_h_t = np.ascontiguousarray(params.w_h.data.mT)
     full, mask = batch.frames.full, batch.frames.mask_tm  # mask: [T, B, 1]
 
     # Each step overwrites its slice of the input projection with the gate
     # activations (sigmoid i, f, o; tanh candidate) that the VJP reads.
-    x_tm = np.ascontiguousarray(x.data.transpose(1, 0, 2)).reshape(t_max * b, p)
-    gates = (x_tm @ w_x.T).reshape(t_max, b, 4 * n)
-    gates += params.b.data
-    cell = np.empty((t_max, b, n))
-    out = np.empty((t_max, b, n))
-    h, c = np.zeros((b, n)), np.zeros((b, n))
+    x_tm = np.ascontiguousarray(np.swapaxes(x.data, -3, -2)).reshape(lead + (t_max * b, p))
+    gates = (x_tm @ w_x.mT).reshape(lead + (t_max, b, 4 * n))
+    if lead:
+        gates = np.ascontiguousarray(np.moveaxis(gates, -3, 0))
+    gates += tc.per_replica(params.b.data, 1, 3)
+    cell = np.empty((t_max,) + lead + (b, n))
+    out = np.empty((t_max,) + lead + (b, n))
+    h, c = np.zeros(lead + (b, n)), np.zeros(lead + (b, n))
     order = range(t_max - 1, -1, -1) if reverse else range(t_max)
     for t in order:
         z = gates[t]
         z += h @ w_h_t
-        expit(z[:, : 2 * n], out=z[:, : 2 * n])
-        np.tanh(z[:, 2 * n : 3 * n], out=z[:, 2 * n : 3 * n])
-        c_new = np.multiply(z[:, n : 2 * n], c, out=cell[t])
-        c_new += z[:, :n] * z[:, 2 * n : 3 * n]
-        o = z[:, 3 * n :]
+        expit(z[..., : 2 * n], out=z[..., : 2 * n])
+        np.tanh(z[..., 2 * n : 3 * n], out=z[..., 2 * n : 3 * n])
+        c_new = np.multiply(z[..., n : 2 * n], c, out=cell[t])
+        c_new += z[..., :n] * z[..., 2 * n : 3 * n]
+        o = z[..., 3 * n :]
         o += w_co * c_new
         expit(o, out=o)
         if t >= full:
@@ -127,7 +137,7 @@ def run_direction(batch: SequenceBatch, params: LstmLayerParams, reverse: bool) 
         h = np.tanh(c_new, out=out[t])
         h *= o  # zero where the cell was masked
         c = c_new
-    result = Tensor._wrap(out.transpose(1, 0, 2))
+    result = Tensor._wrap(np.moveaxis(out, 0, -2))
 
     def vjp(grad):
         # Per-frame factors of the gate derivatives, for all frames at once.
@@ -213,11 +223,11 @@ def join_directions(
     both directions have run. At inference or rate 0 nothing is drawn. The
     VJP scales the output gradient, then slices the halves apart.
     """
-    out = np.concatenate((fwd.data, bwd.data), axis=2)
+    out = np.concatenate((fwd.data, bwd.data), axis=-1)
     scale = tc.dropout_scale(out.shape, rate, rng, mode)
     if scale is not None:
         out *= scale
-    n = fwd.shape[2]
+    n = fwd.shape[-1]
 
     def vjp(g):
         if scale is not None:
@@ -397,6 +407,24 @@ class Model:
             raise ContractError(f"{name} must be non-negative")
         setattr(obj, attr, value)
 
+    @contextmanager
+    def replicas(self, name: str, values: Tensor):
+        """Within the block, parameter ``name`` holds one value per replica,
+        ``values`` being ``[R, *shape]``; its single value comes back after.
+        Only an untaped train-mode pass may read the model in the block
+        (``abn.gradcheck.StageCache.resume``)."""
+        current = self.parameters()[name]
+        if values.shape[1:] != current.shape:
+            raise ShapeError(
+                f"replicas of {name} must be [R, *{list(current.shape)}], got {values.shape}"
+            )
+        obj, attr, _ = self._registry[name]
+        setattr(obj, attr, values)
+        try:
+            yield
+        finally:
+            setattr(obj, attr, current)
+
     def parameter_count(self) -> dict[str, int]:
         """Per-module and total trainable parameter counts."""
         counts: dict[str, int] = {}
@@ -429,14 +457,16 @@ def project(features: SequenceBatch, model: Model) -> SequenceBatch:
     The node applies the weight and then adds the bias to the frames
     flattened to ``[B*T, 2n]``; its VJP gives the gradients of that affine
     map. Logits on padded frames carry only the projection bias and
-    must not be consumed.
+    must not be consumed. Untaped, the features and one of ``w`` or ``b``
+    may carry a leading replica axis (``tc.per_replica``), kept as a batch
+    axis of the product.
     """
     x, w, bias = features.features, model.out.w, model.out.b
-    b, t_max, width = x.shape
-    flat = x.data.reshape(b * t_max, width)
-    logits = tc.linear_array(flat, w.data)
-    logits += bias.data
-    out = Tensor._wrap(logits.reshape(b, t_max, w.shape[0]))
+    lead, (b, t_max, width) = x.shape[:-3], x.shape[-3:]
+    flat = x.data.reshape(lead + (b * t_max, width))
+    logits = flat @ w.data.mT
+    logits += tc.per_replica(bias.data, 1, 3)
+    out = Tensor._wrap(logits.reshape(lead + (b, t_max, w.shape[-2])))
 
     def vjp(g):
         g = g.reshape(logits.shape)

@@ -149,10 +149,34 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def linear_array(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``x @ w.T`` over the last axis of ``x``, which holds one sample (a
-    vector) or a batch of them, in one 2-d product; ``w`` is stored
-    ``[out_features, in_features]``."""
-    return (x.reshape(-1, x.shape[-1]) @ w.T).reshape(x.shape[:-1] + (w.shape[0],))
+    """``x @ w.T`` over the last axis of ``x``; ``w`` is stored
+    ``[out_features, in_features]``.
+
+    ``x`` holds one sample (a vector) or up to three axes of them (``[B, T,
+    in]``), which go through one 2-d product. Axes in front of those, and in
+    front of ``w``'s own two, are replica axes (``per_replica``): each
+    replica takes a 2-d product of its own, bit for bit the one an
+    unreplicated call makes, where folding the replicas into the rows of
+    one product would change bits.
+    """
+    lead = x.shape[:-3]
+    rows = x.reshape(lead + (-1, x.shape[-1])) @ w.mT
+    return rows.reshape(rows.shape[:-2] + x.shape[len(lead) : -1] + (w.shape[-2],))
+
+
+def per_replica(param: np.ndarray, own: int, rank: int) -> np.ndarray:
+    """``param`` shaped to meet an activation of ``rank`` axes elementwise.
+
+    A parameter with only its ``own`` axes is returned as it is. In a
+    replica pass (``abn.gradcheck``) the perturbed parameter carries one
+    value per replica on a leading axis, ``[R, *shape]``, and so does every
+    activation computed from it; unit axes after R line replica r's value
+    up with replica r's activation, whose replica axis lies ``rank - own``
+    axes before its last.
+    """
+    if param.ndim == own:
+        return param
+    return param.reshape(param.shape[:1] + (1,) * (rank - param.ndim) + param.shape[1:])
 
 
 def linear_vjp(g: np.ndarray, x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -258,19 +282,48 @@ def backward(tape: GradTape, loss: Tensor) -> Gradients:
     return Gradients(table)
 
 
+def central_points(theta: np.ndarray, h: float, start: int = 0, stop: int | None = None):
+    """Points ``start:stop`` of a central-difference sweep over ``theta``,
+    stacked ``[stop - start, *theta.shape]``.
+
+    Point ``2i`` raises coordinate ``i`` (row-major) by ``h`` and point
+    ``2i + 1`` lowers it by ``h``. Each point is built from the unperturbed
+    ``theta``, so it is exactly ``x + h`` or ``x - h`` in its coordinate and
+    ``theta`` everywhere else.
+    """
+    flat = theta.ravel()
+    k = np.arange(start, 2 * flat.size if stop is None else stop)
+    coord = k // 2
+    points = np.repeat(flat[None], k.size, axis=0)
+    points[np.arange(k.size), coord] = flat[coord] + np.where(k % 2 == 0, h, -h)
+    return points.reshape((k.size,) + theta.shape)
+
+
+def central_error(losses: np.ndarray, analytic: np.ndarray, h: float) -> float:
+    """Max relative error between ``analytic`` and the central differences
+    of ``losses``, the loss at each of ``central_points``.
+
+    Relative error per coordinate is ``|analytic - numeric| / (|analytic| +
+    1e-8)``; the maximum over coordinates is returned.
+    """
+    numeric = (losses[0::2] - losses[1::2]) / (2.0 * h)
+    analytic = analytic.ravel()
+    return float(np.max(np.abs(analytic - numeric) / (np.abs(analytic) + 1e-8)))
+
+
 def finite_diff_check(
     f: Callable[[Tensor], Tensor],
     theta: Tensor,
     h: float = 1e-5,
     analytic: np.ndarray | None = None,
 ) -> float:
-    """Max relative error between the taped gradient of ``f`` at ``theta``
-    and central finite differences.
+    """Max relative error (``central_error``) between the taped gradient of
+    ``f`` at ``theta`` and central finite differences, ``f`` evaluated at
+    each of ``central_points`` in turn.
 
-    Relative error per coordinate is ``|analytic - numeric| / (|analytic| +
-    1e-8)``; the maximum over coordinates is returned. A caller that
-    already holds the taped gradient (one backward pass can serve many
-    parameters) passes it as ``analytic``; ``f`` then only runs untaped.
+    A caller that already holds the taped gradient (one backward pass can
+    serve many parameters) passes it as ``analytic``; ``f`` then only runs
+    untaped.
     """
     if analytic is None:
         tape = GradTape()
@@ -281,20 +334,8 @@ def finite_diff_check(
         analytic = backward(tape, out).wrt(theta)
     elif analytic.shape != theta.shape:
         raise ShapeError(f"analytic gradient {analytic.shape} does not match {theta.shape}")
-    analytic = analytic.ravel()
-
-    base = theta.data.ravel().copy()
-    worst = 0.0
-    for i in range(base.size):
-        for sign in (+1.0, -1.0):
-            base[i] += sign * h
-            val = float(f(Tensor._wrap(base.reshape(theta.shape).copy())).item())
-            base[i] -= sign * h
-            if sign > 0:
-                hi = val
-            else:
-                lo = val
-        numeric = (hi - lo) / (2.0 * h)
-        rel = abs(analytic[i] - numeric) / (abs(analytic[i]) + 1e-8)
-        worst = max(worst, rel)
-    return worst
+    losses = [
+        float(f(Tensor._wrap(central_points(theta.data, h, k, k + 1)[0])).item())
+        for k in range(2 * theta.size)
+    ]
+    return central_error(np.array(losses), analytic, h)

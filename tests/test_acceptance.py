@@ -6,7 +6,9 @@ Each test is one headline requirement, prints a single PASS/FAIL line
 
 import dataclasses
 import itertools
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -382,19 +384,31 @@ class TestScheduleBatching:
         )
 
 
+TREND_RUNS = [(variant, seed) for variant in ("bn", "abn-f", "abn-u") for seed in (0, 1, 2)]
+
+
 class TestTrendCheck:
     def test_desk_scale_ordering(self, tmp_path):
         t0 = time.monotonic()
         base = load_config(DESK_CONFIG)
+        # Two worker processes, one per core of the reference machine. Each
+        # run is a pure function of its config, and the summaries are
+        # gathered in the serial order. Spawned workers import afresh and
+        # inherit the environment, BLAS pinning included.
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
+            futures = [
+                pool.submit(run_training, dataclasses.replace(base, seed=seed), variant,
+                            str(tmp_path / f"{variant}-{seed}"))
+                for variant, seed in TREND_RUNS
+            ]
+            summaries = [future.result() for future in futures]
         losses = {}
         ters = {}
-        for variant in ("bn", "abn-f", "abn-u"):
-            for seed in (0, 1, 2):
-                cfg = dataclasses.replace(base, seed=seed)
-                summary = run_training(cfg, variant, str(tmp_path / f"{variant}-{seed}"))
-                assert summary["epochs_run"] <= 30
-                losses.setdefault(variant, []).append(summary["final_dev_loss"])
-                ters.setdefault(variant, []).append(summary["final_dev_ter"])
+        for (variant, _), summary in zip(TREND_RUNS, summaries):
+            assert summary["epochs_run"] <= 30
+            losses.setdefault(variant, []).append(summary["final_dev_loss"])
+            ters.setdefault(variant, []).append(summary["final_dev_ter"])
         elapsed = time.monotonic() - t0
 
         for variant in losses:

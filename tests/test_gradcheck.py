@@ -1,15 +1,16 @@
-"""The stage-cached model gradient check: exact resumes, the one-pass analytic
-gradient and injected faults."""
+"""The stage-cached model gradient check: exact resumes, replica passes, the
+one-pass analytic gradient and injected faults."""
 
 import numpy as np
 import pytest
 
 from abn import ctc, errors, gradcheck, recurrent, tensor
-from abn.ctc import LabelSequence, sequence_ctc_loss
+from abn.ctc import CtcTargets, LabelSequence, sequence_ctc_loss
 from abn.data import SequenceBatch
+from abn.generators import VARIANTS
 from abn.gradcheck import StageCache, model_gradient_check
 from abn.recurrent import Model, ModelConfig, Stage, stack_forward
-from abn.tensor import Tensor
+from abn.tensor import Tensor, central_points
 
 HIDDEN, FEATURES = 4, 6  # model_gradient_check's default shape
 
@@ -27,11 +28,14 @@ def _problem(variants, seed):
     return model, batch, labels
 
 
+STACKS = pytest.mark.parametrize(
+    "variants", ["bn", "abn-f", "abn-u", ["abn-u", "bn", "abn-f"]],
+    ids=["bn", "abn-f", "abn-u", "mixed"],
+)
+
+
 class TestResume:
-    @pytest.mark.parametrize(
-        "variants", ["bn", "abn-f", "abn-u", ["abn-u", "bn", "abn-f"]],
-        ids=["bn", "abn-f", "abn-u", "mixed"],
-    )
+    @STACKS
     def test_matches_full_stack_bitwise(self, variants):
         model, batch, labels = _problem(variants, seed=61)
         cache = StageCache(model, batch)
@@ -75,6 +79,60 @@ class TestResume:
                             lambda fwd, bwd, *rest: original(bwd, fwd, *rest))
         with pytest.raises(errors.ContractError, match="disagrees"):
             model_gradient_check("bn", t_values=(2,))
+
+
+class TestReplicaPass:
+    @STACKS
+    def test_losses_match_stack_forward_bitwise(self, variants):
+        model, batch, labels = _problem(variants, seed=65)
+        targets, h = CtcTargets(labels), 1e-4
+        cache = StageCache(model, batch)
+        for name, base in model.parameters().items():
+            losses = gradcheck.replica_losses(cache, model, name, targets, h)
+            expected = []
+            for point in central_points(base.data, h):
+                model.set_parameter(name, Tensor(point))
+                logits = stack_forward(batch, model, "train")
+                expected.append(sequence_ctc_loss(logits, targets).item())
+            model.set_parameter(name, base)
+            assert np.array_equal(losses, expected), name
+
+    @pytest.mark.parametrize("t_max", [1, 2, 5, 7])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_unperturbed_replicas_match_taped_logits(self, variant, t_max):
+        model, batch, targets = gradcheck.check_problem(variant, 0, t_max)
+        _, cache = gradcheck.analytic_gradients(model, batch, targets)
+        stats = model.running_stats()
+        for name, base in model.parameters().items():
+            copies = Tensor(np.stack([base.data] * 3))
+            logits = cache.resume(model, model.parameter_stage(name), (name, copies))
+            assert logits.features.shape == (3,) + cache.logits.features.shape, name
+            for replica in logits.features.data:
+                assert np.array_equal(replica, cache.logits.features.data), name
+            assert model.parameters()[name] is base
+        # The replica passes leave every running statistic as the taped pass set it.
+        assert all(t is stats[k] for k, t in model.running_stats().items())
+
+    def test_chunks_change_no_loss(self, monkeypatch):
+        model, batch, labels = _problem("abn-f", seed=66)
+        targets, cache = CtcTargets(labels), StageCache(model, batch)
+        whole = {name: gradcheck.replica_losses(cache, model, name, targets, 1e-4)
+                 for name in model.parameters()}
+        # 20 values a pass: w_co [4] takes chunks of 5 and 3 points, w_x one point a pass.
+        monkeypatch.setattr(gradcheck, "REPLICA_VALUES", 20)
+        for name, losses in whole.items():
+            chunked = gradcheck.replica_losses(cache, model, name, targets, 1e-4)
+            assert np.array_equal(chunked, losses), name
+
+    def test_misplaced_replicas_raise(self):
+        model, batch, _ = _problem("bn", seed=67)
+        cache = StageCache(model, batch)
+        w_x = model.parameters()["layer1.fwd.w_x"]
+        with pytest.raises(errors.ContractError, match="does not enter"):
+            cache.resume(model, Stage(0, "norm"), ("layer1.fwd.w_x", Tensor(w_x.data[None])))
+        with pytest.raises(errors.ShapeError, match="replicas"):
+            cache.resume(model, Stage(1, "fwd"), ("layer1.fwd.w_x", w_x))
+        assert model.parameters()["layer1.fwd.w_x"] is w_x
 
 
 class TestOnePassAnalytic:
@@ -132,6 +190,27 @@ FAULTS = {
 }
 
 
+def _reads_next_replica(monkeypatch):
+    original = Model.replicas
+    monkeypatch.setattr(
+        Model, "replicas",
+        lambda self, name, values: original(self, name, Tensor(np.roll(values.data, -1, axis=0))),
+    )
+
+
+def _replica_value_shared(monkeypatch):
+    # Replica 0's value of a bias, peephole, gamma or beta serves every replica.
+    original = tensor.per_replica
+    monkeypatch.setattr(
+        tensor, "per_replica",
+        lambda param, own, rank: original(param[0] if param.ndim > own else param, own, rank),
+    )
+
+
+# Faults of the replica pass, which the unperturbed guard (one replica) misses.
+REPLICA_FAULTS = {"reads-next-replica": _reads_next_replica, "shared-value": _replica_value_shared}
+
+
 class TestInjectedFaults:
     @pytest.mark.parametrize("variant", ["bn", "abn-f"])
     def test_unfaulted_check_passes(self, variant):
@@ -142,3 +221,8 @@ class TestInjectedFaults:
     def test_fault_fails_check(self, monkeypatch, fault, variant):
         FAULTS[fault](monkeypatch)
         assert model_gradient_check(variant, t_values=(2,)) > 1e-4
+
+    @pytest.mark.parametrize("fault", sorted(REPLICA_FAULTS))
+    def test_replica_fault_fails_check(self, monkeypatch, fault):
+        REPLICA_FAULTS[fault](monkeypatch)
+        assert model_gradient_check("bn", t_values=(2,)) > 1e-4

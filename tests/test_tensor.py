@@ -7,7 +7,14 @@ import pytest
 
 from abn import errors
 from abn import tensor as tc
-from abn.tensor import GradTape, Tensor, backward, finite_diff_check, recording
+from abn.tensor import (
+    GradTape,
+    Tensor,
+    backward,
+    central_points,
+    finite_diff_check,
+    recording,
+)
 
 import taped
 
@@ -269,6 +276,27 @@ class TestFiniteDiffCheck:
         assert finite_diff_check(f, theta, analytic=1.01 * exact) > 1e-3
         with pytest.raises(errors.ShapeError):
             finite_diff_check(f, theta, analytic=exact.ravel())
+
+    def test_points_are_built_from_the_unperturbed_value(self):
+        # Adding and then subtracting h in place would return some of these
+        # coordinates one ulp off (0.000444312500960888 among them).
+        x = np.array([[0.000444312500960888, -1.7, 3.3e-7], [0.1, 12.5, -0.30000000000000004]])
+        h = 1e-4
+        seen = []
+
+        def f(t):
+            seen.append(t.data.copy())
+            return taped.tsum(t)
+
+        finite_diff_check(f, Tensor(x), h=h, analytic=np.ones_like(x))
+        assert len(seen) == 2 * x.size
+        for i in range(x.size):
+            for point, value in ((seen[2 * i], x.flat[i] + h), (seen[2 * i + 1], x.flat[i] - h)):
+                expected = x.copy()
+                expected.flat[i] = value
+                assert np.array_equal(point, expected), i
+        np.testing.assert_array_equal(central_points(x, h), np.array(seen))
+        np.testing.assert_array_equal(central_points(x, h, 3, 8), np.array(seen[3:8]))
 
 
 def _check(f, shape, seed, tol=1e-4):
