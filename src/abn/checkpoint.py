@@ -42,15 +42,15 @@ def _format_setting(value) -> str:
 
 
 def _format_values(t: Tensor) -> str:
-    return " ".join(f"{v:.17g}" for v in t.values)
+    return " ".join(map("{:.17g}".format, t.data.ravel().tolist()))
 
 
 def save_checkpoint(model: Model, path: str, seed: int) -> None:
     """Write ``model``, trained on the task of ``seed``, to ``path`` atomically.
 
-    The blocks stream into a temporary file beside ``path`` that then
-    replaces it, so a failed or interrupted save leaves the previous
-    checkpoint as it was.
+    The blocks stream into a temporary file beside ``path`` that is synced
+    to disk and then replaces it, so a failed or interrupted save, or a
+    power loss after it, leaves the previous checkpoint or the whole new one.
     """
     cfg = model.config
     tmp = path + ".tmp"
@@ -65,6 +65,8 @@ def save_checkpoint(model: Model, path: str, seed: int) -> None:
                     dims = " ".join(str(d) for d in t.shape)
                     fh.write(f"{kind} {name} {dims}\n{_format_values(t)}\n")
             fh.write("end\n")
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

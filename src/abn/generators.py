@@ -335,7 +335,7 @@ def abn_forward(
     generator's intermediate activations only (frame embeddings, or context
     vectors), never the main signal.
 
-    Untaped in train mode, the batch and one field of ``gen`` may carry a
+    Untaped in train mode, the batch and any fields of ``gen`` may carry a
     leading replica axis (``tc.per_replica``); every stage keeps it, and
     the running statistics are left alone.
     """

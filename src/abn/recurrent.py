@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -64,7 +63,7 @@ class LstmLayerParams:
         b[hidden : 2 * hidden] = 1.0  # positive forget bias keeps early memory open
         return cls(Tensor(w_x), Tensor(w_h), tc.zeros(hidden), Tensor(b))
 
-    # Read from the trailing axes: in a replica pass one field carries a
+    # Read from the trailing axes: in a replica pass the fields carry a
     # leading replica axis (``tc.per_replica``).
     @property
     def hidden(self) -> int:
@@ -323,19 +322,6 @@ class Projection:
         self.b = b
 
 
-class Stage(NamedTuple):
-    """Where a parameter enters the stack: ``part`` of layer ``layer``.
-
-    ``part`` is ``"norm"`` (the normalizer and its scale and shift), ``"fwd"`` or
-    ``"bwd"`` (one LSTM direction), or ``"out"`` (the projection, with
-    ``layer`` equal to the number of layers). No stage before it reads the
-    parameter.
-    """
-
-    layer: int
-    part: str
-
-
 class Model:
     """Normalized BiLSTM stack with an affine projection to vocabulary logits."""
 
@@ -358,42 +344,35 @@ class Model:
         self._registry = self._build_registry()
 
     def _build_registry(self):
-        # name -> (owner, attribute, the stage the parameter feeds); running
-        # statistics are stored but not trained, so they have no stage.
-        reg: dict[str, tuple[object, str, Stage | None]] = {}
+        # name -> (owner, attribute, the index of the layer that reads the
+        # parameter, the number of layers for the projection); running
+        # statistics are stored but not trained, so they have no layer.
+        reg: dict[str, tuple[object, str, int | None]] = {}
         for l, layer in enumerate(self.layers):
-            norm = Stage(l, "norm")
             # Checkpoint names keep bn's learned pair beside its running statistics.
             group = "bn" if isinstance(layer.gen, LearnedScaleShift) else "gen"
             for field in type(layer.gen).__slots__:
-                reg[f"layer{l}.{group}.{field}"] = (layer.gen, field, norm)
+                reg[f"layer{l}.{group}.{field}"] = (layer.gen, field, l)
             for field in ("running_mean", "running_var"):
                 reg[f"layer{l}.bn.{field}"] = (layer.norm, field, None)
             for direction in ("fwd", "bwd"):
                 obj = getattr(layer, direction)
                 for field in LstmLayerParams.__slots__:
-                    reg[f"layer{l}.{direction}.{field}"] = (obj, field, Stage(l, direction))
-        out = Stage(len(self.layers), "out")
-        reg["out.w"] = (self.out, "w", out)
-        reg["out.b"] = (self.out, "b", out)
+                    reg[f"layer{l}.{direction}.{field}"] = (obj, field, l)
+        reg["out.w"] = (self.out, "w", len(self.layers))
+        reg["out.b"] = (self.out, "b", len(self.layers))
         return reg
 
-    def parameters(self) -> dict[str, Tensor]:
-        """Trainable tensors by name, in stable order."""
-        return {name: getattr(obj, attr)
-                for name, (obj, attr, stage) in self._registry.items() if stage is not None}
+    def parameters(self, layer: int | None = None) -> dict[str, Tensor]:
+        """Trainable tensors by name, in stable order: all of them, or those
+        read by layer ``layer`` (the projection's at the number of layers)."""
+        return {name: getattr(obj, attr) for name, (obj, attr, l) in self._registry.items()
+                if l is not None and layer in (None, l)}
 
     def running_stats(self) -> dict[str, Tensor]:
         """Non-trainable normalizer state by name, in stable order."""
         return {name: getattr(obj, attr)
-                for name, (obj, attr, stage) in self._registry.items() if stage is None}
-
-    def parameter_stage(self, name: str) -> Stage:
-        """The first stage of the stack that reads parameter ``name``."""
-        entry = self._registry.get(name)
-        if entry is None or entry[2] is None:
-            raise ContractError(f"no parameter named {name!r}")
-        return entry[2]
+                for name, (obj, attr, l) in self._registry.items() if l is None}
 
     def set_parameter(self, name: str, value: Tensor) -> None:
         """Replace the stored array ``name``, a parameter or a running statistic."""
@@ -408,22 +387,31 @@ class Model:
         setattr(obj, attr, value)
 
     @contextmanager
-    def replicas(self, name: str, values: Tensor):
-        """Within the block, parameter ``name`` holds one value per replica,
-        ``values`` being ``[R, *shape]``; its single value comes back after.
-        Only an untaped train-mode pass may read the model in the block
-        (``abn.gradcheck.StageCache.resume``)."""
-        current = self.parameters()[name]
-        if values.shape[1:] != current.shape:
-            raise ShapeError(
-                f"replicas of {name} must be [R, *{list(current.shape)}], got {values.shape}"
-            )
-        obj, attr, _ = self._registry[name]
-        setattr(obj, attr, values)
+    def replicas(self, values: dict[str, Tensor]):
+        """Within the block, each parameter named in ``values`` holds one value
+        per replica, ``[R, *shape]`` with one R for all; the single values
+        come back after. Only an untaped train-mode pass may read the model
+        in the block (``abn.gradcheck.resume``)."""
+        params = self.parameters()
+        counts = {t.shape[0] for t in values.values()}
+        if len(counts) > 1:
+            raise ShapeError(f"replicas must share one count R, got {sorted(counts)}")
+        for name, t in values.items():
+            if name not in params:
+                raise ContractError(f"no parameter named {name!r}")
+            if t.shape[1:] != params[name].shape:
+                raise ShapeError(
+                    f"replicas of {name} must be [R, *{list(params[name].shape)}], got {t.shape}"
+                )
+        for name, t in values.items():
+            obj, attr, _ = self._registry[name]
+            setattr(obj, attr, t)
         try:
             yield
         finally:
-            setattr(obj, attr, current)
+            for name in values:
+                obj, attr, _ = self._registry[name]
+                setattr(obj, attr, params[name])
 
     def parameter_count(self) -> dict[str, int]:
         """Per-module and total trainable parameter counts."""
@@ -441,9 +429,11 @@ def run_layers(
     start: int,
     mode: str,
     rng: np.random.Generator | None = None,
+    stop: int | None = None,
 ) -> SequenceBatch:
-    """Layers ``start`` onward, fed the input of layer ``start``."""
-    for layer in model.layers[start:]:
+    """Layers ``start`` up to ``stop`` (the last, by default), fed the input
+    of layer ``start``."""
+    for layer in model.layers[start:stop]:
         # Rebinding ``current`` at once lets an untaped pass free each
         # layer's input as soon as its normalized copy exists.
         current = abn_forward(current, layer.norm, layer.gen, mode, model.config.dropout, rng)
@@ -457,9 +447,9 @@ def project(features: SequenceBatch, model: Model) -> SequenceBatch:
     The node applies the weight and then adds the bias to the frames
     flattened to ``[B*T, 2n]``; its VJP gives the gradients of that affine
     map. Logits on padded frames carry only the projection bias and
-    must not be consumed. Untaped, the features and one of ``w`` or ``b``
-    may carry a leading replica axis (``tc.per_replica``), kept as a batch
-    axis of the product.
+    must not be consumed. Untaped, the features, ``w`` and ``b`` may carry
+    a leading replica axis (``tc.per_replica``), kept as a batch axis of
+    the product.
     """
     x, w, bias = features.features, model.out.w, model.out.b
     lead, (b, t_max, width) = x.shape[:-3], x.shape[-3:]
@@ -487,7 +477,7 @@ def stack_forward(
 
     Each layer normalizes its input with its own variant, runs the BiLSTM,
     and applies dropout to the outputs in train mode; the last layer's
-    output is projected to the vocabulary. The stage functions it is made
-    of let a caller resume the stack part way (see ``abn.gradcheck``).
+    output is projected to the vocabulary. ``run_layers`` and ``project``
+    let a caller resume the stack at any layer (see ``abn.gradcheck``).
     """
     return project(run_layers(batch, model, 0, mode, rng), model)

@@ -61,11 +61,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def values(self) -> np.ndarray:
-        """Flat row-major view of the stored values."""
-        return self.data.ravel(order="C")
-
     def item(self) -> float:
         if self.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got {self.shape}")
@@ -168,9 +163,9 @@ def per_replica(param: np.ndarray, own: int, rank: int) -> np.ndarray:
     """``param`` shaped to meet an activation of ``rank`` axes elementwise.
 
     A parameter with only its ``own`` axes is returned as it is. In a
-    replica pass (``abn.gradcheck``) the perturbed parameter carries one
-    value per replica on a leading axis, ``[R, *shape]``, and so does every
-    activation computed from it; unit axes after R line replica r's value
+    replica pass (``abn.gradcheck``) each parameter of the perturbed layer
+    carries one value per replica on a leading axis, ``[R, *shape]``, and
+    so does every activation computed from it; unit axes after R line replica r's value
     up with replica r's activation, whose replica axis lies ``rank - own``
     axes before its last.
     """

@@ -1,5 +1,6 @@
-"""The stage-cached model gradient check: exact resumes, replica passes, the
-one-pass analytic gradient and injected faults."""
+"""The layer-granular model gradient check: cached layer inputs, replica
+passes over a layer's parameters, the one-pass analytic gradient and
+injected faults."""
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from abn import ctc, errors, gradcheck, recurrent, tensor
 from abn.ctc import CtcTargets, LabelSequence, sequence_ctc_loss
 from abn.data import SequenceBatch
 from abn.generators import VARIANTS
-from abn.gradcheck import StageCache, model_gradient_check
-from abn.recurrent import Model, ModelConfig, Stage, stack_forward
+from abn.gradcheck import model_gradient_check
+from abn.recurrent import Model, ModelConfig, stack_forward
 from abn.tensor import Tensor, central_points
 
 HIDDEN, FEATURES = 4, 6  # model_gradient_check's default shape
@@ -24,8 +25,15 @@ def _problem(variants, seed):
         rng,
     )
     batch = SequenceBatch(Tensor(rng.normal(size=(3, 5, FEATURES))), [5, 3, 1])
-    labels = [LabelSequence([1, 2]), LabelSequence([2]), LabelSequence([])]
-    return model, batch, labels
+    targets = CtcTargets([LabelSequence([1, 2]), LabelSequence([2]), LabelSequence([])])
+    _, inputs, _ = gradcheck.analytic_gradients(model, batch, targets)
+    return model, batch, targets, inputs
+
+
+def _copies(model, layer, count):
+    """``count`` unperturbed replicas of every parameter of ``layer``."""
+    return {name: Tensor(np.stack([t.data] * count))
+            for name, t in model.parameters(layer).items()}
 
 
 STACKS = pytest.mark.parametrize(
@@ -34,121 +42,144 @@ STACKS = pytest.mark.parametrize(
 )
 
 
-class TestResume:
+class TestLayers:
     @STACKS
-    def test_matches_full_stack_bitwise(self, variants):
-        model, batch, labels = _problem(variants, seed=61)
-        cache = StageCache(model, batch)
+    def test_resume_matches_full_stack_bitwise(self, variants):
+        # One replica with a coordinate of every tensor of the layer bumped
+        # at once: a point that no central-difference sweep visits.
+        model, batch, _, inputs = _problem(variants, seed=61)
         rng = np.random.default_rng(62)
-        for name, base in model.parameters().items():
-            coord = rng.integers(base.size)
-            bumped = base.data.copy()
-            bumped.flat[coord] += 1e-4
-            model.set_parameter(name, Tensor(bumped))
-            try:
-                stage = model.parameter_stage(name)
-                resumed = sequence_ctc_loss(cache.resume(model, stage), labels)
-                full = sequence_ctc_loss(stack_forward(batch, model, "train"), labels)
-            finally:
-                model.set_parameter(name, base)
-            assert resumed.item() == full.item(), name
+        for layer in range(len(inputs)):
+            params = model.parameters(layer)
+            bumped = {}
+            for name, t in params.items():
+                value = t.data.copy()
+                value.flat[rng.integers(t.size)] += 1e-4
+                bumped[name] = Tensor(value)
+            resumed = gradcheck.resume(
+                model, inputs, layer, {name: Tensor(t.data[None]) for name, t in bumped.items()}
+            )
+            for name, t in bumped.items():
+                model.set_parameter(name, t)
+            full = stack_forward(batch, model, "train")
+            for name, t in params.items():
+                model.set_parameter(name, t)
+            assert np.array_equal(resumed.features.data[0], full.features.data), layer
 
-    def test_stage_of_every_name(self):
-        model, _, _ = _problem(["abn-f", "abn-u", "bn"], seed=63)
-        for name in model.parameters():
-            head, module = name.split(".")[:2]
-            if head == "out":
-                expected = Stage(3, "out")
-            else:
-                l = int(head.removeprefix("layer"))
-                expected = Stage(l, module if module in ("fwd", "bwd") else "norm")
-            assert model.parameter_stage(name) == expected
+    def test_layer_parameters_partition_all_in_order(self):
+        model = _problem(["abn-f", "abn-u", "bn"], seed=63)[0]
+        by_layer = [model.parameters(l) for l in range(4)]
+        merged = [name for table in by_layer for name in table]
+        assert merged == list(model.parameters())
+        for l, table in enumerate(by_layer):
+            assert all(name.startswith(f"layer{l}." if l < 3 else "out.") for name in table)
+            assert all(table[name] is model.parameters()[name] for name in table)
+        assert model.parameters(4) == {}
 
-    def test_unknown_name_or_stage_raises(self):
-        model, batch, _ = _problem("bn", seed=64)
+    def test_unknown_name_or_layer_raises(self):
+        model, _, _, inputs = _problem("bn", seed=64)
+        w_x = model.parameters()["layer1.fwd.w_x"]
         with pytest.raises(errors.ContractError, match="layer9"):
-            model.parameter_stage("layer9.fwd.w_x")
-        with pytest.raises(errors.ContractError, match="stage"):
-            StageCache(model, batch).resume(model, Stage(0, "gen"))
+            with model.replicas({"layer9.fwd.w_x": Tensor(w_x.data[None])}):
+                pass
+        with pytest.raises(errors.ContractError, match="layer 3"):
+            gradcheck.resume(model, inputs, 3, {})
+        assert model.parameters()["layer1.fwd.w_x"] is w_x
 
     def test_disagreeing_resume_raises(self, monkeypatch):
-        # A cached walk that joins the halves the other way round differs
-        # from the stack's own walk, which the resume at layer 0 runs.
-        original = gradcheck.join_directions
-        monkeypatch.setattr(gradcheck, "join_directions",
-                            lambda fwd, bwd, *rest: original(bwd, fwd, *rest))
-        with pytest.raises(errors.ContractError, match="disagrees"):
+        # Each layer after the first resumes from the next one's input, whose
+        # width matches at the check's shape, so only the guard can tell.
+        original = gradcheck.analytic_gradients
+
+        def shifted(*args):
+            analytic, inputs, logits = original(*args)
+            return analytic, inputs[:1] + inputs[2:] + inputs[-1:], logits
+
+        monkeypatch.setattr(gradcheck, "analytic_gradients", shifted)
+        with pytest.raises(errors.ContractError, match="layer 1 disagrees"):
             model_gradient_check("bn", t_values=(2,))
 
 
 class TestReplicaPass:
     @STACKS
     def test_losses_match_stack_forward_bitwise(self, variants):
-        model, batch, labels = _problem(variants, seed=65)
-        targets, h = CtcTargets(labels), 1e-4
-        cache = StageCache(model, batch)
-        for name, base in model.parameters().items():
-            losses = gradcheck.replica_losses(cache, model, name, targets, h)
+        model, batch, targets, inputs = _problem(variants, seed=65)
+        h = 1e-4
+        for layer in range(len(inputs)):
+            params = model.parameters(layer)
+            losses = gradcheck.layer_losses(model, inputs, layer, targets, h)
+            flat = np.concatenate([t.data.ravel() for t in params.values()])
             expected = []
-            for point in central_points(base.data, h):
-                model.set_parameter(name, Tensor(point))
+            for point in central_points(flat, h):
+                offset = 0
+                for name, t in params.items():
+                    model.set_parameter(name, Tensor(point[offset : offset + t.size].reshape(t.shape)))
+                    offset += t.size
                 logits = stack_forward(batch, model, "train")
                 expected.append(sequence_ctc_loss(logits, targets).item())
-            model.set_parameter(name, base)
-            assert np.array_equal(losses, expected), name
+            for name, t in params.items():
+                model.set_parameter(name, t)
+            assert np.array_equal(losses, expected), layer
 
     @pytest.mark.parametrize("t_max", [1, 2, 5, 7])
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_unperturbed_replicas_match_taped_logits(self, variant, t_max):
         model, batch, targets = gradcheck.check_problem(variant, 0, t_max)
-        _, cache = gradcheck.analytic_gradients(model, batch, targets)
-        stats = model.running_stats()
-        for name, base in model.parameters().items():
-            copies = Tensor(np.stack([base.data] * 3))
-            logits = cache.resume(model, model.parameter_stage(name), (name, copies))
-            assert logits.features.shape == (3,) + cache.logits.features.shape, name
+        _, inputs, taped = gradcheck.analytic_gradients(model, batch, targets)
+        stats, params = model.running_stats(), model.parameters()
+        for layer in range(len(inputs)):
+            logits = gradcheck.resume(model, inputs, layer, _copies(model, layer, 3))
+            assert logits.features.shape == (3,) + taped.features.shape, layer
             for replica in logits.features.data:
-                assert np.array_equal(replica, cache.logits.features.data), name
-            assert model.parameters()[name] is base
+                assert np.array_equal(replica, taped.features.data), layer
+        assert all(t is params[k] for k, t in model.parameters().items())
         # The replica passes leave every running statistic as the taped pass set it.
         assert all(t is stats[k] for k, t in model.running_stats().items())
 
     def test_chunks_change_no_loss(self, monkeypatch):
-        model, batch, labels = _problem("abn-f", seed=66)
-        targets, cache = CtcTargets(labels), StageCache(model, batch)
-        whole = {name: gradcheck.replica_losses(cache, model, name, targets, 1e-4)
-                 for name in model.parameters()}
-        # 20 values a pass: w_co [4] takes chunks of 5 and 3 points, w_x one point a pass.
-        monkeypatch.setattr(gradcheck, "REPLICA_VALUES", 20)
-        for name, losses in whole.items():
-            chunked = gradcheck.replica_losses(cache, model, name, targets, 1e-4)
-            assert np.array_equal(chunked, losses), name
+        model, _, targets, inputs = _problem("abn-f", seed=66)
+        whole = [gradcheck.layer_losses(model, inputs, l, targets, 1e-4)
+                 for l in range(len(inputs))]
+        # 1000 values a pass: the projection's 54 points take 2 chunks, and
+        # the layers' 820 and 980 points chunks of 3 with a shorter last.
+        monkeypatch.setattr(gradcheck, "REPLICA_VALUES", 1000)
+        for layer, losses in enumerate(whole):
+            chunked = gradcheck.layer_losses(model, inputs, layer, targets, 1e-4)
+            assert np.array_equal(chunked, losses), layer
 
     def test_misplaced_replicas_raise(self):
-        model, batch, _ = _problem("bn", seed=67)
-        cache = StageCache(model, batch)
-        w_x = model.parameters()["layer1.fwd.w_x"]
-        with pytest.raises(errors.ContractError, match="does not enter"):
-            cache.resume(model, Stage(0, "norm"), ("layer1.fwd.w_x", Tensor(w_x.data[None])))
-        with pytest.raises(errors.ShapeError, match="replicas"):
-            cache.resume(model, Stage(1, "fwd"), ("layer1.fwd.w_x", w_x))
-        assert model.parameters()["layer1.fwd.w_x"] is w_x
+        model, _, _, inputs = _problem("bn", seed=67)
+        before = model.parameters()
+        stray = _copies(model, 0, 1) | {"layer1.fwd.w_x": Tensor(before["layer1.fwd.w_x"].data[None])}
+        with pytest.raises(errors.ContractError, match="layer 0"):
+            gradcheck.resume(model, inputs, 0, stray)
+        with pytest.raises(errors.ContractError, match="layer 1"):
+            gradcheck.resume(model, inputs, 1, _copies(model, 0, 1))
+        wrong = _copies(model, 1, 2) | {"layer1.fwd.w_x": Tensor(np.zeros((2, 8, 16)))}
+        with pytest.raises(errors.ShapeError, match="replicas of layer1.fwd.w_x"):
+            gradcheck.resume(model, inputs, 1, wrong)
+        uneven = _copies(model, 1, 2) | {"layer1.fwd.b": _copies(model, 1, 3)["layer1.fwd.b"]}
+        with pytest.raises(errors.ShapeError, match="one count R"):
+            gradcheck.resume(model, inputs, 1, uneven)
+        assert all(t is before[k] for k, t in model.parameters().items())
 
 
 class TestOnePassAnalytic:
     @pytest.mark.parametrize("t_max", [1, 2, 7])
-    @pytest.mark.parametrize("variant", ["bn", "abn-f", "abn-u"])
-    def test_matches_per_stage_taped_resume(self, variant, t_max):
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_matches_taped_stack_forward(self, variant, t_max):
         model, batch, targets = gradcheck.check_problem(variant, 0, t_max)
-        analytic, cache = gradcheck.analytic_gradients(model, batch, targets)
-        np.testing.assert_array_equal(cache.logits.features.data,
-                                      stack_forward(batch, model, "train").features.data)
+        analytic, inputs, logits = gradcheck.analytic_gradients(model, batch, targets)
+        tape = tensor.GradTape()
+        with tensor.recording(tape):
+            full = stack_forward(batch, model, "train")
+            loss = sequence_ctc_loss(full, targets)
+        grads = tensor.backward(tape, loss)
+        np.testing.assert_array_equal(logits.features.data, full.features.data)
+        assert len(inputs) == len(model.layers) + 1 and inputs[0] is batch
         assert analytic.keys() == model.parameters().keys()
         for name, t in model.parameters().items():
-            tape = tensor.GradTape()
-            with tensor.recording(tape):
-                loss = sequence_ctc_loss(cache.resume(model, model.parameter_stage(name)), targets)
-            assert np.array_equal(analytic[name], tensor.backward(tape, loss).wrt(t)), name
+            assert np.array_equal(analytic[name], grads.wrt(t)), name
 
 
 def _scaled(record, index):
@@ -166,7 +197,6 @@ def _scaled(record, index):
 
 
 def _fault_in_direction(monkeypatch, input_dim, backward, index):
-    # The check reruns directions both through the stack and directly.
     original = recurrent.run_direction
 
     def faulty(batch, params, reverse):
@@ -177,12 +207,10 @@ def _fault_in_direction(monkeypatch, input_dim, backward, index):
             return original(batch, params, reverse)
 
     monkeypatch.setattr(recurrent, "run_direction", faulty)
-    monkeypatch.setattr(gradcheck, "run_direction", faulty)
 
 
-# Each fault is caught by other parameters: a layer-1 recurrent weight
-# (only its resumed evaluation reaches it), the layer-0 normalizer or
-# generator (their evaluations run the whole stack above), or all of them.
+# Each fault is caught by the parameters whose gradient flows through it:
+# those of its own layer and of every layer below.
 FAULTS = {
     "layer1-bwd-d_wh": lambda mp: _fault_in_direction(mp, 2 * HIDDEN, True, 2),
     "layer0-fwd-d_x": lambda mp: _fault_in_direction(mp, FEATURES, False, 0),
@@ -194,7 +222,9 @@ def _reads_next_replica(monkeypatch):
     original = Model.replicas
     monkeypatch.setattr(
         Model, "replicas",
-        lambda self, name, values: original(self, name, Tensor(np.roll(values.data, -1, axis=0))),
+        lambda self, values: original(
+            self, {name: Tensor(np.roll(t.data, -1, axis=0)) for name, t in values.items()}
+        ),
     )
 
 

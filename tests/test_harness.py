@@ -446,6 +446,31 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
+    def test_temp_file_synced_before_rename(self, tmp_path, monkeypatch):
+        # A rename of an unsynced file can leave an empty or partial
+        # checkpoint after a power loss.
+        events = []
+        fsync, replace = checkpoint.os.fsync, checkpoint.os.replace
+
+        def logged_fsync(fd):
+            stat = checkpoint.os.fstat(fd)
+            events.append(("fsync", stat.st_ino, stat.st_size))
+            fsync(fd)
+
+        def logged_replace(src, dst):
+            events.append(("replace", src, dst))
+            replace(src, dst)
+
+        monkeypatch.setattr(checkpoint.os, "fsync", logged_fsync)
+        monkeypatch.setattr(checkpoint.os, "replace", logged_replace)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(tiny_model(), str(path), 0)
+        assert [e[0] for e in events] == ["fsync", "replace"]
+        # The synced file, already complete, is the one renamed into place.
+        final = path.stat()
+        assert events[0][1:] == (final.st_ino, final.st_size)
+        assert events[1][1:] == (str(path) + ".tmp", str(path))
+
     def test_truncation_detected(self, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(tiny_model(), str(path), 0)

@@ -23,7 +23,7 @@ class TestTensorBasics:
     def test_values_are_row_major_float64(self):
         t = Tensor([[1, 2], [3, 4]])
         assert t.data.dtype == np.float64
-        assert t.values.tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert t.data.ravel().tolist() == [1.0, 2.0, 3.0, 4.0]
         assert t.size == 4
 
     def test_rejects_nonfinite(self):
@@ -45,7 +45,7 @@ class TestTensorBasics:
         src = np.array([1.0, 2.0])
         t = Tensor(src)
         src[0] = 99.0
-        assert t.values[0] == 1.0
+        assert t.data.ravel()[0] == 1.0
 
 
 class TestMatmul:
