@@ -8,7 +8,7 @@ from . import tensor as tc
 from .ctc import CtcTargets, LabelSequence, sequence_ctc_loss
 from .data import SequenceBatch
 from .errors import ContractError
-from .recurrent import Model, ModelConfig, project, run_layers
+from .recurrent import Model, ModelConfig, module_of, project, run_layers
 # Not called here: ``perfbench/spans.py`` wraps ``abn.gradcheck.stack_forward``
 # and ``abn.gradcheck.finite_diff_check`` by name, and a missing name is
 # reported as an unwrapped trace target.
@@ -17,7 +17,7 @@ from .tensor import finite_diff_check  # noqa: F401
 from .tensor import Tensor, central_error, central_points
 
 # At most about this many parameter values per replica pass (R times the
-# size of a layer's parameters): a layer splits its 2N points into equal
+# size of a module's parameters): a module splits its 2N points into equal
 # chunks, so that the replicated parameters and the activations stay small.
 REPLICA_VALUES = 1 << 17
 
@@ -73,45 +73,49 @@ def resume(
     """Train-mode logits of R models at once, ``[R, B, T, V]``, run untaped
     from the cached input of ``layer``.
 
-    ``values`` gives every parameter of the layer (``Model.parameters``)
-    ``[R, *shape]`` values (``Model.replicas``); the cached input is
-    repeated for every replica. Each replica's logits are bit for bit
+    ``values`` gives some parameters of the layer (``Model.parameters``)
+    ``[R, *shape]`` values (``Model.replicas``). The cached input enters as
+    one replica, ``[1, B, T, p]``, and broadcasts against R at the first
+    stage that reads ``values``. Each replica's logits are bit for bit
     those of ``stack_forward`` with its values set.
     """
-    if not values or values.keys() != model.parameters(layer).keys():
-        raise ContractError(f"replicas must cover exactly the parameters of layer {layer},"
+    if not values or not values.keys() <= model.parameters(layer).keys():
+        raise ContractError(f"replicas must be parameters of layer {layer},"
                             f" got {sorted(values)}")
     x = inputs[layer]
-    count = next(iter(values.values())).shape[0]
-    spread = SequenceBatch._wrap(
-        Tensor._wrap(np.repeat(x.features.data[None], count, axis=0)), x.frames
-    )
+    single = SequenceBatch._wrap(Tensor._wrap(x.features.data[None]), x.frames)
     with model.replicas(values):
-        return project(run_layers(spread, model, layer, "train"), model)
+        return project(run_layers(single, model, layer, "train"), model)
 
 
 def layer_losses(
     model: Model, inputs: list[SequenceBatch], layer: int, targets: CtcTargets, h: float
 ) -> np.ndarray:
     """The loss at each of ``central_points`` over the parameters of
-    ``layer``, flattened in registry order, from equal replica passes of
-    about ``REPLICA_VALUES`` values each."""
+    ``layer``, flattened in registry order, swept module by module
+    (``module_of``) in equal replica passes of about ``REPLICA_VALUES``
+    values each. A pass that returns other than one loss per point raises."""
     params = model.parameters(layer)
-    base = np.concatenate([t.data.ravel() for t in params.values()])
-    total = 2 * base.size
-    chunks = -(-total * base.size // REPLICA_VALUES)
-    step = -(-total // chunks)
     losses = []
-    for start in range(0, total, step):
-        points = central_points(base, h, start, min(start + step, total))
-        values, offset = {}, 0
-        for name, t in params.items():
-            # A column view of the points: each replica's value of the tensor.
-            values[name] = Tensor._wrap(
-                points[:, offset : offset + t.size].reshape((-1,) + t.shape)
-            )
-            offset += t.size
-        losses.append(sequence_ctc_loss(resume(model, inputs, layer, values), targets).data)
+    for module in dict.fromkeys(map(module_of, params)):
+        swept = {name: t for name, t in params.items() if module_of(name) == module}
+        base = np.concatenate([t.data.ravel() for t in swept.values()])
+        total = 2 * base.size
+        chunks = -(-total * base.size // REPLICA_VALUES)
+        step = -(-total // chunks)
+        for start in range(0, total, step):
+            points = central_points(base, h, start, min(start + step, total))
+            values, offset = {}, 0
+            for name, t in swept.items():
+                # A column view of the points: each replica's value of the tensor.
+                values[name] = Tensor._wrap(
+                    points[:, offset : offset + t.size].reshape((-1,) + t.shape)
+                )
+                offset += t.size
+            losses.append(sequence_ctc_loss(resume(model, inputs, layer, values), targets).data)
+            if losses[-1].shape != (len(points),):
+                raise ContractError(f"layer {layer}, module {module}: {losses[-1].shape}"
+                                    f" losses for {len(points)} points")
     return np.concatenate(losses)
 
 
@@ -131,18 +135,21 @@ def model_gradient_check(
 
     Per length, one taped pass of the stack and one ``backward`` give every
     parameter's analytic gradient and each layer's input
-    (``analytic_gradients``). The numeric side runs untaped, layer by layer
-    (``layer_losses``): the 2N central-difference points
-    (``central_points``) over all N parameters of a layer become 2N models
-    on a leading replica axis, in a few equal passes, that ``resume`` from
-    the layer's cached input; the projection counts as the layer after the
-    last. CTC returns one mean loss per replica, and ``central_error``
+    (``analytic_gradients``). The numeric side runs untaped, module by
+    module (``layer_losses``): the 2N central-difference points
+    (``central_points``) over the N parameters of a module (``module_of``)
+    become 2N models on a leading replica axis, in equal passes, that
+    ``resume`` from its layer's cached input; the projection counts as the
+    layer after the last. Stages that read no swept parameter run once and
+    broadcast. CTC returns one mean loss per replica, and ``central_error``
     compares their differences with the layer's analytic gradients. No
     layer below reads a layer's parameters, train-mode statistics are per
     batch, and each replica's products run as their own 2-d products, so
     each loss is bitwise the one ``stack_forward`` gives at that point.
     Before each layer's sweep, a one-replica pass at the unperturbed values
     is compared with the taped pass's logits, and any difference raises.
+    At the default shape every length runs 3 such guards and 7 sweep
+    passes, one a module, each checked for one loss per point.
 
     The step is wider than the single-op default because some parameters
     of a deep composite have gradients near the 1e-8 floor of the

@@ -94,25 +94,27 @@ def run_direction(batch: SequenceBatch, params: LstmLayerParams, reverse: bool) 
     Frames before the shortest length are valid for every utterance and
     skip the mask.
 
-    Untaped, ``batch`` and ``params`` may carry a leading replica axis R
-    (``tc.per_replica``), and the result is then ``[R, B, T, n]``. Every
-    product keeps R as a batch axis, and the kernel runs ``[T, R, B, .]``,
-    so each replica's numbers are bit for bit those of its own pass.
+    Untaped, ``batch`` and ``params`` may carry a leading replica axis
+    (``tc.per_replica``), a unit one broadcasting against R, and the result
+    is then ``[R, B, T, n]``. Every product keeps R as a batch axis, and
+    the kernel runs ``[T, R, B, .]``, so each replica's numbers are bit for
+    bit those of its own pass.
     """
     x = batch.features
     if x.shape[-1] != params.input_dim:
         raise ShapeError(
             f"input dim {x.shape[-1]} does not match weights {params.input_dim}"
         )
-    lead, (b, t_max, p) = x.shape[:-3], x.shape[-3:]
+    x_lead, (b, t_max, p) = x.shape[:-3], x.shape[-3:]
     n = params.hidden
     w_x, w_co = params.w_x.data, tc.per_replica(params.w_co.data, 1, 3)
+    lead = np.broadcast_shapes(x_lead, w_x.shape[:-2]) if w_x.ndim > 2 else x_lead
     w_h_t = np.ascontiguousarray(params.w_h.data.mT)
     full, mask = batch.frames.full, batch.frames.mask_tm  # mask: [T, B, 1]
 
     # Each step overwrites its slice of the input projection with the gate
     # activations (sigmoid i, f, o; tanh candidate) that the VJP reads.
-    x_tm = np.ascontiguousarray(np.swapaxes(x.data, -3, -2)).reshape(lead + (t_max * b, p))
+    x_tm = np.ascontiguousarray(np.swapaxes(x.data, -3, -2)).reshape(x_lead + (t_max * b, p))
     gates = (x_tm @ w_x.mT).reshape(lead + (t_max, b, 4 * n))
     if lead:
         gates = np.ascontiguousarray(np.moveaxis(gates, -3, 0))
@@ -221,8 +223,12 @@ def join_directions(
     ``tc.dropout_scale`` of the joined shape, drawn from ``rng`` here, once
     both directions have run. At inference or rate 0 nothing is drawn. The
     VJP scales the output gradient, then slices the halves apart.
+    Untaped, a half on a unit replica axis broadcasts against the other's R.
     """
-    out = np.concatenate((fwd.data, bwd.data), axis=-1)
+    halves = (fwd.data, bwd.data)
+    if fwd.data.shape != bwd.data.shape:
+        halves = np.broadcast_arrays(*halves)
+    out = np.concatenate(halves, axis=-1)
     scale = tc.dropout_scale(out.shape, rate, rng, mode)
     if scale is not None:
         out *= scale
@@ -322,6 +328,11 @@ class Projection:
         self.b = b
 
 
+def module_of(name: str) -> str:
+    """``layer{l}.bn|gen|fwd|bwd`` or ``out``: the module of parameter ``name``."""
+    return name.rsplit(".", 1)[0]
+
+
 class Model:
     """Normalized BiLSTM stack with an affine projection to vocabulary logits."""
 
@@ -390,7 +401,9 @@ class Model:
     def replicas(self, values: dict[str, Tensor]):
         """Within the block, each parameter named in ``values`` holds one value
         per replica, ``[R, *shape]`` with one R for all; the single values
-        come back after. Only an untaped train-mode pass may read the model
+        come back after. Stages that read none of them run on a unit replica
+        axis that broadcasts, so R > 1 must cover whole modules
+        (``module_of``). Only an untaped train-mode pass may read the model
         in the block (``abn.gradcheck.resume``)."""
         params = self.parameters()
         counts = {t.shape[0] for t in values.values()}
@@ -417,7 +430,7 @@ class Model:
         """Per-module and total trainable parameter counts."""
         counts: dict[str, int] = {}
         for name, t in self.parameters().items():
-            module = name.split(".")[0] + "." + name.split(".")[1]
+            module = module_of(name)
             counts[module] = counts.get(module, 0) + t.size
         counts["total"] = sum(t.size for t in self.parameters().values())
         return counts
@@ -449,14 +462,14 @@ def project(features: SequenceBatch, model: Model) -> SequenceBatch:
     map. Logits on padded frames carry only the projection bias and
     must not be consumed. Untaped, the features, ``w`` and ``b`` may carry
     a leading replica axis (``tc.per_replica``), kept as a batch axis of
-    the product.
+    the product, a unit one broadcasting against R.
     """
     x, w, bias = features.features, model.out.w, model.out.b
     lead, (b, t_max, width) = x.shape[:-3], x.shape[-3:]
     flat = x.data.reshape(lead + (b * t_max, width))
     logits = flat @ w.data.mT
     logits += tc.per_replica(bias.data, 1, 3)
-    out = Tensor._wrap(logits.reshape(lead + (b, t_max, w.shape[-2])))
+    out = Tensor._wrap(logits.reshape(logits.shape[:-2] + (b, t_max, w.shape[-2])))
 
     def vjp(g):
         g = g.reshape(logits.shape)

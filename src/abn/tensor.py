@@ -163,11 +163,11 @@ def per_replica(param: np.ndarray, own: int, rank: int) -> np.ndarray:
     """``param`` shaped to meet an activation of ``rank`` axes elementwise.
 
     A parameter with only its ``own`` axes is returned as it is. In a
-    replica pass (``abn.gradcheck``) each parameter of the perturbed layer
+    replica pass (``abn.gradcheck``) each parameter of the swept module
     carries one value per replica on a leading axis, ``[R, *shape]``, and
     so does every activation computed from it; unit axes after R line replica r's value
     up with replica r's activation, whose replica axis lies ``rank - own``
-    axes before its last.
+    axes before its last; the others keep a unit axis, which broadcasts.
     """
     if param.ndim == own:
         return param

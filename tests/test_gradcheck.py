@@ -1,5 +1,5 @@
-"""The layer-granular model gradient check: cached layer inputs, replica
-passes over a layer's parameters, the one-pass analytic gradient and
+"""The module-granular model gradient check: cached layer inputs, replica
+passes over each module of a layer, the one-pass analytic gradient and
 injected faults."""
 
 import numpy as np
@@ -140,12 +140,48 @@ class TestReplicaPass:
         model, _, targets, inputs = _problem("abn-f", seed=66)
         whole = [gradcheck.layer_losses(model, inputs, l, targets, 1e-4)
                  for l in range(len(inputs))]
-        # 1000 values a pass: the projection's 54 points take 2 chunks, and
-        # the layers' 820 and 980 points chunks of 3 with a shorter last.
+        # 1000 values a pass: the projection's 54 points take 2 chunks of 27,
+        # layer 0's directions 60 chunks of 6 points each, and layer 1's
+        # generator 132 points in chunks of 15 with a last of 12 and each of
+        # its directions 424 points in chunks of 5 with a last of 4.
         monkeypatch.setattr(gradcheck, "REPLICA_VALUES", 1000)
         for layer, losses in enumerate(whole):
             chunked = gradcheck.layer_losses(model, inputs, layer, targets, 1e-4)
             assert np.array_equal(chunked, losses), layer
+
+    @pytest.mark.parametrize("variant", ["bn", "abn-u"])
+    def test_unswept_modules_run_once(self, monkeypatch, variant):
+        # Each pass of a layer-0 sweep normalizes twice and runs four
+        # directions; only what reads the swept module carries its R points.
+        model, _, targets, inputs = _problem(variant, seed=68)
+        calls = []
+        run_direction, abn_forward = recurrent.run_direction, recurrent.abn_forward
+
+        def direction_spy(batch, params, reverse):
+            out = run_direction(batch, params, reverse)
+            calls.append(("bwd" if reverse else "fwd", batch.features.shape[0], out.shape[0]))
+            return out
+
+        def norm_spy(batch, *args):
+            out = abn_forward(batch, *args)
+            calls.append(("norm", batch.features.shape[0], out.features.shape[0]))
+            return out
+
+        monkeypatch.setattr(recurrent, "run_direction", direction_spy)
+        monkeypatch.setattr(recurrent, "abn_forward", norm_spy)
+        gradcheck.layer_losses(model, inputs, 0, targets, 1e-4)
+        counts = model.parameter_count()
+        group = "bn" if variant == "bn" else "gen"
+        passes = [calls[k : k + 6] for k in range(0, len(calls), 6)]
+        assert len(passes) == 3
+        for swept, one_pass in zip((group, "fwd", "bwd"), passes):
+            r = 2 * counts[f"layer0.{swept}"]
+            assert one_pass == [
+                ("norm", 1, r if swept == group else 1),
+                ("fwd", r if swept == group else 1, r if swept in (group, "fwd") else 1),
+                ("bwd", r if swept == group else 1, r if swept in (group, "bwd") else 1),
+                ("norm", r, r), ("fwd", r, r), ("bwd", r, r),
+            ], swept
 
     def test_misplaced_replicas_raise(self):
         model, _, _, inputs = _problem("bn", seed=67)
@@ -255,4 +291,10 @@ class TestInjectedFaults:
     @pytest.mark.parametrize("fault", sorted(REPLICA_FAULTS))
     def test_replica_fault_fails_check(self, monkeypatch, fault):
         REPLICA_FAULTS[fault](monkeypatch)
-        assert model_gradient_check("bn", t_values=(2,)) > 1e-4
+        if fault == "shared-value":
+            # The swept gamma and beta collapse to one replica, so the first
+            # pass returns one loss for its 24 points.
+            with pytest.raises(errors.ContractError, match="layer 0, module layer0.bn"):
+                model_gradient_check("bn", t_values=(2,))
+        else:
+            assert model_gradient_check("bn", t_values=(2,)) > 1e-4

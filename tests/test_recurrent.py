@@ -343,7 +343,7 @@ class TestModel:
         assert counts["layer1.bwd"] == lstm2
         assert counts["layer0.gen"] == 3 * p * d_e + d_e + 2 * p
         assert counts["layer1.gen"] == 5 * (2 * n) * d_a + 2 * (2 * n)
-        assert counts["out.w"] + counts["out.b"] == 2 * n * v + v
+        assert counts["out"] == 2 * n * v + v
 
     def test_frame_generator_example_count(self):
         # p=8, d_e=4: embed 32+4, two heads 32+8 each.
