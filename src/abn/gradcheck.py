@@ -73,15 +73,23 @@ def resume(
     """Train-mode logits of R models at once, ``[R, B, T, V]``, run untaped
     from the cached input of ``layer``.
 
-    ``values`` gives some parameters of the layer (``Model.parameters``)
-    ``[R, *shape]`` values (``Model.replicas``). The cached input enters as
-    one replica, ``[1, B, T, p]``, and broadcasts against R at the first
-    stage that reads ``values``. Each replica's logits are bit for bit
-    those of ``stack_forward`` with its values set.
+    ``values`` gives every parameter of some modules (``module_of``) of
+    the layer (``Model.parameters``) ``[R, *shape]`` values
+    (``Model.replicas``); part of a module, or a module of another layer,
+    raises. The cached input enters as one replica, ``[1, B, T, p]``, and
+    broadcasts against R at the first stage that reads ``values``. Each
+    replica's logits are bit for bit those of ``stack_forward`` with its
+    values set.
     """
-    if not values or not values.keys() <= model.parameters(layer).keys():
-        raise ContractError(f"replicas must be parameters of layer {layer},"
-                            f" got {sorted(values)}")
+    if not values:
+        raise ContractError(f"replicas must be whole modules of layer {layer}, got none")
+    params = model.parameters(layer)
+    for module in dict.fromkeys(map(module_of, values)):
+        given, whole = ({name for name in names if module_of(name) == module}
+                        for names in (values, params))
+        if given != whole:
+            raise ContractError(f"replicas must be whole modules of layer {layer}: module"
+                                f" {module} has {sorted(whole)}, got {sorted(given)}")
     x = inputs[layer]
     single = SequenceBatch._wrap(Tensor._wrap(x.features.data[None]), x.frames)
     with model.replicas(values):

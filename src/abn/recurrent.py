@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import tensor as tc
-from .data import Frames, SequenceBatch
+from .data import SequenceBatch
 from .errors import ContractError, ShapeError
 from .generators import GENERATORS, VARIANTS, LearnedScaleShift, abn_forward
 from .normalization import BatchNormState
@@ -74,17 +74,20 @@ class LstmLayerParams:
         return self.w_x.shape[-1]
 
 
-def run_direction(batch: SequenceBatch, params: LstmLayerParams, reverse: bool) -> Tensor:
-    """Unroll one direction over time as a single taped node, ``[B, T, n]``.
+def run_direction(batch: SequenceBatch, params: LstmLayerParams, reverse: bool):
+    """Unroll one direction over time: its outputs ``[B, T, n]`` and their
+    BPTT VJP, which maps their gradient to those of ``batch.features`` and
+    of the fields of ``params`` in ``__slots__`` order. While no tape
+    records, ``None`` takes the VJP's place, so that the gates and cells
+    are freed on return. Nothing is recorded here (see ``bilstm_layer``).
 
     The input projection of every frame is one ``[T*B, p] x [p, 4n]``
     product hoisted out of the recurrence (Appleyard, Kocisky & Blunsom
-    2016); the recurrence runs in plain numpy and the node's VJP is
-    backpropagation through time. Each frame applies the peephole cell of
-    the module docstring: sigmoid input, forget and output gates, a tanh
-    candidate, and an output gate that also reads the fresh cell through
-    ``w_co``. The kernel works time-major, ``[T, B, .]``, so every frame's
-    gates, state and gradients are contiguous slices.
+    2016); the recurrence runs in plain numpy. Each frame applies the
+    peephole cell of the module docstring: sigmoid input, forget and
+    output gates, a tanh candidate, and an output gate that also reads the
+    fresh cell through ``w_co``. The kernel works time-major, ``[T, B, .]``,
+    so every frame's gates, state and gradients are contiguous slices.
 
     Padded frames emit zeros and hold the state at zero. Valid frames are
     a prefix of each utterance, so this is the ``t < length`` freeze: no
@@ -138,7 +141,9 @@ def run_direction(batch: SequenceBatch, params: LstmLayerParams, reverse: bool) 
         h = np.tanh(c_new, out=out[t])
         h *= o  # zero where the cell was masked
         c = c_new
-    result = Tensor._wrap(np.moveaxis(out, 0, -2))
+    result = np.moveaxis(out, 0, -2)
+    if not tc.is_recording():
+        return result, None
 
     def vjp(grad):
         # Per-frame factors of the gate derivatives, for all frames at once.
@@ -182,8 +187,7 @@ def run_direction(batch: SequenceBatch, params: LstmLayerParams, reverse: bool) 
         d_x = (dz_flat @ w_x).reshape(t_max, b, p).transpose(1, 0, 2)
         return d_x, d_wx, d_wh, d_wco, d_bias
 
-    tc.record_op(result, (x, params.w_x, params.w_h, params.w_co, params.b), vjp)
-    return result
+    return result, vjp
 
 
 def bilstm_layer(
@@ -194,54 +198,45 @@ def bilstm_layer(
     mode: str = "infer",
     rng: np.random.Generator | None = None,
 ) -> SequenceBatch:
-    """Bidirectional pass; per-frame outputs are [forward, backward] halves,
-    with dropout at ``rate`` on them in train mode (``join_directions``).
+    """Per-frame ``[forward, backward]`` halves of one BiLSTM layer, with
+    inverted dropout in train mode, as one taped node.
 
-    Padded frames emit exact zeros in both halves.
+    The two directions' outputs (``run_direction``) are concatenated and
+    multiplied by ``tc.dropout_scale`` of the joined shape, drawn once both
+    have run (nothing at inference or rate 0). The node reads
+    ``batch.features``, then the fields of ``params_fwd`` and of
+    ``params_bwd`` in ``__slots__`` order; its VJP scales the gradient and
+    runs the backward direction's VJP, then the forward's. Padded frames
+    emit exact zeros. Untaped, a half on a unit replica axis broadcasts
+    against the other's R.
     """
     if params_fwd.hidden != params_bwd.hidden:
         raise ShapeError(
             f"direction widths disagree: {params_fwd.hidden} vs {params_bwd.hidden}"
         )
-    fwd = run_direction(batch, params_fwd, reverse=False)
-    bwd = run_direction(batch, params_bwd, reverse=True)
-    return join_directions(fwd, bwd, batch.frames, rate, mode, rng)
-
-
-def join_directions(
-    fwd: Tensor,
-    bwd: Tensor,
-    frames: Frames,
-    rate: float = 0.0,
-    mode: str = "infer",
-    rng: np.random.Generator | None = None,
-) -> SequenceBatch:
-    """Per-frame ``[forward, backward]`` halves of one BiLSTM layer, with
-    inverted dropout in train mode, as one taped node.
-
-    The halves are concatenated on the last axis and multiplied by
-    ``tc.dropout_scale`` of the joined shape, drawn from ``rng`` here, once
-    both directions have run. At inference or rate 0 nothing is drawn. The
-    VJP scales the output gradient, then slices the halves apart.
-    Untaped, a half on a unit replica axis broadcasts against the other's R.
-    """
-    halves = (fwd.data, bwd.data)
-    if fwd.data.shape != bwd.data.shape:
+    fwd, fwd_vjp = run_direction(batch, params_fwd, reverse=False)
+    bwd, bwd_vjp = run_direction(batch, params_bwd, reverse=True)
+    halves = (fwd, bwd)
+    if fwd.shape != bwd.shape:
         halves = np.broadcast_arrays(*halves)
     out = np.concatenate(halves, axis=-1)
     scale = tc.dropout_scale(out.shape, rate, rng, mode)
     if scale is not None:
         out *= scale
-    n = fwd.shape[-1]
+    n = params_fwd.hidden
 
     def vjp(g):
         if scale is not None:
             g = g * scale
-        return g[:, :, :n], g[:, :, n:]
+        d_x_bwd, *d_bwd = bwd_vjp(g[:, :, n:])
+        d_x_fwd, *d_fwd = fwd_vjp(g[:, :, :n])
+        return (d_x_bwd + d_x_fwd, *d_fwd, *d_bwd)
 
     result = Tensor._wrap(out)
-    tc.record_op(result, (fwd, bwd), vjp)
-    return SequenceBatch._wrap(result, frames)
+    fields = [getattr(p, name) for p in (params_fwd, params_bwd)
+              for name in LstmLayerParams.__slots__]
+    tc.record_op(result, (batch.features, *fields), vjp)
+    return SequenceBatch._wrap(result, batch.frames)
 
 
 @dataclass(slots=True)
@@ -488,9 +483,11 @@ def stack_forward(
 ) -> SequenceBatch:
     """Run the full stack; returns per-frame vocabulary logits.
 
-    Each layer normalizes its input with its own variant, runs the BiLSTM,
-    and applies dropout to the outputs in train mode; the last layer's
-    output is projected to the vocabulary. ``run_layers`` and ``project``
+    Each layer normalizes its input with its own variant (``abn_forward``),
+    then runs the BiLSTM with dropout on its outputs in train mode
+    (``bilstm_layer``); the last layer's output is projected to the
+    vocabulary (``project``). Each of those stages records one taped node:
+    two per layer, then the projection's. ``run_layers`` and ``project``
     let a caller resume the stack at any layer (see ``abn.gradcheck``).
     """
     return project(run_layers(batch, model, 0, mode, rng), model)

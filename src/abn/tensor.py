@@ -2,13 +2,15 @@
 fused nodes share.
 
 Every forward operation runs eagerly on numpy arrays. The program's
-differentiable operations are fused nodes, each written by hand in the
-module whose stage it computes (the normalizer with its scale and shift,
-an LSTM direction, the join, the projection, CTC). While a ``GradTape`` is
-active (see ``recording``), each of them appends one node (``record_op``)
-holding a closure that maps the output gradient back to input gradients;
-replaying the tape in reverse visits every node exactly once in reverse
-topological order, because nodes are appended in execution order.
+differentiable operations are four fused nodes, one per stage, each
+written by hand in the module whose stage it computes: the normalizer
+with its scale and shift, a BiLSTM layer with its dropout, the
+projection, CTC. The kernels below a stage return their value and its VJP
+and record nothing. While a ``GradTape`` is active (see ``recording``),
+each stage appends one node (``record_op``) holding a closure that maps
+the output gradient back to input gradients; replaying the tape in
+reverse visits every node exactly once in reverse topological order,
+because nodes are appended in execution order.
 Inference paths simply run with no active tape and allocate nothing.
 
 All math is double precision: the test suite leans on tight gradient
@@ -306,29 +308,16 @@ def central_error(losses: np.ndarray, analytic: np.ndarray, h: float) -> float:
     return float(np.max(np.abs(analytic - numeric) / (np.abs(analytic) + 1e-8)))
 
 
-def finite_diff_check(
-    f: Callable[[Tensor], Tensor],
-    theta: Tensor,
-    h: float = 1e-5,
-    analytic: np.ndarray | None = None,
-) -> float:
+def finite_diff_check(f: Callable[[Tensor], Tensor], theta: Tensor, h: float = 1e-5) -> float:
     """Max relative error (``central_error``) between the taped gradient of
     ``f`` at ``theta`` and central finite differences, ``f`` evaluated at
-    each of ``central_points`` in turn.
-
-    A caller that already holds the taped gradient (one backward pass can
-    serve many parameters) passes it as ``analytic``; ``f`` then only runs
-    untaped.
-    """
-    if analytic is None:
-        tape = GradTape()
-        with recording(tape):
-            out = f(theta)
-        if not isinstance(out, Tensor) or out.size != 1:
-            raise ContractError("finite_diff_check needs f to return a scalar Tensor")
-        analytic = backward(tape, out).wrt(theta)
-    elif analytic.shape != theta.shape:
-        raise ShapeError(f"analytic gradient {analytic.shape} does not match {theta.shape}")
+    each of ``central_points`` in turn."""
+    tape = GradTape()
+    with recording(tape):
+        out = f(theta)
+    if not isinstance(out, Tensor) or out.size != 1:
+        raise ContractError("finite_diff_check needs f to return a scalar Tensor")
+    analytic = backward(tape, out).wrt(theta)
     losses = [
         float(f(Tensor._wrap(central_points(theta.data, h, k, k + 1)[0])).item())
         for k in range(2 * theta.size)

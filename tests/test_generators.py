@@ -573,12 +573,15 @@ class TestFusedNodeMatchesTapedComposition:
         assert len(tape) == 1
 
 
-def _desk_train_tape(variant, dropout):
-    """The tape of one desk train batch's forward and loss."""
+def _desk_train_tape(variants, dropout):
+    """The tape of one desk train batch's forward and loss; a list of
+    ``variants`` names each layer's."""
     cfg = dataclasses.replace(load_config("configs/desk.cfg"), dropout=dropout)
+    if isinstance(variants, list):
+        cfg = dataclasses.replace(cfg, num_layers=len(variants))
     utts = sorted_for_batching(synth_generate(cfg.task(), 40, seed=1))
     batch = make_batches(utts, cfg.max_frames_per_batch)[0]
-    model = Model(cfg.model_config(variant), np.random.default_rng([cfg.seed, 1]))
+    model = Model(cfg.model_config(variants), np.random.default_rng([cfg.seed, 1]))
     tape = GradTape()
     with recording(tape):
         logits = stack_forward(batch.features, model, "train", np.random.default_rng(0))
@@ -588,19 +591,21 @@ def _desk_train_tape(variant, dropout):
 
 def test_every_variant_records_the_same_nodes_per_desk_batch():
     counts = {variant: len(_desk_train_tape(variant, 0.0)) for variant in VARIANTS}
-    # Per layer: the normalizer, two directions and the join; then the
-    # projection and the CTC loss.
-    assert counts == dict.fromkeys(VARIANTS, 10), counts
+    # Per layer: the normalizer and the BiLSTM; then the projection and the
+    # CTC loss.
+    assert counts == dict.fromkeys(VARIANTS, 6), counts
+    assert len(_desk_train_tape(["abn-f", "abn-u", "bn"], 0.0)) == 2 * 3 + 2
 
 
 # The fused nodes of the program, by the function that records them.
-FUSED_NODES = {"run_direction", "join_directions", "project", "abn_forward", "_batched_ctc"}
+FUSED_NODES = {"abn_forward", "bilstm_layer", "project", "_batched_ctc"}
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_desk_train_step_with_dropout_records_only_fused_nodes(variant):
     tape = _desk_train_tape(variant, 0.3)
-    # Dropout adds no node: the generators and the joins apply it inside theirs.
-    assert len(tape) == 10
+    # Dropout adds no node: the generators and the BiLSTM layers apply it
+    # inside theirs.
+    assert len(tape) == 6
     owners = {node.vjp.__qualname__.split(".<locals>")[0] for node in tape.nodes}
     assert owners <= FUSED_NODES, owners - FUSED_NODES

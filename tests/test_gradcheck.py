@@ -158,9 +158,9 @@ class TestReplicaPass:
         run_direction, abn_forward = recurrent.run_direction, recurrent.abn_forward
 
         def direction_spy(batch, params, reverse):
-            out = run_direction(batch, params, reverse)
+            out, vjp = run_direction(batch, params, reverse)
             calls.append(("bwd" if reverse else "fwd", batch.features.shape[0], out.shape[0]))
-            return out
+            return out, vjp
 
         def norm_spy(batch, *args):
             out = abn_forward(batch, *args)
@@ -197,6 +197,10 @@ class TestReplicaPass:
         uneven = _copies(model, 1, 2) | {"layer1.fwd.b": _copies(model, 1, 3)["layer1.fwd.b"]}
         with pytest.raises(errors.ShapeError, match="one count R"):
             gradcheck.resume(model, inputs, 1, uneven)
+        # Part of a module: R values of the bias alone, the rest of layer0.fwd single.
+        partial = {"layer0.fwd.b": _copies(model, 0, 3)["layer0.fwd.b"]}
+        with pytest.raises(errors.ContractError, match="layer 0: module layer0.fwd"):
+            gradcheck.resume(model, inputs, 0, partial)
         assert all(t is before[k] for k, t in model.parameters().items())
 
 
@@ -218,29 +222,30 @@ class TestOnePassAnalytic:
             assert np.array_equal(analytic[name], grads.wrt(t)), name
 
 
+def _scaled_vjp(vjp, index):
+    """``vjp`` with gradient ``index`` returned 1% too large."""
+
+    def wrong(g):
+        parts = list(vjp(g))
+        parts[index] = parts[index] * 1.01
+        return tuple(parts)
+
+    return wrong
+
+
 def _scaled(record, index):
     """A ``record_op`` whose recorded VJPs return gradient ``index`` 1% too large."""
-
-    def faulty(output, inputs, vjp):
-        def wrong(g):
-            parts = list(vjp(g))
-            parts[index] = parts[index] * 1.01
-            return tuple(parts)
-
-        record(output, inputs, wrong)
-
-    return faulty
+    return lambda output, inputs, vjp: record(output, inputs, _scaled_vjp(vjp, index))
 
 
 def _fault_in_direction(monkeypatch, input_dim, backward, index):
     original = recurrent.run_direction
 
     def faulty(batch, params, reverse):
-        if reverse != backward or params.input_dim != input_dim:
-            return original(batch, params, reverse)
-        with monkeypatch.context() as m:
-            m.setattr(tensor, "record_op", _scaled(tensor.record_op, index))
-            return original(batch, params, reverse)
+        out, vjp = original(batch, params, reverse)
+        if reverse != backward or params.input_dim != input_dim or vjp is None:
+            return out, vjp
+        return out, _scaled_vjp(vjp, index)
 
     monkeypatch.setattr(recurrent, "run_direction", faulty)
 

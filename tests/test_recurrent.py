@@ -1,5 +1,6 @@
 """LSTM cell, bidirectional unrolling, and the full normalized stack."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -13,8 +14,8 @@ from abn.recurrent import (
     Model,
     ModelConfig,
     bilstm_layer,
-    join_directions,
     project,
+    run_direction,
     stack_forward,
 )
 from abn.tensor import GradTape, Tensor, backward, finite_diff_check, recording
@@ -461,15 +462,14 @@ class TestStackForward:
                 return out
             return wrapped
 
-        for name in ("abn_forward", "bilstm_layer", "run_direction", "join_directions",
-                     "project"):
+        for name in ("abn_forward", "bilstm_layer", "run_direction", "project"):
             monkeypatch.setattr(recurrent, name, spy(getattr(recurrent, name)))
         with recording(GradTape()):
             logits = recurrent.stack_forward(batch, model, "train", np.random.default_rng(54))
-        # Per layer, the input and output of the normalizer, the BiLSTM and
-        # the join (with its dropout), and each direction's input; then the
+        # Per layer, the input and output of the normalizer and of the
+        # BiLSTM (with its dropout), and each direction's input; then the
         # projection's input and output.
-        assert len(seen) == 2 * 8 + 2
+        assert len(seen) == 2 * 6 + 2
         for stage, frames in seen:
             assert frames is batch.frames, stage
         assert logits.frames is batch.frames
@@ -488,8 +488,21 @@ def taped_join(fwd, bwd, frames, rate=0.0, mode="infer", rng=None):
     return taped.dropout(taped.concat([fwd, bwd], axis=2), rate, rng, mode)
 
 
+def taped_bilstm(batch, params_fwd, params_bwd, rate=0.0, mode="infer", rng=None):
+    """The BiLSTM layer as separate nodes: each direction recorded as its own
+    node from ``run_direction``'s output and VJP, then ``taped_join``."""
+    halves = []
+    for params, reverse in ((params_fwd, False), (params_bwd, True)):
+        out, vjp = run_direction(batch, params, reverse)
+        half = Tensor._wrap(out)
+        fields = (getattr(params, name) for name in LstmLayerParams.__slots__)
+        tc.record_op(half, (batch.features, *fields), vjp)
+        halves.append(half)
+    return taped_join(*halves, batch.frames, rate, mode, rng)
+
+
 class TestFusedOutputStage:
-    """``project`` and ``join_directions`` against the taped primitives they
+    """``project`` and ``bilstm_layer`` against the separate nodes they
     replace: output and every gradient, bit for bit, in one node each."""
 
     LENGTHS = (6, 1, 4, 1)
@@ -517,37 +530,56 @@ class TestFusedOutputStage:
             assert np.array_equal(g_got, g_ref), f"d{name} differs"
         assert (got[2], ref[2]) == (1, 4)
 
-    def test_join_directions(self):
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_bilstm_layer(self, rate):
         rng = np.random.default_rng(62)
-        frames = SequenceBatch(Tensor(np.zeros((4, 6, 1))), self.LENGTHS).frames
-        fwd, bwd = (Tensor(rng.normal(size=(4, 6, 3))) for _ in range(2))
-        got = self._probe(lambda a, b, f: join_directions(a, b, f).features,
-                          (fwd, bwd, frames), [fwd, bwd])
-        ref = self._probe(taped_join, (fwd, bwd, frames), [fwd, bwd])
-        np.testing.assert_array_equal(got[0], ref[0])
-        for g_got, g_ref in zip(got[1], ref[1]):
-            assert np.array_equal(g_got, g_ref)
-        assert (got[2], ref[2]) == (1, 1)
-
-    def test_join_with_dropout_matches_taped_reference(self):
-        rng = np.random.default_rng(63)
-        frames = SequenceBatch(Tensor(np.zeros((4, 6, 1))), self.LENGTHS).frames
-        fwd, bwd = (Tensor(rng.normal(size=(4, 6, 3))) for _ in range(2))
-        probe = Tensor(rng.normal(size=(4, 6, 6)))
+        batch = SequenceBatch(Tensor(rng.normal(size=(4, 6, 3))), self.LENGTHS)
+        pf, pb = random_params(2, 3, 63), random_params(2, 3, 64)
+        pf.w_co, pb.w_co = (Tensor(rng.normal(size=2)) for _ in range(2))
+        probe = Tensor(rng.normal(size=(4, 6, 4)))
+        wrt = [batch.features] + [getattr(p, name) for p in (pf, pb)
+                                  for name in LstmLayerParams.__slots__]
         runs = []
-        for join in (lambda *a: join_directions(*a).features, taped_join):
-            drop_rng = np.random.default_rng(64)
+        for layer in (lambda *a: bilstm_layer(*a).features, taped_bilstm):
+            drop_rng = np.random.default_rng(65)
             tape = GradTape()
             with recording(tape):
-                out = join(fwd, bwd, frames, 0.3, "train", drop_rng)
+                out = layer(batch, pf, pb, rate, "train", drop_rng)
                 n_nodes = len(tape)
                 loss = taped.tsum(taped.mul(out, probe))
             grads = backward(tape, loss)
-            runs.append((out.data, grads.wrt(fwd), grads.wrt(bwd),
+            runs.append((out.data, [grads.wrt(t) for t in wrt],
                          drop_rng.bit_generator.state, n_nodes))
         got, ref = runs
-        assert (got[0] == 0.0).any()  # some entries were dropped
-        for name, a, b in zip(("output", "d_fwd", "d_bwd"), got, ref):
-            assert np.array_equal(a, b), name
-        assert got[3] == ref[3]  # the same draws from the generator
-        assert (got[4], ref[4]) == (1, 2)
+        np.testing.assert_array_equal(got[0], ref[0])
+        names = ["x"] + [f"{d}.{name}" for d in ("fwd", "bwd") for name in LstmLayerParams.__slots__]
+        for name, g_got, g_ref in zip(names, got[1], ref[1]):
+            assert np.array_equal(g_got, g_ref), f"d{name} differs"
+        assert got[2] == ref[2]  # the same draws from the generator
+        drew = got[2] != np.random.default_rng(65).bit_generator.state
+        assert drew == (rate > 0)
+        # The reference: two directions, the concat and, at rate > 0, the dropout.
+        assert (got[3], ref[3]) == (1, 3 if rate == 0 else 4)
+
+    def test_untaped_directions_keep_no_vjp(self):
+        # An untaped pass must not keep a direction's gates and cells alive
+        # in a VJP closure, and must give the taped pass's numbers bit for bit.
+        rng = np.random.default_rng(66)
+        batch = SequenceBatch(Tensor(rng.normal(size=(4, 6, 3))), self.LENGTHS)
+        params = random_params(2, 3, 67)
+        for reverse in (False, True):
+            untaped, none = run_direction(batch, params, reverse)
+            assert none is None
+            with recording(GradTape()) as tape:
+                taped_out, vjp = run_direction(batch, params, reverse)
+            assert callable(vjp) and len(tape) == 0  # the kernel records nothing
+            np.testing.assert_array_equal(untaped, taped_out)
+        outs = []
+        for record in (False, True):
+            drop_rng = np.random.default_rng(68)
+            tape = GradTape()
+            with recording(tape) if record else contextlib.nullcontext():
+                out = bilstm_layer(batch, params, params, 0.3, "train", drop_rng)
+            outs.append((out.features.data, len(tape)))
+        np.testing.assert_array_equal(outs[0][0], outs[1][0])
+        assert (outs[0][1], outs[1][1]) == (0, 1)

@@ -264,19 +264,6 @@ class TestFiniteDiffCheck:
         err = finite_diff_check(f, Tensor(rng.normal(size=(2, 3))))
         assert err < 1e-4
 
-    def test_given_analytic_gradient(self):
-        theta = Tensor(np.random.default_rng(22).normal(size=(2, 2)))
-
-        def f(t):
-            return taped.tsum(taped.tanh(t))
-
-        exact = 1.0 - np.tanh(theta.data) ** 2
-        assert finite_diff_check(f, theta, analytic=exact) == finite_diff_check(f, theta)
-        # A wrong gradient is caught, and one of the wrong shape refused.
-        assert finite_diff_check(f, theta, analytic=1.01 * exact) > 1e-3
-        with pytest.raises(errors.ShapeError):
-            finite_diff_check(f, theta, analytic=exact.ravel())
-
     def test_points_are_built_from_the_unperturbed_value(self):
         # Adding and then subtracting h in place would return some of these
         # coordinates one ulp off (0.000444312500960888 among them).
@@ -288,7 +275,8 @@ class TestFiniteDiffCheck:
             seen.append(t.data.copy())
             return taped.tsum(t)
 
-        finite_diff_check(f, Tensor(x), h=h, analytic=np.ones_like(x))
+        finite_diff_check(f, Tensor(x), h=h)
+        seen = seen[1:]  # the first call is the taped one, at x itself
         assert len(seen) == 2 * x.size
         for i in range(x.size):
             for point, value in ((seen[2 * i], x.flat[i] + h), (seen[2 * i + 1], x.flat[i] - h)):
