@@ -51,21 +51,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # The config checks the seed, so a negative one is refused by name.
+    seed_override = {"type": int, "default": None, "help": "override the config seed"}
     train = sub.add_parser("train", help="train a model on the synthetic task")
     train.add_argument("--config", required=True, help="path to key=value config")
     train.add_argument("--variant", choices=VARIANTS, default="bn")
-    train.add_argument("--seed", type=int, default=None, help="override the config seed")
+    train.add_argument("--seed", **seed_override)
     train.add_argument("--out-dir", required=True, help="metrics and checkpoint directory")
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint on the dev split")
     ev.add_argument("--ckpt", required=True)
     ev.add_argument("--config", required=True)
+    ev.add_argument("--seed", **seed_override)
 
     dec = sub.add_parser("decode", help="greedy-decode synthetic utterances")
     dec.add_argument("--ckpt", required=True)
     dec.add_argument("--config", default=None, help="task parameters (defaults if omitted)")
     dec.add_argument("--count", type=_at_least_one, default=5)
-    dec.add_argument("--seed", type=_non_negative, default=3)
+    dec.add_argument("--seed", type=_non_negative, default=3,
+                     help="seed of the drawn utterances; the task seed is the config's")
 
     gc = sub.add_parser("gradcheck", help="finite-difference check of the full stack")
     gc.add_argument("--variant", choices=VARIANTS, default=None,
@@ -81,10 +85,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_train(args) -> int:
+def _config_with_seed(args):
+    """The config at ``--config``, its seed replaced by ``--seed`` if given."""
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
+    return cfg
+
+
+def _cmd_train(args) -> int:
+    cfg = _config_with_seed(args)
     summary = run_training(cfg, args.variant, args.out_dir)
     print(
         f"variant={summary['variant']} epochs={summary['epochs_run']}"
@@ -108,7 +118,7 @@ def _load_for_task(ckpt: str, cfg) -> Model:
 
 
 def _cmd_eval(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _config_with_seed(args)
     model = _load_for_task(args.ckpt, cfg)
     dev = sorted_for_batching(synth_generate(cfg.task(), cfg.dev_utterances, seed=2))
     loss, ter = evaluate(model, make_batches(dev, cfg.max_frames_per_batch))

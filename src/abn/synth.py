@@ -37,6 +37,8 @@ class SyntheticTask:
         # every float bound.
         if self.vocab < 2:
             raise ContractError(f"vocab: need the blank plus a real token, got {self.vocab}")
+        if self.feature_dim < 1:
+            raise ContractError(f"feature_dim: must be at least 1, got {self.feature_dim}")
         for low, high in (("min_tokens", "max_tokens"), ("min_duration", "max_duration")):
             if getattr(self, low) < 1:
                 raise ContractError(f"{low}: must be at least 1, got {getattr(self, low)}")
@@ -67,6 +69,24 @@ def synth_generate(task: SyntheticTask, n_utterances: int, seed: int) -> list[Ut
     channel differences that a static normalizer cannot undo. With
     ``distinct_neighbors`` the token sampler rejects adjacent duplicates,
     trading away blank-separation pressure for faster greedy decodability.
+
+    Utterance ``i`` draws from its own ``default_rng([task.seed, seed, i])``,
+    in this order, which fixes every byte of the data:
+
+    1. the token count, one ``integers`` call;
+    2. each token, one ``integers`` call, repeated while it equals its left
+       neighbour under ``distinct_neighbors``;
+    3. the gain, one ``uniform``, only if ``gain_spread > 0``;
+    4. the offset, one ``normal`` of ``feature_dim`` values, only if
+       ``offset_spread > 0``;
+    5. per token in turn, its duration ``d`` (one ``integers`` call), then
+       its ``(d, feature_dim)`` noise block, only if ``noise > 0``.
+
+    Two rewrites look equivalent and change every utterance: giving an
+    ``integers`` call a ``size`` (a sized call takes two bounded values
+    from one 64-bit draw), and drawing the noise blocks after all the
+    durations (both come from the one generator). Each feature is then
+    rendered once as ``gain * template + offset + noise * noise_value``.
     """
     templates = task.templates()
     out = []
@@ -85,14 +105,16 @@ def synth_generate(task: SyntheticTask, n_utterances: int, seed: int) -> list[Ut
         offset = 0.0
         if task.offset_spread > 0:
             offset = task.offset_spread * rng.normal(size=task.feature_dim)
-        frames = []
-        for tok in tokens:
+        durations, blocks = [], []
+        for _ in tokens:
             duration = int(rng.integers(task.min_duration, task.max_duration + 1))
-            block = gain * np.tile(templates[tok], (duration, 1)) + offset
+            durations.append(duration)
             if task.noise > 0:
-                block = block + task.noise * rng.normal(size=block.shape)
-            frames.append(block)
-        out.append(Utterance(np.concatenate(frames, axis=0), LabelSequence(tokens)))
+                blocks.append(rng.normal(size=(duration, task.feature_dim)))
+        features = np.repeat(gain * templates[tokens] + offset, durations, axis=0)
+        if task.noise > 0:
+            features += task.noise * np.concatenate(blocks)
+        out.append(Utterance(features, LabelSequence(tokens)))
     return out
 
 

@@ -1,5 +1,8 @@
 """Optimizer, schedule, batching, synthetic data, config, checkpoints."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -145,7 +148,92 @@ class TestMakeBatches:
         assert np.all(feats.features.data[1, 2:] == 0.0)
 
 
+def _synth_digest(utterances) -> str:
+    """sha256 over every utterance's shape, feature bytes and tokens, in order."""
+    h = hashlib.sha256()
+    for utt in utterances:
+        h.update(np.asarray(utt.features.shape, dtype=np.int64).tobytes())
+        h.update(utt.features.tobytes())
+        h.update(np.asarray(utt.labels.tokens, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+def _loop_synth(task: SyntheticTask, n_utterances: int, seed: int) -> list[Utterance]:
+    """The token-by-token render that ``synth_generate`` replaced: the
+    bit-for-bit reference for its draws and its arithmetic."""
+    templates = task.templates()
+    out = []
+    for i in range(n_utterances):
+        rng = np.random.default_rng([task.seed, seed, i])
+        n_tokens = int(rng.integers(task.min_tokens, task.max_tokens + 1))
+        tokens = []
+        for _ in range(n_tokens):
+            tok = int(rng.integers(1, task.vocab))
+            while task.distinct_neighbors and tokens and tok == tokens[-1]:
+                tok = int(rng.integers(1, task.vocab))
+            tokens.append(tok)
+        gain = 1.0
+        if task.gain_spread > 0:
+            gain = float(np.exp(rng.uniform(-task.gain_spread, task.gain_spread)))
+        offset = 0.0
+        if task.offset_spread > 0:
+            offset = task.offset_spread * rng.normal(size=task.feature_dim)
+        frames = []
+        for tok in tokens:
+            duration = int(rng.integers(task.min_duration, task.max_duration + 1))
+            block = gain * np.tile(templates[tok], (duration, 1)) + offset
+            if task.noise > 0:
+                block = block + task.noise * rng.normal(size=block.shape)
+            frames.append(block)
+        out.append(Utterance(np.concatenate(frames, axis=0), LabelSequence(tokens)))
+    return out
+
+
+# Recorded on the token-by-token render; any change to a draw or to the
+# arithmetic of a feature changes them.
+SYNTH_DIGESTS = {
+    "desk-train": "e34e6afd48e4523f77c203732ec60943ced8ef9ee2eddd35d1c9c85b9d8d4dd8",
+    "desk-dev": "507988d79bf7533d5c88b8059cc58b838911f599a5315b6c6fd2aa458a3f9df4",
+    "infer-long": "395afa49c854e5fb771e039a0691250b4d812c8fc6a100893b329ea2932cb533",
+    "gain-noiseless": "39629884bc6fc698a3ec98d50ea19bb9d57dc6e074ba0ccc455275c8380b1799",
+}
+
+
+def _pinned_synth_cases():
+    desk = load_config("configs/desk.cfg")
+    infer_long = dataclasses.replace(desk, task_min_tokens=15, task_max_tokens=20)
+    gain = SyntheticTask(vocab=3, feature_dim=5, min_tokens=3, max_tokens=7, noise=0.0,
+                         gain_spread=0.4, distinct_neighbors=True, seed=4)
+    return {
+        "desk-train": (desk.task(), 600, 1),
+        "desk-dev": (desk.task(), 150, 2),
+        "infer-long": (infer_long.task(), 60, 2),
+        "gain-noiseless": (gain, 40, 3),
+    }
+
+
 class TestSynth:
+    @pytest.mark.parametrize("case", sorted(SYNTH_DIGESTS))
+    def test_bytes_pinned(self, case):
+        task, n, seed = _pinned_synth_cases()[case]
+        assert _synth_digest(synth_generate(task, n, seed)) == SYNTH_DIGESTS[case]
+
+    @pytest.mark.parametrize("task", [
+        SyntheticTask(vocab=4, feature_dim=3, seed=2),
+        SyntheticTask(vocab=3, feature_dim=2, min_tokens=1, max_tokens=6, min_duration=1,
+                      max_duration=5, noise=0.3, gain_spread=0.2, offset_spread=0.5,
+                      distinct_neighbors=True, seed=7),
+        SyntheticTask(vocab=6, feature_dim=1, noise=0.0, offset_spread=1.0, seed=1),
+        SyntheticTask(vocab=5, feature_dim=4, noise=0.0, seed=3),
+    ])
+    def test_matches_token_by_token_render(self, task):
+        assert _synth_digest(synth_generate(task, 30, 5)) == _synth_digest(_loop_synth(task, 30, 5))
+
+    def test_prefix_stable(self):
+        task = _pinned_synth_cases()["desk-train"][0]
+        head, full = synth_generate(task, 5, 4), synth_generate(task, 10, 4)
+        assert _synth_digest(head) == _synth_digest(full[:5])
+
     def test_noiseless_single_token(self):
         task = SyntheticTask(
             vocab=3, feature_dim=4, min_tokens=1, max_tokens=1,
@@ -199,6 +287,9 @@ class TestSynth:
             SyntheticTask(vocab=3, feature_dim=2, min_duration=0)
         with pytest.raises(errors.ContractError):
             SyntheticTask(vocab=3, feature_dim=2, min_tokens=5, max_tokens=2)
+        for dim in (0, -1):
+            with pytest.raises(errors.ContractError, match="^feature_dim: "):
+                SyntheticTask(vocab=3, feature_dim=dim)
 
     def test_gain_scales_whole_utterance(self):
         plain = SyntheticTask(vocab=3, feature_dim=4, min_tokens=1, max_tokens=1,

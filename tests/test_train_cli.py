@@ -188,6 +188,20 @@ class TestCli:
             assert cli(command + ["--ckpt", ckpt, "--config", str(matching)]) == 0
         assert "dev_ter=" in capsys.readouterr().out
 
+    def test_eval_seed_override(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)  # seed = 0
+        one_epoch = tmp_path / "one_epoch.cfg"
+        one_epoch.write_text(TINY_CFG.replace("epochs = 2", "epochs = 1"))
+        out = tmp_path / "run"
+        assert cli(["train", "--config", str(one_epoch), "--seed", "1",
+                    "--out-dir", str(out)]) == 0
+        ckpt = str(out / "model.ckpt")
+        capsys.readouterr()
+        assert cli(["eval", "--ckpt", ckpt, "--config", cfg, "--seed", "1"]) == 0
+        assert "dev_ter=" in capsys.readouterr().out
+        assert cli(["eval", "--ckpt", ckpt, "--config", cfg]) == 1
+        assert "task of seed 1" in capsys.readouterr().err
+
     def test_decode_prints_pairs(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         out = tmp_path / "run"
