@@ -101,7 +101,10 @@ def load_checkpoint(path: str, seed: int | None = None) -> Model:
     on, a checkpoint trained on another task's seed is refused.
     """
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        try:
+            lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     if lines and lines[0] in _RETIRED:
         raise CheckpointError(
             f"checkpoint format {lines[0].split()[-1]} {_RETIRED[lines[0]]};"

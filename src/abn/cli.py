@@ -11,15 +11,15 @@ import numpy as np
 
 from .batching import make_batches
 from .checkpoint import load_checkpoint
-from .config import default_config, load_config
-from .ctc import LabelSequence, ctc_brute_force, ctc_loss
+from .config import TrainConfig, load_config
+from .ctc import LabelSequence, ctc_brute_force, ctc_loss, greedy_decode
 from .errors import AbnError, CheckpointError
 from .generators import VARIANTS
 from .gradcheck import model_gradient_check
 from .recurrent import Model, stack_forward
 from .synth import sorted_for_batching, synth_generate
 from .tensor import Tensor
-from .train import decode_batch, evaluate, run_training
+from .train import evaluate, run_training
 
 GRADCHECK_TOLERANCE = 1e-4
 ORACLE_TOLERANCE = 1e-9
@@ -127,13 +127,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    cfg = load_config(args.config) if args.config else default_config()
+    cfg = load_config(args.config) if args.config else TrainConfig()
     model = _load_for_task(args.ckpt, cfg)
     utts = synth_generate(cfg.task(), args.count, seed=args.seed)
     batches = make_batches(sorted_for_batching(utts), cfg.max_frames_per_batch)
     for batch in batches:
         logits = stack_forward(batch.features, model, "infer")
-        for ref, hyp in zip(batch.labels, decode_batch(logits)):
+        for ref, hyp in zip(batch.labels, greedy_decode(logits)):
             print(f"ref={' '.join(map(str, ref.tokens))}"
                   f" hyp={' '.join(map(str, hyp.tokens))}")
     return 0
@@ -145,7 +145,7 @@ def _cmd_gradcheck(args) -> int:
     for variant in variants:
         err = model_gradient_check(variant, seed=args.seed)
         print(f"{variant}: max relative error {err:.3e}")
-        worst = max(worst, err)
+        worst = np.maximum(worst, err)  # a NaN propagates and fails
     print(f"max relative error {worst:.3e} (tolerance {GRADCHECK_TOLERANCE:.0e})")
     return 0 if worst < GRADCHECK_TOLERANCE else 1
 
@@ -176,7 +176,7 @@ def _cmd_ctc_oracle(args) -> int:
                               f" {got} vs {expect}")
                         return 1
                     continue
-                worst = max(worst, abs(got - expect))
+                worst = np.maximum(worst, abs(got - expect))  # a NaN propagates and fails
     ok = worst <= ORACLE_TOLERANCE
     print(f"{'PASS' if ok else 'FAIL'}: {cases} cases,"
           f" max abs deviation {worst:.3e} (tolerance {ORACLE_TOLERANCE:.0e})")

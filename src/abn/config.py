@@ -133,8 +133,8 @@ def parse_config_text(text: str, source: str = "<string>") -> TrainConfig:
 
 def load_config(path: str) -> TrainConfig:
     with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), source=path)
-
-
-def default_config() -> TrainConfig:
-    return TrainConfig()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    return parse_config_text(text, source=path)

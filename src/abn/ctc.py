@@ -231,18 +231,21 @@ def ctc_brute_force(logprobs, labels: LabelSequence) -> float:
     return float(-logsumexp(matches))
 
 
-def greedy_decode(logits: Tensor) -> LabelSequence:
-    """Best-path decoding: per-frame argmax, collapse repeats, drop blanks."""
-    if logits.ndim != 2:
-        raise ShapeError(f"logits must be [frames, vocab], got {logits.shape}")
-    picks = np.argmax(logits.data, axis=1)  # ties resolve to the lowest index
-    out = []
-    prev = None
-    for sym in picks:
-        if sym != prev and sym != BLANK:
-            out.append(int(sym))
-        prev = sym
-    return LabelSequence(out)
+def greedy_decode(logits_batch) -> list[LabelSequence]:
+    """Best-path decoding of a padded batch of logits, one hypothesis per
+    utterance: per-frame argmax, collapse repeats, drop blanks.
+
+    A frame is kept if it is real, its pick is not the blank and its pick
+    differs from the previous frame's. Real frames are a prefix, so padding
+    never reaches a hypothesis.
+    """
+    logits = logits_batch.features
+    if logits.ndim != 3:
+        raise ShapeError(f"logits must be [batch, frames, vocab], got {logits.shape}")
+    picks = np.argmax(logits.data, axis=2)  # ties resolve to the lowest index
+    keep = logits_batch.frames.mask & (picks != BLANK)
+    keep[:, 1:] &= picks[:, 1:] != picks[:, :-1]
+    return [LabelSequence(row[k].tolist()) for row, k in zip(picks, keep)]
 
 
 def edit_distance(hyp: Sequence[int], ref: Sequence[int]) -> int:

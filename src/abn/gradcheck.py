@@ -22,32 +22,32 @@ from .tensor import Tensor, central_error, central_points
 REPLICA_VALUES = 1 << 17
 
 DEFAULT_T_VALUES = (1, 2, 5, 7)
+VOCAB = 3  # a blank and two tokens
+STEP = 1e-4  # the central-difference step; see ``model_gradient_check``
 
 
-def _labels_for(length: int, vocab: int) -> LabelSequence:
+def _labels_for(length: int) -> LabelSequence:
     # Alternate tokens so no blank is forced between repeats; any sequence
     # up to `length` tokens then fits in `length` frames.
     n = max(1, length // 2)
-    return LabelSequence([1 + (i % (vocab - 1)) for i in range(n)])
+    return LabelSequence([1 + (i % (VOCAB - 1)) for i in range(n)])
 
 
 def check_problem(
-    variant: str, seed: int, t_max: int, hidden: int = 4, features: int = 6, vocab: int = 3
+    variant: str, seed: int, t_max: int, hidden: int = 4, features: int = 6
 ) -> tuple[Model, SequenceBatch, CtcTargets]:
     """The model, batch and targets that the gradient check uses at one length."""
-    if vocab < 3:
-        raise ContractError("vocabulary must fit a blank plus two tokens")
     rng = np.random.default_rng([seed, t_max])
     model = Model(
         ModelConfig(
-            2, hidden, features, vocab, variant,
+            2, hidden, features, VOCAB, variant,
             dropout=0.0, embed_dim=2, attn_dim=2,
         ),
         rng,
     )
     lengths = [t_max, max(1, (t_max + 1) // 2)]
     batch = SequenceBatch(Tensor(rng.normal(size=(2, t_max, features))), lengths)
-    return model, batch, CtcTargets([_labels_for(l, vocab) for l in lengths])
+    return model, batch, CtcTargets([_labels_for(l) for l in lengths])
 
 
 def analytic_gradients(
@@ -133,8 +133,6 @@ def model_gradient_check(
     t_values=DEFAULT_T_VALUES,
     hidden: int = 4,
     features: int = 6,
-    vocab: int = 3,
-    h: float = 1e-4,
 ) -> float:
     """Max finite-difference error over every parameter of a small stack.
 
@@ -159,8 +157,8 @@ def model_gradient_check(
     At the default shape every length runs 3 such guards and 7 sweep
     passes, one a module, each checked for one loss per point.
 
-    The step is wider than the single-op default because some parameters
-    of a deep composite have gradients near the 1e-8 floor of the
+    The step h, ``STEP``, is wider than the single-op default because some
+    parameters of a deep composite have gradients near the 1e-8 floor of the
     relative-error denominator, where central-difference roundoff (which
     grows as 1/h) dominates. h=1e-4 does NOT keep that noise a decade under
     tolerance. At seed 0 the worst bn coordinate is ``layer0.fwd.w_x[18]``
@@ -177,7 +175,7 @@ def model_gradient_check(
     """
     worst = 0.0
     for t_max in t_values:
-        model, batch, targets = check_problem(variant, seed, t_max, hidden, features, vocab)
+        model, batch, targets = check_problem(variant, seed, t_max, hidden, features)
         analytic, inputs, logits = analytic_gradients(model, batch, targets)
         for layer in range(len(inputs)):
             params = model.parameters(layer)
@@ -185,7 +183,7 @@ def model_gradient_check(
             if not np.array_equal(resume(model, inputs, layer, same).features.data[0],
                                   logits.features.data):
                 raise ContractError(f"resuming at layer {layer} disagrees with the taped pass")
-            losses = layer_losses(model, inputs, layer, targets, h)
+            losses = layer_losses(model, inputs, layer, targets, STEP)
             grads = np.concatenate([analytic[name].ravel() for name in params])
-            worst = max(worst, central_error(losses, grads, h))
+            worst = max(worst, central_error(losses, grads, STEP))
     return worst

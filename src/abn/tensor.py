@@ -301,11 +301,14 @@ def central_error(losses: np.ndarray, analytic: np.ndarray, h: float) -> float:
     of ``losses``, the loss at each of ``central_points``.
 
     Relative error per coordinate is ``|analytic - numeric| / (|analytic| +
-    1e-8)``; the maximum over coordinates is returned.
+    1e-8)``; the maximum over coordinates is returned, and ``inf`` if any
+    coordinate's error is not a number, so that a NaN fails every
+    tolerance and every ``max`` over errors.
     """
     numeric = (losses[0::2] - losses[1::2]) / (2.0 * h)
     analytic = analytic.ravel()
-    return float(np.max(np.abs(analytic - numeric) / (np.abs(analytic) + 1e-8)))
+    err = np.abs(analytic - numeric) / (np.abs(analytic) + 1e-8)
+    return float("inf") if np.isnan(err).any() else float(np.max(err))
 
 
 def finite_diff_check(f: Callable[[Tensor], Tensor], theta: Tensor, h: float = 1e-5) -> float:

@@ -11,12 +11,12 @@ import numpy as np
 from .batching import Batch, make_batches
 from .checkpoint import save_checkpoint
 from .config import TrainConfig
-from .ctc import LabelSequence, edit_distance, greedy_decode, sequence_ctc_loss
+from .ctc import edit_distance, greedy_decode, sequence_ctc_loss
 from .errors import DegenerateBatchError, EmptyEpochError
 from .optim import AdamState, adam_step, lr_schedule
 from .recurrent import Model, stack_forward
 from .synth import sorted_for_batching, synth_generate
-from .tensor import GradTape, Tensor, backward, recording
+from .tensor import GradTape, backward, recording
 
 METRICS_HEADER = "epoch,split,loss,ter,lr,wall_s"
 
@@ -41,18 +41,9 @@ class MetricsRow(NamedTuple):
         )
 
 
-def decode_batch(logits_batch) -> list[LabelSequence]:
-    """Greedy hypothesis for each utterance, from its valid frames only."""
-    data = logits_batch.features.data
-    return [
-        greedy_decode(Tensor._wrap(data[b, :length]))
-        for b, length in enumerate(logits_batch.lengths)
-    ]
-
-
 def _decode_errors(logits_batch, labels) -> tuple[int, int]:
     """Corpus-level error counts: (edit distance, reference tokens)."""
-    hyps = decode_batch(logits_batch)
+    hyps = greedy_decode(logits_batch)
     dist = sum(edit_distance(hyp.tokens, ref.tokens) for hyp, ref in zip(hyps, labels))
     return dist, sum(len(ref) for ref in labels)
 

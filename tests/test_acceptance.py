@@ -340,7 +340,7 @@ class TestCtcOracle:
                     if np.isinf(expect) or np.isinf(got):
                         inf_mismatch += expect != got
                     else:
-                        worst = max(worst, abs(got - expect))
+                        worst = np.maximum(worst, abs(got - expect))  # a NaN fails
         elapsed = time.monotonic() - t0
         ok = worst <= 1e-9 and inf_mismatch == 0 and elapsed < 30.0
         assert _verdict(

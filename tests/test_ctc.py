@@ -17,7 +17,7 @@ from abn.ctc import (
     greedy_decode,
     sequence_ctc_loss,
 )
-from abn.data import SequenceBatch
+from abn.data import Frames, SequenceBatch
 from abn.tensor import GradTape, Tensor, backward, finite_diff_check, recording
 
 
@@ -166,26 +166,72 @@ class TestGradient:
         np.testing.assert_allclose(g.sum(axis=1), np.zeros(5), atol=1e-12)
 
 
+def _decode_one(logits: np.ndarray) -> list[int]:
+    """``greedy_decode`` on a batch of one utterance, every frame real."""
+    return greedy_decode(SequenceBatch(Tensor(logits[None]), [len(logits)]))[0].tokens
+
+
+def _loop_decode(logits: np.ndarray, length: int) -> list[int]:
+    """The per-frame loop that ``greedy_decode`` replaced, over one
+    utterance's real frames: the reference for its hypotheses."""
+    out = []
+    prev = None
+    for sym in np.argmax(logits[:length], axis=1):
+        if sym != prev and sym != BLANK:
+            out.append(int(sym))
+        prev = sym
+    return out
+
+
 class TestGreedyDecode:
     def test_collapse_repeats(self):
         logits = np.full((4, 3), -5.0)
         for t, sym in enumerate((1, 1, 0, 1)):
             logits[t, sym] = 5.0
-        assert greedy_decode(Tensor(logits)).tokens == [1, 1]
+        assert _decode_one(logits) == [1, 1]
 
     def test_all_blank(self):
         logits = np.zeros((3, 2))
         logits[:, BLANK] = 9.0
-        assert greedy_decode(Tensor(logits)).tokens == []
+        assert _decode_one(logits) == []
 
     def test_blank_separates(self):
         logits = np.full((3, 3), -5.0)
         for t, sym in enumerate((1, 0, 2)):
             logits[t, sym] = 5.0
-        assert greedy_decode(Tensor(logits)).tokens == [1, 2]
+        assert _decode_one(logits) == [1, 2]
 
     def test_ties_pick_lowest_index(self):
-        assert greedy_decode(Tensor(np.zeros((2, 3)))).tokens == []
+        assert _decode_one(np.zeros((2, 3))) == []
+
+    def test_padded_batch_matches_per_frame_loop(self):
+        # Small integer logits tie often; padded frames favour the last
+        # token, so any frame past an utterance's length that leaked into its
+        # hypothesis, or into the repeat test of its last real frame, shows.
+        rng = np.random.default_rng(71)
+        for trial in range(200):
+            b = int(rng.integers(1, 6))
+            t_max = int(rng.integers(1, 9))
+            vocab = int(rng.integers(2, 5))
+            logits = rng.integers(-1, 2, size=(b, t_max, vocab)).astype(np.float64)
+            lengths = rng.integers(1, t_max + 1, size=b)
+            lengths[0] = t_max
+            if b > 1:
+                lengths[1] = 1
+            if b > 2:
+                logits[2, :, BLANK] = 5.0  # an all-blank row
+            for row, length in enumerate(lengths):
+                logits[row, length:] = 0.0
+                logits[row, length:, vocab - 1] = 9.0
+            hyps = greedy_decode(SequenceBatch(Tensor(logits), lengths))
+            assert len(hyps) == b
+            for row, length in enumerate(lengths):
+                assert hyps[row].tokens == _loop_decode(logits[row], length), trial
+
+    def test_refuses_a_replica_axis(self):
+        logits = SequenceBatch._wrap(Tensor(np.zeros((2, 1, 3, 4))), Frames(np.array([3]), 3))
+        with pytest.raises(errors.ShapeError):
+            greedy_decode(logits)
 
 
 class TestErrorRate:

@@ -222,12 +222,13 @@ class TestOnePassAnalytic:
             assert np.array_equal(analytic[name], grads.wrt(t)), name
 
 
-def _scaled_vjp(vjp, index):
-    """``vjp`` with gradient ``index`` returned 1% too large."""
+def _scaled_vjp(vjp, index, factor=1.01):
+    """``vjp`` with gradient ``index`` returned times ``factor`` (by default
+    1% too large)."""
 
     def wrong(g):
         parts = list(vjp(g))
-        parts[index] = parts[index] * 1.01
+        parts[index] = parts[index] * factor
         return tuple(parts)
 
     return wrong
@@ -238,23 +239,25 @@ def _scaled(record, index):
     return lambda output, inputs, vjp: record(output, inputs, _scaled_vjp(vjp, index))
 
 
-def _fault_in_direction(monkeypatch, input_dim, backward, index):
+def _fault_in_direction(monkeypatch, input_dim, backward, index, factor=1.01):
     original = recurrent.run_direction
 
     def faulty(batch, params, reverse):
         out, vjp = original(batch, params, reverse)
         if reverse != backward or params.input_dim != input_dim or vjp is None:
             return out, vjp
-        return out, _scaled_vjp(vjp, index)
+        return out, _scaled_vjp(vjp, index, factor)
 
     monkeypatch.setattr(recurrent, "run_direction", faulty)
 
 
 # Each fault is caught by the parameters whose gradient flows through it:
-# those of its own layer and of every layer below.
+# those of its own layer and of every layer below. A NaN gradient must read
+# as a failure, not vanish from the maximum over coordinates.
 FAULTS = {
     "layer1-bwd-d_wh": lambda mp: _fault_in_direction(mp, 2 * HIDDEN, True, 2),
     "layer0-fwd-d_x": lambda mp: _fault_in_direction(mp, FEATURES, False, 0),
+    "layer0-fwd-d_wco-nan": lambda mp: _fault_in_direction(mp, FEATURES, False, 3, np.nan),
     "ctc-grad": lambda mp: mp.setattr(ctc, "record_op", _scaled(ctc.record_op, 0)),
 }
 

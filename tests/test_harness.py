@@ -11,7 +11,7 @@ from abn import tensor as tc
 from abn.batching import Batch, Utterance, make_batches
 from abn.checkpoint import load_checkpoint, save_checkpoint
 from abn.cli import cli
-from abn.config import SCHEMA, default_config, load_config, parse_config_text
+from abn.config import SCHEMA, TrainConfig, load_config, parse_config_text
 from abn.ctc import LabelSequence
 from abn.data import SequenceBatch
 from abn.optim import AdamState, adam_step, lr_schedule
@@ -325,7 +325,7 @@ class TestSynth:
 
 class TestConfig:
     def test_defaults(self):
-        cfg = default_config()
+        cfg = TrainConfig()
         assert cfg.max_frames_per_batch == 5000
         assert cfg.initial_lr == 0.0001
         assert cfg.halve_threshold == 0.004

@@ -11,6 +11,7 @@ from abn.ctc import LabelSequence
 from abn.checkpoint import load_checkpoint
 from abn.cli import cli
 from abn.config import parse_config_text
+from abn.tensor import Tensor
 from abn.train import METRICS_HEADER, run_training
 
 TINY_CFG = """\
@@ -248,10 +249,27 @@ class TestCli:
         monkeypatch.setattr(cli_mod, "model_gradient_check",
                             lambda variant, seed=0: 5e-4)
         assert cli(["gradcheck", "--variant", "abn-u"]) == 1
+        # A NaN would vanish from a max(); it must fail the run instead.
+        monkeypatch.setattr(cli_mod, "model_gradient_check",
+                            lambda variant, seed=0: np.nan if variant == "abn-f" else 5e-5)
+        assert cli(["gradcheck"]) == 1
 
     def test_ctc_oracle_small_sweep(self, capsys):
         assert cli(["ctc-oracle", "--max-t", "3"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_ctc_oracle_fails_on_a_nan_loss(self, monkeypatch, capsys):
+        calls = []
+
+        def nan_once(logits, labels):
+            calls.append(None)
+            if len(calls) == 5:
+                return Tensor._wrap(np.array(np.nan))
+            return ctc.ctc_loss(logits, labels)
+
+        monkeypatch.setattr(cli_mod, "ctc_loss", nan_once)
+        assert cli(["ctc-oracle", "--max-t", "2"]) == 1
+        assert "PASS" not in capsys.readouterr().out
 
     def test_param_count(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
@@ -304,6 +322,20 @@ class TestCli:
                   "--out-dir", str(tmp_path / "run")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_non_utf8_config_reports_error(self, tmp_path, capsys):
+        bad = tmp_path / "noise.cfg"
+        bad.write_bytes(np.random.default_rng(0).bytes(300))
+        rc = cli(["train", "--config", str(bad), "--out-dir", str(tmp_path / "run")])
+        assert rc == 1
+        assert f"error: {bad}: not UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_checkpoint_reports_error(self, tmp_path, capsys):
+        bad = tmp_path / "noise.ckpt"
+        bad.write_bytes(b"abn-checkpoint v3\n\xff\xfe\n")
+        rc = cli(["eval", "--ckpt", str(bad), "--config", write_cfg(tmp_path)])
+        assert rc == 1
+        assert f"error: {bad}: not UTF-8" in capsys.readouterr().err
 
     def test_bad_config_reports_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
