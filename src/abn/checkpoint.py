@@ -100,6 +100,15 @@ def load_checkpoint(path: str, seed: int | None = None) -> Model:
     With ``seed``, the seed of the task the caller will score the model
     on, a checkpoint trained on another task's seed is refused.
     """
+    model, trained_seed = read_checkpoint(path)
+    if seed is not None and trained_seed != seed:
+        raise CheckpointError(f"seed: the model was trained on the task of seed {trained_seed},"
+                              f" but the config's seed is {seed}")
+    return model
+
+
+def read_checkpoint(path: str) -> tuple[Model, int]:
+    """The model of a checkpoint, bit-exact, and the seed of its training task."""
     with open(path, encoding="utf-8") as fh:
         try:
             lines = fh.read().splitlines()
@@ -150,11 +159,6 @@ def load_checkpoint(path: str, seed: int | None = None) -> Model:
         trained_seed = int(seeds[0])
     except ValueError:
         raise CheckpointError(f"seed: cannot parse {seeds[0]!r}") from None
-    if seed is not None and trained_seed != seed:
-        raise CheckpointError(
-            f"seed: the model was trained on the task of seed {trained_seed},"
-            f" but the config's seed is {seed}"
-        )
 
     settings = {}
     for name, parse in _SETTINGS.items():
@@ -190,4 +194,4 @@ def load_checkpoint(path: str, seed: int | None = None) -> Model:
     missing = [name for name in kinds if name not in seen]
     if missing:
         raise CheckpointError(f"parameter {missing[0]}: absent from checkpoint")
-    return model
+    return model, trained_seed

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 
 from .batching import make_batches
-from .checkpoint import load_checkpoint
+from .checkpoint import load_checkpoint, read_checkpoint
 from .config import TrainConfig, load_config
 from .ctc import LabelSequence, ctc_brute_force, ctc_loss, greedy_decode
 from .errors import AbnError, CheckpointError
@@ -66,10 +66,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     dec = sub.add_parser("decode", help="greedy-decode synthetic utterances")
     dec.add_argument("--ckpt", required=True)
-    dec.add_argument("--config", default=None, help="task parameters (defaults if omitted)")
+    dec.add_argument("--config", default=None, help="task config (default: the checkpoint's task)")
     dec.add_argument("--count", type=_at_least_one, default=5)
     dec.add_argument("--seed", type=_non_negative, default=3,
-                     help="seed of the drawn utterances; the task seed is the config's")
+                     help="seed of the drawn utterances, not of the task (see --config)")
 
     gc = sub.add_parser("gradcheck", help="finite-difference check of the full stack")
     gc.add_argument("--variant", choices=VARIANTS, default=None,
@@ -127,8 +127,14 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    cfg = load_config(args.config) if args.config else TrainConfig()
-    model = _load_for_task(args.ckpt, cfg)
+    if args.config:
+        cfg = load_config(args.config)
+        model = _load_for_task(args.ckpt, cfg)
+    else:  # the checkpoint's task: its seed, and its model keys for features and vocab
+        model, seed = read_checkpoint(args.ckpt)
+        settings = dataclasses.asdict(model.config)
+        del settings["variants"]
+        cfg = TrainConfig(seed=seed, **settings)
     utts = synth_generate(cfg.task(), args.count, seed=args.seed)
     batches = make_batches(sorted_for_batching(utts), cfg.max_frames_per_batch)
     for batch in batches:

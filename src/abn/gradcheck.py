@@ -157,6 +157,12 @@ def model_gradient_check(
     At the default shape every length runs 3 such guards and 7 sweep
     passes, one a module, each checked for one loss per point.
 
+    ``check_problem`` builds fresh models, whose ``w_gamma``, ``w_beta`` and
+    ``w_co`` are zero. So ``w_embed``, ``b_embed``, ``w_key``, ``w_query`` and
+    ``w_value`` get gradient exactly 0.0, analytic and numeric, and the
+    peephole term adds nothing: this check cannot see faults there, and
+    ``tests/test_generators.py`` and ``tests/test_recurrent.py`` catch them.
+
     The step h, ``STEP``, is wider than the single-op default because some
     parameters of a deep composite have gradients near the 1e-8 floor of the
     relative-error denominator, where central-difference roundoff (which

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import time
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -62,6 +63,61 @@ def evaluate(model: Model, batches: list[Batch]) -> tuple[float, float]:
     return total_loss / len(batches), dist / max(ref_len, 1)
 
 
+@dataclass
+class TrainState:
+    """What training carries from batch to batch and epoch to epoch."""
+
+    model: Model
+    adam: AdamState
+    drop_rng: np.random.Generator
+    lr: float
+    dev_history: list[float] = field(default_factory=list)
+    skipped_batches: int = 0  # non-finite loss or gradient
+    nonfinite_gradients: int = 0  # of those, finite loss but a non-finite gradient
+
+    @classmethod
+    def start(cls, cfg: TrainConfig, variant: str) -> TrainState:
+        """The state before epoch 1: a fresh model and Adam, the initial lr."""
+        model = Model(cfg.model_config(variant), np.random.default_rng([cfg.seed, 1]))
+        adam = AdamState(model.parameters(), cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+        return cls(model, adam, np.random.default_rng([cfg.seed, 2]), cfg.initial_lr)
+
+
+def train_epoch(state: TrainState, batches: list[Batch]) -> tuple[float, float]:
+    """One pass of taped steps over ``batches``; the mean loss and corpus
+    token error rate of the batches it used. A batch whose loss or gradient
+    is not finite is skipped and counted; if all are, ``EmptyEpochError``."""
+    total_loss = 0.0
+    used = dist = ref_len = 0
+    for batch in batches:
+        tape = GradTape()
+        with recording(tape):
+            logits = stack_forward(batch.features, state.model, "train", rng=state.drop_rng)
+            loss = sequence_ctc_loss(logits, batch.labels)
+        if not np.isfinite(loss.item()):
+            state.skipped_batches += 1
+            continue
+        grads = backward(tape, loss)
+        params = state.model.parameters()
+        grad_arrays = {name: grads.wrt(t) for name, t in params.items()}
+        # A NaN gradient under a finite loss would reach the weights.
+        if not all(np.isfinite(g).all() for g in grad_arrays.values()):
+            state.skipped_batches += 1
+            state.nonfinite_gradients += 1
+            continue
+        for name, t in adam_step(params, grad_arrays, state.adam, state.lr).items():
+            state.model.set_parameter(name, t)
+        total_loss += loss.item()
+        used += 1
+        d, r = _decode_errors(logits, batch.labels)
+        dist += d
+        ref_len += r
+    if used == 0:
+        raise EmptyEpochError(f"epoch {len(state.dev_history) + 1}: all {len(batches)}"
+                              " training batches had a non-finite loss or gradient")
+    return total_loss / used, dist / max(ref_len, 1)
+
+
 def run_training(cfg: TrainConfig, variant: str, out_dir: str) -> dict:
     """Train one model; writes metrics.csv and model.ckpt under ``out_dir``.
 
@@ -83,91 +139,40 @@ def run_training(cfg: TrainConfig, variant: str, out_dir: str) -> dict:
                 " need at least 2"
             )
 
-    model = Model(cfg.model_config(variant), np.random.default_rng([cfg.seed, 1]))
-    drop_rng = np.random.default_rng([cfg.seed, 2])
-    adam = AdamState(
-        model.parameters(), beta1=cfg.adam_beta1, beta2=cfg.adam_beta2, eps=cfg.adam_eps
-    )
-    lr = cfg.initial_lr
+    state = TrainState.start(cfg, variant)
     quiet_clock = deterministic_mode()
-
-    metrics_path = os.path.join(out_dir, "metrics.csv")
-    dev_history: list[float] = []
-    summary = {
-        "variant": variant,
-        "seed": cfg.seed,
-        "epochs_run": 0,
-        "skipped_batches": 0,  # non-finite loss or gradient
-        "nonfinite_gradients": 0,  # of those, finite loss but a non-finite gradient
-        "stopped_early": False,
-    }
-    with open(metrics_path, "w", encoding="utf-8") as metrics:
+    stopped_early = False
+    with open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8") as metrics:
         metrics.write(METRICS_HEADER + "\n")
         for epoch in range(1, cfg.epochs + 1):
             t0 = time.monotonic()
-            epoch_loss = 0.0
-            used = 0
-            dist = 0
-            ref_len = 0
-            for batch in train_batches:
-                tape = GradTape()
-                with recording(tape):
-                    logits = stack_forward(batch.features, model, "train", rng=drop_rng)
-                    loss = sequence_ctc_loss(logits, batch.labels)
-                if not np.isfinite(loss.item()):
-                    summary["skipped_batches"] += 1
-                    continue
-                grads = backward(tape, loss)
-                params = model.parameters()
-                grad_arrays = {name: grads.wrt(t) for name, t in params.items()}
-                # A NaN gradient under a finite loss would reach the weights.
-                if not all(np.isfinite(g).all() for g in grad_arrays.values()):
-                    summary["skipped_batches"] += 1
-                    summary["nonfinite_gradients"] += 1
-                    continue
-                for name, t in adam_step(params, grad_arrays, adam, lr).items():
-                    model.set_parameter(name, t)
-                epoch_loss += loss.item()
-                used += 1
-                d, r = _decode_errors(logits, batch.labels)
-                dist += d
-                ref_len += r
-            if used == 0:
-                raise EmptyEpochError(
-                    f"epoch {epoch}: all {len(train_batches)} training batches"
-                    " had a non-finite loss or gradient"
-                )
+            train_loss, train_ter = train_epoch(state, train_batches)
             train_wall = 0.0 if quiet_clock else time.monotonic() - t0
-            train_loss = epoch_loss / used
-            train_ter = dist / max(ref_len, 1)
-
             t1 = time.monotonic()
-            dev_loss, dev_ter = evaluate(model, dev_batches)
+            dev_loss, dev_ter = evaluate(state.model, dev_batches)
             dev_wall = 0.0 if quiet_clock else time.monotonic() - t1
-
-            metrics.write(
-                MetricsRow(epoch, "train", train_loss, train_ter, lr, train_wall).to_csv()
-                + "\n"
-            )
-            metrics.write(
-                MetricsRow(epoch, "dev", dev_loss, dev_ter, lr, dev_wall).to_csv() + "\n"
-            )
+            for split, loss, ter, wall in (("train", train_loss, train_ter, train_wall),
+                                           ("dev", dev_loss, dev_ter, dev_wall)):
+                metrics.write(MetricsRow(epoch, split, loss, ter, state.lr, wall).to_csv() + "\n")
             metrics.flush()
-
-            dev_history.append(dev_loss)
-            summary["epochs_run"] = epoch
-            if len(dev_history) >= 2:
-                action = lr_schedule(
-                    dev_history, cfg.halve_threshold, cfg.stop_threshold
-                )
+            state.dev_history.append(dev_loss)
+            if len(state.dev_history) >= 2:
+                action = lr_schedule(state.dev_history, cfg.halve_threshold, cfg.stop_threshold)
                 if action == "stop":
-                    summary["stopped_early"] = True
+                    stopped_early = True
                     break
                 if action == "halve":
-                    lr *= 0.5
+                    state.lr *= 0.5
 
-    save_checkpoint(model, os.path.join(out_dir, "model.ckpt"), cfg.seed)
-    summary["dev_loss_history"] = dev_history
-    summary["final_dev_loss"] = dev_history[-1]
-    summary["final_dev_ter"] = dev_ter
-    return summary
+    save_checkpoint(state.model, os.path.join(out_dir, "model.ckpt"), cfg.seed)
+    return {
+        "variant": variant,
+        "seed": cfg.seed,
+        "epochs_run": len(state.dev_history),
+        "skipped_batches": state.skipped_batches,
+        "nonfinite_gradients": state.nonfinite_gradients,
+        "stopped_early": stopped_early,
+        "dev_loss_history": state.dev_history,
+        "final_dev_loss": state.dev_history[-1],
+        "final_dev_ter": dev_ter,
+    }

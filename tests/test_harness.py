@@ -9,7 +9,7 @@ import pytest
 from abn import checkpoint, errors
 from abn import tensor as tc
 from abn.batching import Batch, Utterance, make_batches
-from abn.checkpoint import load_checkpoint, save_checkpoint
+from abn.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
 from abn.cli import cli
 from abn.config import SCHEMA, TrainConfig, load_config, parse_config_text
 from abn.ctc import LabelSequence
@@ -507,6 +507,15 @@ class TestCheckpoint:
         load_checkpoint(str(path), seed=7)
         with pytest.raises(errors.CheckpointError, match="seed: .* seed 7, .* seed is 0"):
             load_checkpoint(str(path), seed=0)
+
+    def test_read_returns_the_training_seed(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        model = tiny_model()
+        save_checkpoint(model, str(path), 7)
+        loaded, seed = read_checkpoint(str(path))
+        assert seed == 7
+        for name, t in model.parameters().items():
+            assert np.array_equal(loaded.parameters()[name].data, t.data), name
 
     @pytest.mark.parametrize("edit", ["drop", "twice", "text"])
     def test_malformed_seed_line_rejected(self, tmp_path, edit):

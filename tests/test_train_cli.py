@@ -6,13 +6,15 @@ import pytest
 from abn import cli as cli_mod
 from abn import ctc, errors
 from abn import train as train_mod
-from abn.batching import Utterance
+from abn.batching import Utterance, make_batches
 from abn.ctc import LabelSequence
 from abn.checkpoint import load_checkpoint
 from abn.cli import cli
 from abn.config import parse_config_text
+from abn.generators import VARIANTS
+from abn.synth import sorted_for_batching, synth_generate
 from abn.tensor import Tensor
-from abn.train import METRICS_HEADER, run_training
+from abn.train import METRICS_HEADER, TrainState, run_training, train_epoch
 
 TINY_CFG = """\
 num_layers = 1
@@ -95,6 +97,23 @@ class TestRunTraining:
         summary = run_training(cfg, "bn", str(tmp_path))
         assert summary["stopped_early"]
         assert summary["epochs_run"] == 2
+
+
+class TestTrainEpoch:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_first_epoch_matches_metrics_row(self, tmp_path, variant):
+        # Dropout on, so the state's dropout stream is exercised as well.
+        cfg = tiny_config(dropout=0.3, epochs=1)
+        run_training(cfg, variant, str(tmp_path))
+        row = (tmp_path / "metrics.csv").read_text().splitlines()[1].split(",")
+        utts = synth_generate(cfg.task(), cfg.train_utterances, seed=1)
+        batches = make_batches(sorted_for_batching(utts), cfg.max_frames_per_batch)
+        state = TrainState.start(cfg, variant)
+        loss, ter = train_epoch(state, batches)
+        assert row[:2] == ["1", "train"]
+        # The row prints 17 significant digits, so it parses back bit for bit.
+        assert (loss, ter) == (float(row[2]), float(row[3]))
+        assert (state.skipped_batches, state.nonfinite_gradients, state.dev_history) == (0, 0, [])
 
 
 def _nan_ctc_gradients(monkeypatch, first_n):
@@ -202,6 +221,22 @@ class TestCli:
         assert "dev_ter=" in capsys.readouterr().out
         assert cli(["eval", "--ckpt", ckpt, "--config", cfg]) == 1
         assert "task of seed 1" in capsys.readouterr().err
+
+    def test_decode_without_config_takes_the_checkpoints_task(self, tmp_path, capsys):
+        # Seed 1, 4 features and vocab 4: none of them TrainConfig's defaults.
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "run"
+        assert cli(["train", "--config", cfg, "--seed", "1", "--out-dir", str(out)]) == 0
+        ckpt = str(out / "model.ckpt")
+        capsys.readouterr()
+        assert cli(["decode", "--ckpt", ckpt]) == 0
+        printed = capsys.readouterr().out
+        assert printed.count("ref=") == 5
+        # The same task as a config that sets only the seed and the model keys.
+        task = tmp_path / "task.cfg"
+        task.write_text("".join(line + "\n" for line in TINY_CFG.splitlines()[:7]) + "seed = 1\n")
+        assert cli(["decode", "--ckpt", ckpt, "--config", str(task)]) == 0
+        assert capsys.readouterr().out == printed
 
     def test_decode_prints_pairs(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
