@@ -1,64 +1,61 @@
 """Self-describing text checkpoints with lossless float64 roundtrips.
 
-Layout: a version line, the training seed, the model configuration, then
-one ``tensor`` or ``stat`` block per array (name, shape, and row-major
-values printed with 17 significant digits), closed by an ``end`` sentinel
-that catches truncation. The blank symbol is index 0 by construction; the
-header records that for consumers of decoded outputs. The seed fixes the
-synthetic task's templates, so a model can be checked against the task it
-is scored on. Each LSTM direction is stored as four gate-stacked tensors
-(``w_x``, ``w_h``, ``w_co``, ``b``). Version 2 had no seed and version 1
-stored thirteen per-gate tensors; neither is read.
+Layout: a version line, a ``variants`` line naming each layer's normalizer,
+then the whole training config as ``key = value`` lines in the format of a
+config file, then one ``tensor`` or ``stat`` block per array (name, shape,
+and row-major values printed with 17 significant digits), closed by an
+``end`` sentinel that catches truncation. The blank symbol is index 0 by
+construction; the header records that for consumers of decoded outputs.
+The config fixes the synthetic task, its seed and every task key, so a
+model can be checked against, or decoded on, the task it was trained on.
+Each LSTM direction is stored as four gate-stacked tensors (``w_x``,
+``w_h``, ``w_co``, ``b``). Versions 1 to 3 are refused by name.
 """
 
 from __future__ import annotations
 
 import os
-from typing import get_type_hints
 
 import numpy as np
 
-from .errors import CheckpointError, ContractError, ShapeError
-from .recurrent import Model, ModelConfig
+from .config import TrainConfig, format_config, parse_config_text
+from .errors import CheckpointError, ConfigError, ContractError, ShapeError
+from .recurrent import Model
 from .tensor import Tensor
 
-FORMAT_LINE = "abn-checkpoint v3"
+FORMAT_LINE = "abn-checkpoint v4"
 # Earlier formats, refused by name with the reason.
 _RETIRED = {
     "abn-checkpoint v1": "stores per-gate LSTM tensors, a layout no longer read",
     "abn-checkpoint v2": "records no training seed, so the task its model was"
                          " trained on is unknown",
+    "abn-checkpoint v3": "records no task keys, so the task its model was"
+                         " trained on is incomplete",
 }
-
-# The header's settings, in ModelConfig's field order with ``variants``
-# last, each with the parser of its declared type.
-_SETTINGS = {name: typ for name, typ in get_type_hints(ModelConfig).items()
-             if name != "variants"}
-_SETTINGS["variants"] = lambda text: text.split(",")
-
-
-def _format_setting(value) -> str:
-    return ",".join(value) if isinstance(value, list) else str(value)
 
 
 def _format_values(t: Tensor) -> str:
     return " ".join(map("{:.17g}".format, t.data.ravel().tolist()))
 
 
-def save_checkpoint(model: Model, path: str, seed: int) -> None:
-    """Write ``model``, trained on the task of ``seed``, to ``path`` atomically.
+def save_checkpoint(model: Model, path: str, cfg: TrainConfig) -> None:
+    """Write ``model``, trained under ``cfg``, to ``path`` atomically.
 
-    The blocks stream into a temporary file beside ``path`` that is synced
-    to disk and then replaces it, so a failed or interrupted save, or a
-    power loss after it, leaves the previous checkpoint or the whole new one.
+    ``cfg`` must describe ``model``; a config that does not is refused
+    before any file is written. The blocks stream into a temporary file
+    beside ``path`` that is synced to disk and then replaces it, so a failed
+    or interrupted save, or a power loss after it, leaves the previous
+    checkpoint or the whole new one.
     """
-    cfg = model.config
+    variants = model.config.variants
+    described = cfg.model_config(variants)
+    if described != model.config:
+        raise ContractError(f"the config describes {described}, not the model's {model.config}")
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(f"{FORMAT_LINE}\n# blank symbol index: 0\nseed {int(seed)}\n")
-            for name in _SETTINGS:
-                fh.write(f"config {name} {_format_setting(getattr(cfg, name))}\n")
+            fh.write(f"{FORMAT_LINE}\n# blank symbol index: 0\nvariants {','.join(variants)}\n")
+            fh.write(format_config(cfg))
             for kind, table in (("tensor", model.parameters()),
                                 ("stat", model.running_stats())):
                 for name, t in table.items():
@@ -94,21 +91,8 @@ def _parse_array(name: str, dims_text: list[str], values_line: str) -> Tensor:
     return Tensor._wrap(flat.reshape(shape))
 
 
-def load_checkpoint(path: str, seed: int | None = None) -> Model:
-    """Rebuild a model from a checkpoint, bit-exact.
-
-    With ``seed``, the seed of the task the caller will score the model
-    on, a checkpoint trained on another task's seed is refused.
-    """
-    model, trained_seed = read_checkpoint(path)
-    if seed is not None and trained_seed != seed:
-        raise CheckpointError(f"seed: the model was trained on the task of seed {trained_seed},"
-                              f" but the config's seed is {seed}")
-    return model
-
-
-def read_checkpoint(path: str) -> tuple[Model, int]:
-    """The model of a checkpoint, bit-exact, and the seed of its training task."""
+def load_checkpoint(path: str) -> tuple[Model, TrainConfig]:
+    """The model of a checkpoint, bit-exact, and the config it was trained under."""
     with open(path, encoding="utf-8") as fh:
         try:
             lines = fh.read().splitlines()
@@ -123,63 +107,42 @@ def read_checkpoint(path: str) -> tuple[Model, int]:
         head = lines[0] if lines else "<empty file>"
         raise CheckpointError(f"not a recognized checkpoint (header {head!r})")
 
-    seeds: list[str] = []
-    raw_config: dict[str, str] = {}
-    arrays: list[tuple[str, str, Tensor]] = []
-    saw_end = False
-    i = 1
-    while i < len(lines):
-        line = lines[i]
-        i += 1
-        if not line or line.startswith("#"):
-            continue
-        if line == "end":
-            saw_end = True
-            break
-        parts = line.split()
-        if parts[0] == "seed" and len(parts) == 2:
-            seeds.append(parts[1])
-        elif parts[0] == "config" and len(parts) >= 3:
-            if parts[1] in raw_config:
-                raise CheckpointError(f"config field {parts[1]}: given twice")
-            raw_config[parts[1]] = line.split(None, 2)[2]
-        elif parts[0] in ("tensor", "stat") and len(parts) >= 2:
-            name = parts[1]
-            if i >= len(lines):
-                raise CheckpointError(f"parameter {name}: values missing (truncated file)")
-            arrays.append((parts[0], name, _parse_array(name, parts[2:], lines[i])))
-            i += 1
-        else:
-            raise CheckpointError(f"unrecognized checkpoint line: {line!r}")
-    if not saw_end:
-        raise CheckpointError("checkpoint truncated: no end marker")
-    if len(seeds) != 1:
-        raise CheckpointError(f"seed: given {len(seeds)} times, expected once")
+    # The header runs up to the first block. Apart from its variants line it
+    # is a config file that must set every key; blanking the version and
+    # variants lines keeps the parser's line numbers the file's.
+    blocks = next((i for i, line in enumerate(lines)
+                   if line.split(" ", 1)[0] in ("tensor", "stat", "end")), len(lines))
+    header = ["", *lines[1:blocks]]
+    named = [i for i, line in enumerate(header) if line.startswith("variants ")]
+    if len(named) != 1:
+        raise CheckpointError(f"variants: given {len(named)} times, expected once")
+    variants = header[named[0]].split(" ", 1)[1].split(",")
+    header[named[0]] = ""
     try:
-        trained_seed = int(seeds[0])
-    except ValueError:
-        raise CheckpointError(f"seed: cannot parse {seeds[0]!r}") from None
-
-    settings = {}
-    for name, parse in _SETTINGS.items():
-        if name not in raw_config:
-            raise CheckpointError(f"checkpoint missing config field {name}")
-        text = raw_config.pop(name)
-        try:
-            settings[name] = parse(text)
-        except ValueError:
-            raise CheckpointError(f"config field {name}: cannot parse {text!r}") from None
-    if raw_config:
-        raise CheckpointError(f"config field {next(iter(raw_config))}: not a model setting")
-    try:
-        model = Model(ModelConfig(**settings), np.random.default_rng(0))
-    except (ContractError, ShapeError) as exc:
-        raise CheckpointError(f"checkpoint config: {exc}") from None
+        cfg = parse_config_text("\n".join(header), source=path, every_key=True)
+        model = Model(cfg.model_config(variants), np.random.default_rng(0))
+    except (ConfigError, ContractError, ShapeError) as exc:
+        raise CheckpointError(f"checkpoint header: {exc}") from None
 
     kinds = {**dict.fromkeys(model.parameters(), "tensor"),
              **dict.fromkeys(model.running_stats(), "stat")}
     seen = set()
-    for kind, name, tensor in arrays:
+    i = blocks
+    while i < len(lines):
+        line = lines[i]
+        i += 1
+        parts = line.split()
+        if not parts or line.startswith("#"):
+            continue
+        if line == "end":
+            break
+        if parts[0] not in ("tensor", "stat") or len(parts) < 2:
+            raise CheckpointError(f"unrecognized checkpoint line: {line!r}")
+        kind, name = parts[:2]
+        if i >= len(lines):
+            raise CheckpointError(f"parameter {name}: values missing (truncated file)")
+        tensor = _parse_array(name, parts[2:], lines[i])
+        i += 1
         if name in seen:
             raise CheckpointError(f"parameter {name}: stored twice")
         if name not in kinds:
@@ -191,7 +154,9 @@ def read_checkpoint(path: str) -> tuple[Model, int]:
         except (ContractError, ShapeError) as exc:
             raise CheckpointError(f"parameter {name}: {exc}") from None
         seen.add(name)
+    else:
+        raise CheckpointError("checkpoint truncated: no end marker")
     missing = [name for name in kinds if name not in seen]
     if missing:
         raise CheckpointError(f"parameter {missing[0]}: absent from checkpoint")
-    return model, trained_seed
+    return model, cfg

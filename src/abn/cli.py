@@ -10,8 +10,8 @@ import sys
 import numpy as np
 
 from .batching import make_batches
-from .checkpoint import load_checkpoint, read_checkpoint
-from .config import TrainConfig, load_config
+from .checkpoint import load_checkpoint
+from .config import load_config
 from .ctc import LabelSequence, ctc_brute_force, ctc_loss, greedy_decode
 from .errors import AbnError, CheckpointError
 from .generators import VARIANTS
@@ -106,12 +106,16 @@ def _cmd_train(args) -> int:
 
 def _load_for_task(ckpt: str, cfg) -> Model:
     """Load a checkpoint trained on the task of ``cfg``: the same seed,
-    feature and vocabulary sizes."""
-    model = load_checkpoint(ckpt, seed=cfg.seed)
-    if model.config.features != cfg.features or model.config.vocab != cfg.vocab:
+    feature and vocabulary sizes. Other task keys may differ, so that a
+    model can be scored on another task of the same seed."""
+    model, trained = load_checkpoint(ckpt)
+    if trained.seed != cfg.seed:
+        raise CheckpointError(f"seed: the model was trained on the task of seed {trained.seed},"
+                              f" but the config's seed is {cfg.seed}")
+    if trained.features != cfg.features or trained.vocab != cfg.vocab:
         raise CheckpointError(
-            f"checkpoint expects features={model.config.features},"
-            f" vocab={model.config.vocab}; task has features={cfg.features},"
+            f"checkpoint expects features={trained.features},"
+            f" vocab={trained.vocab}; task has features={cfg.features},"
             f" vocab={cfg.vocab}"
         )
     return model
@@ -130,11 +134,8 @@ def _cmd_decode(args) -> int:
     if args.config:
         cfg = load_config(args.config)
         model = _load_for_task(args.ckpt, cfg)
-    else:  # the checkpoint's task: its seed, and its model keys for features and vocab
-        model, seed = read_checkpoint(args.ckpt)
-        settings = dataclasses.asdict(model.config)
-        del settings["variants"]
-        cfg = TrainConfig(seed=seed, **settings)
+    else:
+        model, cfg = load_checkpoint(args.ckpt)
     utts = synth_generate(cfg.task(), args.count, seed=args.seed)
     batches = make_batches(sorted_for_batching(utts), cfg.max_frames_per_batch)
     for batch in batches:

@@ -82,10 +82,10 @@ class TrainConfig:
                 f"task_distinct_neighbors must be 0 or 1, got {self.task_distinct_neighbors}"
             )
 
-    def model_config(self, variant: str) -> ModelConfig:
+    def model_config(self, variants: str | list[str]) -> ModelConfig:
         settings = {f.name: getattr(self, f.name) for f in fields(ModelConfig)
                     if f.name != "variants"}
-        return ModelConfig(variants=variant, **settings)
+        return ModelConfig(variants=variants, **settings)
 
     def task(self) -> SyntheticTask:
         return SyntheticTask(
@@ -107,7 +107,16 @@ class TrainConfig:
 SCHEMA = {f.name: (f.type, f.default, f.metadata["doc"]) for f in fields(TrainConfig)}
 
 
-def parse_config_text(text: str, source: str = "<string>") -> TrainConfig:
+def format_config(cfg: TrainConfig) -> str:
+    """Every key of ``cfg`` as a ``key = value`` line, in field order: the
+    ``repr`` of each value as its declared type (a ``True`` is written 1),
+    which ``parse_config_text`` reads back exactly."""
+    return "".join(f"{f.name} = {f.type(getattr(cfg, f.name))!r}\n" for f in fields(cfg))
+
+
+def parse_config_text(text: str, source: str = "<string>",
+                      every_key: bool = False) -> TrainConfig:
+    """The config of ``text``; with ``every_key``, one that omits a key is refused."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -128,6 +137,9 @@ def parse_config_text(text: str, source: str = "<string>") -> TrainConfig:
             raise ConfigError(
                 f"{source}:{lineno}: {key} needs {typ.__name__}, got {value!r}"
             ) from None
+    missing = [key for key in SCHEMA if key not in values] if every_key else []
+    if missing:
+        raise ConfigError(f"{source}: key {missing[0]!r} missing")
     return TrainConfig(**values)
 
 

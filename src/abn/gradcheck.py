@@ -9,11 +9,6 @@ from .ctc import CtcTargets, LabelSequence, sequence_ctc_loss
 from .data import SequenceBatch
 from .errors import ContractError
 from .recurrent import Model, ModelConfig, module_of, project, run_layers
-# Not called here: ``perfbench/spans.py`` wraps ``abn.gradcheck.stack_forward``
-# and ``abn.gradcheck.finite_diff_check`` by name, and a missing name is
-# reported as an unwrapped trace target.
-from .recurrent import stack_forward  # noqa: F401
-from .tensor import finite_diff_check  # noqa: F401
 from .tensor import Tensor, central_error, central_points
 
 # At most about this many parameter values per replica pass (R times the

@@ -164,7 +164,7 @@ def run_training(cfg: TrainConfig, variant: str, out_dir: str) -> dict:
                 if action == "halve":
                     state.lr *= 0.5
 
-    save_checkpoint(state.model, os.path.join(out_dir, "model.ckpt"), cfg.seed)
+    save_checkpoint(state.model, os.path.join(out_dir, "model.ckpt"), cfg)
     return {
         "variant": variant,
         "seed": cfg.seed,

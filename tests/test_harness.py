@@ -9,9 +9,9 @@ import pytest
 from abn import checkpoint, errors
 from abn import tensor as tc
 from abn.batching import Batch, Utterance, make_batches
-from abn.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
-from abn.cli import cli
-from abn.config import SCHEMA, TrainConfig, load_config, parse_config_text
+from abn.checkpoint import load_checkpoint, save_checkpoint
+from abn.cli import _load_for_task, cli
+from abn.config import SCHEMA, TrainConfig, format_config, load_config, parse_config_text
 from abn.ctc import LabelSequence
 from abn.data import SequenceBatch
 from abn.optim import AdamState, adam_step, lr_schedule
@@ -453,15 +453,29 @@ class TestConfig:
         assert cfg.hidden == 6
         assert cfg.seed == 42
 
+    def test_format_roundtrip_exact(self):
+        # Checkpoint headers are written by format_config and read by the parser.
+        desk = load_config("configs/desk.cfg")
+        odd = dataclasses.replace(desk, dropout=0.1 + 0.2, initial_lr=1 / 3, task_noise=1 / 3)
+        # Values of another type than the key's, as Python callers may pass.
+        loose = dataclasses.replace(desk, task_distinct_neighbors=True, dropout=0)
+        for cfg in (desk, odd, loose):
+            text = format_config(cfg)
+            assert len(text.splitlines()) == len(SCHEMA)
+            assert parse_config_text(text, every_key=True) == cfg
+
     def test_every_key_documented(self):
         for key, (_, _, doc) in SCHEMA.items():
             assert doc, f"{key} lacks a description"
 
 
+# The training config of tiny_model: 2 layers, hidden 3, features 4, vocab 5, widths 2.
+TINY = TrainConfig(num_layers=2, hidden=3, features=4, vocab=5, embed_dim=2, attn_dim=2,
+                   dropout=0.0)
+
+
 def tiny_model(variant="abn-f", seed=0):
-    cfg = ModelConfig(2, 3, 4, 5, variant, dropout=0.0, embed_dim=2, attn_dim=2)
-    model = Model(cfg, np.random.default_rng(seed))
-    return model
+    return Model(TINY.model_config(variant), np.random.default_rng(seed))
 
 
 class TestCheckpoint:
@@ -472,8 +486,8 @@ class TestCheckpoint:
         batch = SequenceBatch(Tensor(rng.normal(size=(2, 3, 4))), [3, 2])
         stack_forward(batch, model, "train")
         path = str(tmp_path / "m.ckpt")
-        save_checkpoint(model, path, 0)
-        loaded = load_checkpoint(path)
+        save_checkpoint(model, path, TINY)
+        loaded, _ = load_checkpoint(path)
         for name, t in model.parameters().items():
             np.testing.assert_array_equal(loaded.parameters()[name].data, t.data,
                                           err_msg=name)
@@ -497,38 +511,57 @@ class TestCheckpoint:
         path.write_text("abn-checkpoint v2\nend\n")
         with pytest.raises(errors.CheckpointError, match="v2.*no training seed"):
             load_checkpoint(str(path))
+        # And v3, which records the seed but none of the task keys.
+        path.write_text("abn-checkpoint v3\nend\n")
+        with pytest.raises(errors.CheckpointError, match="v3.*no task keys"):
+            load_checkpoint(str(path))
 
     def test_training_seed_recorded_and_checked(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(tiny_model(), str(path), 7)
-        assert path.read_text().splitlines()[:3] == [
-            "abn-checkpoint v3", "# blank symbol index: 0", "seed 7"]
-        load_checkpoint(str(path))
-        load_checkpoint(str(path), seed=7)
+        cfg = dataclasses.replace(TINY, seed=7)
+        save_checkpoint(tiny_model(), str(path), cfg)
+        assert path.read_text().splitlines()[:4] == [
+            "abn-checkpoint v4", "# blank symbol index: 0", "variants abn-f,abn-f",
+            "num_layers = 2"]
+        assert "seed = 7" in path.read_text().splitlines()
+        _load_for_task(str(path), cfg)
         with pytest.raises(errors.CheckpointError, match="seed: .* seed 7, .* seed is 0"):
-            load_checkpoint(str(path), seed=0)
+            _load_for_task(str(path), TINY)
 
-    def test_read_returns_the_training_seed(self, tmp_path):
+    def test_load_returns_the_training_config(self, tmp_path):
         path = tmp_path / "m.ckpt"
         model = tiny_model()
-        save_checkpoint(model, str(path), 7)
-        loaded, seed = read_checkpoint(str(path))
-        assert seed == 7
+        # Every task key off its default, and floats that need all 17 digits.
+        cfg = dataclasses.replace(
+            TINY, seed=7, task_min_tokens=1, task_max_tokens=2, task_min_duration=3,
+            task_max_duration=5, task_noise=1 / 3, task_gain_spread=0.1 + 0.2,
+            task_offset_spread=0.35, task_distinct_neighbors=1, initial_lr=1 / 3)
+        save_checkpoint(model, str(path), cfg)
+        loaded, trained = load_checkpoint(str(path))
+        assert trained == cfg
         for name, t in model.parameters().items():
             assert np.array_equal(loaded.parameters()[name].data, t.data), name
 
-    @pytest.mark.parametrize("edit", ["drop", "twice", "text"])
-    def test_malformed_seed_line_rejected(self, tmp_path, edit):
+    @pytest.mark.parametrize(
+        "edit, match",
+        [("drop", "'seed' missing"), ("twice", "duplicate key 'seed'"),
+         ("text", "seed needs int, got 'zero'"), ("drop-bn_eps", "'bn_eps' missing")],
+        ids=["drop", "twice", "text", "drop-bn_eps"],
+    )
+    def test_malformed_seed_line_rejected(self, tmp_path, edit, match):
+        # A config file may omit a key; a header may not, or a header without
+        # its seed line would load as the task of seed 0.
         path, lines = self._saved_lines(tmp_path)
-        assert lines[2] == "seed 0"
-        lines[2:3] = {"drop": [], "twice": ["seed 0", "seed 0"], "text": ["seed zero"]}[edit]
+        i = lines.index("bn_eps = 1e-05" if edit == "drop-bn_eps" else "seed = 0")
+        lines[i:i + 1] = {"drop": [], "twice": ["seed = 0", "seed = 0"],
+                          "text": ["seed = zero"], "drop-bn_eps": []}[edit]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(errors.CheckpointError, match="^seed: "):
+        with pytest.raises(errors.CheckpointError, match=match):
             load_checkpoint(str(path))
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(tiny_model(), str(path), 0)
+        save_checkpoint(tiny_model(), str(path), TINY)
         before = path.read_bytes()
         original = checkpoint._format_values
         written = []
@@ -541,7 +574,7 @@ class TestCheckpoint:
 
         monkeypatch.setattr(checkpoint, "_format_values", failing_format)
         with pytest.raises(OSError, match="disk full"):
-            save_checkpoint(tiny_model(seed=1), str(path), 0)
+            save_checkpoint(tiny_model(seed=1), str(path), TINY)
         assert len(written) == 2  # the failure came partway through the blocks
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
@@ -564,24 +597,46 @@ class TestCheckpoint:
         monkeypatch.setattr(checkpoint.os, "fsync", logged_fsync)
         monkeypatch.setattr(checkpoint.os, "replace", logged_replace)
         path = tmp_path / "m.ckpt"
-        save_checkpoint(tiny_model(), str(path), 0)
+        save_checkpoint(tiny_model(), str(path), TINY)
         assert [e[0] for e in events] == ["fsync", "replace"]
         # The synced file, already complete, is the one renamed into place.
         final = path.stat()
         assert events[0][1:] == (final.st_ino, final.st_size)
         assert events[1][1:] == (str(path) + ".tmp", str(path))
 
+    @pytest.mark.parametrize("key, value", [("hidden", 4), ("dropout", 0.3)])
+    def test_save_refuses_a_config_that_does_not_describe_the_model(self, tmp_path, key, value):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(tiny_model(), str(path), TINY)
+        before = path.read_bytes()
+        with pytest.raises(errors.ContractError, match=f"{key}={value}"):
+            save_checkpoint(tiny_model(seed=1), str(path), dataclasses.replace(TINY, **{key: value}))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
     def test_truncation_detected(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(tiny_model(), str(path), 0)
+        save_checkpoint(tiny_model(), str(path), TINY)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[: len(lines) // 2]) + "\n")
         with pytest.raises(errors.CheckpointError):
             load_checkpoint(str(path))
 
+    def test_whitespace_lines_skipped(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        model, _ = load_checkpoint(str(path))
+        idx = next(i for i, l in enumerate(lines) if l.startswith("stat "))
+        lines[idx:idx] = ["   "]
+        lines[4:4] = ["\t"]
+        path.write_text("\n".join(lines) + "\n")
+        loaded, trained = load_checkpoint(str(path))
+        assert trained == TINY
+        for name, t in model.running_stats().items():
+            assert np.array_equal(loaded.running_stats()[name].data, t.data), name
+
     def test_value_count_mismatch_names_parameter(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(tiny_model(), str(path), 0)
+        save_checkpoint(tiny_model(), str(path), TINY)
         lines = path.read_text().splitlines()
         idx = next(i for i, l in enumerate(lines) if l.startswith("tensor "))
         name = lines[idx].split()[1]
@@ -596,14 +651,14 @@ class TestCheckpoint:
         awkward = Tensor(np.array([1.0 / 3.0, np.pi, 2.0 / 7.0, 1e-17, -5.0]))
         model.set_parameter("out.b", awkward)
         path = str(tmp_path / "m.ckpt")
-        save_checkpoint(model, path, 0)
-        loaded = load_checkpoint(path)
+        save_checkpoint(model, path, TINY)
+        loaded, _ = load_checkpoint(path)
         np.testing.assert_array_equal(loaded.parameters()["out.b"].data, awkward.data)
 
     @staticmethod
     def _saved_lines(tmp_path):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(tiny_model(), str(path), 0)
+        save_checkpoint(tiny_model(), str(path), TINY)
         return path, path.read_text().splitlines()
 
     @pytest.mark.parametrize(
@@ -624,19 +679,23 @@ class TestCheckpoint:
             ({"bn_eps": "nan"}, "bn_eps"),
             ({"bn_eps": "inf"}, "bn_eps"),
             ({"bn_momentum": "2"}, "bn_momentum"),
+            ({"task_max_tokens": "0"}, "task_max_tokens"),
+            ({"task_noise": "nan"}, "task_noise"),
+            ({"hidden": "3.5"}, "hidden needs int"),
         ],
         ids=["hidden", "features", "embed_dim", "attn_dim", "vocab",
              "embed_dim-features", "embed_dim-hidden", "num_layers", "dropout",
              "variants-count", "variants-name", "bn_eps", "bn_eps-nan", "bn_eps-inf",
-             "bn_momentum"],
+             "bn_momentum", "task_max_tokens", "task_noise-nan", "hidden-type"],
     )
     def test_header_bounds_checked_at_load(self, tmp_path, settings, key):
-        # tiny_model: 2 layers, hidden 3, features 4, vocab 5, widths 2.
+        # The header passes every check a config file gets (see TINY).
         path, lines = self._saved_lines(tmp_path)
         for i, line in enumerate(lines):
-            parts = line.split()
-            if parts[0] == "config" and parts[1] in settings:
-                lines[i] = f"config {parts[1]} {settings[parts[1]]}"
+            name = line.split()[0]
+            if name in settings:
+                lines[i] = (f"variants {settings[name]}" if name == "variants"
+                            else f"{name} = {settings[name]}")
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(errors.CheckpointError, match=key):
             load_checkpoint(str(path))
@@ -670,15 +729,17 @@ class TestCheckpoint:
             load_checkpoint(str(path))
         # A repeated header setting is refused too, and so is an unknown one.
         _, lines = self._saved_lines(tmp_path)
-        for extra, match in (("config hidden 3", "hidden"), ("config width 3", "width")):
+        for extra, match in (("hidden = 3", "duplicate key 'hidden'"),
+                             ("width = 3", "unknown key 'width'")):
             path.write_text("\n".join(lines[:3] + [extra] + lines[3:]) + "\n")
             with pytest.raises(errors.CheckpointError, match=match):
                 load_checkpoint(str(path))
 
     def test_stat_naming_a_trainable_tensor_rejected(self, tmp_path):
-        model = Model(ModelConfig(1, 3, 4, 5, "bn"), np.random.default_rng(0))
+        cfg = dataclasses.replace(TINY, num_layers=1)
+        model = Model(cfg.model_config("bn"), np.random.default_rng(0))
         path = tmp_path / "m.ckpt"
-        save_checkpoint(model, str(path), 0)
+        save_checkpoint(model, str(path), cfg)
         text = path.read_text().replace("tensor layer0.bn.gamma ", "stat layer0.bn.gamma ")
         path.write_text(text)
         with pytest.raises(errors.CheckpointError, match=r"layer0\.bn\.gamma: stored as stat"):

@@ -59,7 +59,9 @@ class TestRunTraining:
         assert len(summary["dev_loss_history"]) == 2
         assert summary["final_dev_loss"] == summary["dev_loss_history"][-1]
         assert np.isfinite(summary["final_dev_loss"])
-        assert load_checkpoint(str(out / "model.ckpt")).config.variants == ["abn-f"]
+        model, trained = load_checkpoint(str(out / "model.ckpt"))
+        assert model.config.variants == ["abn-f"]
+        assert trained == tiny_config()
 
     def test_metrics_layout(self, tmp_path):
         run_training(tiny_config(), "bn", str(tmp_path))
@@ -141,7 +143,7 @@ class TestNonFiniteGradients:
         summary = run_training(tiny_config(), "abn-f", str(out))
         assert summary["nonfinite_gradients"] == 1
         assert summary["skipped_batches"] == 1
-        model = load_checkpoint(str(out / "model.ckpt"))
+        model, _ = load_checkpoint(str(out / "model.ckpt"))
         for name, t in model.parameters().items():
             assert np.all(np.isfinite(t.data)), name
         assert np.isfinite(summary["final_dev_loss"])
@@ -223,19 +225,24 @@ class TestCli:
         assert "task of seed 1" in capsys.readouterr().err
 
     def test_decode_without_config_takes_the_checkpoints_task(self, tmp_path, capsys):
-        # Seed 1, 4 features and vocab 4: none of them TrainConfig's defaults.
-        cfg = write_cfg(tmp_path)
+        # Seed 1, 4 features, vocab 4 and three task keys: none of them
+        # TrainConfig's defaults.
+        cfg = tmp_path / "task.cfg"
+        cfg.write_text(TINY_CFG.replace("seed = 0", "seed = 1").replace(
+            "task_max_tokens = 3",
+            "task_max_tokens = 2\ntask_distinct_neighbors = 1\ntask_offset_spread = 0.35"))
         out = tmp_path / "run"
-        assert cli(["train", "--config", cfg, "--seed", "1", "--out-dir", str(out)]) == 0
+        assert cli(["train", "--config", str(cfg), "--out-dir", str(out)]) == 0
         ckpt = str(out / "model.ckpt")
         capsys.readouterr()
-        assert cli(["decode", "--ckpt", ckpt]) == 0
+        assert cli(["decode", "--ckpt", ckpt, "--count", "8"]) == 0
         printed = capsys.readouterr().out
-        assert printed.count("ref=") == 5
-        # The same task as a config that sets only the seed and the model keys.
-        task = tmp_path / "task.cfg"
-        task.write_text("".join(line + "\n" for line in TINY_CFG.splitlines()[:7]) + "seed = 1\n")
-        assert cli(["decode", "--ckpt", ckpt, "--config", str(task)]) == 0
+        refs = [line.split(" hyp=")[0].removeprefix("ref=").split()
+                for line in printed.splitlines()]
+        assert len(refs) == 8
+        for ref in refs:  # two distinct tokens each, as the training task draws
+            assert len(ref) == 2 and ref[0] != ref[1], ref
+        assert cli(["decode", "--ckpt", ckpt, "--count", "8", "--config", str(cfg)]) == 0
         assert capsys.readouterr().out == printed
 
     def test_decode_prints_pairs(self, tmp_path, capsys):
