@@ -88,19 +88,12 @@ class TrainConfig:
         return ModelConfig(variants=variants, **settings)
 
     def task(self) -> SyntheticTask:
-        return SyntheticTask(
-            vocab=self.vocab,
-            feature_dim=self.features,
-            min_tokens=self.task_min_tokens,
-            max_tokens=self.task_max_tokens,
-            min_duration=self.task_min_duration,
-            max_duration=self.task_max_duration,
-            noise=self.task_noise,
-            gain_spread=self.task_gain_spread,
-            offset_spread=self.task_offset_spread,
-            distinct_neighbors=bool(self.task_distinct_neighbors),
-            seed=self.seed,
-        )
+        # Each key task_<name> sets the task's field <name>.
+        settings = {f.name.removeprefix("task_"): getattr(self, f.name)
+                    for f in fields(self) if f.name.startswith("task_")}
+        settings["distinct_neighbors"] = bool(settings["distinct_neighbors"])
+        return SyntheticTask(vocab=self.vocab, feature_dim=self.features, seed=self.seed,
+                             **settings)
 
 
 # key -> (type, default, description), read from TrainConfig's fields.

@@ -89,6 +89,14 @@ def run_direction(batch: SequenceBatch, params: LstmLayerParams, reverse: bool):
     fresh cell through ``w_co``. The kernel works time-major, ``[T, B, .]``,
     so every frame's gates, state and gradients are contiguous slices.
 
+    The hidden outputs and the cells each live in a buffer of ``T + 1``
+    frames whose border frame holds the zero state before the first step:
+    frame 0 running forward, frame T running backward. The other T frames
+    are the outputs (``out``, ``cell``), and the T frames nearer the border
+    the states entering each step (``h_in``, ``c_in``), which the VJP reads
+    as views. The buffers are separate allocations, so an untaped pass,
+    whose result keeps the outputs' buffer, still frees its cells on return.
+
     Padded frames emit zeros and hold the state at zero. Valid frames are
     a prefix of each utterance, so this is the ``t < length`` freeze: no
     valid frame follows the padding in the forward direction, and running
@@ -122,9 +130,15 @@ def run_direction(batch: SequenceBatch, params: LstmLayerParams, reverse: bool):
     if lead:
         gates = np.ascontiguousarray(np.moveaxis(gates, -3, 0))
     gates += tc.per_replica(params.b.data, 1, 3)
-    cell = np.empty((t_max,) + lead + (b, n))
-    out = np.empty((t_max,) + lead + (b, n))
-    h, c = np.zeros(lead + (b, n)), np.zeros(lead + (b, n))
+    # Step t writes frame t of out and cell and reads frame t of h_in and c_in.
+    border = t_max if reverse else 0
+    hs = np.empty((t_max + 1,) + lead + (b, n))
+    cs = np.empty((t_max + 1,) + lead + (b, n))
+    h, c = hs[border], cs[border]
+    h[...] = c[...] = 0.0
+    ahead, behind = slice(1, None), slice(None, -1)
+    written, read = (behind, ahead) if reverse else (ahead, behind)
+    out, cell, h_in, c_in = hs[written], cs[written], hs[read], cs[read]
     order = range(t_max - 1, -1, -1) if reverse else range(t_max)
     for t in order:
         z = gates[t]
@@ -147,21 +161,13 @@ def run_direction(batch: SequenceBatch, params: LstmLayerParams, reverse: bool):
 
     def vjp(grad):
         # Per-frame factors of the gate derivatives, for all frames at once.
-        # The state entering a frame is the previous frame's (masked) output
-        # and cell, zero before the first frame.
         i, f, g, o = (gates[:, :, k * n : (k + 1) * n] for k in range(4))
         tanh_c = np.tanh(cell)
         do_fac = o * (1.0 - o) * tanh_c  # d(o pre-activation) per unit dh
         dc_fac = o * (1.0 - tanh_c * tanh_c)  # dc per unit dh
-        into, src = slice(1, None), slice(None, -1)
-        if reverse:
-            into, src = src, into
-        h_prev = np.zeros_like(out)
-        h_prev[into] = out[src]
         ifg = np.empty((t_max, b, 3, n))  # i, f, g blocks of dz per unit dc
         ifg[:, :, 0] = g * i * (1.0 - i)
-        ifg[order[0], :, 1] = 0.0
-        ifg[into, :, 1] = cell[src] * f[into] * (1.0 - f[into])
+        ifg[:, :, 1] = c_in * f * (1.0 - f)
         ifg[:, :, 2] = i * (1.0 - g * g)
 
         d_out = np.multiply(grad.transpose(1, 0, 2), mask, out=np.empty((t_max, b, n)))
@@ -181,7 +187,7 @@ def run_direction(batch: SequenceBatch, params: LstmLayerParams, reverse: bool):
             dc *= f[t]
         dz_flat = dz.reshape(t_max * b, 4 * n)
         d_wx = dz_flat.T @ x_tm
-        d_wh = dz_flat.T @ h_prev.reshape(t_max * b, n)
+        d_wh = dz_flat.T @ h_in.reshape(t_max * b, n)
         d_bias = dz_flat.sum(axis=0)
         d_wco = (dz4[:, :, 3] * cell).sum(axis=(0, 1))
         d_x = (dz_flat @ w_x).reshape(t_max, b, p).transpose(1, 0, 2)
@@ -452,24 +458,21 @@ def run_layers(
 def project(features: SequenceBatch, model: Model) -> SequenceBatch:
     """Per-frame vocabulary logits from the last layer's output, one taped node.
 
-    The node applies the weight and then adds the bias to the frames
-    flattened to ``[B*T, 2n]``; its VJP gives the gradients of that affine
-    map. Logits on padded frames carry only the projection bias and
-    must not be consumed. Untaped, the features, ``w`` and ``b`` may carry
-    a leading replica axis (``tc.per_replica``), kept as a batch axis of
-    the product, a unit one broadcasting against R.
+    The node applies the weight (``tc.linear_array``) and then adds the
+    bias; its VJP gives the gradients of that affine map. Logits on padded
+    frames carry only the projection bias and must not be consumed.
+    Untaped, the features, ``w`` and ``b`` may carry a leading replica axis
+    (``tc.per_replica``), kept as a batch axis of the product, a unit one
+    broadcasting against R.
     """
     x, w, bias = features.features, model.out.w, model.out.b
-    lead, (b, t_max, width) = x.shape[:-3], x.shape[-3:]
-    flat = x.data.reshape(lead + (b * t_max, width))
-    logits = flat @ w.data.mT
-    logits += tc.per_replica(bias.data, 1, 3)
-    out = Tensor._wrap(logits.reshape(logits.shape[:-2] + (b, t_max, w.shape[-2])))
+    logits = tc.linear_array(x.data, w.data)
+    logits += tc.per_replica(bias.data, 1, 4)
+    out = Tensor._wrap(logits)
 
     def vjp(g):
-        g = g.reshape(logits.shape)
-        g_x, g_w = tc.linear_vjp(g, flat, w.data)
-        return g_x.reshape(x.shape), g_w, tc._unbroadcast(g, bias.shape)
+        g_x, g_w = tc.linear_vjp(g, x.data, w.data)
+        return g_x, g_w, tc._unbroadcast(g, bias.shape)
 
     tc.record_op(out, (x, w, bias), vjp)
     return SequenceBatch._wrap(out, features.frames)

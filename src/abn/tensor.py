@@ -11,7 +11,7 @@ each stage appends one node (``record_op``) holding a closure that maps
 the output gradient back to input gradients; replaying the tape in
 reverse visits every node exactly once in reverse topological order,
 because nodes are appended in execution order.
-Inference paths simply run with no active tape and allocate nothing.
+Inference paths simply run with no active tape and record nothing.
 
 All math is double precision: the test suite leans on tight gradient
 tolerances and speed is secondary.

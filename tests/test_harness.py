@@ -464,6 +464,12 @@ class TestConfig:
             assert len(text.splitlines()) == len(SCHEMA)
             assert parse_config_text(text, every_key=True) == cfg
 
+    def test_task_keys_match_task_fields(self):
+        # TrainConfig.task() maps task_<name> to the task's field <name>.
+        keys = {key.removeprefix("task_") for key in SCHEMA if key.startswith("task_")}
+        own = {f.name for f in dataclasses.fields(SyntheticTask)}
+        assert keys == own - {"vocab", "feature_dim", "seed"}
+
     def test_every_key_documented(self):
         for key, (_, _, doc) in SCHEMA.items():
             assert doc, f"{key} lacks a description"
