@@ -119,7 +119,9 @@ def _batched_ctc(logits: Tensor, frames: Frames, targets: CtcTargets) -> Tensor:
 
     Utterance b scores its first ``frames.lengths[b]`` frames against
     ``targets[b]``. The alpha/beta recursions of Graves et al. (2006) run
-    for every utterance at once over the targets' lattice, [B, S].
+    for every utterance at once over the targets' lattice, [B, S]; alpha
+    runs frame t on the first ``frames.live[t]`` utterances only, the
+    rows after them having ended.
 
     Untaped, the logits may carry a leading replica axis, ``[R, B, T, V]``
     (``abn.tensor.per_replica``). The replicas' utterances then run as
@@ -128,7 +130,7 @@ def _batched_ctc(logits: Tensor, frames: Frames, targets: CtcTargets) -> Tensor:
     """
     u = logits.data.reshape((-1,) + logits.shape[-2:])
     n_utt, t_max, vocab = u.shape
-    ext, skip, s_lens = targets.ext, targets.skip, targets.s_lens
+    ext, s_lens = targets.ext, targets.s_lens
     if (ext >= vocab).any():
         token = ext[ext >= vocab][0]
         raise ContractError(f"label token {token} outside vocabulary of {vocab}")
@@ -138,37 +140,50 @@ def _batched_ctc(logits: Tensor, frames: Frames, targets: CtcTargets) -> Tensor:
         out = Tensor._wrap(np.full(lead, np.inf))
         record_op(out, (logits,), lambda g: (np.zeros(logits.shape),))
         return out
+    n_b = len(targets)
+    reps = n_utt // n_b
     if lead:
-        reps = n_utt // len(targets)
-        ext, skip = np.tile(ext, (reps, 1)), np.tile(skip, (reps, 1))
+        ext = np.tile(ext, (reps, 1))
         s_lens, lengths = np.tile(s_lens, reps), np.tile(lengths, reps)
 
-    shift = u.max(axis=-1, keepdims=True)
+    # The shift is each frame's largest logit, taken as elementwise maxima:
+    # a reduction over the short vocabulary axis costs far more.
+    shift = u[..., :1]
+    for v in range(1, vocab):
+        shift = np.maximum(shift, u[..., v : v + 1])
     y_log = u - (shift + np.log(np.exp(u - shift).sum(axis=-1, keepdims=True)))
 
     s_max = ext.shape[1]
     # emit[t, b, s]: log probability of lattice symbol s at frame t. Padded
     # columns need no mask: alpha only flows rightward out of the columns
     # that are read, and beta, which flows leftward, starts at -inf there.
+    # Padded frames need none either: alpha stays -inf past the live rows,
+    # and beta is -inf on every frame after an utterance's end.
     utt = np.arange(n_utt)
     emit = y_log.transpose(1, 0, 2)[:, utt[:, None], ext]
+    # A path may skip a blank only into a token column (odd s >= 3), so the
+    # skip runs on those columns alone: on a blank it could only add -inf.
+    tok_skip = targets.skip[:, 1::2]
 
     # Forward recursion; alpha[t, b, s] includes the emission at frame t.
+    # Frame t runs on the first live[t] utterances of each replica.
     alpha = np.full((t_max, n_utt, s_max), -np.inf)
     alpha[0, :, :2] = emit[0, :, :2]
+    by_rep = alpha.reshape(t_max, reps, n_b, s_max)
+    emit_by_rep = emit.reshape(t_max, reps, n_b, s_max)
     for t in range(1, t_max):
-        prev, acc = alpha[t - 1], alpha[t]
-        acc[:, 0] = prev[:, 0]
-        np.logaddexp(prev[:, 1:], prev[:, :-1], out=acc[:, 1:])
-        np.logaddexp(acc[:, 2:], prev[:, :-2] + skip, out=acc[:, 2:])
-        acc += emit[t]
+        k = frames.live[t]
+        prev, acc = by_rep[t - 1, :, :k], by_rep[t, :, :k]
+        acc[..., 0] = prev[..., 0]
+        np.logaddexp(prev[..., 1:], prev[..., :-1], out=acc[..., 1:])
+        np.logaddexp(acc[..., 3::2], prev[..., 1:-2:2] + tok_skip[:k], out=acc[..., 3::2])
+        acc += emit_by_rep[t, :, :k]
 
     # Each utterance ends at its own last frame, in its last blank or token.
     ends = lengths - 1
     final = alpha[ends, utt]
     before_last = np.where(s_lens > 1, final[utt, s_lens - 2], -np.inf)
     log_p = np.logaddexp(final[utt, s_lens - 1], before_last)
-    n_b = len(targets)
     out = Tensor._wrap(-log_p.reshape(lead + (n_b,)).sum(axis=-1) / n_b)
 
     def vjp(g):
@@ -183,7 +198,7 @@ def _batched_ctc(logits: Tensor, frames: Frames, targets: CtcTargets) -> Tensor:
             nxt = beta[t + 1] + emit[t + 1]
             acc = nxt.copy()
             np.logaddexp(nxt[:, :-1], nxt[:, 1:], out=acc[:, :-1])
-            np.logaddexp(acc[:, :-2], nxt[:, 2:] + skip, out=acc[:, :-2])
+            np.logaddexp(acc[:, 1:-2:2], nxt[:, 3::2] + tok_skip, out=acc[:, 1:-2:2])
             # At an utterance's end frame the recursion gives -inf and its
             # preset start row is kept; before that frame the preset is -inf.
             np.maximum(beta[t], acc, out=beta[t])

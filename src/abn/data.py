@@ -20,19 +20,24 @@ class Frames:
     * ``mask_tm`` ``[T, B, 1]``, the same mask time-major
     * ``full``, the shortest length: frames ``t < full`` are real in every
       utterance
+    * ``live`` ``[T]``, one past the last utterance still running at each
+      frame: rows ``live[t]`` on are padding at frame t (0 once every
+      utterance has ended), so a recursion can stop at that row prefix
     * ``valid``, the number of real frames
     """
 
-    __slots__ = ("lengths", "mask", "mask_tm", "full", "valid")
+    __slots__ = ("lengths", "mask", "mask_tm", "full", "live", "valid")
 
     def __init__(self, lengths: np.ndarray, max_frames: int):
         steps = np.arange(max_frames)
+        running = steps[:, None] < lengths  # [T, B]
         self.lengths = lengths
         self.mask = steps < lengths[:, None]
-        self.mask_tm = (steps[:, None] < lengths)[:, :, None]
+        self.mask_tm = running[:, :, None]
         self.full = int(lengths.min())
+        self.live = (running * np.arange(1, len(lengths) + 1)).max(axis=1)
         self.valid = int(lengths.sum())
-        for arr in (lengths, self.mask, self.mask_tm):
+        for arr in (lengths, self.mask, self.mask_tm, self.live):
             arr.flags.writeable = False
 
 

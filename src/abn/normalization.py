@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as tc
 from .data import SequenceBatch
-from .errors import DegenerateBatchError, ShapeError
+from .errors import ContractError, DegenerateBatchError, ShapeError
 from .tensor import Tensor
 
 
@@ -27,16 +27,16 @@ class BatchNormState:
 
     def __init__(self, running_mean, running_var, epsilon, momentum):
         if not epsilon > 0:
-            raise ShapeError(f"epsilon must be positive, got {epsilon}")
+            raise ContractError(f"epsilon must be positive, got {epsilon}")
         if not 0.0 < momentum <= 1.0:
-            raise ShapeError(f"momentum must lie in (0, 1], got {momentum}")
+            raise ContractError(f"momentum must lie in (0, 1], got {momentum}")
         if running_mean.ndim != 1 or running_var.shape != running_mean.shape:
             raise ShapeError(
                 f"running_var shape {running_var.shape} does not match"
                 f" running_mean {running_mean.shape}"
             )
         if not np.all(running_var.data >= 0):
-            raise ShapeError("running_var must be non-negative")
+            raise ContractError("running_var must be non-negative")
         self.running_mean = running_mean
         self.running_var = running_var
         self.epsilon = float(epsilon)
@@ -73,7 +73,7 @@ def standardize_batch(batch: SequenceBatch, state: BatchNormState, mode: str):
     the running averages are not updated.
     """
     if mode not in ("train", "infer"):
-        raise ShapeError(f"mode must be 'train' or 'infer', got {mode!r}")
+        raise ContractError(f"mode must be 'train' or 'infer', got {mode!r}")
     if batch.dim != state.feature_dim:
         raise ShapeError(
             f"batch feature dim {batch.dim} does not match state {state.feature_dim}"

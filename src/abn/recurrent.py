@@ -103,7 +103,12 @@ def run_direction(batch: SequenceBatch, params: LstmLayerParams, reverse: bool):
     backward the state stays at its zero initialization through the
     padding and starts evolving at the utterance's last valid frame.
     Frames before the shortest length are valid for every utterance and
-    skip the mask.
+    skip the mask. From the shortest length on, a frame's activations,
+    cell and output updates, and the BPTT step's elementwise updates, run
+    on its live rows alone, ``[.., :live[t], :]`` (``Frames.live``), with
+    the mask on those; the rows after them keep exact zeros as state, gate
+    entries and ``dz``. The recurrent products still take all B rows, so
+    every live row keeps the bits of a fully masked step.
 
     Untaped, ``batch`` and ``params`` may carry a leading replica axis
     (``tc.per_replica``), a unit one broadcasting against R, and the result
@@ -121,7 +126,8 @@ def run_direction(batch: SequenceBatch, params: LstmLayerParams, reverse: bool):
     w_x, w_co = params.w_x.data, tc.per_replica(params.w_co.data, 1, 3)
     lead = np.broadcast_shapes(x_lead, w_x.shape[:-2]) if w_x.ndim > 2 else x_lead
     w_h_t = np.ascontiguousarray(params.w_h.data.mT)
-    full, mask = batch.frames.full, batch.frames.mask_tm  # mask: [T, B, 1]
+    frames = batch.frames
+    full, live, mask = frames.full, frames.live, frames.mask_tm  # mask: [T, B, 1]
 
     # Each step overwrites its slice of the input projection with the gate
     # activations (sigmoid i, f, o; tanh candidate) that the VJP reads.
@@ -141,20 +147,24 @@ def run_direction(batch: SequenceBatch, params: LstmLayerParams, reverse: bool):
     out, cell, h_in, c_in = hs[written], cs[written], hs[read], cs[read]
     order = range(t_max - 1, -1, -1) if reverse else range(t_max)
     for t in order:
-        z = gates[t]
+        z, h_new, c_new = gates[t], out[t], cell[t]
         z += h @ w_h_t
+        if t >= full:  # rows past live[t] keep zero gates, cell and output
+            k = live[t]
+            z[..., k:, :] = h_new[..., k:, :] = c_new[..., k:, :] = 0.0
+            z, h_new, c_new, c = (a[..., :k, :] for a in (z, h_new, c_new, c))
         expit(z[..., : 2 * n], out=z[..., : 2 * n])
         np.tanh(z[..., 2 * n : 3 * n], out=z[..., 2 * n : 3 * n])
-        c_new = np.multiply(z[..., n : 2 * n], c, out=cell[t])
+        np.multiply(z[..., n : 2 * n], c, out=c_new)
         c_new += z[..., :n] * z[..., 2 * n : 3 * n]
         o = z[..., 3 * n :]
         o += w_co * c_new
         expit(o, out=o)
         if t >= full:
-            c_new *= mask[t]
-        h = np.tanh(c_new, out=out[t])
-        h *= o  # zero where the cell was masked
-        c = c_new
+            c_new *= mask[t, :k]
+        np.tanh(c_new, out=h_new)
+        h_new *= o  # zero where the cell was masked
+        h, c = out[t], cell[t]
     result = np.moveaxis(out, 0, -2)
     if not tc.is_recording():
         return result, None
@@ -175,16 +185,20 @@ def run_direction(batch: SequenceBatch, params: LstmLayerParams, reverse: bool):
         dz4 = dz.reshape(t_max, b, 4, n)
         dh, dc = np.zeros((b, n)), np.zeros((b, n))
         for t in reversed(order):
-            if t >= full:
-                dh *= mask[t]
-                dc *= mask[t]
-            dh += d_out[t]
-            da_o = np.multiply(dh, do_fac[t], out=dz4[t, :, 3])
-            dc += dh * dc_fac[t]
-            dc += da_o * w_co
-            np.multiply(dc[:, None, :], ifg[t], out=dz4[t, :, :3])
+            at, dh_t, dc_t = t, dh, dc
+            if t >= full:  # rows past live[t] keep a zero dz and are never read
+                k = live[t]
+                dz4[t, k:] = 0.0
+                at, dh_t, dc_t = (t, slice(k)), dh[:k], dc[:k]
+                dh_t *= mask[at]
+                dc_t *= mask[at]
+            dh_t += d_out[at]
+            da_o = np.multiply(dh_t, do_fac[at], out=dz4[at][:, 3])
+            dc_t += dh_t * dc_fac[at]
+            dc_t += da_o * w_co
+            np.multiply(dc_t[:, None, :], ifg[at], out=dz4[at][:, :3])
             dh = dz[t] @ params.w_h.data
-            dc *= f[t]
+            dc_t *= f[at]
         dz_flat = dz.reshape(t_max * b, 4 * n)
         d_wx = dz_flat.T @ x_tm
         d_wh = dz_flat.T @ h_in.reshape(t_max * b, n)

@@ -11,6 +11,7 @@ from abn.ctc import (
     BLANK,
     CtcTargets,
     LabelSequence,
+    _batched_ctc,
     ctc_brute_force,
     ctc_loss,
     edit_distance,
@@ -417,3 +418,101 @@ class TestCtcTargets:
         # One frame more for the repeat and both are finite again.
         batch = SequenceBatch(Tensor(np.zeros((2, 3, 3))), [3, 3])
         assert math.isfinite(sequence_ctc_loss(batch, CtcTargets(labels)).item())
+
+
+def masked_ctc(u, frames, targets):
+    """``_batched_ctc``'s loss and its gradient for ``g = 1`` as they were
+    before alpha skipped dead work: every frame runs on all rows, the skip
+    transition on every column, and the shift is ``u.max``. The reference
+    for ``TestLiveRows``; ``u`` is ``[B, T, V]`` or ``[R, B, T, V]``."""
+    lead = u.shape[:-3]
+    u = u.reshape((-1,) + u.shape[-2:])
+    n_utt, t_max, vocab = u.shape
+    ext, skip, s_lens, lengths = targets.ext, targets.skip, targets.s_lens, frames.lengths
+    reps = n_utt // len(targets)
+    ext, skip = np.tile(ext, (reps, 1)), np.tile(skip, (reps, 1))
+    s_lens, lengths = np.tile(s_lens, reps), np.tile(lengths, reps)
+    shift = u.max(axis=-1, keepdims=True)
+    y_log = u - (shift + np.log(np.exp(u - shift).sum(axis=-1, keepdims=True)))
+    s_max = ext.shape[1]
+    utt = np.arange(n_utt)
+    emit = y_log.transpose(1, 0, 2)[:, utt[:, None], ext]
+    alpha = np.full((t_max, n_utt, s_max), -np.inf)
+    alpha[0, :, :2] = emit[0, :, :2]
+    for t in range(1, t_max):
+        prev, acc = alpha[t - 1], alpha[t]
+        acc[:, 0] = prev[:, 0]
+        np.logaddexp(prev[:, 1:], prev[:, :-1], out=acc[:, 1:])
+        np.logaddexp(acc[:, 2:], prev[:, :-2] + skip, out=acc[:, 2:])
+        acc += emit[t]
+    ends = lengths - 1
+    final = alpha[ends, utt]
+    before_last = np.where(s_lens > 1, final[utt, s_lens - 2], -np.inf)
+    log_p = np.logaddexp(final[utt, s_lens - 1], before_last)
+    n_b = len(targets)
+    loss = -log_p.reshape(lead + (n_b,)).sum(axis=-1) / n_b
+    if lead:
+        return loss, None
+    beta = np.full_like(alpha, -np.inf)
+    beta[ends, utt, s_lens - 1] = 0.0
+    beta[ends, utt, np.maximum(s_lens - 2, 0)] = 0.0
+    for t in range(t_max - 2, -1, -1):
+        nxt = beta[t + 1] + emit[t + 1]
+        acc = nxt.copy()
+        np.logaddexp(nxt[:, :-1], nxt[:, 1:], out=acc[:, :-1])
+        np.logaddexp(acc[:, :-2], nxt[:, 2:] + skip, out=acc[:, :-2])
+        np.maximum(beta[t], acc, out=beta[t])
+    occupancy = np.exp(alpha + beta - log_p[:, None])
+    one_hot = (ext[:, :, None] == np.arange(vocab)).astype(np.float64)
+    grad = np.exp(y_log) - np.matmul(occupancy.transpose(1, 0, 2), one_hot)
+    grad *= frames.mask[:, :, None] * (1.0 / n_utt)
+    return loss, grad
+
+
+class TestLiveRows:
+    """Alpha on each frame's live rows, the skip on token columns and the
+    shift as elementwise maxima, against the fully masked recursions, bit
+    for bit: sorted and unsorted lengths, length-1 utterances, frames past
+    every length, and replica axes."""
+
+    def _case(self, rng):
+        b = int(rng.integers(1, 6))
+        vocab = int(rng.integers(2, 6))
+        lengths = rng.integers(1, 9, size=b)
+        if rng.random() < 0.3:
+            lengths[rng.integers(b)] = 1
+        if rng.random() < 0.5:
+            lengths = -np.sort(-lengths)  # longest first, as batches come
+        t_max = int(lengths.max()) + int(rng.integers(0, 3))
+        # Feasible labels, with repeats: each fits its utterance's frames.
+        labels = []
+        for n in lengths:
+            tokens = rng.integers(1, vocab, size=int(rng.integers(0, n // 2 + 1))).tolist()
+            labels.append(LabelSequence(tokens))
+        return Frames(lengths, t_max), CtcTargets(labels), vocab
+
+    def test_loss_and_gradient(self):
+        rng = np.random.default_rng(120)
+        for _ in range(150):
+            frames, targets, vocab = self._case(rng)
+            x = Tensor(rng.normal(size=(len(targets), frames.mask.shape[1], vocab)) * 3.0)
+            tape = GradTape()
+            with recording(tape):
+                loss = _batched_ctc(x, frames, targets)
+            grad = backward(tape, loss).wrt(x)
+            ref_loss, ref_grad = masked_ctc(x.data, frames, targets)
+            assert np.isfinite(ref_loss)
+            assert np.array_equal(loss.data, ref_loss)
+            assert np.array_equal(grad, ref_grad)
+
+    @pytest.mark.parametrize("reps", [1, 3])
+    def test_replica_losses(self, reps):
+        rng = np.random.default_rng(121 + reps)
+        for _ in range(60):
+            frames, targets, vocab = self._case(rng)
+            shape = (reps, len(targets), frames.mask.shape[1], vocab)
+            x = Tensor(rng.normal(size=shape) * 3.0)
+            loss = _batched_ctc(x, frames, targets)
+            ref_loss, _ = masked_ctc(x.data, frames, targets)
+            assert loss.shape == (reps,)
+            assert np.array_equal(loss.data, ref_loss)

@@ -34,6 +34,9 @@ class TestFrames:
         assert frames.valid == sum(lengths) and type(frames.valid) is int
         # Every frame before the shortest length is real in every utterance.
         assert frames.mask[:, : frames.full].all()
+        live = [max((r + 1 for r, n in enumerate(lengths) if t < n), default=0)
+                for t in range(t_max)]
+        assert frames.live.dtype == np.int64 and frames.live.tolist() == live
 
     def test_batch_readers_see_the_layout(self):
         batch = batch_of((5, 1, 3), 5)
@@ -43,7 +46,7 @@ class TestFrames:
     def test_shared_arrays_are_read_only(self):
         lengths = np.array([3, 2])
         frames = batch_of(lengths, 3).frames
-        for arr in (frames.lengths, frames.mask, frames.mask_tm):
+        for arr in (frames.lengths, frames.mask, frames.mask_tm, frames.live):
             with pytest.raises(ValueError):
                 arr[0] = 0
         lengths[0] = 1  # the caller's array is copied, not frozen
@@ -57,6 +60,15 @@ class TestFrames:
     def test_lengths_checked_before_the_layout(self, lengths):
         with pytest.raises(errors.ShapeError):
             batch_of(lengths, 3)
+
+    def test_live_rows_are_a_prefix(self):
+        # Rows from live[t] on are padding at frame t; unsorted lengths keep
+        # padded rows inside the prefix, and frames past every length have none.
+        frames = Frames(np.array([2, 5, 1, 3]), 7)
+        assert frames.live.tolist() == [4, 4, 4, 2, 2, 0, 0]
+        for t, k in enumerate(frames.live):
+            assert not frames.mask_tm[t, k:].any()
+            assert k == 0 or frames.mask_tm[t, k - 1, 0]
 
     def test_built_from_lengths_alone(self):
         frames = Frames(np.array([2, 1]), 3)

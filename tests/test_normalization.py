@@ -325,16 +325,24 @@ class TestStateValidation:
         assert s.momentum == 0.1
 
     def test_bad_epsilon(self):
-        with pytest.raises(errors.ShapeError):
+        with pytest.raises(errors.ContractError):
             BatchNormState.fresh(2, epsilon=0.0)
-        with pytest.raises(errors.ShapeError):
+        with pytest.raises(errors.ContractError):
             BatchNormState.fresh(2, epsilon=float("nan"))
 
     def test_bad_momentum(self):
-        with pytest.raises(errors.ShapeError):
+        with pytest.raises(errors.ContractError):
             BatchNormState.fresh(2, momentum=0.0)
-        with pytest.raises(errors.ShapeError):
+        with pytest.raises(errors.ContractError):
             BatchNormState.fresh(2, momentum=1.5)
+
+    def test_value_contracts_are_not_shape_errors(self):
+        with pytest.raises(errors.ContractError, match="running_var"):
+            BatchNormState(tc.zeros(2), Tensor(np.array([1.0, -0.5])), 1e-5, 0.1)
+        batch = batch_of(np.ones((1, 2, 2)), [2])
+        with pytest.raises(errors.ContractError, match="mode") as exc:
+            standardize_batch(batch, BatchNormState.fresh(2), "eval")
+        assert not isinstance(exc.value, errors.ShapeError)
 
     def test_mismatched_batch(self):
         state = BatchNormState.fresh(3)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from abn import errors, recurrent
 from abn import tensor as tc
@@ -583,3 +584,127 @@ class TestFusedOutputStage:
             outs.append((out.features.data, len(tape)))
         np.testing.assert_array_equal(outs[0][0], outs[1][0])
         assert (outs[0][1], outs[1][1]) == (0, 1)
+
+
+def masked_run_direction(batch, params, reverse):
+    """``run_direction`` as it was before it skipped padded rows: every
+    frame runs on all B rows, and the mask zeroes the padded ones. The
+    reference for ``TestLiveRows``; its VJP is always returned."""
+    x = batch.features
+    x_lead, (b, t_max, p) = x.shape[:-3], x.shape[-3:]
+    n = params.hidden
+    w_x, w_co = params.w_x.data, tc.per_replica(params.w_co.data, 1, 3)
+    lead = np.broadcast_shapes(x_lead, w_x.shape[:-2]) if w_x.ndim > 2 else x_lead
+    w_h_t = np.ascontiguousarray(params.w_h.data.mT)
+    full, mask = batch.frames.full, batch.frames.mask_tm
+    x_tm = np.ascontiguousarray(np.swapaxes(x.data, -3, -2)).reshape(x_lead + (t_max * b, p))
+    gates = (x_tm @ w_x.mT).reshape(lead + (t_max, b, 4 * n))
+    if lead:
+        gates = np.ascontiguousarray(np.moveaxis(gates, -3, 0))
+    gates += tc.per_replica(params.b.data, 1, 3)
+    border = t_max if reverse else 0
+    hs = np.empty((t_max + 1,) + lead + (b, n))
+    cs = np.empty((t_max + 1,) + lead + (b, n))
+    h, c = hs[border], cs[border]
+    h[...] = c[...] = 0.0
+    ahead, behind = slice(1, None), slice(None, -1)
+    written, read = (behind, ahead) if reverse else (ahead, behind)
+    out, cell, h_in, c_in = hs[written], cs[written], hs[read], cs[read]
+    order = range(t_max - 1, -1, -1) if reverse else range(t_max)
+    for t in order:
+        z = gates[t]
+        z += h @ w_h_t
+        expit(z[..., : 2 * n], out=z[..., : 2 * n])
+        np.tanh(z[..., 2 * n : 3 * n], out=z[..., 2 * n : 3 * n])
+        c_new = np.multiply(z[..., n : 2 * n], c, out=cell[t])
+        c_new += z[..., :n] * z[..., 2 * n : 3 * n]
+        o = z[..., 3 * n :]
+        o += w_co * c_new
+        expit(o, out=o)
+        if t >= full:
+            c_new *= mask[t]
+        h = np.tanh(c_new, out=out[t])
+        h *= o
+        c = c_new
+    result = np.moveaxis(out, 0, -2)
+
+    def vjp(grad):
+        i, f, g, o = (gates[:, :, k * n : (k + 1) * n] for k in range(4))
+        tanh_c = np.tanh(cell)
+        do_fac = o * (1.0 - o) * tanh_c
+        dc_fac = o * (1.0 - tanh_c * tanh_c)
+        ifg = np.empty((t_max, b, 3, n))
+        ifg[:, :, 0] = g * i * (1.0 - i)
+        ifg[:, :, 1] = c_in * f * (1.0 - f)
+        ifg[:, :, 2] = i * (1.0 - g * g)
+        d_out = np.multiply(grad.transpose(1, 0, 2), mask, out=np.empty((t_max, b, n)))
+        dz = np.empty((t_max, b, 4 * n))
+        dz4 = dz.reshape(t_max, b, 4, n)
+        dh, dc = np.zeros((b, n)), np.zeros((b, n))
+        for t in reversed(order):
+            if t >= full:
+                dh *= mask[t]
+                dc *= mask[t]
+            dh += d_out[t]
+            da_o = np.multiply(dh, do_fac[t], out=dz4[t, :, 3])
+            dc += dh * dc_fac[t]
+            dc += da_o * w_co
+            np.multiply(dc[:, None, :], ifg[t], out=dz4[t, :, :3])
+            dh = dz[t] @ params.w_h.data
+            dc *= f[t]
+        dz_flat = dz.reshape(t_max * b, 4 * n)
+        d_wx = dz_flat.T @ x_tm
+        d_wh = dz_flat.T @ h_in.reshape(t_max * b, n)
+        d_bias = dz_flat.sum(axis=0)
+        d_wco = (dz4[:, :, 3] * cell).sum(axis=(0, 1))
+        d_x = (dz_flat @ w_x).reshape(t_max, b, p).transpose(1, 0, 2)
+        return d_x, d_wx, d_wh, d_wco, d_bias
+
+    return result, vjp
+
+
+# Lengths and frame counts that exercise the live-row prefix: sorted and
+# unsorted, a length-1 utterance, frames past every length (live 0).
+LIVE_ROW_CASES = [
+    ((6, 4, 4, 1), 6), ((1, 6, 3, 4), 6), ((3, 1), 5), ((1,), 3),
+    ((2, 5, 1, 5), 7), ((4, 4), 4), ((1, 1, 1), 1),
+]
+
+
+class TestLiveRows:
+    """``run_direction`` runs padded frames on the live rows alone and must
+    give the fully masked loops' numbers bit for bit."""
+
+    @pytest.mark.parametrize("lengths,t_max", LIVE_ROW_CASES)
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_taped_outputs_and_vjp(self, lengths, t_max, reverse):
+        rng = np.random.default_rng(sum(lengths) + 10 * t_max + reverse)
+        n, p = 3, 4
+        batch = SequenceBatch(Tensor(rng.normal(size=(len(lengths), t_max, p))), lengths)
+        params = random_params(n, p, int(rng.integers(1000)))
+        params.w_co = Tensor(rng.normal(size=n))
+        with recording(GradTape()):
+            out, vjp = run_direction(batch, params, reverse)
+        ref, ref_vjp = masked_run_direction(batch, params, reverse)
+        assert np.array_equal(out, ref)
+        assert np.all(out[~batch.frames.mask] == 0.0)
+        grad = rng.normal(size=out.shape)
+        names = ("x",) + LstmLayerParams.__slots__
+        for name, got, want in zip(names, vjp(grad), ref_vjp(grad), strict=True):
+            assert np.array_equal(got, want), f"d{name} differs"
+
+    @pytest.mark.parametrize("lengths,t_max", LIVE_ROW_CASES)
+    @pytest.mark.parametrize("r_x,r_p", [(1, 1), (1, 3), (3, 3), (3, 1)])
+    def test_replica_outputs(self, lengths, t_max, r_x, r_p):
+        rng = np.random.default_rng(7 * sum(lengths) + t_max + r_x + r_p)
+        n, p, b = 2, 3, len(lengths)
+        feats = Tensor(rng.normal(size=(r_x, b, t_max, p)))
+        batch = SequenceBatch._wrap(feats, Frames(np.array(lengths), t_max))
+        params = zero_params(n, p)
+        for name in LstmLayerParams.__slots__:  # as ``Model.replicas`` swaps them in
+            setattr(params, name, Tensor(rng.normal(size=(r_p,) + getattr(params, name).shape)))
+        for reverse in (False, True):
+            out, none = run_direction(batch, params, reverse)
+            ref, _ = masked_run_direction(batch, params, reverse)
+            assert none is None and out.shape == (max(r_x, r_p), b, t_max, n)
+            assert np.array_equal(out, ref)
