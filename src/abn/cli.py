@@ -9,7 +9,6 @@ import sys
 
 import numpy as np
 
-from .batching import make_batches
 from .checkpoint import load_checkpoint
 from .config import load_config
 from .ctc import LabelSequence, ctc_brute_force, ctc_loss, greedy_decode
@@ -17,9 +16,8 @@ from .errors import AbnError, CheckpointError
 from .generators import VARIANTS
 from .gradcheck import model_gradient_check
 from .recurrent import Model, stack_forward
-from .synth import sorted_for_batching, synth_generate
 from .tensor import Tensor
-from .train import evaluate, run_training
+from .train import DEV_SEED, evaluate, run_training, split_batches
 
 GRADCHECK_TOLERANCE = 1e-4
 ORACLE_TOLERANCE = 1e-9
@@ -124,8 +122,7 @@ def _load_for_task(ckpt: str, cfg) -> Model:
 def _cmd_eval(args) -> int:
     cfg = _config_with_seed(args)
     model = _load_for_task(args.ckpt, cfg)
-    dev = sorted_for_batching(synth_generate(cfg.task(), cfg.dev_utterances, seed=2))
-    loss, ter = evaluate(model, make_batches(dev, cfg.max_frames_per_batch))
+    loss, ter = evaluate(model, split_batches(cfg, cfg.dev_utterances, DEV_SEED))
     print(f"dev_loss={loss:.6f} dev_ter={ter:.4f}")
     return 0
 
@@ -136,13 +133,11 @@ def _cmd_decode(args) -> int:
         model = _load_for_task(args.ckpt, cfg)
     else:
         model, cfg = load_checkpoint(args.ckpt)
-    utts = synth_generate(cfg.task(), args.count, seed=args.seed)
-    batches = make_batches(sorted_for_batching(utts), cfg.max_frames_per_batch)
-    for batch in batches:
-        logits = stack_forward(batch.features, model, "infer")
-        for ref, hyp in zip(batch.labels, greedy_decode(logits)):
+    for batch in split_batches(cfg, args.count, args.seed):
+        tokens, lengths = greedy_decode(stack_forward(batch.features, model, "infer"))
+        for ref, hyp, n in zip(batch.labels, tokens, lengths):
             print(f"ref={' '.join(map(str, ref.tokens))}"
-                  f" hyp={' '.join(map(str, hyp.tokens))}")
+                  f" hyp={' '.join(map(str, hyp[:n]))}")
     return 0
 
 

@@ -246,11 +246,13 @@ def ctc_brute_force(logprobs, labels: LabelSequence) -> float:
     return float(-logsumexp(matches))
 
 
-def greedy_decode(logits_batch) -> list[LabelSequence]:
-    """Best-path decoding of a padded batch of logits, one hypothesis per
-    utterance: per-frame argmax, collapse repeats, drop blanks.
+def greedy_decode(logits_batch) -> tuple[np.ndarray, np.ndarray]:
+    """Best-path decoding of a padded batch of logits: per-frame argmax,
+    collapse repeats, drop blanks.
 
-    A frame is kept if it is real, its pick is not the blank and its pick
+    Returns ``(tokens [B, T], lengths [B])``: utterance b's hypothesis is
+    ``tokens[b, :lengths[b]]``, and the rest of its row is ``BLANK``. A
+    frame is kept if it is real, its pick is not the blank and its pick
     differs from the previous frame's. Real frames are a prefix, so padding
     never reaches a hypothesis.
     """
@@ -260,23 +262,34 @@ def greedy_decode(logits_batch) -> list[LabelSequence]:
     picks = np.argmax(logits.data, axis=2)  # ties resolve to the lowest index
     keep = logits_batch.frames.mask & (picks != BLANK)
     keep[:, 1:] &= picks[:, 1:] != picks[:, :-1]
-    return [LabelSequence(row[k].tolist()) for row, k in zip(picks, keep)]
+    lengths = keep.sum(axis=1)
+    tokens = np.full_like(picks, BLANK)
+    # Both masks run row by row, so each row's kept picks land left-aligned.
+    tokens[np.arange(picks.shape[1]) < lengths[:, None]] = picks[keep]
+    return tokens, lengths
 
 
-def edit_distance(hyp: Sequence[int], ref: Sequence[int]) -> int:
-    """Levenshtein distance with unit insert/delete/substitute costs."""
-    hyp, ref = list(hyp), list(ref)
-    prev = list(range(len(ref) + 1))
-    for i, h in enumerate(hyp, start=1):
-        curr = [i] + [0] * len(ref)
-        for j, r in enumerate(ref, start=1):
-            curr[j] = min(
-                prev[j] + 1,          # delete h
-                curr[j - 1] + 1,      # insert r
-                prev[j - 1] + (h != r),
-            )
-        prev = curr
-    return prev[-1]
+def edit_distance(hyp: np.ndarray, hyp_lens: np.ndarray, targets: CtcTargets) -> np.ndarray:
+    """Levenshtein distances, unit costs, of a batch of hypotheses to the
+    targets' label sequences; ``[B]``.
+
+    ``hyp`` ``[B, H]`` and ``hyp_lens`` ``[B]`` are as ``greedy_decode``
+    returns them. The references are the lattice's token columns. One DP
+    row per hypothesis position serves the whole batch: row i holds each
+    hypothesis's distance from its first i tokens to every prefix of its
+    reference. A hypothesis that has ended keeps its row, and each
+    distance is read at its own reference's length.
+    """
+    ref = targets.ext[:, 1::2]
+    j = np.arange(ref.shape[1] + 1)
+    row = np.broadcast_to(j, (len(ref), j.size))  # from the empty hypothesis
+    for i in range(int(hyp_lens.max(initial=0))):
+        # Delete hyp[:, i], or substitute it for (or match) a reference token.
+        c = row + 1
+        np.minimum(c[:, 1:], row[:, :-1] + (hyp[:, i : i + 1] != ref), out=c[:, 1:])
+        # Insert reference tokens: row[j] = min over k <= j of c[k] + (j - k).
+        row = np.where((i < hyp_lens)[:, None], np.minimum.accumulate(c - j, axis=1) + j, row)
+    return row[np.arange(len(ref)), targets.s_lens // 2]
 
 
 def sequence_ctc_loss(logits_batch, labels: Sequence[LabelSequence]) -> Tensor:

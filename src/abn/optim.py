@@ -67,11 +67,15 @@ def lr_schedule(
     """Action from the last two dev metrics: ``keep``, ``halve``, or ``stop``.
 
     Relative improvement is (prev - curr) / prev; falling below the stop
-    threshold ends training, below the halve threshold halves the rate.
+    threshold ends training, below the halve threshold halves the rate. A
+    non-finite metric is refused: every comparison with NaN is false.
     """
     if len(history) < 2:
         raise ContractError("lr_schedule needs at least two epochs of history")
     prev, curr = float(history[-2]), float(history[-1])
+    for value in (prev, curr):
+        if not np.isfinite(value):
+            raise ContractError(f"dev metric must be finite, got {value}")
     if prev <= 0.0:
         raise ContractError(f"dev metric must be positive, got {prev}")
     r = (prev - curr) / prev

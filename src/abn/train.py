@@ -12,7 +12,7 @@ import numpy as np
 from .batching import Batch, make_batches
 from .checkpoint import save_checkpoint
 from .config import TrainConfig
-from .ctc import edit_distance, greedy_decode, sequence_ctc_loss
+from .ctc import CtcTargets, edit_distance, greedy_decode, sequence_ctc_loss
 from .errors import DegenerateBatchError, EmptyEpochError
 from .optim import AdamState, adam_step, lr_schedule
 from .recurrent import Model, stack_forward
@@ -20,6 +20,7 @@ from .synth import sorted_for_batching, synth_generate
 from .tensor import GradTape, backward, recording
 
 METRICS_HEADER = "epoch,split,loss,ter,lr,wall_s"
+TRAIN_SEED, DEV_SEED = 1, 2  # data seeds of the two splits
 
 
 def deterministic_mode() -> bool:
@@ -42,11 +43,16 @@ class MetricsRow(NamedTuple):
         )
 
 
-def _decode_errors(logits_batch, labels) -> tuple[int, int]:
+def split_batches(cfg: TrainConfig, n_utterances: int, seed: int) -> list[Batch]:
+    """``n_utterances`` of the config's task, drawn at ``seed`` and batched."""
+    utts = synth_generate(cfg.task(), n_utterances, seed=seed)
+    return make_batches(sorted_for_batching(utts), cfg.max_frames_per_batch)
+
+
+def _decode_errors(logits_batch, targets: CtcTargets) -> tuple[int, int]:
     """Corpus-level error counts: (edit distance, reference tokens)."""
-    hyps = greedy_decode(logits_batch)
-    dist = sum(edit_distance(hyp.tokens, ref.tokens) for hyp, ref in zip(hyps, labels))
-    return dist, sum(len(ref) for ref in labels)
+    dist = edit_distance(*greedy_decode(logits_batch), targets)
+    return int(dist.sum()), int((targets.s_lens // 2).sum())
 
 
 def evaluate(model: Model, batches: list[Batch]) -> tuple[float, float]:
@@ -124,20 +130,27 @@ def run_training(cfg: TrainConfig, variant: str, out_dir: str) -> dict:
     Returns a summary with the per-epoch dev history and final numbers.
     """
     os.makedirs(out_dir, exist_ok=True)
-    task = cfg.task()
-    train_utts = sorted_for_batching(synth_generate(task, cfg.train_utterances, seed=1))
-    dev_utts = sorted_for_batching(synth_generate(task, cfg.dev_utterances, seed=2))
-    train_batches = make_batches(train_utts, cfg.max_frames_per_batch)
-    dev_batches = make_batches(dev_utts, cfg.max_frames_per_batch)
-    # Batch statistics need 2 valid frames; refuse such a batch before
-    # epoch 1 rather than abort the run when it comes up.
-    for i, batch in enumerate(train_batches):
-        if batch.features.frames.valid < 2:
-            raise DegenerateBatchError(
-                f"train batch {i} has {batch.features.batch_size} utterance(s) and"
-                f" {batch.features.frames.valid} valid frame(s); batch statistics"
-                " need at least 2"
-            )
+    train_batches = split_batches(cfg, cfg.train_utterances, TRAIN_SEED)
+    dev_batches = split_batches(cfg, cfg.dev_utterances, DEV_SEED)
+    # Batch statistics need 2 valid frames, and an utterance needs a frame
+    # per label token (two for a repeat) or its batch's loss is inf. Refuse
+    # such a batch before epoch 1 rather than abort or skip it later.
+    for split, batches in (("train", train_batches), ("dev", dev_batches)):
+        for i, batch in enumerate(batches):
+            frames, targets = batch.features.frames, batch.labels
+            if split == "train" and frames.valid < 2:
+                raise DegenerateBatchError(
+                    f"train batch {i} has {batch.features.batch_size} utterance(s) and"
+                    f" {frames.valid} valid frame(s); batch statistics need at least 2"
+                )
+            short = np.flatnonzero(frames.lengths < targets.min_frames)
+            if short.size:
+                u = short[0]
+                raise DegenerateBatchError(
+                    f"{split} batch {i}, utterance {u}: {frames.lengths[u]} frame(s),"
+                    f" but its labels {targets[u].tokens} need at least"
+                    f" {targets.min_frames[u]}"
+                )
 
     state = TrainState.start(cfg, variant)
     quiet_clock = deterministic_mode()

@@ -169,7 +169,8 @@ class TestGradient:
 
 def _decode_one(logits: np.ndarray) -> list[int]:
     """``greedy_decode`` on a batch of one utterance, every frame real."""
-    return greedy_decode(SequenceBatch(Tensor(logits[None]), [len(logits)]))[0].tokens
+    tokens, lengths = greedy_decode(SequenceBatch(Tensor(logits[None]), [len(logits)]))
+    return tokens[0, : lengths[0]].tolist()
 
 
 def _loop_decode(logits: np.ndarray, length: int) -> list[int]:
@@ -215,19 +216,22 @@ class TestGreedyDecode:
             t_max = int(rng.integers(1, 9))
             vocab = int(rng.integers(2, 5))
             logits = rng.integers(-1, 2, size=(b, t_max, vocab)).astype(np.float64)
-            lengths = rng.integers(1, t_max + 1, size=b)
-            lengths[0] = t_max
+            n_frames = rng.integers(1, t_max + 1, size=b)
+            n_frames[0] = t_max
             if b > 1:
-                lengths[1] = 1
+                n_frames[1] = 1
             if b > 2:
                 logits[2, :, BLANK] = 5.0  # an all-blank row
-            for row, length in enumerate(lengths):
+            for row, length in enumerate(n_frames):
                 logits[row, length:] = 0.0
                 logits[row, length:, vocab - 1] = 9.0
-            hyps = greedy_decode(SequenceBatch(Tensor(logits), lengths))
-            assert len(hyps) == b
-            for row, length in enumerate(lengths):
-                assert hyps[row].tokens == _loop_decode(logits[row], length), trial
+            tokens, lengths = greedy_decode(SequenceBatch(Tensor(logits), n_frames))
+            assert tokens.shape == (b, t_max) and lengths.shape == (b,)
+            for row, length in enumerate(n_frames):
+                expect = _loop_decode(logits[row], length)
+                assert lengths[row] == len(expect), trial
+                assert tokens[row, : len(expect)].tolist() == expect, trial
+                assert (tokens[row, len(expect) :] == BLANK).all(), trial  # the padding
 
     def test_refuses_a_replica_axis(self):
         logits = SequenceBatch._wrap(Tensor(np.zeros((2, 1, 3, 4))), Frames(np.array([3]), 3))
@@ -235,14 +239,83 @@ class TestGreedyDecode:
             greedy_decode(logits)
 
 
+def _loop_edit_distance(hyp, ref) -> int:
+    """Levenshtein distance with unit costs, one pair at a time: the
+    reference for the batched ``edit_distance``."""
+    prev = list(range(len(ref) + 1))
+    for i, h in enumerate(hyp, start=1):
+        curr = [i] + [0] * len(ref)
+        for j, r in enumerate(ref, start=1):
+            curr[j] = min(
+                prev[j] + 1,          # delete h
+                curr[j - 1] + 1,      # insert r
+                prev[j - 1] + (h != r),
+            )
+        prev = curr
+    return prev[-1]
+
+
+def _batch_distances(hyps, refs, pad=0) -> list[int]:
+    """``edit_distance`` of token lists, the hypotheses laid out as
+    ``greedy_decode`` returns them: left-aligned rows padded with the blank,
+    ``pad`` columns wider than the longest."""
+    lengths = np.array([len(h) for h in hyps])
+    tokens = np.full((len(hyps), lengths.max() + pad), BLANK)
+    for row, hyp in enumerate(hyps):
+        tokens[row, : len(hyp)] = hyp
+    return edit_distance(tokens, lengths, CtcTargets([LabelSequence(r) for r in refs])).tolist()
+
+
 class TestErrorRate:
     """Training's token error rate is edit distance over reference tokens."""
 
     def test_edit_distance_dp(self):
-        assert edit_distance([1, 2, 3], [2, 3, 4]) == 2
-        assert edit_distance([], [1, 1]) == 2
-        assert edit_distance([1, 3, 5], [1, 3, 5]) == 0
-        assert edit_distance("kitten", "sitting") == 3
+        kitten, sitting = ([ord(c) - ord("a") + 1 for c in word] for word in ("kitten", "sitting"))
+        hyps = [[1, 2, 3], [], [1, 3, 5], kitten]
+        refs = [[2, 3, 4], [1, 1], [1, 3, 5], sitting]
+        for hyp, ref, expect in zip(hyps, refs, (2, 2, 0, 3)):
+            assert _loop_edit_distance(hyp, ref) == expect
+            assert _batch_distances([hyp], [ref], pad=1) == [expect]
+        assert _batch_distances(hyps, refs) == [2, 2, 0, 3]
+
+    def test_empty_sides(self):
+        hyps = [[], [], [2, 1, 2], [1]]
+        refs = [[], [1, 2], [], [1, 1, 2, 1]]
+        assert _batch_distances(hyps, refs, pad=2) == [0, 2, 3, 3]
+        assert _batch_distances([[]], [[]]) == [0]  # every row empty: no DP row runs
+        assert _batch_distances([[3, 3, 1, 2, 1]], [[1]]) == [4]
+
+    def test_all_blank_logits_score_every_reference_token(self):
+        logits = np.zeros((3, 4, 3))
+        logits[:, :, BLANK] = 1.0
+        tokens, lengths = greedy_decode(SequenceBatch(Tensor(logits), [4, 2, 1]))
+        assert lengths.tolist() == [0, 0, 0] and (tokens == BLANK).all()
+        targets = CtcTargets([LabelSequence([1, 2]), LabelSequence([]), LabelSequence([2])])
+        assert edit_distance(tokens, lengths, targets).tolist() == [2, 0, 1]
+
+    def test_matches_per_pair_loop(self):
+        # Decoded from small integer logits, which tie often: hypotheses of
+        # 0 to T tokens against references of 0-5, so empty ones on either
+        # side, hypotheses longer than their references and B = 1 all occur.
+        rng = np.random.default_rng(72)
+        seen = {"empty hyp": 0, "empty ref": 0, "longer hyp": 0, "B=1": 0}
+        for trial in range(3000):
+            b = int(rng.integers(1, 8))
+            t_max = int(rng.integers(1, 12))
+            vocab = int(rng.integers(2, 5))
+            logits = rng.integers(-1, 2, size=(b, t_max, vocab)).astype(np.float64)
+            n_frames = rng.integers(1, t_max + 1, size=b)
+            refs = [rng.integers(1, vocab, size=int(rng.integers(0, 6))).tolist() for _ in range(b)]
+            tokens, lengths = greedy_decode(SequenceBatch(Tensor(logits), n_frames))
+            targets = CtcTargets([LabelSequence(r) for r in refs])
+            got = edit_distance(tokens, lengths, targets)
+            hyps = [_loop_decode(logits[row], n) for row, n in enumerate(n_frames)]
+            assert got.tolist() == [_loop_edit_distance(h, r) for h, r in zip(hyps, refs)], trial
+            seen["empty hyp"] += sum(not h for h in hyps)
+            seen["empty ref"] += sum(not r for r in refs)
+            seen["longer hyp"] += sum(len(h) > len(r) for h, r in zip(hyps, refs))
+            seen["B=1"] += b == 1
+        assert min(seen.values()) >= 100, seen
 
 
 class TestSequenceLoss:

@@ -96,6 +96,12 @@ class TestLrSchedule:
         with pytest.raises(errors.ContractError):
             lr_schedule([0.0, 1.0])
 
+    @pytest.mark.parametrize("history", [[np.inf, np.inf], [np.nan, 1.0], [1.0, np.nan]])
+    def test_nonfinite_metric_rejected(self, history):
+        # Every comparison with NaN is false, so [inf, inf] would read "keep".
+        with pytest.raises(errors.ContractError, match="must be finite, got (inf|nan)"):
+            lr_schedule(history)
+
 
 def utts_of_lengths(lengths, dim=3):
     rng = np.random.default_rng(0)

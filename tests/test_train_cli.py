@@ -6,15 +6,21 @@ import pytest
 from abn import cli as cli_mod
 from abn import ctc, errors
 from abn import train as train_mod
-from abn.batching import Utterance, make_batches
+from abn.batching import Utterance
 from abn.ctc import LabelSequence
 from abn.checkpoint import load_checkpoint
 from abn.cli import cli
 from abn.config import parse_config_text
 from abn.generators import VARIANTS
-from abn.synth import sorted_for_batching, synth_generate
 from abn.tensor import Tensor
-from abn.train import METRICS_HEADER, TrainState, run_training, train_epoch
+from abn.train import (
+    METRICS_HEADER,
+    TRAIN_SEED,
+    TrainState,
+    run_training,
+    split_batches,
+    train_epoch,
+)
 
 TINY_CFG = """\
 num_layers = 1
@@ -35,12 +41,16 @@ task_max_duration = 3
 """
 
 
-def tiny_config(**overrides):
+def tiny_config_text(**overrides) -> str:
     pairs = dict(
         line.split(" = ") for line in TINY_CFG.splitlines()
     )
     pairs.update({k: str(v) for k, v in overrides.items()})
-    return parse_config_text("".join(f"{k} = {v}\n" for k, v in pairs.items()))
+    return "".join(f"{k} = {v}\n" for k, v in pairs.items())
+
+
+def tiny_config(**overrides):
+    return parse_config_text(tiny_config_text(**overrides))
 
 
 def write_cfg(tmp_path, name="tiny.cfg"):
@@ -108,8 +118,7 @@ class TestTrainEpoch:
         cfg = tiny_config(dropout=0.3, epochs=1)
         run_training(cfg, variant, str(tmp_path))
         row = (tmp_path / "metrics.csv").read_text().splitlines()[1].split(",")
-        utts = synth_generate(cfg.task(), cfg.train_utterances, seed=1)
-        batches = make_batches(sorted_for_batching(utts), cfg.max_frames_per_batch)
+        batches = split_batches(cfg, cfg.train_utterances, TRAIN_SEED)
         state = TrainState.start(cfg, variant)
         loss, ter = train_epoch(state, batches)
         assert row[:2] == ["1", "train"]
@@ -171,6 +180,44 @@ class TestDegenerateBatches:
                            match=r"train batch 1 has 1 utterance\(s\) and 1 valid frame"):
             run_training(tiny_config(max_frames_per_batch=10), "abn-f", str(tmp_path))
         assert not (tmp_path / "metrics.csv").exists()
+
+    # Durations of 1-2 frames a token, with repeats allowed, draw utterances
+    # with fewer frames than their labels need (a repeat needs a blank
+    # between its copies). Their batch's loss would be inf in every epoch.
+    INFEASIBLE = dict(task_min_duration=1, task_max_duration=2, task_max_tokens=4,
+                      max_frames_per_batch=30, train_utterances=200, dev_utterances=200)
+
+    def test_infeasible_utterance_refused_before_epoch_one(self, tmp_path):
+        cfg = tiny_config(**self.INFEASIBLE)
+        # The refusal names the split's first utterance that is too short.
+        batches = split_batches(cfg, cfg.train_utterances, TRAIN_SEED)
+        i, u = next((i, int(u)) for i, b in enumerate(batches)
+                    for u in np.flatnonzero(b.features.lengths < b.labels.min_frames))
+        n_frames, targets = batches[i].features.lengths[u], batches[i].labels
+        assert n_frames < targets.min_frames[u]
+        tokens = ", ".join(map(str, targets[u].tokens))
+        with pytest.raises(errors.DegenerateBatchError,
+                           match=rf"^train batch {i}, utterance {u}: {n_frames} frame\(s\),"
+                                 rf" but its labels \[{tokens}\] need at least"
+                                 rf" {targets.min_frames[u]}$"):
+            run_training(cfg, "bn", str(tmp_path))
+        assert not (tmp_path / "metrics.csv").exists()
+
+    def test_infeasible_dev_utterance_refused(self, tmp_path, monkeypatch):
+        # A feasible train split; only the dev split holds short utterances.
+        cfg = tiny_config(**self.INFEASIBLE)
+        feasible = tiny_config().task()
+        generate = train_mod.synth_generate
+        monkeypatch.setattr(train_mod, "synth_generate", lambda task, n, seed: generate(
+            feasible if seed == TRAIN_SEED else task, n, seed))
+        with pytest.raises(errors.DegenerateBatchError, match=r"^dev batch \d+, utterance \d+"):
+            run_training(cfg, "bn", str(tmp_path))
+
+    def test_infeasible_utterance_fails_the_cli(self, tmp_path, capsys):
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(tiny_config_text(**self.INFEASIBLE))
+        assert cli(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err.startswith("error: train batch ")
 
 
 class TestCli:
