@@ -18,7 +18,7 @@ from .errors import (
     EmptyEpochError,
     ShapeError,
 )
-from .tensor import GradTape, Gradients, Tensor, backward, finite_diff_check, recording
+from .tensor import Tensor
 
 __all__ = [
     "AbnError",
@@ -30,12 +30,7 @@ __all__ = [
     "DomainError",
     "EmptyEpochError",
     "ShapeError",
-    "GradTape",
-    "Gradients",
     "Tensor",
-    "backward",
-    "finite_diff_check",
-    "recording",
 ]
 
 __version__ = "0.1.0"

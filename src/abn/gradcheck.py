@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import tensor as tc
 from .ctc import CtcTargets, LabelSequence, sequence_ctc_loss
 from .data import SequenceBatch
 from .errors import ContractError
 from .recurrent import Model, ModelConfig, module_of, project, run_layers
 from .tensor import Tensor, central_error, central_points
+from .train import loss_and_gradients
 
 # At most about this many parameter values per replica pass (R times the
 # size of a module's parameters): a module splits its 2N points into equal
@@ -43,23 +43,6 @@ def check_problem(
     lengths = [t_max, max(1, (t_max + 1) // 2)]
     batch = SequenceBatch(Tensor(rng.normal(size=(2, t_max, features))), lengths)
     return model, batch, CtcTargets([_labels_for(l) for l in lengths])
-
-
-def analytic_gradients(
-    model: Model, batch: SequenceBatch, targets: CtcTargets
-) -> tuple[dict[str, np.ndarray], list[SequenceBatch], SequenceBatch]:
-    """Every parameter's gradient of the train-mode loss, from one taped pass
-    and one ``backward``, with that pass's input to each layer (the
-    projection's last) and its logits."""
-    tape = tc.GradTape()
-    inputs = [batch]
-    with tc.recording(tape):
-        for l in range(len(model.layers)):
-            inputs.append(run_layers(inputs[l], model, l, "train", stop=l + 1))
-        logits = project(inputs[-1], model)
-        loss = sequence_ctc_loss(logits, targets)
-    grads = tc.backward(tape, loss)
-    return {name: grads.wrt(t) for name, t in model.parameters().items()}, inputs, logits
 
 
 def resume(
@@ -134,19 +117,20 @@ def model_gradient_check(
     The loss is the full pipeline: normalized BiLSTM layers, logits, CTC.
     Dropout stays off; its resampling would break the central differences.
 
-    Per length, one taped pass of the stack and one ``backward`` give every
-    parameter's analytic gradient and each layer's input
-    (``analytic_gradients``). The numeric side runs untaped, module by
-    module (``layer_losses``): the 2N central-difference points
-    (``central_points``) over the N parameters of a module (``module_of``)
-    become 2N models on a leading replica axis, in equal passes, that
-    ``resume`` from its layer's cached input; the projection counts as the
-    layer after the last. Stages that read no swept parameter run once and
-    broadcast. CTC returns one mean loss per replica, and ``central_error``
-    compares their differences with the layer's analytic gradients. No
-    layer below reads a layer's parameters, train-mode statistics are per
-    batch, and each replica's products run as their own 2-d products, so
-    each loss is bitwise the one ``stack_forward`` gives at that point.
+    Per length, the taped pass that training runs, ``loss_and_gradients``,
+    gives every parameter's analytic gradient, the gradients that Adam
+    applies, and each layer's input; a non-finite loss returns ``inf``. The
+    numeric side runs untaped, module by module (``layer_losses``): the 2N
+    central-difference points (``central_points``) over the N parameters of
+    a module (``module_of``) become 2N models on a leading replica axis, in
+    equal passes, that ``resume`` from its layer's cached input; the
+    projection counts as the layer after the last. Stages that read no
+    swept parameter run once and broadcast. CTC returns one mean loss per
+    replica, and ``central_error`` compares their differences with the
+    layer's analytic gradients. No layer below reads a layer's parameters,
+    train-mode statistics are per batch, and each replica's products run as
+    their own 2-d products, so each loss is bitwise the one
+    ``stack_forward`` gives at that point.
     Before each layer's sweep, a one-replica pass at the unperturbed values
     is compared with the taped pass's logits, and any difference raises.
     At the default shape every length runs 3 such guards and 7 sweep
@@ -177,7 +161,9 @@ def model_gradient_check(
     worst = 0.0
     for t_max in t_values:
         model, batch, targets = check_problem(variant, seed, t_max, hidden, features)
-        analytic, inputs, logits = analytic_gradients(model, batch, targets)
+        _, logits, inputs, analytic = loss_and_gradients(model, batch, targets)
+        if analytic is None:
+            return float("inf")  # a non-finite loss fails every tolerance
         for layer in range(len(inputs)):
             params = model.parameters(layer)
             same = {name: Tensor._wrap(t.data[None]) for name, t in params.items()}

@@ -13,11 +13,12 @@ from .batching import Batch, make_batches
 from .checkpoint import save_checkpoint
 from .config import TrainConfig
 from .ctc import CtcTargets, edit_distance, greedy_decode, sequence_ctc_loss
+from .data import SequenceBatch
 from .errors import DegenerateBatchError, EmptyEpochError
 from .optim import AdamState, adam_step, lr_schedule
-from .recurrent import Model, stack_forward
+from .recurrent import Model, project, run_layers, stack_forward
 from .synth import sorted_for_batching, synth_generate
-from .tensor import GradTape, backward, recording
+from .tensor import GradTape, Tensor, backward, recording
 
 METRICS_HEADER = "epoch,split,loss,ter,lr,wall_s"
 TRAIN_SEED, DEV_SEED = 1, 2  # data seeds of the two splits
@@ -44,9 +45,23 @@ class MetricsRow(NamedTuple):
 
 
 def split_batches(cfg: TrainConfig, n_utterances: int, seed: int) -> list[Batch]:
-    """``n_utterances`` of the config's task, drawn at ``seed`` and batched."""
+    """``n_utterances`` of the config's task, drawn at ``seed`` and batched.
+
+    An utterance needs a frame per label token (two for a repeat), or its
+    batch's loss is inf; the first that has fewer is refused, named by its
+    split (``train``, ``dev`` or ``seed N``), batch and place in the batch."""
     utts = synth_generate(cfg.task(), n_utterances, seed=seed)
-    return make_batches(sorted_for_batching(utts), cfg.max_frames_per_batch)
+    batches = make_batches(sorted_for_batching(utts), cfg.max_frames_per_batch)
+    split = {TRAIN_SEED: "train", DEV_SEED: "dev"}.get(seed, f"seed {seed}")
+    for i, (features, targets) in enumerate(batches):
+        short = np.flatnonzero(features.lengths < targets.min_frames)
+        if short.size:
+            u = short[0]
+            raise DegenerateBatchError(
+                f"{split} batch {i}, utterance {u}: {features.lengths[u]} frame(s),"
+                f" but its labels {targets[u].tokens} need at least {targets.min_frames[u]}"
+            )
+    return batches
 
 
 def _decode_errors(logits_batch, targets: CtcTargets) -> tuple[int, int]:
@@ -67,6 +82,28 @@ def evaluate(model: Model, batches: list[Batch]) -> tuple[float, float]:
         dist += d
         ref_len += r
     return total_loss / len(batches), dist / max(ref_len, 1)
+
+
+def loss_and_gradients(
+    model: Model, batch: SequenceBatch, targets: CtcTargets, rng: np.random.Generator | None = None
+) -> tuple[Tensor, SequenceBatch, list[SequenceBatch], dict[str, np.ndarray] | None]:
+    """The train-mode loss from one taped pass, layer by layer, with its
+    logits, the pass's input to each layer (the projection's last) and
+    every parameter's gradient from one ``backward``; the gradients are
+    ``None``, and ``backward`` does not run, if the loss is not finite.
+    Dropout draws from ``rng`` as ``stack_forward`` does, so the pass is
+    bit for bit that of ``stack_forward`` and its CTC loss."""
+    tape = GradTape()
+    inputs = [batch]
+    with recording(tape):
+        for l in range(len(model.layers)):
+            inputs.append(run_layers(inputs[l], model, l, "train", rng, stop=l + 1))
+        logits = project(inputs[-1], model)
+        loss = sequence_ctc_loss(logits, targets)
+    if not np.isfinite(loss.item()):
+        return loss, logits, inputs, None
+    grads = backward(tape, loss)
+    return loss, logits, inputs, {name: grads.wrt(t) for name, t in model.parameters().items()}
 
 
 @dataclass
@@ -96,22 +133,13 @@ def train_epoch(state: TrainState, batches: list[Batch]) -> tuple[float, float]:
     total_loss = 0.0
     used = dist = ref_len = 0
     for batch in batches:
-        tape = GradTape()
-        with recording(tape):
-            logits = stack_forward(batch.features, state.model, "train", rng=state.drop_rng)
-            loss = sequence_ctc_loss(logits, batch.labels)
-        if not np.isfinite(loss.item()):
-            state.skipped_batches += 1
-            continue
-        grads = backward(tape, loss)
-        params = state.model.parameters()
-        grad_arrays = {name: grads.wrt(t) for name, t in params.items()}
+        loss, logits, _, grads = loss_and_gradients(state.model, *batch, state.drop_rng)
         # A NaN gradient under a finite loss would reach the weights.
-        if not all(np.isfinite(g).all() for g in grad_arrays.values()):
+        if grads is None or not all(np.isfinite(g).all() for g in grads.values()):
             state.skipped_batches += 1
-            state.nonfinite_gradients += 1
+            state.nonfinite_gradients += grads is not None
             continue
-        for name, t in adam_step(params, grad_arrays, state.adam, state.lr).items():
+        for name, t in adam_step(state.model.parameters(), grads, state.adam, state.lr).items():
             state.model.set_parameter(name, t)
         total_loss += loss.item()
         used += 1
@@ -132,25 +160,14 @@ def run_training(cfg: TrainConfig, variant: str, out_dir: str) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     train_batches = split_batches(cfg, cfg.train_utterances, TRAIN_SEED)
     dev_batches = split_batches(cfg, cfg.dev_utterances, DEV_SEED)
-    # Batch statistics need 2 valid frames, and an utterance needs a frame
-    # per label token (two for a repeat) or its batch's loss is inf. Refuse
-    # such a batch before epoch 1 rather than abort or skip it later.
-    for split, batches in (("train", train_batches), ("dev", dev_batches)):
-        for i, batch in enumerate(batches):
-            frames, targets = batch.features.frames, batch.labels
-            if split == "train" and frames.valid < 2:
-                raise DegenerateBatchError(
-                    f"train batch {i} has {batch.features.batch_size} utterance(s) and"
-                    f" {frames.valid} valid frame(s); batch statistics need at least 2"
-                )
-            short = np.flatnonzero(frames.lengths < targets.min_frames)
-            if short.size:
-                u = short[0]
-                raise DegenerateBatchError(
-                    f"{split} batch {i}, utterance {u}: {frames.lengths[u]} frame(s),"
-                    f" but its labels {targets[u].tokens} need at least"
-                    f" {targets.min_frames[u]}"
-                )
+    # Batch statistics need 2 valid frames: refuse a train batch with fewer
+    # before epoch 1 rather than abort or skip it later.
+    for i, (features, _) in enumerate(train_batches):
+        if features.frames.valid < 2:
+            raise DegenerateBatchError(
+                f"train batch {i} has {features.batch_size} utterance(s) and"
+                f" {features.frames.valid} valid frame(s); batch statistics need at least 2"
+            )
 
     state = TrainState.start(cfg, variant)
     quiet_clock = deterministic_mode()

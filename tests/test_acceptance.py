@@ -5,6 +5,7 @@ Each test is one headline requirement, prints a single PASS/FAIL line
 """
 
 import dataclasses
+import hashlib
 import itertools
 import multiprocessing
 import time
@@ -438,15 +439,30 @@ class TestTrendCheck:
         )
 
 
+# sha256 of (metrics.csv, model.ckpt) of each pinned run: TestDeterminism's
+# desk config per variant and dropout, under ABN_DETERMINISTIC=1 (conftest.py).
+PINNED_SHA256 = {
+    ("bn", 0.0): ("4c21648b7dbb1094d3bb1b4534dc6996e97af6ca9bb88fd664bfff6570154c9f",
+                  "3e197170213aa52788c99e6590e58d0b0b3cd6f023df08e56971743eecfb8749"),
+    ("bn", 0.3): ("8e27c0fbda514b19cce427f12b5d5f7ea3a07dc844363bfd5cbfff5cee1a9b3e",
+                  "cc72e627de5e43901ba9ba42b5b2d38905dff7dc149d35196c291423db7d3dc1"),
+    ("abn-f", 0.0): ("17535a8a348a65d72a33ae842e0d7e0908d86e69349bbe9fb8191dea838c1898",
+                     "3f79c14d57f8667d44430de62ff0cd64a2fe7259696353e5530856cc29783df4"),
+    ("abn-f", 0.3): ("261253656da249f15e9ea472f6f25508f6d81a7a9d55b84cf7df8a0747f74932",
+                     "65a6c8ed97c7e2879a2ec5b67c58e263d68f8748c0d8c207368d8a6e00c0c921"),
+    ("abn-u", 0.0): ("28317f1f6b76d0ccf4474f3b3272cd3cbc750db294e5d68d7e05c293bd85e5a2",
+                     "ea2cfc10cd643e1bdcb5e90a1de5f43a91f0278a88996a005bae3a845eb9976f"),
+    ("abn-u", 0.3): ("bd89913e83dfb6e5c97709611534a1d6a7abbcf7e054f306741f46f501ebf7d9",
+                     "cac106779c87ad0aba6f1362703f9454949a9a9b665298917e95c933924de229"),
+}
+
+
 class TestDeterminism:
+    CONFIG = dict(train_utterances=80, dev_utterances=30, epochs=3)
+
     def test_same_seed_same_metrics(self, tmp_path):
         t0 = time.monotonic()
-        cfg = dataclasses.replace(
-            load_config(DESK_CONFIG),
-            train_utterances=80,
-            dev_utterances=30,
-            epochs=3,
-        )
+        cfg = dataclasses.replace(load_config(DESK_CONFIG), **self.CONFIG)
         run_training(cfg, "abn-f", str(tmp_path / "a"))
         run_training(cfg, "abn-f", str(tmp_path / "b"))
         text_a = (tmp_path / "a" / "metrics.csv").read_text()
@@ -458,4 +474,36 @@ class TestDeterminism:
             "determinism",
             f"metrics for 3 epochs {'identical' if text_a == text_b else 'DIFFER'};"
             f" {elapsed:.1f}s",
+        )
+
+    def test_outputs_match_pinned_hashes(self, tmp_path):
+        """Each variant, at dropout 0.0 and 0.3, writes the bytes of
+        ``PINNED_SHA256``, so a change that alters any number of a training
+        run fails here, not only one that makes two runs differ.
+
+        The hashes hold for numpy 2.4.6 and scipy 1.17.1 with OpenBLAS on
+        one thread. Another numpy, scipy or BLAS may round differently and
+        fail this test with the program unchanged. The 6 runs took 2.0 s on
+        a 2-core x86 machine; the limit leaves 10 times that.
+        """
+        t0 = time.monotonic()
+        cfg = dataclasses.replace(load_config(DESK_CONFIG), **self.CONFIG)
+        wrong = []
+        for (variant, dropout), pinned in PINNED_SHA256.items():
+            out = tmp_path / f"{variant}-{dropout}"
+            run_training(dataclasses.replace(cfg, dropout=dropout), variant, str(out))
+            for name, want in zip(("metrics.csv", "model.ckpt"), pinned):
+                got = hashlib.sha256((out / name).read_bytes()).hexdigest()
+                if got != want:
+                    wrong.append(f"{variant} dropout {dropout} {name}: sha256 {got},"
+                                 f" pinned {want}")
+        elapsed = time.monotonic() - t0
+        assert _verdict(
+            not wrong and elapsed < 20.0,
+            "pinned outputs",
+            f"{len(wrong)} of {2 * len(PINNED_SHA256)} files differ from PINNED_SHA256"
+            + "".join(f"; {w}" for w in wrong)
+            + (" (a deliberate output change updates the constant and logs both hashes"
+               " in CHANGES.md)" if wrong else "")
+            + f"; {elapsed:.1f}s (limit 20s)",
         )

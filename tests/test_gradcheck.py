@@ -5,7 +5,8 @@ injected faults."""
 import numpy as np
 import pytest
 
-from abn import ctc, errors, gradcheck, recurrent, tensor
+from abn import ctc, errors, gradcheck, recurrent, tensor, train
+from abn.cli import cli
 from abn.ctc import CtcTargets, LabelSequence, sequence_ctc_loss
 from abn.data import SequenceBatch
 from abn.generators import VARIANTS
@@ -26,7 +27,7 @@ def _problem(variants, seed):
     )
     batch = SequenceBatch(Tensor(rng.normal(size=(3, 5, FEATURES))), [5, 3, 1])
     targets = CtcTargets([LabelSequence([1, 2]), LabelSequence([2]), LabelSequence([])])
-    _, inputs, _ = gradcheck.analytic_gradients(model, batch, targets)
+    _, _, inputs, _ = train.loss_and_gradients(model, batch, targets)
     return model, batch, targets, inputs
 
 
@@ -89,13 +90,13 @@ class TestLayers:
     def test_disagreeing_resume_raises(self, monkeypatch):
         # Each layer after the first resumes from the next one's input, whose
         # width matches at the check's shape, so only the guard can tell.
-        original = gradcheck.analytic_gradients
+        original = gradcheck.loss_and_gradients
 
         def shifted(*args):
-            analytic, inputs, logits = original(*args)
-            return analytic, inputs[:1] + inputs[2:] + inputs[-1:], logits
+            loss, logits, inputs, analytic = original(*args)
+            return loss, logits, inputs[:1] + inputs[2:] + inputs[-1:], analytic
 
-        monkeypatch.setattr(gradcheck, "analytic_gradients", shifted)
+        monkeypatch.setattr(gradcheck, "loss_and_gradients", shifted)
         with pytest.raises(errors.ContractError, match="layer 1 disagrees"):
             model_gradient_check("bn", t_values=(2,))
 
@@ -125,7 +126,7 @@ class TestReplicaPass:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_unperturbed_replicas_match_taped_logits(self, variant, t_max):
         model, batch, targets = gradcheck.check_problem(variant, 0, t_max)
-        _, inputs, taped = gradcheck.analytic_gradients(model, batch, targets)
+        _, taped, inputs, _ = train.loss_and_gradients(model, batch, targets)
         stats, params = model.running_stats(), model.parameters()
         for layer in range(len(inputs)):
             logits = gradcheck.resume(model, inputs, layer, _copies(model, layer, 3))
@@ -205,21 +206,45 @@ class TestReplicaPass:
 
 
 class TestOnePassAnalytic:
+    @staticmethod
+    def _matches_taped_stack_forward(model, batch, targets, seed=None):
+        """``loss_and_gradients`` against one taped ``stack_forward``, each
+        drawing dropout from its own RNG at ``seed``: the same loss, logits,
+        gradients and RNG state afterwards. Returns the layer inputs."""
+        ours, theirs = (None, None) if seed is None else (
+            np.random.default_rng(seed), np.random.default_rng(seed))
+        loss, logits, inputs, analytic = train.loss_and_gradients(model, batch, targets, ours)
+        tape = tensor.GradTape()
+        with tensor.recording(tape):
+            full = stack_forward(batch, model, "train", rng=theirs)
+            full_loss = sequence_ctc_loss(full, targets)
+        grads = tensor.backward(tape, full_loss)
+        assert loss.item() == full_loss.item()
+        np.testing.assert_array_equal(logits.features.data, full.features.data)
+        assert analytic.keys() == model.parameters().keys()
+        for name, t in model.parameters().items():
+            assert np.array_equal(analytic[name], grads.wrt(t)), name
+        if seed is not None:
+            assert ours.bit_generator.state == theirs.bit_generator.state
+        return inputs
+
     @pytest.mark.parametrize("t_max", [1, 2, 7])
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_matches_taped_stack_forward(self, variant, t_max):
         model, batch, targets = gradcheck.check_problem(variant, 0, t_max)
-        analytic, inputs, logits = gradcheck.analytic_gradients(model, batch, targets)
-        tape = tensor.GradTape()
-        with tensor.recording(tape):
-            full = stack_forward(batch, model, "train")
-            loss = sequence_ctc_loss(full, targets)
-        grads = tensor.backward(tape, loss)
-        np.testing.assert_array_equal(logits.features.data, full.features.data)
+        inputs = self._matches_taped_stack_forward(model, batch, targets)
         assert len(inputs) == len(model.layers) + 1 and inputs[0] is batch
-        assert analytic.keys() == model.parameters().keys()
-        for name, t in model.parameters().items():
-            assert np.array_equal(analytic[name], grads.wrt(t)), name
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_dropout_draws_as_stack_forward(self, variant):
+        # Training passes its dropout RNG: layer by layer, the pass draws the
+        # same masks in the same order as one ``stack_forward`` call.
+        rng = np.random.default_rng(69)
+        model = Model(ModelConfig(2, HIDDEN, FEATURES, 3, variant, dropout=0.3,
+                                  embed_dim=2, attn_dim=2), rng)
+        batch = SequenceBatch(Tensor(rng.normal(size=(3, 5, FEATURES))), [5, 3, 2])
+        targets = CtcTargets([LabelSequence([1, 2]), LabelSequence([2]), LabelSequence([1])])
+        self._matches_taped_stack_forward(model, batch, targets, seed=70)
 
 
 def _scaled_vjp(vjp, index, factor=1.01):
@@ -306,3 +331,28 @@ class TestInjectedFaults:
                 model_gradient_check("bn", t_values=(2,))
         else:
             assert model_gradient_check("bn", t_values=(2,)) > 1e-4
+
+
+class TestNonFiniteTapedPass:
+    """A NaN in the taped pass that training and the check share fails the
+    check: a NaN loss gives no gradients, and a NaN gradient gives a NaN
+    error; either reads ``inf`` and ``abn gradcheck`` exits 1."""
+
+    @pytest.mark.parametrize("where", ["loss", "gradient"])
+    def test_nan_reads_inf_and_fails_the_cli(self, monkeypatch, capsys, where):
+        if where == "loss":
+            monkeypatch.setattr(train, "sequence_ctc_loss",
+                                lambda logits, targets: Tensor._wrap(np.array(np.nan)))
+        else:
+            record = ctc.record_op
+            monkeypatch.setattr(ctc, "record_op", lambda output, inputs, vjp: record(
+                output, inputs, _scaled_vjp(vjp, 0, np.nan)))
+        model, batch, targets = gradcheck.check_problem("bn", 0, 2)
+        loss, _, _, analytic = train.loss_and_gradients(model, batch, targets)
+        if where == "loss":
+            assert np.isnan(loss.item()) and analytic is None
+        else:
+            assert np.isfinite(loss.item()) and np.isnan(analytic["out.w"]).all()
+        assert model_gradient_check("bn", t_values=(2,)) == float("inf")
+        assert cli(["gradcheck", "--variant", "bn"]) == 1
+        assert "bn: max relative error inf" in capsys.readouterr().out

@@ -6,12 +6,13 @@ import pytest
 from abn import cli as cli_mod
 from abn import ctc, errors
 from abn import train as train_mod
-from abn.batching import Utterance
+from abn.batching import Utterance, make_batches
 from abn.ctc import LabelSequence
 from abn.checkpoint import load_checkpoint
 from abn.cli import cli
 from abn.config import parse_config_text
 from abn.generators import VARIANTS
+from abn.synth import sorted_for_batching, synth_generate
 from abn.tensor import Tensor
 from abn.train import (
     METRICS_HEADER,
@@ -157,6 +158,23 @@ class TestNonFiniteGradients:
             assert np.all(np.isfinite(t.data)), name
         assert np.isfinite(summary["final_dev_loss"])
 
+    def test_nonfinite_loss_skipped_without_a_step(self, monkeypatch):
+        # The first batch's loss is NaN: it is skipped and counted, but not as
+        # a non-finite gradient, and Adam steps once for each other batch.
+        cfg = tiny_config()
+        batches = split_batches(cfg, cfg.train_utterances, TRAIN_SEED)
+        loss, calls = train_mod.sequence_ctc_loss, []
+
+        def nan_first(logits, targets):
+            calls.append(None)
+            return Tensor._wrap(np.array(np.nan)) if len(calls) == 1 else loss(logits, targets)
+
+        monkeypatch.setattr(train_mod, "sequence_ctc_loss", nan_first)
+        state = TrainState.start(cfg, "abn-f")
+        assert np.isfinite(train_epoch(state, batches)).all()
+        assert (state.skipped_batches, state.nonfinite_gradients) == (1, 0)
+        assert state.adam.t == len(batches) - 1 >= 1
+
     def test_epoch_with_every_batch_skipped_raises(self, tmp_path, monkeypatch):
         _nan_ctc_gradients(monkeypatch, first_n=10**9)
         out = tmp_path / "run"
@@ -190,7 +208,8 @@ class TestDegenerateBatches:
     def test_infeasible_utterance_refused_before_epoch_one(self, tmp_path):
         cfg = tiny_config(**self.INFEASIBLE)
         # The refusal names the split's first utterance that is too short.
-        batches = split_batches(cfg, cfg.train_utterances, TRAIN_SEED)
+        utts = synth_generate(cfg.task(), cfg.train_utterances, seed=TRAIN_SEED)
+        batches = make_batches(sorted_for_batching(utts), cfg.max_frames_per_batch)
         i, u = next((i, int(u)) for i, b in enumerate(batches)
                     for u in np.flatnonzero(b.features.lengths < b.labels.min_frames))
         n_frames, targets = batches[i].features.lengths[u], batches[i].labels
@@ -218,6 +237,23 @@ class TestDegenerateBatches:
         cfg.write_text(tiny_config_text(**self.INFEASIBLE))
         assert cli(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]) == 1
         assert capsys.readouterr().err.startswith("error: train batch ")
+
+    def test_eval_and_decode_refuse_an_infeasible_split(self, tmp_path, capsys):
+        # A model of the feasible task, scored on an infeasible task of its seed.
+        out = tmp_path / "run"
+        assert cli(["train", "--config", write_cfg(tmp_path), "--out-dir", str(out)]) == 0
+        short = tmp_path / "short.cfg"
+        short.write_text(tiny_config_text(**self.INFEASIBLE))
+        ckpt = str(out / "model.ckpt")
+        capsys.readouterr()
+        assert cli(["eval", "--ckpt", ckpt, "--config", str(short)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: dev batch ") and captured.out == ""
+        # At seed 3, decode's default, the first utterance drawn is too short.
+        assert cli(["decode", "--ckpt", ckpt, "--config", str(short), "--count", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: seed 3 batch 0, utterance 0: ")
+        assert captured.out == ""
 
 
 class TestCli:
