@@ -46,31 +46,21 @@ def check_problem(
 
 
 def resume(
-    model: Model, inputs: list[SequenceBatch], layer: int, values: dict[str, Tensor]
+    model: Model, inputs: list[SequenceBatch], modules, points: np.ndarray
 ) -> SequenceBatch:
     """Train-mode logits of R models at once, ``[R, B, T, V]``, run untaped
-    from the cached input of ``layer``.
+    from the cached input of the layer that reads ``modules``.
 
-    ``values`` gives every parameter of some modules (``module_of``) of
-    the layer (``Model.parameters``) ``[R, *shape]`` values
-    (``Model.replicas``); part of a module, or a module of another layer,
-    raises. The cached input enters as one replica, ``[1, B, T, p]``, and
-    broadcasts against R at the first stage that reads ``values``. Each
-    replica's logits are bit for bit those of ``stack_forward`` with its
-    values set.
+    Row r of ``points``, ``[R, N]``, holds model r's values of the N
+    parameters of ``modules`` (``module_of``), flattened in registry order
+    (``Model.replicas``). The cached input enters as one replica,
+    ``[1, B, T, p]``, and broadcasts against R at the first stage that
+    reads the modules. Each replica's logits are bit for bit those of
+    ``stack_forward`` with its values set.
     """
-    if not values:
-        raise ContractError(f"replicas must be whole modules of layer {layer}, got none")
-    params = model.parameters(layer)
-    for module in dict.fromkeys(map(module_of, values)):
-        given, whole = ({name for name in names if module_of(name) == module}
-                        for names in (values, params))
-        if given != whole:
-            raise ContractError(f"replicas must be whole modules of layer {layer}: module"
-                                f" {module} has {sorted(whole)}, got {sorted(given)}")
-    x = inputs[layer]
-    single = SequenceBatch._wrap(Tensor._wrap(x.features.data[None]), x.frames)
-    with model.replicas(values):
+    with model.replicas(modules, points) as layer:
+        x = inputs[layer]
+        single = SequenceBatch._wrap(Tensor._wrap(x.features.data[None]), x.frames)
         return project(run_layers(single, model, layer, "train"), model)
 
 
@@ -79,26 +69,20 @@ def layer_losses(
 ) -> np.ndarray:
     """The loss at each of ``central_points`` over the parameters of
     ``layer``, flattened in registry order, swept module by module
-    (``module_of``) in equal replica passes of about ``REPLICA_VALUES``
-    values each. A pass that returns other than one loss per point raises."""
+    (``module_of``): each chunk of a module's points, about
+    ``REPLICA_VALUES`` values, goes to ``resume`` as one ``[R, N]`` array.
+    A pass that returns other than one loss per point raises."""
     params = model.parameters(layer)
     losses = []
     for module in dict.fromkeys(map(module_of, params)):
-        swept = {name: t for name, t in params.items() if module_of(name) == module}
-        base = np.concatenate([t.data.ravel() for t in swept.values()])
+        base = np.concatenate([t.data.ravel() for name, t in params.items()
+                               if module_of(name) == module])
         total = 2 * base.size
         chunks = -(-total * base.size // REPLICA_VALUES)
         step = -(-total // chunks)
         for start in range(0, total, step):
             points = central_points(base, h, start, min(start + step, total))
-            values, offset = {}, 0
-            for name, t in swept.items():
-                # A column view of the points: each replica's value of the tensor.
-                values[name] = Tensor._wrap(
-                    points[:, offset : offset + t.size].reshape((-1,) + t.shape)
-                )
-                offset += t.size
-            losses.append(sequence_ctc_loss(resume(model, inputs, layer, values), targets).data)
+            losses.append(sequence_ctc_loss(resume(model, inputs, [module], points), targets).data)
             if losses[-1].shape != (len(points),):
                 raise ContractError(f"layer {layer}, module {module}: {losses[-1].shape}"
                                     f" losses for {len(points)} points")
@@ -122,17 +106,18 @@ def model_gradient_check(
     applies, and each layer's input; a non-finite loss returns ``inf``. The
     numeric side runs untaped, module by module (``layer_losses``): the 2N
     central-difference points (``central_points``) over the N parameters of
-    a module (``module_of``) become 2N models on a leading replica axis, in
-    equal passes, that ``resume`` from its layer's cached input; the
-    projection counts as the layer after the last. Stages that read no
-    swept parameter run once and broadcast. CTC returns one mean loss per
-    replica, and ``central_error`` compares their differences with the
-    layer's analytic gradients. No layer below reads a layer's parameters,
-    train-mode statistics are per batch, and each replica's products run as
-    their own 2-d products, so each loss is bitwise the one
-    ``stack_forward`` gives at that point.
-    Before each layer's sweep, a one-replica pass at the unperturbed values
-    is compared with the taped pass's logits, and any difference raises.
+    a module (``module_of``) are the rows of ``[R, N]`` arrays, in equal
+    passes, each of which ``resume`` runs as R models on a leading replica
+    axis from the layer's cached input; the projection counts as the layer
+    after the last. Stages that read no swept parameter run once and
+    broadcast. CTC returns one mean loss per replica, and ``central_error``
+    compares their differences with the layer's analytic gradients. No
+    layer below reads a layer's parameters, train-mode statistics are per
+    batch, and each replica's products run as their own 2-d products, so
+    each loss is bitwise the one ``stack_forward`` gives at that point.
+    Before each layer's sweep, one pass over all of the layer's modules,
+    their unperturbed values as one row, is compared with the taped pass's
+    logits, and any difference raises.
     At the default shape every length runs 3 such guards and 7 sweep
     passes, one a module, each checked for one loss per point.
 
@@ -166,9 +151,9 @@ def model_gradient_check(
             return float("inf")  # a non-finite loss fails every tolerance
         for layer in range(len(inputs)):
             params = model.parameters(layer)
-            same = {name: Tensor._wrap(t.data[None]) for name, t in params.items()}
-            if not np.array_equal(resume(model, inputs, layer, same).features.data[0],
-                                  logits.features.data):
+            same = np.concatenate([t.data.ravel() for t in params.values()])[None]
+            resumed = resume(model, inputs, set(map(module_of, params)), same)
+            if not np.array_equal(resumed.features.data[0], logits.features.data):
                 raise ContractError(f"resuming at layer {layer} disagrees with the taped pass")
             losses = layer_losses(model, inputs, layer, targets, STEP)
             grads = np.concatenate([analytic[name].ravel() for name in params])

@@ -413,31 +413,35 @@ class Model:
         setattr(obj, attr, value)
 
     @contextmanager
-    def replicas(self, values: dict[str, Tensor]):
-        """Within the block, each parameter named in ``values`` holds one value
-        per replica, ``[R, *shape]`` with one R for all; the single values
-        come back after. Stages that read none of them run on a unit replica
-        axis that broadcasts, so R > 1 must cover whole modules
-        (``module_of``). Only an untaped train-mode pass may read the model
-        in the block (``abn.gradcheck.resume``)."""
+    def replicas(self, modules, points: np.ndarray):
+        """Within the block, every parameter of ``modules`` (``module_of``
+        names, all read by one layer) holds one value per replica: row r of
+        ``points``, ``[R, N]`` over the modules' N values flattened in
+        registry order, split into read-only ``[R, *shape]`` views. Yields
+        the index of the layer that reads them (the projection's at the
+        number of layers); every parameter comes back on exit. Stages that
+        read none of them run on a unit replica axis that broadcasts. Only
+        an untaped train-mode pass may read the model in the block
+        (``abn.gradcheck.resume``)."""
         params = self.parameters()
-        counts = {t.shape[0] for t in values.values()}
-        if len(counts) > 1:
-            raise ShapeError(f"replicas must share one count R, got {sorted(counts)}")
-        for name, t in values.items():
-            if name not in params:
-                raise ContractError(f"no parameter named {name!r}")
-            if t.shape[1:] != params[name].shape:
-                raise ShapeError(
-                    f"replicas of {name} must be [R, *{list(params[name].shape)}], got {t.shape}"
-                )
-        for name, t in values.items():
+        names = [name for name in params if module_of(name) in modules]
+        unknown = set(modules) - set(map(module_of, names))
+        if unknown:
+            raise ContractError(f"no parameters in module(s) {sorted(unknown)}")
+        layers = {self._registry[name][2] for name in names}
+        if len(layers) != 1:
+            raise ContractError(f"replicas must be modules of one layer, got {list(modules)}")
+        sizes = [params[name].size for name in names]
+        if points.ndim != 2 or points.shape[1] != sum(sizes):
+            raise ShapeError(f"points must be [R, {sum(sizes)}], got {points.shape}")
+        columns = np.split(points, np.cumsum(sizes)[:-1], axis=1)
+        for name, column in zip(names, columns):
             obj, attr, _ = self._registry[name]
-            setattr(obj, attr, t)
+            setattr(obj, attr, Tensor._wrap(column.reshape((-1,) + params[name].shape)))
         try:
-            yield
+            yield layers.pop()
         finally:
-            for name in values:
+            for name in names:
                 obj, attr, _ = self._registry[name]
                 setattr(obj, attr, params[name])
 

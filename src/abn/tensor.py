@@ -20,7 +20,6 @@ tolerances and speed is secondary.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable
 
 import numpy as np
 
@@ -310,19 +309,3 @@ def central_error(losses: np.ndarray, analytic: np.ndarray, h: float) -> float:
     err = np.abs(analytic - numeric) / (np.abs(analytic) + 1e-8)
     return float("inf") if np.isnan(err).any() else float(np.max(err))
 
-
-def finite_diff_check(f: Callable[[Tensor], Tensor], theta: Tensor, h: float = 1e-5) -> float:
-    """Max relative error (``central_error``) between the taped gradient of
-    ``f`` at ``theta`` and central finite differences, ``f`` evaluated at
-    each of ``central_points`` in turn."""
-    tape = GradTape()
-    with recording(tape):
-        out = f(theta)
-    if not isinstance(out, Tensor) or out.size != 1:
-        raise ContractError("finite_diff_check needs f to return a scalar Tensor")
-    analytic = backward(tape, out).wrt(theta)
-    losses = [
-        float(f(Tensor._wrap(central_points(theta.data, h, k, k + 1)[0])).item())
-        for k in range(2 * theta.size)
-    ]
-    return central_error(np.array(losses), analytic, h)

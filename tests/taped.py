@@ -9,7 +9,8 @@ each primitive against central finite differences; ``dropout`` is a ``mul``
 by factors drawn with ``abn.tensor.dropout_scale``. ``standardize`` and
 ``masked_affine`` are the two halves of the normalizer node
 (``abn.generators.abn_forward``) as one node each, over the program's own
-numpy cores.
+numpy cores. ``finite_diff_check`` checks any taped function of one
+tensor against central finite differences.
 
 The primitives record on the active tape of ``abn.tensor`` (one node each,
 but ``affine`` and ``tmean`` are two) and run eagerly on float64 arrays;
@@ -19,23 +20,28 @@ scalars and arrays are accepted wherever a ``Tensor`` is.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import expit
 
 from abn.data import SequenceBatch
-from abn.errors import DomainError, ShapeError
+from abn.errors import ContractError, DomainError, ShapeError
 from abn.normalization import masked_affine_array, masked_affine_vjp, standardize_batch
 from abn.tensor import (
+    GradTape,
     Tensor,
     _unbroadcast,
+    backward,
+    central_error,
+    central_points,
     dropout_scale,
     linear_array,
     linear_vjp,
     masked_softmax_array,
     masked_softmax_vjp,
     record_op,
+    recording,
 )
 
 
@@ -275,3 +281,20 @@ def masked_affine(xhat, gamma, beta, batch: SequenceBatch) -> SequenceBatch:
 
     record_op(out, (xhat, gamma, beta), vjp)
     return SequenceBatch._wrap(out, batch.frames)
+
+
+def finite_diff_check(f: Callable[[Tensor], Tensor], theta: Tensor, h: float = 1e-5) -> float:
+    """Max relative error (``central_error``) between the taped gradient of
+    ``f`` at ``theta`` and central finite differences, ``f`` evaluated at
+    each of ``central_points`` in turn."""
+    tape = GradTape()
+    with recording(tape):
+        out = f(theta)
+    if not isinstance(out, Tensor) or out.size != 1:
+        raise ContractError("finite_diff_check needs f to return a scalar Tensor")
+    analytic = backward(tape, out).wrt(theta)
+    losses = [
+        float(f(Tensor._wrap(central_points(theta.data, h, k, k + 1)[0])).item())
+        for k in range(2 * theta.size)
+    ]
+    return central_error(np.array(losses), analytic, h)

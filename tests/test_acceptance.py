@@ -33,10 +33,11 @@ from abn.generators import (
 from abn.gradcheck import model_gradient_check
 from abn.normalization import BatchNormState, standardize_batch
 from abn.optim import lr_schedule
-from abn.tensor import Tensor, finite_diff_check
+from abn.tensor import Tensor
 from abn.train import run_training
 
 import taped
+from taped import finite_diff_check
 
 DESK_CONFIG = "configs/desk.cfg"
 

@@ -19,7 +19,9 @@ from abn.ctc import (
     sequence_ctc_loss,
 )
 from abn.data import Frames, SequenceBatch
-from abn.tensor import GradTape, Tensor, backward, finite_diff_check, recording
+from abn.tensor import GradTape, Tensor, backward, recording
+
+from taped import finite_diff_check
 
 
 def min_frames(labels: LabelSequence) -> int:

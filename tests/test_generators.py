@@ -29,9 +29,10 @@ from abn.generators import (
 from abn.normalization import BatchNormState, standardize_batch
 from abn.recurrent import Model, stack_forward
 from abn.synth import sorted_for_batching, synth_generate
-from abn.tensor import GradTape, Tensor, backward, finite_diff_check, recording
+from abn.tensor import GradTape, Tensor, backward, recording
 
 import taped
+from taped import finite_diff_check
 
 
 def zero_frame_gen(p=4, d_e=2):

@@ -11,7 +11,7 @@ from abn.ctc import CtcTargets, LabelSequence, sequence_ctc_loss
 from abn.data import SequenceBatch
 from abn.generators import VARIANTS
 from abn.gradcheck import model_gradient_check
-from abn.recurrent import Model, ModelConfig, stack_forward
+from abn.recurrent import Model, ModelConfig, module_of, stack_forward
 from abn.tensor import Tensor, central_points
 
 HIDDEN, FEATURES = 4, 6  # model_gradient_check's default shape
@@ -31,10 +31,24 @@ def _problem(variants, seed):
     return model, batch, targets, inputs
 
 
-def _copies(model, layer, count):
-    """``count`` unperturbed replicas of every parameter of ``layer``."""
-    return {name: Tensor(np.stack([t.data] * count))
-            for name, t in model.parameters(layer).items()}
+def _modules(model, layer):
+    """The modules of ``layer``, in registry order."""
+    return list(dict.fromkeys(map(module_of, model.parameters(layer))))
+
+
+def _flat(model, modules):
+    """The values of the parameters of ``modules``, flattened in registry order."""
+    return np.concatenate([t.data.ravel() for name, t in model.parameters().items()
+                           if module_of(name) in modules])
+
+
+def _set_row(model, names, row):
+    """Set the parameters ``names`` to the consecutive slices of ``row``."""
+    offset = 0
+    for name in names:
+        t = model.parameters()[name]
+        model.set_parameter(name, Tensor(row[offset : offset + t.size].reshape(t.shape)))
+        offset += t.size
 
 
 STACKS = pytest.mark.parametrize(
@@ -46,26 +60,24 @@ STACKS = pytest.mark.parametrize(
 class TestLayers:
     @STACKS
     def test_resume_matches_full_stack_bitwise(self, variants):
-        # One replica with a coordinate of every tensor of the layer bumped
-        # at once: a point that no central-difference sweep visits.
+        # Three random rows, points that no central-difference sweep visits,
+        # over one module of each layer and over all of the layer's modules.
         model, batch, _, inputs = _problem(variants, seed=61)
         rng = np.random.default_rng(62)
+        params = model.parameters()
         for layer in range(len(inputs)):
-            params = model.parameters(layer)
-            bumped = {}
-            for name, t in params.items():
-                value = t.data.copy()
-                value.flat[rng.integers(t.size)] += 1e-4
-                bumped[name] = Tensor(value)
-            resumed = gradcheck.resume(
-                model, inputs, layer, {name: Tensor(t.data[None]) for name, t in bumped.items()}
-            )
-            for name, t in bumped.items():
-                model.set_parameter(name, t)
-            full = stack_forward(batch, model, "train")
-            for name, t in params.items():
-                model.set_parameter(name, t)
-            assert np.array_equal(resumed.features.data[0], full.features.data), layer
+            modules = _modules(model, layer)
+            for swept in ([modules[rng.integers(len(modules))]], modules):
+                names = [name for name in params if module_of(name) in swept]
+                base = _flat(model, swept)
+                points = base + rng.normal(scale=0.1, size=(3, base.size))
+                resumed = gradcheck.resume(model, inputs, swept, points)
+                assert resumed.features.shape[0] == 3, swept
+                for row, logits in zip(points, resumed.features.data):
+                    _set_row(model, names, row)
+                    full = stack_forward(batch, model, "train")
+                    assert np.array_equal(logits, full.features.data), swept
+                _set_row(model, names, base)
 
     def test_layer_parameters_partition_all_in_order(self):
         model = _problem(["abn-f", "abn-u", "bn"], seed=63)[0]
@@ -78,14 +90,16 @@ class TestLayers:
         assert model.parameters(4) == {}
 
     def test_unknown_name_or_layer_raises(self):
-        model, _, _, inputs = _problem("bn", seed=64)
-        w_x = model.parameters()["layer1.fwd.w_x"]
-        with pytest.raises(errors.ContractError, match="layer9"):
-            with model.replicas({"layer9.fwd.w_x": Tensor(w_x.data[None])}):
-                pass
-        with pytest.raises(errors.ContractError, match="layer 3"):
-            gradcheck.resume(model, inputs, 3, {})
-        assert model.parameters()["layer1.fwd.w_x"] is w_x
+        # An unknown module, and layer 0's bn under abn-f, which holds only
+        # running statistics: each refused beside a module that is known.
+        model, _, _, inputs = _problem("abn-f", seed=64)
+        params, stats = model.parameters(), model.running_stats()
+        points = _flat(model, ["layer0.fwd"])[None]
+        for module in ("layer9.fwd", "layer0.bn"):
+            with pytest.raises(errors.ContractError, match=f"no parameters in .*'{module}'"):
+                gradcheck.resume(model, inputs, [module, "layer0.fwd"], points)
+        assert all(t is params[k] for k, t in model.parameters().items())
+        assert all(t is stats[k] for k, t in model.running_stats().items())
 
     def test_disagreeing_resume_raises(self, monkeypatch):
         # Each layer after the first resumes from the next one's input, whose
@@ -107,19 +121,15 @@ class TestReplicaPass:
         model, batch, targets, inputs = _problem(variants, seed=65)
         h = 1e-4
         for layer in range(len(inputs)):
-            params = model.parameters(layer)
+            names = list(model.parameters(layer))
             losses = gradcheck.layer_losses(model, inputs, layer, targets, h)
-            flat = np.concatenate([t.data.ravel() for t in params.values()])
+            flat = _flat(model, _modules(model, layer))
             expected = []
             for point in central_points(flat, h):
-                offset = 0
-                for name, t in params.items():
-                    model.set_parameter(name, Tensor(point[offset : offset + t.size].reshape(t.shape)))
-                    offset += t.size
+                _set_row(model, names, point)
                 logits = stack_forward(batch, model, "train")
                 expected.append(sequence_ctc_loss(logits, targets).item())
-            for name, t in params.items():
-                model.set_parameter(name, t)
+            _set_row(model, names, flat)
             assert np.array_equal(losses, expected), layer
 
     @pytest.mark.parametrize("t_max", [1, 2, 5, 7])
@@ -129,7 +139,9 @@ class TestReplicaPass:
         _, taped, inputs, _ = train.loss_and_gradients(model, batch, targets)
         stats, params = model.running_stats(), model.parameters()
         for layer in range(len(inputs)):
-            logits = gradcheck.resume(model, inputs, layer, _copies(model, layer, 3))
+            modules = _modules(model, layer)
+            same = np.tile(_flat(model, modules), (3, 1))
+            logits = gradcheck.resume(model, inputs, modules, same)
             assert logits.features.shape == (3,) + taped.features.shape, layer
             for replica in logits.features.data:
                 assert np.array_equal(replica, taped.features.data), layer
@@ -185,23 +197,16 @@ class TestReplicaPass:
             ], swept
 
     def test_misplaced_replicas_raise(self):
+        # Modules of two layers, then points that are not [R, N].
         model, _, _, inputs = _problem("bn", seed=67)
         before = model.parameters()
-        stray = _copies(model, 0, 1) | {"layer1.fwd.w_x": Tensor(before["layer1.fwd.w_x"].data[None])}
-        with pytest.raises(errors.ContractError, match="layer 0"):
-            gradcheck.resume(model, inputs, 0, stray)
-        with pytest.raises(errors.ContractError, match="layer 1"):
-            gradcheck.resume(model, inputs, 1, _copies(model, 0, 1))
-        wrong = _copies(model, 1, 2) | {"layer1.fwd.w_x": Tensor(np.zeros((2, 8, 16)))}
-        with pytest.raises(errors.ShapeError, match="replicas of layer1.fwd.w_x"):
-            gradcheck.resume(model, inputs, 1, wrong)
-        uneven = _copies(model, 1, 2) | {"layer1.fwd.b": _copies(model, 1, 3)["layer1.fwd.b"]}
-        with pytest.raises(errors.ShapeError, match="one count R"):
-            gradcheck.resume(model, inputs, 1, uneven)
-        # Part of a module: R values of the bias alone, the rest of layer0.fwd single.
-        partial = {"layer0.fwd.b": _copies(model, 0, 3)["layer0.fwd.b"]}
-        with pytest.raises(errors.ContractError, match="layer 0: module layer0.fwd"):
-            gradcheck.resume(model, inputs, 0, partial)
+        for two in (["layer0.fwd", "layer1.fwd"], ["layer1.bwd", "out"]):
+            with pytest.raises(errors.ContractError, match="modules of one layer"):
+                gradcheck.resume(model, inputs, two, _flat(model, two)[None])
+        flat = _flat(model, ["layer1.fwd"])
+        for points in (flat, np.tile(flat, (2, 2)), flat[None, :-1]):
+            with pytest.raises(errors.ShapeError, match=rf"must be \[R, {flat.size}\]"):
+                gradcheck.resume(model, inputs, ["layer1.fwd"], points)
         assert all(t is before[k] for k, t in model.parameters().items())
 
 
@@ -291,9 +296,7 @@ def _reads_next_replica(monkeypatch):
     original = Model.replicas
     monkeypatch.setattr(
         Model, "replicas",
-        lambda self, values: original(
-            self, {name: Tensor(np.roll(t.data, -1, axis=0)) for name, t in values.items()}
-        ),
+        lambda self, modules, points: original(self, modules, np.roll(points, -1, axis=0)),
     )
 
 

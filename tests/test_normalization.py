@@ -8,9 +8,10 @@ from abn import tensor as tc
 from abn.data import SequenceBatch
 from abn.generators import LearnedScaleShift, abn_forward
 from abn.normalization import BatchNormState, standardize_batch
-from abn.tensor import GradTape, Tensor, backward, finite_diff_check, recording
+from abn.tensor import GradTape, Tensor, backward, recording
 
 import taped
+from taped import finite_diff_check
 
 
 def batch_of(features, lengths):

@@ -19,9 +19,10 @@ from abn.recurrent import (
     run_direction,
     stack_forward,
 )
-from abn.tensor import GradTape, Tensor, backward, finite_diff_check, recording
+from abn.tensor import GradTape, Tensor, backward, recording
 
 import taped
+from taped import finite_diff_check
 
 
 class LstmState:
@@ -701,7 +702,7 @@ class TestLiveRows:
         feats = Tensor(rng.normal(size=(r_x, b, t_max, p)))
         batch = SequenceBatch._wrap(feats, Frames(np.array(lengths), t_max))
         params = zero_params(n, p)
-        for name in LstmLayerParams.__slots__:  # as ``Model.replicas`` swaps them in
+        for name in LstmLayerParams.__slots__:  # [R, *shape], as ``Model.replicas`` sets them
             setattr(params, name, Tensor(rng.normal(size=(r_p,) + getattr(params, name).shape)))
         for reverse in (False, True):
             out, none = run_direction(batch, params, reverse)

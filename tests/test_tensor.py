@@ -12,11 +12,11 @@ from abn.tensor import (
     Tensor,
     backward,
     central_points,
-    finite_diff_check,
     recording,
 )
 
 import taped
+from taped import finite_diff_check
 
 
 class TestTensorBasics:
