@@ -8,13 +8,8 @@ from .ctc import CtcTargets, LabelSequence, sequence_ctc_loss
 from .data import SequenceBatch
 from .errors import ContractError
 from .recurrent import Model, ModelConfig, module_of, project, run_layers
-from .tensor import Tensor, central_error, central_points
+from .tensor import Tensor
 from .train import loss_and_gradients
-
-# At most about this many parameter values per replica pass (R times the
-# size of a module's parameters): a module splits its 2N points into equal
-# chunks, so that the replicated parameters and the activations stay small.
-REPLICA_VALUES = 1 << 17
 
 DEFAULT_T_VALUES = (1, 2, 5, 7)
 VOCAB = 3  # a blank and two tokens
@@ -45,48 +40,53 @@ def check_problem(
     return model, batch, CtcTargets([_labels_for(l) for l in lengths])
 
 
+def central_points(theta: np.ndarray, h: float) -> np.ndarray:
+    """The 2N points of a central-difference sweep over the N values of
+    ``theta``, stacked ``[2N, *theta.shape]``.
+
+    Point ``2i`` raises coordinate ``i`` (row-major) by ``h`` and point
+    ``2i + 1`` lowers it by ``h``. Each point is built from the unperturbed
+    ``theta``, so it is exactly ``x + h`` or ``x - h`` in its coordinate and
+    ``theta`` everywhere else.
+    """
+    flat = theta.ravel()
+    k = np.arange(2 * flat.size)
+    coord = k // 2
+    points = np.repeat(flat[None], k.size, axis=0)
+    points[k, coord] = flat[coord] + np.where(k % 2 == 0, h, -h)
+    return points.reshape((k.size,) + theta.shape)
+
+
+def central_errors(losses: np.ndarray, analytic: np.ndarray, h: float) -> np.ndarray:
+    """The relative error of each coordinate of ``analytic`` against the
+    central difference of ``losses``, the loss at each of ``central_points``:
+    ``|analytic - numeric| / (|analytic| + 1e-8)``. An error that is not a
+    number reads ``inf``, so that a NaN fails every tolerance and every
+    ``max`` over errors.
+    """
+    numeric = (losses[0::2] - losses[1::2]) / (2.0 * h)
+    analytic = analytic.ravel()
+    err = np.abs(analytic - numeric) / (np.abs(analytic) + 1e-8)
+    return np.where(np.isnan(err), np.inf, err)
+
+
 def resume(
-    model: Model, inputs: list[SequenceBatch], modules, points: np.ndarray
+    model: Model, inputs: list[SequenceBatch], module: str, points: np.ndarray
 ) -> SequenceBatch:
     """Train-mode logits of R models at once, ``[R, B, T, V]``, run untaped
-    from the cached input of the layer that reads ``modules``.
+    from the cached input of the layer that reads ``module``.
 
     Row r of ``points``, ``[R, N]``, holds model r's values of the N
-    parameters of ``modules`` (``module_of``), flattened in registry order
+    parameters of ``module`` (``module_of``), flattened in registry order
     (``Model.replicas``). The cached input enters as one replica,
     ``[1, B, T, p]``, and broadcasts against R at the first stage that
-    reads the modules. Each replica's logits are bit for bit those of
+    reads the module. Each replica's logits are bit for bit those of
     ``stack_forward`` with its values set.
     """
-    with model.replicas(modules, points) as layer:
+    with model.replicas(module, points) as layer:
         x = inputs[layer]
         single = SequenceBatch._wrap(Tensor._wrap(x.features.data[None]), x.frames)
         return project(run_layers(single, model, layer, "train"), model)
-
-
-def layer_losses(
-    model: Model, inputs: list[SequenceBatch], layer: int, targets: CtcTargets, h: float
-) -> np.ndarray:
-    """The loss at each of ``central_points`` over the parameters of
-    ``layer``, flattened in registry order, swept module by module
-    (``module_of``): each chunk of a module's points, about
-    ``REPLICA_VALUES`` values, goes to ``resume`` as one ``[R, N]`` array.
-    A pass that returns other than one loss per point raises."""
-    params = model.parameters(layer)
-    losses = []
-    for module in dict.fromkeys(map(module_of, params)):
-        base = np.concatenate([t.data.ravel() for name, t in params.items()
-                               if module_of(name) == module])
-        total = 2 * base.size
-        chunks = -(-total * base.size // REPLICA_VALUES)
-        step = -(-total // chunks)
-        for start in range(0, total, step):
-            points = central_points(base, h, start, min(start + step, total))
-            losses.append(sequence_ctc_loss(resume(model, inputs, [module], points), targets).data)
-            if losses[-1].shape != (len(points),):
-                raise ContractError(f"layer {layer}, module {module}: {losses[-1].shape}"
-                                    f" losses for {len(points)} points")
-    return np.concatenate(losses)
 
 
 def model_gradient_check(
@@ -104,22 +104,21 @@ def model_gradient_check(
     Per length, the taped pass that training runs, ``loss_and_gradients``,
     gives every parameter's analytic gradient, the gradients that Adam
     applies, and each layer's input; a non-finite loss returns ``inf``. The
-    numeric side runs untaped, module by module (``layer_losses``): the 2N
-    central-difference points (``central_points``) over the N parameters of
-    a module (``module_of``) are the rows of ``[R, N]`` arrays, in equal
-    passes, each of which ``resume`` runs as R models on a leading replica
-    axis from the layer's cached input; the projection counts as the layer
-    after the last. Stages that read no swept parameter run once and
-    broadcast. CTC returns one mean loss per replica, and ``central_error``
-    compares their differences with the layer's analytic gradients. No
-    layer below reads a layer's parameters, train-mode statistics are per
-    batch, and each replica's products run as their own 2-d products, so
-    each loss is bitwise the one ``stack_forward`` gives at that point.
-    Before each layer's sweep, one pass over all of the layer's modules,
-    their unperturbed values as one row, is compared with the taped pass's
-    logits, and any difference raises.
-    At the default shape every length runs 3 such guards and 7 sweep
-    passes, one a module, each checked for one loss per point.
+    numeric side runs untaped, one pass per module (``module_of``), in
+    registry order. A pass's rows are the module's N flat values, unperturbed
+    as row 0 and then its 2N ``central_points``; ``resume`` runs them as R =
+    2N + 1 models on a leading replica axis from the cached input of the
+    layer that reads the module, the projection counting as the layer after
+    the last. Stages that read no swept parameter run once and broadcast.
+    Row 0's logits must equal the taped pass's bit for bit, so every pass
+    that gives a numeric gradient is guarded by its own unperturbed row, and
+    CTC must return one mean loss per row; either failure raises, naming the
+    module. ``central_errors`` compares the differences of rows 1 on with
+    the module's analytic gradients. No layer below reads a layer's
+    parameters, train-mode statistics are per batch, and each replica's
+    products run as their own 2-d products, so each loss is bitwise the one
+    ``stack_forward`` gives at that point. At the default shape every length
+    runs 7 passes.
 
     ``check_problem`` builds fresh models, whose ``w_gamma``, ``w_beta`` and
     ``w_co`` are zero. So ``w_embed``, ``b_embed``, ``w_key``, ``w_query`` and
@@ -149,13 +148,19 @@ def model_gradient_check(
         _, logits, inputs, analytic = loss_and_gradients(model, batch, targets)
         if analytic is None:
             return float("inf")  # a non-finite loss fails every tolerance
-        for layer in range(len(inputs)):
-            params = model.parameters(layer)
-            same = np.concatenate([t.data.ravel() for t in params.values()])[None]
-            resumed = resume(model, inputs, set(map(module_of, params)), same)
+        params = model.parameters()
+        for module in dict.fromkeys(map(module_of, params)):
+            names = [name for name in params if module_of(name) == module]
+            base = np.concatenate([params[name].data.ravel() for name in names])
+            points = np.concatenate([base[None], central_points(base, STEP)])
+            resumed = resume(model, inputs, module, points)
             if not np.array_equal(resumed.features.data[0], logits.features.data):
-                raise ContractError(f"resuming at layer {layer} disagrees with the taped pass")
-            losses = layer_losses(model, inputs, layer, targets, STEP)
-            grads = np.concatenate([analytic[name].ravel() for name in params])
-            worst = max(worst, central_error(losses, grads, STEP))
-    return worst
+                raise ContractError(f"module {module}: the unperturbed row disagrees"
+                                    " with the taped pass")
+            losses = sequence_ctc_loss(resumed, targets).data
+            if losses.shape != (len(points),):
+                raise ContractError(f"module {module}: {losses.shape} losses for"
+                                    f" {len(points)} rows")
+            grads = np.concatenate([analytic[name].ravel() for name in names])
+            worst = max(worst, central_errors(losses[1:], grads, STEP).max())
+    return float(worst)

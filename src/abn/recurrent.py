@@ -389,11 +389,10 @@ class Model:
         reg["out.b"] = (self.out, "b", len(self.layers))
         return reg
 
-    def parameters(self, layer: int | None = None) -> dict[str, Tensor]:
-        """Trainable tensors by name, in stable order: all of them, or those
-        read by layer ``layer`` (the projection's at the number of layers)."""
-        return {name: getattr(obj, attr) for name, (obj, attr, l) in self._registry.items()
-                if l is not None and layer in (None, l)}
+    def parameters(self) -> dict[str, Tensor]:
+        """Trainable tensors by name, in stable order."""
+        return {name: getattr(obj, attr)
+                for name, (obj, attr, l) in self._registry.items() if l is not None}
 
     def running_stats(self) -> dict[str, Tensor]:
         """Non-trainable normalizer state by name, in stable order."""
@@ -413,24 +412,19 @@ class Model:
         setattr(obj, attr, value)
 
     @contextmanager
-    def replicas(self, modules, points: np.ndarray):
-        """Within the block, every parameter of ``modules`` (``module_of``
-        names, all read by one layer) holds one value per replica: row r of
-        ``points``, ``[R, N]`` over the modules' N values flattened in
-        registry order, split into read-only ``[R, *shape]`` views. Yields
-        the index of the layer that reads them (the projection's at the
-        number of layers); every parameter comes back on exit. Stages that
-        read none of them run on a unit replica axis that broadcasts. Only
-        an untaped train-mode pass may read the model in the block
-        (``abn.gradcheck.resume``)."""
+    def replicas(self, module: str, points: np.ndarray):
+        """Within the block, every parameter of ``module`` (a ``module_of``
+        name) holds one value per replica: row r of ``points``, ``[R, N]``
+        over the module's N values flattened in registry order, split into
+        read-only ``[R, *shape]`` views. Yields the index of the layer that
+        reads the module (the projection's at the number of layers); every
+        parameter comes back on exit. Stages that read none of it run on a
+        unit replica axis that broadcasts. Only an untaped train-mode pass
+        may read the model in the block (``abn.gradcheck.resume``)."""
         params = self.parameters()
-        names = [name for name in params if module_of(name) in modules]
-        unknown = set(modules) - set(map(module_of, names))
-        if unknown:
-            raise ContractError(f"no parameters in module(s) {sorted(unknown)}")
-        layers = {self._registry[name][2] for name in names}
-        if len(layers) != 1:
-            raise ContractError(f"replicas must be modules of one layer, got {list(modules)}")
+        names = [name for name in params if module_of(name) == module]
+        if not names:
+            raise ContractError(f"no parameters in module {module!r}")
         sizes = [params[name].size for name in names]
         if points.ndim != 2 or points.shape[1] != sum(sizes):
             raise ShapeError(f"points must be [R, {sum(sizes)}], got {points.shape}")
@@ -439,7 +433,7 @@ class Model:
             obj, attr, _ = self._registry[name]
             setattr(obj, attr, Tensor._wrap(column.reshape((-1,) + params[name].shape)))
         try:
-            yield layers.pop()
+            yield self._registry[names[0]][2]
         finally:
             for name in names:
                 obj, attr, _ = self._registry[name]

@@ -276,36 +276,3 @@ def backward(tape: GradTape, loss: Tensor) -> Gradients:
             prior = table.get(inp)
             table[inp] = part if prior is None else prior + part
     return Gradients(table)
-
-
-def central_points(theta: np.ndarray, h: float, start: int = 0, stop: int | None = None):
-    """Points ``start:stop`` of a central-difference sweep over ``theta``,
-    stacked ``[stop - start, *theta.shape]``.
-
-    Point ``2i`` raises coordinate ``i`` (row-major) by ``h`` and point
-    ``2i + 1`` lowers it by ``h``. Each point is built from the unperturbed
-    ``theta``, so it is exactly ``x + h`` or ``x - h`` in its coordinate and
-    ``theta`` everywhere else.
-    """
-    flat = theta.ravel()
-    k = np.arange(start, 2 * flat.size if stop is None else stop)
-    coord = k // 2
-    points = np.repeat(flat[None], k.size, axis=0)
-    points[np.arange(k.size), coord] = flat[coord] + np.where(k % 2 == 0, h, -h)
-    return points.reshape((k.size,) + theta.shape)
-
-
-def central_error(losses: np.ndarray, analytic: np.ndarray, h: float) -> float:
-    """Max relative error between ``analytic`` and the central differences
-    of ``losses``, the loss at each of ``central_points``.
-
-    Relative error per coordinate is ``|analytic - numeric| / (|analytic| +
-    1e-8)``; the maximum over coordinates is returned, and ``inf`` if any
-    coordinate's error is not a number, so that a NaN fails every
-    tolerance and every ``max`` over errors.
-    """
-    numeric = (losses[0::2] - losses[1::2]) / (2.0 * h)
-    analytic = analytic.ravel()
-    err = np.abs(analytic - numeric) / (np.abs(analytic) + 1e-8)
-    return float("inf") if np.isnan(err).any() else float(np.max(err))
-

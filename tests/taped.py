@@ -27,14 +27,13 @@ from scipy.special import expit
 
 from abn.data import SequenceBatch
 from abn.errors import ContractError, DomainError, ShapeError
+from abn.gradcheck import central_errors, central_points
 from abn.normalization import masked_affine_array, masked_affine_vjp, standardize_batch
 from abn.tensor import (
     GradTape,
     Tensor,
     _unbroadcast,
     backward,
-    central_error,
-    central_points,
     dropout_scale,
     linear_array,
     linear_vjp,
@@ -284,7 +283,7 @@ def masked_affine(xhat, gamma, beta, batch: SequenceBatch) -> SequenceBatch:
 
 
 def finite_diff_check(f: Callable[[Tensor], Tensor], theta: Tensor, h: float = 1e-5) -> float:
-    """Max relative error (``central_error``) between the taped gradient of
+    """Max relative error (``central_errors``) between the taped gradient of
     ``f`` at ``theta`` and central finite differences, ``f`` evaluated at
     each of ``central_points`` in turn."""
     tape = GradTape()
@@ -293,8 +292,5 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], theta: Tensor, h: float = 1
     if not isinstance(out, Tensor) or out.size != 1:
         raise ContractError("finite_diff_check needs f to return a scalar Tensor")
     analytic = backward(tape, out).wrt(theta)
-    losses = [
-        float(f(Tensor._wrap(central_points(theta.data, h, k, k + 1)[0])).item())
-        for k in range(2 * theta.size)
-    ]
-    return central_error(np.array(losses), analytic, h)
+    losses = [float(f(Tensor._wrap(point)).item()) for point in central_points(theta.data, h)]
+    return float(central_errors(np.array(losses), analytic, h).max())

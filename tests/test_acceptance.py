@@ -152,6 +152,37 @@ def _op_gradient_cases():
     ]
 
 
+# repr of model_gradient_check(variant, seed=seed, t_values=(t,)) at T = 1,
+# 2, 5 and 7, per (variant, seed): the check's worst relative error at each
+# length, as its default problem and step give it.
+PINNED_WORST_ERRORS = {
+    ("bn", 0): ("8.101403179237122e-05", "1.3184792726320623e-06",
+                "1.7657845961488306e-06", "3.993948721648032e-05"),
+    ("bn", 1): ("2.6621984866132066e-05", "4.862976566049416e-06",
+                "1.1986062568962528e-06", "1.319667554267698e-06"),
+    ("bn", 2): ("1.6701552968859092e-05", "1.2010481956478731e-05",
+                "1.9603362771404015e-06", "7.09948887017378e-06"),
+    ("bn", 3): ("0.0001530343337589471", "1.8086159419273779e-06",
+                "8.759975141999925e-07", "2.647841327204666e-07"),
+    ("abn-f", 0): ("3.5935309054667293e-06", "2.4650257485810372e-05",
+                   "2.3351046971182656e-06", "4.1873176189588316e-07"),
+    ("abn-f", 1): ("7.41004569845305e-05", "1.618676765593298e-05",
+                   "1.201604282933416e-06", "4.597405119381763e-06"),
+    ("abn-f", 2): ("1.0252717058097057e-05", "1.1409018143179798e-05",
+                   "6.135085174491597e-06", "9.985728013365342e-07"),
+    ("abn-f", 3): ("0.00010031887951123387", "1.7539415352365709e-06",
+                   "3.958527189420695e-06", "8.402536124073209e-07"),
+    ("abn-u", 0): ("1.3892260419909927e-05", "5.1924560907007245e-06",
+                   "5.385088390263468e-07", "1.5697214006361714e-06"),
+    ("abn-u", 1): ("1.6941954981935645e-05", "4.8083505103481016e-06",
+                   "1.698130526044354e-06", "2.966381040877417e-06"),
+    ("abn-u", 2): ("4.72124395125286e-05", "3.775416369509881e-05",
+                   "1.945960997521164e-06", "4.4169586124282645e-06"),
+    ("abn-u", 3): ("0.001214808042189608", "0.00015011997712182404",
+                   "7.2429628890793554e-06", "7.627438454680833e-07"),
+}
+
+
 class TestGradientSuite:
     def test_gradients(self):
         t0 = time.monotonic()
@@ -170,6 +201,37 @@ class TestGradientSuite:
             f"ops worst {worst_op:.2e} ({worst_op_name}); "
             + "; ".join(f"{v} {e:.2e}" for v, e in results.items())
             + f"; tol 1e-4; {elapsed:.1f}s (limit 60s)",
+        )
+
+    def test_worst_errors_match_pinned(self):
+        """The model check's worst error at each variant, seed 0-3 and
+        length is ``PINNED_WORST_ERRORS``, bit for bit, so a change to the
+        check or to any gradient it compares fails here. A deliberate change,
+        such as drawing the generator heads, updates the constants and logs
+        both values in CHANGES.md.
+
+        As with ``PINNED_SHA256``, the values hold for numpy 2.4.6 and scipy
+        1.17.1 with OpenBLAS on one thread. Another numpy, scipy or BLAS may
+        round differently and fail this test with the program unchanged. The
+        48 checks took 1.0-1.5 s on a 2-core x86 machine; the limit leaves
+        about 7 times the slowest.
+        """
+        t0 = time.monotonic()
+        wrong = []
+        for (variant, seed), pinned in PINNED_WORST_ERRORS.items():
+            for t, want in zip((1, 2, 5, 7), pinned):
+                got = repr(model_gradient_check(variant, seed=seed, t_values=(t,)))
+                if got != want:
+                    wrong.append(f"{variant} seed {seed} T={t}: {got}, pinned {want}")
+        elapsed = time.monotonic() - t0
+        assert _verdict(
+            not wrong and elapsed < 10.0,
+            "pinned worst errors",
+            f"{len(wrong)} of {4 * len(PINNED_WORST_ERRORS)} differ from PINNED_WORST_ERRORS"
+            + "".join(f"; {w}" for w in wrong)
+            + (" (a deliberate change updates the constants and logs both values"
+               " in CHANGES.md)" if wrong else "")
+            + f"; {elapsed:.1f}s (limit 10s)",
         )
 
 

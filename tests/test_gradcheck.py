@@ -1,6 +1,6 @@
-"""The module-granular model gradient check: cached layer inputs, replica
-passes over each module of a layer, the one-pass analytic gradient and
-injected faults."""
+"""The module-granular model gradient check: cached layer inputs, one
+replica pass per module guarded by its unperturbed row, the one-pass
+analytic gradient and injected faults."""
 
 import numpy as np
 import pytest
@@ -10,9 +10,9 @@ from abn.cli import cli
 from abn.ctc import CtcTargets, LabelSequence, sequence_ctc_loss
 from abn.data import SequenceBatch
 from abn.generators import VARIANTS
-from abn.gradcheck import model_gradient_check
+from abn.gradcheck import central_points, model_gradient_check
 from abn.recurrent import Model, ModelConfig, module_of, stack_forward
-from abn.tensor import Tensor, central_points
+from abn.tensor import Tensor
 
 HIDDEN, FEATURES = 4, 6  # model_gradient_check's default shape
 
@@ -31,9 +31,10 @@ def _problem(variants, seed):
     return model, batch, targets, inputs
 
 
-def _modules(model, layer):
-    """The modules of ``layer``, in registry order."""
-    return list(dict.fromkeys(map(module_of, model.parameters(layer))))
+def _modules(model, prefix=""):
+    """The modules whose names start with ``prefix`` (``layer0.``, say), in
+    registry order."""
+    return [m for m in dict.fromkeys(map(module_of, model.parameters())) if m.startswith(prefix)]
 
 
 def _flat(model, modules):
@@ -60,44 +61,42 @@ STACKS = pytest.mark.parametrize(
 class TestLayers:
     @STACKS
     def test_resume_matches_full_stack_bitwise(self, variants):
-        # Three random rows, points that no central-difference sweep visits,
-        # over one module of each layer and over all of the layer's modules.
+        # Three random rows per module, points that no central-difference
+        # sweep visits.
         model, batch, _, inputs = _problem(variants, seed=61)
         rng = np.random.default_rng(62)
         params = model.parameters()
-        for layer in range(len(inputs)):
-            modules = _modules(model, layer)
-            for swept in ([modules[rng.integers(len(modules))]], modules):
-                names = [name for name in params if module_of(name) in swept]
-                base = _flat(model, swept)
-                points = base + rng.normal(scale=0.1, size=(3, base.size))
-                resumed = gradcheck.resume(model, inputs, swept, points)
-                assert resumed.features.shape[0] == 3, swept
-                for row, logits in zip(points, resumed.features.data):
-                    _set_row(model, names, row)
-                    full = stack_forward(batch, model, "train")
-                    assert np.array_equal(logits, full.features.data), swept
-                _set_row(model, names, base)
+        for module in _modules(model):
+            names = [name for name in params if module_of(name) == module]
+            base = _flat(model, [module])
+            points = base + rng.normal(scale=0.1, size=(3, base.size))
+            resumed = gradcheck.resume(model, inputs, module, points)
+            assert resumed.features.shape[0] == 3, module
+            for row, logits in zip(points, resumed.features.data):
+                _set_row(model, names, row)
+                full = stack_forward(batch, model, "train")
+                assert np.array_equal(logits, full.features.data), module
+            _set_row(model, names, base)
 
-    def test_layer_parameters_partition_all_in_order(self):
-        model = _problem(["abn-f", "abn-u", "bn"], seed=63)[0]
-        by_layer = [model.parameters(l) for l in range(4)]
-        merged = [name for table in by_layer for name in table]
-        assert merged == list(model.parameters())
-        for l, table in enumerate(by_layer):
-            assert all(name.startswith(f"layer{l}." if l < 3 else "out.") for name in table)
-            assert all(table[name] is model.parameters()[name] for name in table)
-        assert model.parameters(4) == {}
+    def test_replicas_yield_the_reading_layer(self):
+        model = _problem(["abn-f", "bn"], seed=63)[0]
+        layers = []
+        for module in _modules(model):
+            with model.replicas(module, _flat(model, [module])[None]) as layer:
+                layers.append(layer)
+        assert _modules(model) == ["layer0.gen", "layer0.fwd", "layer0.bwd",
+                                   "layer1.bn", "layer1.fwd", "layer1.bwd", "out"]
+        assert layers == [0, 0, 0, 1, 1, 1, 2]
 
     def test_unknown_name_or_layer_raises(self):
         # An unknown module, and layer 0's bn under abn-f, which holds only
-        # running statistics: each refused beside a module that is known.
+        # running statistics.
         model, _, _, inputs = _problem("abn-f", seed=64)
         params, stats = model.parameters(), model.running_stats()
         points = _flat(model, ["layer0.fwd"])[None]
         for module in ("layer9.fwd", "layer0.bn"):
-            with pytest.raises(errors.ContractError, match=f"no parameters in .*'{module}'"):
-                gradcheck.resume(model, inputs, [module, "layer0.fwd"], points)
+            with pytest.raises(errors.ContractError, match=f"no parameters in module '{module}'"):
+                gradcheck.resume(model, inputs, module, points)
         assert all(t is params[k] for k, t in model.parameters().items())
         assert all(t is stats[k] for k, t in model.running_stats().items())
 
@@ -111,26 +110,30 @@ class TestLayers:
             return loss, logits, inputs[:1] + inputs[2:] + inputs[-1:], analytic
 
         monkeypatch.setattr(gradcheck, "loss_and_gradients", shifted)
-        with pytest.raises(errors.ContractError, match="layer 1 disagrees"):
+        with pytest.raises(errors.ContractError, match="module layer1.bn: the unperturbed row"):
             model_gradient_check("bn", t_values=(2,))
 
 
 class TestReplicaPass:
     @STACKS
     def test_losses_match_stack_forward_bitwise(self, variants):
+        # Each layer-0 module's pass as the check sends it: the unperturbed
+        # row, then the 2N central-difference points.
         model, batch, targets, inputs = _problem(variants, seed=65)
-        h = 1e-4
-        for layer in range(len(inputs)):
-            names = list(model.parameters(layer))
-            losses = gradcheck.layer_losses(model, inputs, layer, targets, h)
-            flat = _flat(model, _modules(model, layer))
+        params = model.parameters()
+        for module in _modules(model, "layer0."):
+            names = [name for name in params if module_of(name) == module]
+            flat = _flat(model, [module])
+            points = np.concatenate([flat[None], central_points(flat, 1e-4)])
+            resumed = gradcheck.resume(model, inputs, module, points)
+            losses = gradcheck.sequence_ctc_loss(resumed, targets).data
             expected = []
-            for point in central_points(flat, h):
+            for point in points:
                 _set_row(model, names, point)
                 logits = stack_forward(batch, model, "train")
                 expected.append(sequence_ctc_loss(logits, targets).item())
             _set_row(model, names, flat)
-            assert np.array_equal(losses, expected), layer
+            assert np.array_equal(losses, expected), module
 
     @pytest.mark.parametrize("t_max", [1, 2, 5, 7])
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -138,34 +141,20 @@ class TestReplicaPass:
         model, batch, targets = gradcheck.check_problem(variant, 0, t_max)
         _, taped, inputs, _ = train.loss_and_gradients(model, batch, targets)
         stats, params = model.running_stats(), model.parameters()
-        for layer in range(len(inputs)):
-            modules = _modules(model, layer)
-            same = np.tile(_flat(model, modules), (3, 1))
-            logits = gradcheck.resume(model, inputs, modules, same)
-            assert logits.features.shape == (3,) + taped.features.shape, layer
+        for module in _modules(model):
+            same = np.tile(_flat(model, [module]), (3, 1))
+            logits = gradcheck.resume(model, inputs, module, same)
+            assert logits.features.shape == (3,) + taped.features.shape, module
             for replica in logits.features.data:
-                assert np.array_equal(replica, taped.features.data), layer
+                assert np.array_equal(replica, taped.features.data), module
         assert all(t is params[k] for k, t in model.parameters().items())
         # The replica passes leave every running statistic as the taped pass set it.
         assert all(t is stats[k] for k, t in model.running_stats().items())
 
-    def test_chunks_change_no_loss(self, monkeypatch):
-        model, _, targets, inputs = _problem("abn-f", seed=66)
-        whole = [gradcheck.layer_losses(model, inputs, l, targets, 1e-4)
-                 for l in range(len(inputs))]
-        # 1000 values a pass: the projection's 54 points take 2 chunks of 27,
-        # layer 0's directions 60 chunks of 6 points each, and layer 1's
-        # generator 132 points in chunks of 15 with a last of 12 and each of
-        # its directions 424 points in chunks of 5 with a last of 4.
-        monkeypatch.setattr(gradcheck, "REPLICA_VALUES", 1000)
-        for layer, losses in enumerate(whole):
-            chunked = gradcheck.layer_losses(model, inputs, layer, targets, 1e-4)
-            assert np.array_equal(chunked, losses), layer
-
     @pytest.mark.parametrize("variant", ["bn", "abn-u"])
     def test_unswept_modules_run_once(self, monkeypatch, variant):
-        # Each pass of a layer-0 sweep normalizes twice and runs four
-        # directions; only what reads the swept module carries its R points.
+        # Each pass over a layer-0 module normalizes twice and runs four
+        # directions; only what reads the swept module carries its R rows.
         model, _, targets, inputs = _problem(variant, seed=68)
         calls = []
         run_direction, abn_forward = recurrent.run_direction, recurrent.abn_forward
@@ -182,14 +171,16 @@ class TestReplicaPass:
 
         monkeypatch.setattr(recurrent, "run_direction", direction_spy)
         monkeypatch.setattr(recurrent, "abn_forward", norm_spy)
-        gradcheck.layer_losses(model, inputs, 0, targets, 1e-4)
         counts = model.parameter_count()
         group = "bn" if variant == "bn" else "gen"
-        passes = [calls[k : k + 6] for k in range(0, len(calls), 6)]
-        assert len(passes) == 3
-        for swept, one_pass in zip((group, "fwd", "bwd"), passes):
-            r = 2 * counts[f"layer0.{swept}"]
-            assert one_pass == [
+        for swept in (group, "fwd", "bwd"):
+            flat = _flat(model, [f"layer0.{swept}"])
+            points = np.concatenate([flat[None], central_points(flat, 1e-4)])
+            calls.clear()
+            resumed = gradcheck.resume(model, inputs, f"layer0.{swept}", points)
+            assert gradcheck.sequence_ctc_loss(resumed, targets).shape == (len(points),)
+            r = 2 * counts[f"layer0.{swept}"] + 1
+            assert calls == [
                 ("norm", 1, r if swept == group else 1),
                 ("fwd", r if swept == group else 1, r if swept in (group, "fwd") else 1),
                 ("bwd", r if swept == group else 1, r if swept in (group, "bwd") else 1),
@@ -197,17 +188,48 @@ class TestReplicaPass:
             ], swept
 
     def test_misplaced_replicas_raise(self):
-        # Modules of two layers, then points that are not [R, N].
+        # Points that are not [R, N].
         model, _, _, inputs = _problem("bn", seed=67)
         before = model.parameters()
-        for two in (["layer0.fwd", "layer1.fwd"], ["layer1.bwd", "out"]):
-            with pytest.raises(errors.ContractError, match="modules of one layer"):
-                gradcheck.resume(model, inputs, two, _flat(model, two)[None])
         flat = _flat(model, ["layer1.fwd"])
         for points in (flat, np.tile(flat, (2, 2)), flat[None, :-1]):
             with pytest.raises(errors.ShapeError, match=rf"must be \[R, {flat.size}\]"):
-                gradcheck.resume(model, inputs, ["layer1.fwd"], points)
+                gradcheck.resume(model, inputs, "layer1.fwd", points)
         assert all(t is before[k] for k, t in model.parameters().items())
+
+
+class TestPassStructure:
+    def test_one_pass_per_module(self, monkeypatch):
+        # At the default shape: 7 passes a length, one per module in registry
+        # order, each of 2N + 1 rows whose first is the module's own values.
+        passes = []
+        original = gradcheck.resume
+
+        def spy(model, inputs, module, points):
+            n = model.parameter_count()[module]
+            passes.append(module)
+            assert points.shape == (2 * n + 1, n), module
+            assert np.array_equal(points[0], _flat(model, [module])), module
+            return original(model, inputs, module, points)
+
+        monkeypatch.setattr(gradcheck, "resume", spy)
+        model_gradient_check("bn", t_values=(2, 5))
+        modules = _modules(gradcheck.check_problem("bn", 0, 2)[0])
+        assert len(modules) == 7
+        assert passes == modules + modules
+
+    def test_perturbed_row_zero_raises(self, monkeypatch):
+        original = gradcheck.resume
+
+        def moved(model, inputs, module, points):
+            if module == "layer1.bwd":
+                points = points.copy()
+                points[0, 0] += 1e-3
+            return original(model, inputs, module, points)
+
+        monkeypatch.setattr(gradcheck, "resume", moved)
+        with pytest.raises(errors.ContractError, match="module layer1.bwd: the unperturbed row"):
+            model_gradient_check("bn", t_values=(2,))
 
 
 class TestOnePassAnalytic:
@@ -296,7 +318,7 @@ def _reads_next_replica(monkeypatch):
     original = Model.replicas
     monkeypatch.setattr(
         Model, "replicas",
-        lambda self, modules, points: original(self, modules, np.roll(points, -1, axis=0)),
+        lambda self, module, points: original(self, module, np.roll(points, -1, axis=0)),
     )
 
 
@@ -309,7 +331,9 @@ def _replica_value_shared(monkeypatch):
     )
 
 
-# Faults of the replica pass, which the unperturbed guard (one replica) misses.
+# Faults of the replica pass that a guard run on the unperturbed values
+# alone would miss: reading another row's values, and one row's values
+# serving every row.
 REPLICA_FAULTS = {"reads-next-replica": _reads_next_replica, "shared-value": _replica_value_shared}
 
 
@@ -326,14 +350,14 @@ class TestInjectedFaults:
 
     @pytest.mark.parametrize("fault", sorted(REPLICA_FAULTS))
     def test_replica_fault_fails_check(self, monkeypatch, fault):
+        # The rolled rows put a perturbed point in row 0, which the guard
+        # refuses. The shared value collapses the swept gamma and beta to
+        # one replica, so the first pass returns one loss for its 25 rows.
         REPLICA_FAULTS[fault](monkeypatch)
-        if fault == "shared-value":
-            # The swept gamma and beta collapse to one replica, so the first
-            # pass returns one loss for its 24 points.
-            with pytest.raises(errors.ContractError, match="layer 0, module layer0.bn"):
-                model_gradient_check("bn", t_values=(2,))
-        else:
-            assert model_gradient_check("bn", t_values=(2,)) > 1e-4
+        match = {"reads-next-replica": "module layer0.bn: the unperturbed row",
+                 "shared-value": r"module layer0.bn: \(1,\) losses for 25 rows"}[fault]
+        with pytest.raises(errors.ContractError, match=match):
+            model_gradient_check("bn", t_values=(2,))
 
 
 class TestNonFiniteTapedPass:

@@ -7,11 +7,11 @@ import pytest
 
 from abn import errors
 from abn import tensor as tc
+from abn.gradcheck import central_points
 from abn.tensor import (
     GradTape,
     Tensor,
     backward,
-    central_points,
     recording,
 )
 
@@ -284,7 +284,6 @@ class TestFiniteDiffCheck:
                 expected.flat[i] = value
                 assert np.array_equal(point, expected), i
         np.testing.assert_array_equal(central_points(x, h), np.array(seen))
-        np.testing.assert_array_equal(central_points(x, h, 3, 8), np.array(seen[3:8]))
 
 
 def _check(f, shape, seed, tol=1e-4):
