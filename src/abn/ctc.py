@@ -142,9 +142,8 @@ def _batched_ctc(logits: Tensor, frames: Frames, targets: CtcTargets) -> Tensor:
         return out
     n_b = len(targets)
     reps = n_utt // n_b
-    if lead:
-        ext = np.tile(ext, (reps, 1))
-        s_lens, lengths = np.tile(s_lens, reps), np.tile(lengths, reps)
+    ext = np.tile(ext, (reps, 1))
+    s_lens, lengths = np.tile(s_lens, reps), np.tile(lengths, reps)
 
     # The shift is each frame's largest logit, taken as elementwise maxima:
     # a reduction over the short vocabulary axis costs far more.

@@ -87,7 +87,8 @@ def run_direction(batch: SequenceBatch, params: LstmLayerParams, reverse: bool):
     peephole cell of the module docstring: sigmoid input, forget and
     output gates, a tanh candidate, and an output gate that also reads the
     fresh cell through ``w_co``. The kernel works time-major, ``[T, B, .]``,
-    so every frame's gates, state and gradients are contiguous slices.
+    so in a single pass every frame's gates, state and gradients are
+    contiguous slices.
 
     The hidden outputs and the cells each live in a buffer of ``T + 1``
     frames whose border frame holds the zero state before the first step:
@@ -112,9 +113,10 @@ def run_direction(batch: SequenceBatch, params: LstmLayerParams, reverse: bool):
 
     Untaped, ``batch`` and ``params`` may carry a leading replica axis
     (``tc.per_replica``), a unit one broadcasting against R, and the result
-    is then ``[R, B, T, n]``. Every product keeps R as a batch axis, and
-    the kernel runs ``[T, R, B, .]``, so each replica's numbers are bit for
-    bit those of its own pass.
+    is then ``[R, B, T, n]``. Every product keeps R as a batch axis, so each
+    replica's numbers are bit for bit those of its own pass. The state
+    buffers run ``[T+1, R, B, n]``; the gates stay in the projection's
+    ``[R, T, B, 4n]`` buffer, and each frame reads its ``[R, B, 4n]`` view.
     """
     x = batch.features
     if x.shape[-1] != params.input_dim:
@@ -124,7 +126,7 @@ def run_direction(batch: SequenceBatch, params: LstmLayerParams, reverse: bool):
     x_lead, (b, t_max, p) = x.shape[:-3], x.shape[-3:]
     n = params.hidden
     w_x, w_co = params.w_x.data, tc.per_replica(params.w_co.data, 1, 3)
-    lead = np.broadcast_shapes(x_lead, w_x.shape[:-2]) if w_x.ndim > 2 else x_lead
+    lead = np.broadcast_shapes(x_lead, w_x.shape[:-2])
     w_h_t = np.ascontiguousarray(params.w_h.data.mT)
     frames = batch.frames
     full, live, mask = frames.full, frames.live, frames.mask_tm  # mask: [T, B, 1]
@@ -132,9 +134,7 @@ def run_direction(batch: SequenceBatch, params: LstmLayerParams, reverse: bool):
     # Each step overwrites its slice of the input projection with the gate
     # activations (sigmoid i, f, o; tanh candidate) that the VJP reads.
     x_tm = np.ascontiguousarray(np.swapaxes(x.data, -3, -2)).reshape(x_lead + (t_max * b, p))
-    gates = (x_tm @ w_x.mT).reshape(lead + (t_max, b, 4 * n))
-    if lead:
-        gates = np.ascontiguousarray(np.moveaxis(gates, -3, 0))
+    gates = np.moveaxis((x_tm @ w_x.mT).reshape(lead + (t_max, b, 4 * n)), -3, 0)
     gates += tc.per_replica(params.b.data, 1, 3)
     # Step t writes frame t of out and cell and reads frame t of h_in and c_in.
     border = t_max if reverse else 0
@@ -236,10 +236,7 @@ def bilstm_layer(
         )
     fwd, fwd_vjp = run_direction(batch, params_fwd, reverse=False)
     bwd, bwd_vjp = run_direction(batch, params_bwd, reverse=True)
-    halves = (fwd, bwd)
-    if fwd.shape != bwd.shape:
-        halves = np.broadcast_arrays(*halves)
-    out = np.concatenate(halves, axis=-1)
+    out = np.concatenate(np.broadcast_arrays(fwd, bwd), axis=-1)
     scale = tc.dropout_scale(out.shape, rate, rng, mode)
     if scale is not None:
         out *= scale

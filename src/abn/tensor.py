@@ -202,8 +202,8 @@ def masked_softmax_array(scores: np.ndarray, valid=None) -> np.ndarray:
         mask = np.arange(width) < int(valid)
     else:
         mask = np.asarray(valid, dtype=bool)
-    try:
-        mask = np.broadcast_to(mask, scores.shape)
+    try:  # a shape check: every row of the broadcast is a row of ``mask``
+        np.broadcast_to(mask, scores.shape)
     except ValueError:
         raise ShapeError(
             f"mask shape {np.shape(valid)} does not broadcast to scores {scores.shape}"

@@ -9,6 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import tensor as tc
 from .batching import Batch, make_batches
 from .checkpoint import save_checkpoint
 from .config import TrainConfig
@@ -18,7 +19,7 @@ from .errors import DegenerateBatchError, EmptyEpochError
 from .optim import AdamState, adam_step, lr_schedule
 from .recurrent import Model, project, run_layers, stack_forward
 from .synth import sorted_for_batching, synth_generate
-from .tensor import GradTape, Tensor, backward, recording
+from .tensor import Tensor
 
 METRICS_HEADER = "epoch,split,loss,ter,lr,wall_s"
 TRAIN_SEED, DEV_SEED = 1, 2  # data seeds of the two splits
@@ -93,16 +94,16 @@ def loss_and_gradients(
     ``None``, and ``backward`` does not run, if the loss is not finite.
     Dropout draws from ``rng`` as ``stack_forward`` does, so the pass is
     bit for bit that of ``stack_forward`` and its CTC loss."""
-    tape = GradTape()
+    tape = tc.GradTape()
     inputs = [batch]
-    with recording(tape):
+    with tc.recording(tape):
         for l in range(len(model.layers)):
             inputs.append(run_layers(inputs[l], model, l, "train", rng, stop=l + 1))
         logits = project(inputs[-1], model)
         loss = sequence_ctc_loss(logits, targets)
     if not np.isfinite(loss.item()):
         return loss, logits, inputs, None
-    grads = backward(tape, loss)
+    grads = tc.backward(tape, loss)
     return loss, logits, inputs, {name: grads.wrt(t) for name, t in model.parameters().items()}
 
 

@@ -231,6 +231,20 @@ class TestPassStructure:
         with pytest.raises(errors.ContractError, match="module layer1.bwd: the unperturbed row"):
             model_gradient_check("bn", t_values=(2,))
 
+    def test_backward_is_looked_up_on_its_module(self, monkeypatch):
+        # One backward a length, called as ``abn.tensor.backward`` so that
+        # a wrapper set there (the benchmark's trace) sees it.
+        calls = []
+        original = tensor.backward
+
+        def counting(tape, loss):
+            calls.append(loss)
+            return original(tape, loss)
+
+        monkeypatch.setattr(tensor, "backward", counting)
+        model_gradient_check("bn", t_values=(1, 2))
+        assert len(calls) == 2
+
 
 class TestOnePassAnalytic:
     @staticmethod

@@ -169,6 +169,13 @@ class TestMaskedSoftmax:
         with pytest.raises(errors.ShapeError):
             taped.masked_softmax(tc.zeros(2, 3), np.ones((3, 2), dtype=bool))
 
+    def test_shape_checked_before_rows(self):
+        # A mask that neither broadcasts nor has a valid position in its
+        # first row is refused for its shape.
+        valid = np.array([[False, False], [True, True], [True, True]])
+        with pytest.raises(errors.ShapeError):
+            taped.masked_softmax(tc.zeros(2, 3), valid)
+
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(13)
         scores = Tensor(rng.normal(size=(6, 9)) * 4.0)
