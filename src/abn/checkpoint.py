@@ -152,7 +152,7 @@ def load_checkpoint(path: str) -> tuple[Model, TrainConfig]:
         try:
             model.set_parameter(name, tensor)
         except (ContractError, ShapeError) as exc:
-            raise CheckpointError(f"parameter {name}: {exc}") from None
+            raise CheckpointError(str(exc)) from None  # the message names the block
         seen.add(name)
     else:
         raise CheckpointError("checkpoint truncated: no end marker")

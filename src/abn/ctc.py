@@ -53,10 +53,11 @@ class LabelSequence:
         return f"LabelSequence({self.tokens})"
 
 
-def _check_labels(labels: LabelSequence, vocab: int) -> None:
-    for t in labels.tokens:
-        if t >= vocab:
-            raise ContractError(f"label token {t} outside vocabulary of {vocab}")
+def _check_vocab(tokens: np.ndarray, vocab: int) -> None:
+    """Refuse the first of ``tokens`` that is no symbol of a ``vocab``-wide output."""
+    outside = tokens[tokens >= vocab]
+    if outside.size:
+        raise ContractError(f"label token {outside[0]} outside vocabulary of {vocab}")
 
 
 class CtcTargets(Sequence):
@@ -131,9 +132,7 @@ def _batched_ctc(logits: Tensor, frames: Frames, targets: CtcTargets) -> Tensor:
     u = logits.data.reshape((-1,) + logits.shape[-2:])
     n_utt, t_max, vocab = u.shape
     ext, s_lens = targets.ext, targets.s_lens
-    if (ext >= vocab).any():
-        token = ext[ext >= vocab][0]
-        raise ContractError(f"label token {token} outside vocabulary of {vocab}")
+    _check_vocab(ext, vocab)
     lengths = frames.lengths
     lead = logits.shape[:-3]
     if (lengths < targets.min_frames).any():
@@ -228,7 +227,7 @@ def ctc_brute_force(logprobs, labels: LabelSequence) -> float:
             f"brute force limited to T <= {MAX_BRUTE_T}, V <= {MAX_BRUTE_V};"
             f" got T={t_frames}, V={vocab}"
         )
-    _check_labels(labels, vocab)
+    _check_vocab(np.array(labels.tokens, dtype=int), vocab)
     target = labels.tokens
     matches = []
     for path in itertools.product(range(vocab), repeat=t_frames):

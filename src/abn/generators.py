@@ -26,12 +26,13 @@ composition bit for bit.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as tc
 from .data import SequenceBatch
-from .errors import ContractError, ShapeError
+from .errors import ShapeError
 from .normalization import (
     BatchNormState,
     masked_affine_array,
@@ -41,31 +42,19 @@ from .normalization import (
 from .tensor import Tensor
 
 
-def _check_heads(p: int, d: int, w_gamma, b_gamma, w_beta, b_beta) -> None:
-    """Check the shapes of the two output heads, which map width ``d`` to ``p`` features."""
-    for name, t, shape in (("w_gamma", w_gamma, (p, d)), ("b_gamma", b_gamma, (p,)),
-                           ("w_beta", w_beta, (p, d)), ("b_beta", b_beta, (p,))):
-        if t.shape != shape:
-            raise ShapeError(f"{name} must be {list(shape)}, got {t.shape}")
-
-
 def _fresh_heads(p: int, d: int) -> dict[str, Tensor]:
     """Output heads that emit gamma = 1 and beta = 0 whatever their input."""
     return dict(w_gamma=tc.zeros(p, d), b_gamma=tc.ones(p),
                 w_beta=tc.zeros(p, d), b_beta=tc.zeros(p))
 
 
+@dataclass(slots=True, eq=False)
 class LearnedScaleShift:
     """Plain batch norm's learned scale and shift, ``[p]`` each: one pair
     for every frame of every utterance."""
 
-    __slots__ = ("gamma", "beta")
-
-    def __init__(self, gamma, beta):
-        if gamma.ndim != 1 or beta.shape != gamma.shape:
-            raise ShapeError(f"gamma {gamma.shape} and beta {beta.shape} must share one [p] shape")
-        self.gamma = gamma
-        self.beta = beta
+    gamma: Tensor
+    beta: Tensor
 
     @classmethod
     def init(cls, feature_dim: int, width=None, rng=None):
@@ -82,30 +71,22 @@ class LearnedScaleShift:
         return gamma, beta, lambda g_x, g_gamma, g_beta: (g_gamma, g_beta)
 
 
+@dataclass(slots=True, eq=False)
 class FrameAbnGenerator:
     """Pooled-attention generator: one (gamma, beta) per utterance.
 
     ``w_embed``/``b_embed`` project each standardized frame into a
-    bottleneck of width ``embed_dim`` (strictly smaller than the feature
-    dim); the attention-weighted mean of those embeddings drives the two
-    output heads.
+    bottleneck of width ``embed_dim`` (below the feature dim, a bound of
+    ``ModelConfig``); the attention-weighted mean of those embeddings
+    drives the two output heads.
     """
 
-    __slots__ = ("w_embed", "b_embed", "w_gamma", "b_gamma", "w_beta", "b_beta")
-
-    def __init__(self, w_embed, b_embed, w_gamma, b_gamma, w_beta, b_beta):
-        d_e, p = w_embed.shape
-        if d_e >= p:
-            raise ContractError(f"embed width {d_e} must be smaller than feature dim {p}")
-        if b_embed.shape != (d_e,):
-            raise ShapeError(f"b_embed {b_embed.shape} does not match embed width {d_e}")
-        _check_heads(p, d_e, w_gamma, b_gamma, w_beta, b_beta)
-        self.w_embed = w_embed
-        self.b_embed = b_embed
-        self.w_gamma = w_gamma
-        self.b_gamma = b_gamma
-        self.w_beta = w_beta
-        self.b_beta = b_beta
+    w_embed: Tensor
+    b_embed: Tensor
+    w_gamma: Tensor
+    b_gamma: Tensor
+    w_beta: Tensor
+    b_beta: Tensor
 
     @classmethod
     def init(cls, feature_dim: int, embed_dim: int, rng: np.random.Generator):
@@ -151,24 +132,17 @@ class FrameAbnGenerator:
         return gamma, beta, back
 
 
+@dataclass(slots=True, eq=False)
 class UttAbnGenerator:
     """Self-attention generator: one (gamma_t, beta_t) per frame."""
 
-    __slots__ = ("w_key", "w_query", "w_value", "w_gamma", "b_gamma", "w_beta", "b_beta")
-
-    def __init__(self, w_key, w_query, w_value, w_gamma, b_gamma, w_beta, b_beta):
-        d_a, p = w_key.shape
-        for name, t in (("w_query", w_query), ("w_value", w_value)):
-            if t.shape != (d_a, p):
-                raise ShapeError(f"{name} must be [{d_a}, {p}], got {t.shape}")
-        _check_heads(p, d_a, w_gamma, b_gamma, w_beta, b_beta)
-        self.w_key = w_key
-        self.w_query = w_query
-        self.w_value = w_value
-        self.w_gamma = w_gamma
-        self.b_gamma = b_gamma
-        self.w_beta = w_beta
-        self.b_beta = b_beta
+    w_key: Tensor
+    w_query: Tensor
+    w_value: Tensor
+    w_gamma: Tensor
+    b_gamma: Tensor
+    w_beta: Tensor
+    b_beta: Tensor
 
     @classmethod
     def init(cls, feature_dim: int, attn_dim: int, rng: np.random.Generator):

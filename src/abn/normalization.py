@@ -11,6 +11,8 @@ whose outputs are zero on padded frames.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from . import tensor as tc
@@ -19,28 +21,19 @@ from .errors import ContractError, DegenerateBatchError, ShapeError
 from .tensor import Tensor
 
 
+@dataclass(slots=True, eq=False)
 class BatchNormState:
     """Running statistics of one normalizer, with its variance floor and
-    update weight. The scale and shift come from the layer's generator."""
+    update weight. The scale and shift come from the layer's generator.
 
-    __slots__ = ("running_mean", "running_var", "epsilon", "momentum")
+    A plain record: ``ModelConfig`` bounds epsilon and momentum, and
+    ``Model.set_parameter`` checks every stored array that enters from
+    outside (its shape, and a non-negative ``running_var``)."""
 
-    def __init__(self, running_mean, running_var, epsilon, momentum):
-        if not epsilon > 0:
-            raise ContractError(f"epsilon must be positive, got {epsilon}")
-        if not 0.0 < momentum <= 1.0:
-            raise ContractError(f"momentum must lie in (0, 1], got {momentum}")
-        if running_mean.ndim != 1 or running_var.shape != running_mean.shape:
-            raise ShapeError(
-                f"running_var shape {running_var.shape} does not match"
-                f" running_mean {running_mean.shape}"
-            )
-        if not np.all(running_var.data >= 0):
-            raise ContractError("running_var must be non-negative")
-        self.running_mean = running_mean
-        self.running_var = running_var
-        self.epsilon = float(epsilon)
-        self.momentum = float(momentum)
+    running_mean: Tensor
+    running_var: Tensor
+    epsilon: float
+    momentum: float
 
     @classmethod
     def fresh(cls, feature_dim: int, epsilon: float = 1e-5, momentum: float = 0.1):

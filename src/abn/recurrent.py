@@ -29,6 +29,7 @@ from .normalization import BatchNormState
 from .tensor import Tensor
 
 
+@dataclass(slots=True, eq=False)
 class LstmLayerParams:
     """Weights of one directional LSTM, stacked by gate in the order i, f, c, o.
 
@@ -37,21 +38,10 @@ class LstmLayerParams:
     peephole; rows ``k*n:(k+1)*n`` of a stacked tensor belong to gate ``k``.
     """
 
-    __slots__ = ("w_x", "w_h", "w_co", "b")
-
-    def __init__(self, w_x: Tensor, w_h: Tensor, w_co: Tensor, b: Tensor):
-        n = w_co.shape[0] if w_co.ndim == 1 else 0
-        p = w_x.shape[1] if w_x.ndim == 2 else 0
-        for name, value, shape in (
-            ("w_co", w_co, (n,)), ("w_x", w_x, (4 * n, p)),
-            ("w_h", w_h, (4 * n, n)), ("b", b, (4 * n,)),
-        ):
-            if value.shape != shape:
-                raise ShapeError(f"{name} must be {list(shape)}, got {value.shape}")
-        self.w_x = w_x
-        self.w_h = w_h
-        self.w_co = w_co
-        self.b = b
+    w_x: Tensor
+    w_h: Tensor
+    w_co: Tensor
+    b: Tensor
 
     @classmethod
     def init(cls, hidden: int, input_dim: int, rng: np.random.Generator):
@@ -230,10 +220,6 @@ def bilstm_layer(
     emit exact zeros. Untaped, a half on a unit replica axis broadcasts
     against the other's R.
     """
-    if params_fwd.hidden != params_bwd.hidden:
-        raise ShapeError(
-            f"direction widths disagree: {params_fwd.hidden} vs {params_bwd.hidden}"
-        )
     fwd, fwd_vjp = run_direction(batch, params_fwd, reverse=False)
     bwd, bwd_vjp = run_direction(batch, params_bwd, reverse=True)
     out = np.concatenate(np.broadcast_arrays(fwd, bwd), axis=-1)
@@ -262,7 +248,8 @@ class ModelConfig:
 
     ``variants`` names each layer's normalizer; a single name applies to
     every layer. Config files and checkpoint headers both build their
-    model settings here, so they share the bounds below.
+    model settings here, so they share the bounds below; the parameter
+    holders, drawn from a config that passed them, check none again.
     """
 
     num_layers: int
@@ -313,18 +300,17 @@ class ModelConfig:
         return self.features if layer == 0 else 2 * self.hidden
 
 
+@dataclass(slots=True, eq=False)
 class Layer:
     """One stack stage: a normalizer, its source of scale and shift, and a BiLSTM."""
 
-    __slots__ = ("norm", "gen", "fwd", "bwd")
-
-    def __init__(self, norm, gen, fwd, bwd):
-        self.norm = norm
-        self.gen = gen
-        self.fwd = fwd
-        self.bwd = bwd
+    norm: BatchNormState
+    gen: object  # a source of ``GENERATORS``
+    fwd: LstmLayerParams
+    bwd: LstmLayerParams
 
 
+@dataclass(slots=True, eq=False)
 class Projection:
     """The output layer: logits ``w [vocab, 2n]`` times features plus ``b [vocab]``.
 
@@ -333,11 +319,8 @@ class Projection:
     is dropped, not at the next cyclic garbage collection.
     """
 
-    __slots__ = ("w", "b")
-
-    def __init__(self, w: Tensor, b: Tensor):
-        self.w = w
-        self.b = b
+    w: Tensor
+    b: Tensor
 
 
 def module_of(name: str) -> str:
@@ -397,7 +380,11 @@ class Model:
                 for name, (obj, attr, l) in self._registry.items() if l is None}
 
     def set_parameter(self, name: str, value: Tensor) -> None:
-        """Replace the stored array ``name``, a parameter or a running statistic."""
+        """Replace the stored array ``name``, a parameter or a running statistic.
+
+        Every array that replaces one the model drew (a checkpoint block,
+        Adam's update) passes here: its shape must be the replaced one's,
+        and a ``running_var`` must be non-negative."""
         obj, attr, _ = self._registry[name]
         current = getattr(obj, attr)
         if current.shape != value.shape:

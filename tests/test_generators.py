@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from abn import errors
 from abn import tensor as tc
 from abn.batching import make_batches
 from abn.config import load_config
@@ -154,10 +153,6 @@ class TestFrameParams:
         g.w_gamma = Tensor([[2.0], [2.0], [2.0]])
         gamma, _ = head_params(np.array([3.0]), g)
         assert gamma.tolist() == [7.0, 7.0, 7.0]
-
-    def test_embed_width_must_be_smaller_than_features(self):
-        with pytest.raises(errors.ContractError):
-            FrameAbnGenerator.init(4, 4, np.random.default_rng(0))
 
 
 class TestUttProject:

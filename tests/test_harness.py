@@ -732,6 +732,24 @@ class TestCheckpoint:
         assert cli(["eval", "--ckpt", str(path), "--config", str(cfg)]) == 1
         assert name in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "block, dims",
+        [("tensor layer0.fwd.w_x 12 4", "4 12"), ("tensor out.b 5", "1 5"),
+         ("tensor layer0.gen.w_gamma 4 2", "2 4")],
+        ids=["w_x-transposed", "out.b-row", "w_gamma-transposed"],
+    )
+    def test_block_shape_checked_against_model(self, tmp_path, block, dims):
+        # The value count fits the stored shape, so only the model's own
+        # shape can refuse it; the message names the block once.
+        path, lines = self._saved_lines(tmp_path)
+        idx = lines.index(block)
+        kind, name = block.split()[:2]
+        lines[idx] = f"{kind} {name} {dims}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(errors.CheckpointError, match="shape") as exc:
+            load_checkpoint(str(path))
+        assert str(exc.value).count(name) == 1, str(exc.value)
+
     def test_duplicated_block_rejected(self, tmp_path):
         path, lines = self._saved_lines(tmp_path)
         idx = next(i for i, l in enumerate(lines) if l.startswith("tensor out.b "))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from abn import errors
-from abn import tensor as tc
 from abn.data import SequenceBatch
 from abn.generators import LearnedScaleShift, abn_forward
 from abn.normalization import BatchNormState, standardize_batch
@@ -129,8 +128,6 @@ class TestAffine:
 
     def test_mismatched_shapes_rejected(self):
         batch = batch_of(np.zeros((1, 2, 2)), [2])
-        with pytest.raises(errors.ShapeError):
-            LearnedScaleShift(tc.ones(2), tc.zeros(1, 1, 2))
         with pytest.raises(errors.ShapeError):
             abn_forward(batch, BatchNormState.fresh(2), LearnedScaleShift.init(3), "train")
 
@@ -325,21 +322,7 @@ class TestStateValidation:
         assert s.epsilon == 1e-5
         assert s.momentum == 0.1
 
-    def test_bad_epsilon(self):
-        with pytest.raises(errors.ContractError):
-            BatchNormState.fresh(2, epsilon=0.0)
-        with pytest.raises(errors.ContractError):
-            BatchNormState.fresh(2, epsilon=float("nan"))
-
-    def test_bad_momentum(self):
-        with pytest.raises(errors.ContractError):
-            BatchNormState.fresh(2, momentum=0.0)
-        with pytest.raises(errors.ContractError):
-            BatchNormState.fresh(2, momentum=1.5)
-
     def test_value_contracts_are_not_shape_errors(self):
-        with pytest.raises(errors.ContractError, match="running_var"):
-            BatchNormState(tc.zeros(2), Tensor(np.array([1.0, -0.5])), 1e-5, 0.1)
         batch = batch_of(np.ones((1, 2, 2)), [2])
         with pytest.raises(errors.ContractError, match="mode") as exc:
             standardize_batch(batch, BatchNormState.fresh(2), "eval")

@@ -128,12 +128,6 @@ class TestLstmStep:
         with pytest.raises(errors.ShapeError):
             lstm_step(tc.zeros(5), LstmState.zero(2), zero_params(n=2, p=3))
 
-    def test_stacked_shapes_checked(self):
-        with pytest.raises(errors.ShapeError, match="b must be"):
-            LstmLayerParams(tc.zeros(8, 3), tc.zeros(8, 2), tc.zeros(2), tc.zeros(2))
-        with pytest.raises(errors.ShapeError, match="w_h must be"):
-            LstmLayerParams(tc.zeros(8, 3), tc.zeros(2, 2), tc.zeros(2), tc.zeros(8))
-
     def test_forget_bias_initialized_positive(self):
         params = LstmLayerParams.init(4, 3, np.random.default_rng(0))
         np.testing.assert_array_equal(params.b.data, [0.0] * 4 + [1.0] * 4 + [0.0] * 8)
