@@ -17,9 +17,20 @@ class Utterance(NamedTuple):
     labels: LabelSequence
 
 
-class Batch(NamedTuple):
+class _BatchFields(NamedTuple):
     features: SequenceBatch
     labels: CtcTargets
+
+
+class Batch(_BatchFields):
+    """A padded batch and its targets. ``labels`` comes as a sequence of
+    ``LabelSequence`` and is kept as their ``CtcTargets``, so the lattice is
+    built once, here, for every loss and score of the batch."""
+
+    __slots__ = ()
+
+    def __new__(cls, features: SequenceBatch, labels: Sequence[LabelSequence]):
+        return super().__new__(cls, features, CtcTargets(labels))
 
 
 def make_batches(utterances: Sequence[Utterance], max_frames: int) -> list[Batch]:
@@ -50,7 +61,7 @@ def make_batches(utterances: Sequence[Utterance], max_frames: int) -> list[Batch
         batches.append(
             Batch(
                 SequenceBatch(Tensor(padded), [u.features.shape[0] for u in group]),
-                CtcTargets([u.labels for u in group]),
+                [u.labels for u in group],
             )
         )
         i += per_batch

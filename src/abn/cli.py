@@ -11,7 +11,8 @@ import numpy as np
 
 from .checkpoint import load_checkpoint
 from .config import load_config
-from .ctc import LabelSequence, ctc_brute_force, ctc_loss, greedy_decode
+from .ctc import CtcTargets, LabelSequence, ctc_brute_force, greedy_decode, sequence_ctc_loss
+from .data import SequenceBatch
 from .errors import AbnError, CheckpointError
 from .generators import VARIANTS
 from .gradcheck import model_gradient_check
@@ -170,7 +171,8 @@ def _cmd_ctc_oracle(args) -> int:
                 logits = rng.normal(size=(t_frames, vocab))
                 y_log = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
                 expect = ctc_brute_force(y_log, labels)
-                got = ctc_loss(Tensor(logits), labels).item()
+                one = SequenceBatch(Tensor(logits[None]), [t_frames])
+                got = sequence_ctc_loss(one, CtcTargets([labels])).item()
                 cases += 1
                 if np.isinf(expect) or np.isinf(got):
                     if expect != got:

@@ -1,8 +1,10 @@
 """CTC loss in log space, a path-enumeration oracle, decoding, and edit distance.
 
 The blank symbol is index 0 everywhere (the checkpoint format records
-this). ``ctc_loss`` consumes raw logits and applies the softmax itself so
-the whole loss is one fused, numerically stable operation on the tape.
+this). ``sequence_ctc_loss`` is the one loss entry: it takes a padded
+batch of raw logits and the batch's ``CtcTargets``, and applies the
+softmax itself, so the whole loss is one fused, numerically stable
+operation on the tape. A single utterance is a batch of one.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from collections.abc import Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from .data import Frames
 from .errors import ContractError, ShapeError
 from .tensor import Tensor, record_op
 
@@ -40,14 +41,6 @@ class LabelSequence:
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, LabelSequence):
-            return self.tokens == other.tokens
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(self.tokens))
 
     def __repr__(self) -> str:
         return f"LabelSequence({self.tokens})"
@@ -97,38 +90,29 @@ class CtcTargets(Sequence):
     def __getitem__(self, index):
         return self.labels[index]
 
-    def __iter__(self):
-        return iter(self.labels)
 
+def sequence_ctc_loss(logits_batch, targets: CtcTargets) -> Tensor:
+    """Mean CTC loss over a padded batch of raw logits, one taped node.
 
-def ctc_loss(logits: Tensor, labels: LabelSequence) -> Tensor:
-    """Negative log probability of all alignments collapsing to ``labels``.
-
-    ``logits`` is [frames, vocab], raw (pre-softmax). Infeasible instances
-    (too few frames for the labels) yield +inf loss with a zero gradient;
-    callers detect the condition by checking for an infinite value. This is
-    the batched kernel of ``sequence_ctc_loss`` run on a batch of one.
-    """
-    if logits.ndim != 2:
-        raise ShapeError(f"logits must be [frames, vocab], got {logits.shape}")
-    frames = Frames(np.array([logits.shape[0]]), logits.shape[0])
-    return _batched_ctc(logits, frames, CtcTargets([labels]))
-
-
-def _batched_ctc(logits: Tensor, frames: Frames, targets: CtcTargets) -> Tensor:
-    """Mean CTC loss over padded [B, T, V] logits (or one [T, V]), one taped node.
-
-    Utterance b scores its first ``frames.lengths[b]`` frames against
-    ``targets[b]``. The alpha/beta recursions of Graves et al. (2006) run
-    for every utterance at once over the targets' lattice, [B, S]; alpha
-    runs frame t on the first ``frames.live[t]`` utterances only, the
-    rows after them having ended.
+    Utterance b scores its first ``lengths[b]`` frames of the ``[B, T, V]``
+    logits against ``targets[b]``; padded frames get a zero gradient. The
+    alpha/beta recursions of Graves et al. (2006) run for every utterance
+    at once over the targets' lattice, [B, S]; alpha runs frame t on the
+    first ``frames.live[t]`` utterances only, the rows after them having
+    ended. Any infeasible utterance (too few frames for its labels) makes
+    the batch loss +inf and the gradient zero; callers detect the
+    condition by checking for an infinite value.
 
     Untaped, the logits may carry a leading replica axis, ``[R, B, T, V]``
     (``abn.tensor.per_replica``). The replicas' utterances then run as
     ``R*B`` rows of one recursion, and the result is ``[R]``, each
     replica's mean.
     """
+    if logits_batch.batch_size != len(targets):
+        raise ShapeError(
+            f"{logits_batch.batch_size} utterances but {len(targets)} label sequences"
+        )
+    logits, frames = logits_batch.features, logits_batch.frames
     u = logits.data.reshape((-1,) + logits.shape[-2:])
     n_utt, t_max, vocab = u.shape
     ext, s_lens = targets.ext, targets.s_lens
@@ -211,14 +195,13 @@ def _batched_ctc(logits: Tensor, frames: Frames, targets: CtcTargets) -> Tensor:
     return out
 
 
-def ctc_brute_force(logprobs, labels: LabelSequence) -> float:
-    """Loss by exhaustive path enumeration; the oracle for ``ctc_loss``.
+def ctc_brute_force(logprobs: np.ndarray, labels: LabelSequence) -> float:
+    """Loss by exhaustive path enumeration; the oracle for ``sequence_ctc_loss``.
 
-    ``logprobs`` is [frames, vocab] of LOG probabilities (rows already
-    normalized); accepts a Tensor or a plain array so callers can pass
-    -inf entries for impossible symbols.
+    ``logprobs`` is a [frames, vocab] array of LOG probabilities (rows
+    already normalized); it may hold -inf for impossible symbols.
     """
-    lp = logprobs.data if isinstance(logprobs, Tensor) else np.asarray(logprobs, dtype=np.float64)
+    lp = np.asarray(logprobs, dtype=np.float64)
     if lp.ndim != 2:
         raise ShapeError(f"logprobs must be [frames, vocab], got {lp.shape}")
     t_frames, vocab = lp.shape
@@ -288,19 +271,3 @@ def edit_distance(hyp: np.ndarray, hyp_lens: np.ndarray, targets: CtcTargets) ->
         # Insert reference tokens: row[j] = min over k <= j of c[k] + (j - k).
         row = np.where((i < hyp_lens)[:, None], np.minimum.accumulate(c - j, axis=1) + j, row)
     return row[np.arange(len(ref)), targets.s_lens // 2]
-
-
-def sequence_ctc_loss(logits_batch, labels: Sequence[LabelSequence]) -> Tensor:
-    """Mean CTC loss over a batch of padded logit sequences, one taped node.
-
-    ``labels`` is a ``CtcTargets``, or any sequence of ``LabelSequence``,
-    which is wrapped in one here. Only each utterance's valid frames enter
-    its loss; padded frames get a zero gradient. Any infeasible utterance
-    makes the batch loss infinite and the gradient zero.
-    """
-    if logits_batch.batch_size != len(labels):
-        raise ShapeError(
-            f"{logits_batch.batch_size} utterances but {len(labels)} label sequences"
-        )
-    targets = labels if isinstance(labels, CtcTargets) else CtcTargets(labels)
-    return _batched_ctc(logits_batch.features, logits_batch.frames, targets)

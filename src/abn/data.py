@@ -85,10 +85,6 @@ class SequenceBatch:
         return self.features.shape[-3]
 
     @property
-    def max_frames(self) -> int:
-        return self.features.shape[-2]
-
-    @property
     def dim(self) -> int:
         return self.features.shape[-1]
 

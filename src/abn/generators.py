@@ -200,8 +200,7 @@ class UttAbnGenerator:
 def frame_embed(h_norm: np.ndarray, gen: FrameAbnGenerator) -> np.ndarray:
     """Bottleneck embedding of standardized frames.
 
-    ``h_norm`` is [frames, feature_dim] for one utterance or
-    [batch, frames, feature_dim] for a batch; each frame maps to
+    ``h_norm`` is [batch, frames, feature_dim]; each frame maps to
     tanh(W h + b), of width embed_dim.
     """
     e = tc.linear_array(h_norm, gen.w_embed.data)
@@ -209,10 +208,10 @@ def frame_embed(h_norm: np.ndarray, gen: FrameAbnGenerator) -> np.ndarray:
     return np.tanh(e, out=e)
 
 
-def frame_attention(e: np.ndarray, valid=None) -> np.ndarray:
+def frame_attention(e: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """One attention weight per frame from the mean of its embedding.
 
-    ``valid`` masks the frames axis: [batch, frames] for a batch.
+    ``valid`` is the boolean frame mask, [batch, frames].
     """
     means = np.sum(e, axis=-1, dtype=np.float64) / float(e.shape[-1])
     return tc.masked_softmax_array(means, valid)
@@ -263,12 +262,12 @@ def _score_factors(k: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return q / math.sqrt(float(k.shape[-1])), np.swapaxes(k, -1, -2).copy()
 
 
-def utt_attention(k: np.ndarray, q: np.ndarray, valid=None) -> np.ndarray:
+def utt_attention(k: np.ndarray, q: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """Scaled dot-product attention matrix; row t weights the frames c_t reads.
 
     Scores are (K_tau . Q_t) / sqrt(d_a); each row is a masked softmax over
-    valid frames. ``valid`` masks the key axis: [batch, 1, frames] for a
-    batch, so padded query rows still see their utterance's frames.
+    valid frames. ``valid`` is the boolean key mask, [batch, 1, frames], so
+    padded query rows still see their utterance's frames.
     """
     q_scaled, k_t = _score_factors(k, q)
     return tc.masked_softmax_array(q_scaled @ k_t, valid)

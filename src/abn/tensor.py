@@ -148,12 +148,11 @@ def linear_array(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``x @ w.T`` over the last axis of ``x``; ``w`` is stored
     ``[out_features, in_features]``.
 
-    ``x`` holds one sample (a vector) or up to three axes of them (``[B, T,
-    in]``), which go through one 2-d product. Axes in front of those, and in
-    front of ``w``'s own two, are replica axes (``per_replica``): each
-    replica takes a 2-d product of its own, bit for bit the one an
-    unreplicated call makes, where folding the replicas into the rows of
-    one product would change bits.
+    A batch ``x``, ``[B, T, in]``, goes through one 2-d product. Axes in
+    front of those three, and in front of ``w``'s own two, are replica axes
+    (``per_replica``): each replica takes a 2-d product of its own, bit for
+    bit the one an unreplicated call makes, where folding the replicas into
+    the rows of one product would change bits.
     """
     lead = x.shape[:-3]
     rows = x.reshape(lead + (-1, x.shape[-1])) @ w.mT
@@ -181,38 +180,26 @@ def linear_vjp(g: np.ndarray, x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray,
     return (g_rows @ w).reshape(x.shape), g_rows.T @ x.reshape(-1, x.shape[-1])
 
 
-def masked_softmax_array(scores: np.ndarray, valid=None) -> np.ndarray:
+def masked_softmax_array(scores: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """Softmax of an array over its last axis, restricted to valid positions.
 
     ``valid`` is a boolean mask that broadcasts to ``scores`` (a ``[B, 1, T]``
-    key mask serves every query row of ``[B, T, T]`` scores), an integer
-    prefix length of the last axis, or ``None`` for all-valid. Masked
+    key mask serves every query row of ``[B, T, T]`` scores). Masked
     positions are excluded before exponentiation, so their probability and
     gradient are exactly zero; every row needs one valid position. The
     maximum valid score is subtracted for stability.
     """
-    if scores.ndim < 1:
-        raise ShapeError("masked_softmax needs at least one axis")
-    width = scores.shape[-1]
-    if valid is None:
-        mask = np.ones(width, dtype=bool)
-    elif isinstance(valid, (int, np.integer)):
-        if not 0 <= valid <= width:
-            raise ShapeError(f"valid length {valid} out of range for width {width}")
-        mask = np.arange(width) < int(valid)
-    else:
-        mask = np.asarray(valid, dtype=bool)
-    try:  # a shape check: every row of the broadcast is a row of ``mask``
-        np.broadcast_to(mask, scores.shape)
+    try:  # a shape check: every row of the broadcast is a row of ``valid``
+        np.broadcast_to(valid, scores.shape)
     except ValueError:
         raise ShapeError(
             f"mask shape {np.shape(valid)} does not broadcast to scores {scores.shape}"
         ) from None
-    if not mask.any(axis=-1).all():
+    if not valid.any(axis=-1).all():
         raise DomainError("masked_softmax: a row has every position masked")
     # One fresh array, worked in place: abn-u's [B, T, T] attention scores
     # make every copy a large transient.
-    p = np.where(mask, scores, -np.inf)
+    p = np.where(valid, scores, -np.inf)
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)

@@ -209,9 +209,9 @@ def tmean(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
     return div(tsum(x, axis=axis, keepdims=keepdims), float(count))
 
 
-def masked_softmax(scores, valid=None) -> Tensor:
-    """Softmax over the last axis restricted to valid positions; taped
-    ``masked_softmax_array``."""
+def masked_softmax(scores, valid: np.ndarray) -> Tensor:
+    """Softmax over the last axis restricted to the positions of the
+    boolean mask ``valid``; taped ``masked_softmax_array``."""
     scores = _as_tensor(scores)
     p = masked_softmax_array(scores.data, valid)
     out = Tensor._wrap(p)

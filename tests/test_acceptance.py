@@ -15,7 +15,7 @@ import numpy as np
 
 from abn.batching import Utterance, make_batches
 from abn.config import load_config
-from abn.ctc import LabelSequence, ctc_brute_force, ctc_loss
+from abn.ctc import CtcTargets, LabelSequence, ctc_brute_force, sequence_ctc_loss
 from abn.data import SequenceBatch
 from abn.generators import (
     FrameAbnGenerator,
@@ -136,7 +136,7 @@ def _op_gradient_cases():
         ("sqrt", lambda th: dot(taped.sqrt(th), p23), pos),
         ("tsum_axis", lambda th: dot(taped.tsum(th, axis=1), p2), m),
         ("tmean", lambda th: dot(taped.tmean(th, axis=0), c3), m),
-        ("softmax_1d", lambda th: dot(taped.masked_softmax(th, 3), p4), vec),
+        ("softmax_1d", lambda th: dot(taped.masked_softmax(th, np.arange(4) < 3), p4), vec),
         ("softmax_2d", lambda th: dot(taped.masked_softmax(th, mask2), p23), m),
         ("softmax_3d", lambda th: dot(taped.masked_softmax(th, key_mask), p233), s233),
         ("reshape", lambda th: dot(taped.reshape(th, (3, 2)), p32), m),
@@ -310,7 +310,7 @@ class TestAttentionProperties:
         for _ in range(30):
             scores = Tensor(rng.normal(scale=3.0, size=(5, 5)))
             valid = int(rng.integers(1, 6))
-            alpha = taped.masked_softmax(scores, valid).data
+            alpha = taped.masked_softmax(scores, np.arange(5) < valid).data
             row_dev = max(row_dev, float(np.max(np.abs(alpha.sum(axis=1) - 1.0))))
             pad_mass = max(pad_mass, float(np.abs(alpha[:, valid:]).max(initial=0.0)))
 
@@ -337,7 +337,7 @@ class TestAttentionProperties:
 
         def pooled_params(frames):
             e = frame_embed(frames, frame_gen)
-            alpha = frame_attention(e)
+            alpha = frame_attention(e, np.ones(len(e), bool))
             row_sum = float(np.sum(alpha))
             gamma, beta = head_params(frame_pool(e, alpha), frame_gen)
             return row_sum, gamma, beta
@@ -352,7 +352,7 @@ class TestAttentionProperties:
 
         def per_frame_params(frames):
             k, q, v = utt_project(frames, utt_gen)
-            alpha = utt_attention(k, q)
+            alpha = utt_attention(k, q, np.ones(len(k), bool))
             rows_dev = float(np.max(np.abs(alpha.sum(axis=1) - 1.0)))
             gamma, beta = head_params(utt_context(alpha, v), utt_gen)
             return rows_dev, gamma, beta
@@ -399,7 +399,8 @@ class TestCtcOracle:
                     logits = rng.normal(size=(t_frames, vocab))
                     y_log = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
                     expect = ctc_brute_force(y_log, labels)
-                    got = ctc_loss(Tensor(logits), labels).item()
+                    one = SequenceBatch(Tensor(logits[None]), [t_frames])
+                    got = sequence_ctc_loss(one, CtcTargets([labels])).item()
                     cases += 1
                     if np.isinf(expect) or np.isinf(got):
                         inf_mismatch += expect != got

@@ -11,9 +11,7 @@ from abn.ctc import (
     BLANK,
     CtcTargets,
     LabelSequence,
-    _batched_ctc,
     ctc_brute_force,
-    ctc_loss,
     edit_distance,
     greedy_decode,
     sequence_ctc_loss,
@@ -31,6 +29,13 @@ def min_frames(labels: LabelSequence) -> int:
         1 for a, b in zip(labels.tokens, labels.tokens[1:]) if a == b
     )
     return len(labels) + repeats
+
+
+def one_utterance(logits, tokens) -> tuple[SequenceBatch, CtcTargets]:
+    """A batch of one utterance, every frame real, from ``[T, V]`` logits,
+    and its targets."""
+    batch = SequenceBatch(Tensor(np.asarray(logits)[None]), [len(logits)])
+    return batch, CtcTargets([LabelSequence(tokens)])
 
 
 class TestLabelSequence:
@@ -54,11 +59,11 @@ class TestLabelSequence:
 
 class TestCtcLossClosedForms:
     def test_single_frame_uniform(self):
-        loss = ctc_loss(Tensor([[0.0, 0.0]]), LabelSequence([1]))
+        loss = sequence_ctc_loss(*one_utterance([[0.0, 0.0]], [1]))
         assert loss.item() == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_two_frames_uniform(self):
-        loss = ctc_loss(Tensor([[0.0, 0.0], [0.0, 0.0]]), LabelSequence([1]))
+        loss = sequence_ctc_loss(*one_utterance([[0.0, 0.0], [0.0, 0.0]], [1]))
         # paths (a,a), (a,-), (-,a): p = 3/4
         assert loss.item() == pytest.approx(-math.log(0.75), abs=1e-12)
         assert loss.item() == pytest.approx(0.2876820724517809, abs=1e-12)
@@ -66,31 +71,31 @@ class TestCtcLossClosedForms:
     def test_empty_labels_all_blank_path(self):
         rng = np.random.default_rng(2)
         logits = rng.normal(size=(3, 4))
-        loss = ctc_loss(Tensor(logits), LabelSequence([]))
+        loss = sequence_ctc_loss(*one_utterance(logits, []))
         y_log = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
         assert loss.item() == pytest.approx(-y_log[:, BLANK].sum(), abs=1e-12)
 
     def test_infeasible_gives_infinite_loss_and_zero_grad(self):
-        logits = Tensor(np.random.default_rng(3).normal(size=(2, 3)))
+        batch, targets = one_utterance(np.random.default_rng(3).normal(size=(2, 3)), [1, 1])
         tape = GradTape()
         with recording(tape):
-            loss = ctc_loss(logits, LabelSequence([1, 1]))  # needs 3 frames
+            loss = sequence_ctc_loss(batch, targets)  # needs 3 frames
         assert math.isinf(loss.item())
-        g = backward(tape, loss).wrt(logits)
-        np.testing.assert_array_equal(g, np.zeros((2, 3)))
+        g = backward(tape, loss).wrt(batch.features)
+        np.testing.assert_array_equal(g, np.zeros((1, 2, 3)))
         assert CtcTargets([LabelSequence([1, 1])]).min_frames[0] > 2
 
     def test_label_outside_vocab_rejected(self):
         with pytest.raises(errors.ContractError):
-            ctc_loss(Tensor(np.zeros((3, 2))), LabelSequence([2]))
+            sequence_ctc_loss(*one_utterance(np.zeros((3, 2)), [2]))
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(5)
         logits = rng.normal(size=(4, 3))
-        labels = LabelSequence([2, 1])
-        base = ctc_loss(Tensor(logits), labels).item()
+        base = sequence_ctc_loss(*one_utterance(logits, [2, 1])).item()
         shifted = logits + rng.normal(size=(4, 1))  # per-frame constant
-        assert ctc_loss(Tensor(shifted), labels).item() == pytest.approx(base, abs=1e-10)
+        got = sequence_ctc_loss(*one_utterance(shifted, [2, 1])).item()
+        assert got == pytest.approx(base, abs=1e-10)
 
 
 class TestBruteForce:
@@ -138,7 +143,7 @@ class TestOracleSweep:
                 logits = rng.normal(size=(t_frames, vocab))
                 y_log = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
                 expect = ctc_brute_force(y_log, labels)
-                got = ctc_loss(Tensor(logits), labels).item()
+                got = sequence_ctc_loss(*one_utterance(logits, labels.tokens)).item()
                 if math.isinf(expect):
                     assert math.isinf(got), f"T={t_frames}, labels={labels}"
                 else:
@@ -154,18 +159,21 @@ class TestGradient:
     )
     def test_finite_differences(self, t_frames, tokens):
         rng = np.random.default_rng(60 + t_frames)
-        logits = Tensor(rng.normal(size=(t_frames, 3)))
-        err = finite_diff_check(lambda t: ctc_loss(t, LabelSequence(tokens)), logits)
+        logits = Tensor(rng.normal(size=(1, t_frames, 3)))
+        targets = CtcTargets([LabelSequence(tokens)])
+        err = finite_diff_check(
+            lambda t: sequence_ctc_loss(SequenceBatch(t, [t_frames]), targets), logits
+        )
         assert err < 1e-4
 
     def test_gradient_rows_sum_to_zero(self):
         # Shift invariance implies each frame's gradient sums to zero.
         rng = np.random.default_rng(70)
-        logits = Tensor(rng.normal(size=(5, 3)))
+        batch, targets = one_utterance(rng.normal(size=(5, 3)), [1, 2])
         tape = GradTape()
         with recording(tape):
-            loss = ctc_loss(logits, LabelSequence([1, 2]))
-        g = backward(tape, loss).wrt(logits)
+            loss = sequence_ctc_loss(batch, targets)
+        g = backward(tape, loss).wrt(batch.features)[0]
         np.testing.assert_allclose(g.sum(axis=1), np.zeros(5), atol=1e-12)
 
 
@@ -325,10 +333,9 @@ class TestSequenceLoss:
         rng = np.random.default_rng(80)
         feats = rng.normal(size=(2, 4, 3))
         batch = SequenceBatch(Tensor(feats), [4, 2])
-        labels = [LabelSequence([1, 2]), LabelSequence([1])]
-        total = sequence_ctc_loss(batch, labels)
-        l0 = ctc_loss(Tensor(feats[0]), labels[0]).item()
-        l1 = ctc_loss(Tensor(feats[1, :2]), labels[1]).item()
+        total = sequence_ctc_loss(batch, CtcTargets([LabelSequence([1, 2]), LabelSequence([1])]))
+        l0 = sequence_ctc_loss(*one_utterance(feats[0], [1, 2])).item()
+        l1 = sequence_ctc_loss(*one_utterance(feats[1, :2], [1])).item()
         assert total.item() == pytest.approx((l0 + l1) / 2.0, abs=1e-12)
 
     def test_only_valid_frames_consumed(self):
@@ -336,7 +343,7 @@ class TestSequenceLoss:
         feats = rng.normal(size=(1, 5, 3))
         corrupted = feats.copy()
         corrupted[0, 3:] = 77.0
-        labels = [LabelSequence([2])]
+        labels = CtcTargets([LabelSequence([2])])
         a = sequence_ctc_loss(SequenceBatch(Tensor(feats), [3]), labels)
         b = sequence_ctc_loss(SequenceBatch(Tensor(corrupted), [3]), labels)
         assert a.item() == b.item()
@@ -344,7 +351,7 @@ class TestSequenceLoss:
     def test_infeasible_member_poisons_batch(self):
         feats = Tensor(np.zeros((2, 2, 3)))
         batch = SequenceBatch(feats, [2, 1])
-        labels = [LabelSequence([1]), LabelSequence([1, 1])]
+        labels = CtcTargets([LabelSequence([1]), LabelSequence([1, 1])])
         tape = GradTape()
         with recording(tape):
             loss = sequence_ctc_loss(batch, labels)
@@ -354,12 +361,12 @@ class TestSequenceLoss:
     def test_label_count_mismatch(self):
         batch = SequenceBatch(Tensor(np.zeros((2, 2, 3))), [2, 2])
         with pytest.raises(errors.ShapeError):
-            sequence_ctc_loss(batch, [LabelSequence([1])])
+            sequence_ctc_loss(batch, CtcTargets([LabelSequence([1])]))
 
     def test_gradient_through_batch(self):
         rng = np.random.default_rng(82)
         feats = Tensor(rng.normal(size=(2, 4, 3)))
-        labels = [LabelSequence([1, 2]), LabelSequence([2])]
+        labels = CtcTargets([LabelSequence([1, 2]), LabelSequence([2])])
 
         def f(theta):
             return sequence_ctc_loss(SequenceBatch(theta, [4, 3]), labels)
@@ -380,7 +387,7 @@ class TestBatchedAgainstPerUtterance:
 
     def _batch(self, seed):
         feats = np.random.default_rng(seed).normal(size=(5, 7, 3)) * 2.0
-        return feats, [LabelSequence(t) for t in self.TOKENS]
+        return feats, CtcTargets([LabelSequence(t) for t in self.TOKENS])
 
     def test_loss_and_gradient_rows(self):
         feats, labels = self._batch(90)
@@ -393,12 +400,12 @@ class TestBatchedAgainstPerUtterance:
 
         singles = []
         for b, (length, lab) in enumerate(zip(self.LENGTHS, labels)):
-            row = Tensor(feats[b, :length])
+            row, target = one_utterance(feats[b, :length], lab.tokens)
             t = GradTape()
             with recording(t):
-                single = ctc_loss(row, lab)
+                single = sequence_ctc_loss(row, target)
             singles.append(single.item())
-            expect = backward(t, single).wrt(row) / len(labels)
+            expect = backward(t, single).wrt(row.features)[0] / len(labels)
             np.testing.assert_allclose(grad[b, :length], expect, rtol=0, atol=1e-12)
             assert np.all(grad[b, length:] == 0.0)
         assert loss.item() == pytest.approx(np.mean(singles), rel=1e-12, abs=0)
@@ -430,7 +437,8 @@ class TestPaddedBatchOracle:
                 ctc_brute_force(y_log[b, :n], lab)
                 for b, (n, lab) in enumerate(zip(lengths, labels))
             ])
-            got = sequence_ctc_loss(SequenceBatch(Tensor(logits), lengths), labels).item()
+            batch = SequenceBatch(Tensor(logits), lengths)
+            got = sequence_ctc_loss(batch, CtcTargets(labels)).item()
             if math.isinf(expect):
                 assert math.isinf(got), (lengths, labels)
             else:
@@ -444,7 +452,7 @@ class TestCtcTargets:
     def test_lattice_and_min_frames(self):
         targets = CtcTargets(self.LABELS)
         assert len(targets) == 4 and list(targets) == self.LABELS
-        assert targets[2] == LabelSequence([2])
+        assert targets[2].tokens == [2]
         np.testing.assert_array_equal(targets.s_lens, [7, 1, 3, 7])
         np.testing.assert_array_equal(targets.ext, [
             [0, 1, 0, 1, 0, 2, 0],
@@ -459,40 +467,22 @@ class TestCtcTargets:
                 assert targets.skip[b, s] == (0.0 if fresh else -np.inf)
         np.testing.assert_array_equal(targets.min_frames, [min_frames(l) for l in self.LABELS])
 
-    @pytest.mark.parametrize("with_grad", [False, True])
-    def test_same_bits_as_the_plain_list(self, with_grad):
-        rng = np.random.default_rng(83)
-        feats = Tensor(rng.normal(size=(4, 7, 3)))
-        batch = SequenceBatch(feats, [7, 1, 3, 6])
-        results = []
-        for labels in (self.LABELS, CtcTargets(self.LABELS)):
-            tape = GradTape()
-            with recording(tape):
-                loss = sequence_ctc_loss(batch, labels)
-            grad = backward(tape, loss).wrt(feats) if with_grad else None
-            results.append((loss.item(), grad))
-        assert results[0][0] == results[1][0]
-        if with_grad:
-            assert np.array_equal(results[0][1], results[1][1])
-
     def test_out_of_vocabulary_raises_alike(self):
         batch = SequenceBatch(Tensor(np.zeros((2, 4, 3))), [4, 2])
         labels = [LabelSequence([1, 2]), LabelSequence([5])]
         messages = []
-        for given in (labels, CtcTargets(labels)):
-            with pytest.raises(errors.ContractError) as exc:
-                sequence_ctc_loss(batch, given)
-            messages.append(str(exc.value))
+        with pytest.raises(errors.ContractError) as exc:
+            sequence_ctc_loss(batch, CtcTargets(labels))
+        messages.append(str(exc.value))
         # The oracle refuses the same token with the same message.
         with pytest.raises(errors.ContractError) as exc:
             ctc_brute_force(np.zeros((4, 3)), labels[1])
         messages.append(str(exc.value))
-        assert messages == ["label token 5 outside vocabulary of 3"] * 3
+        assert messages == ["label token 5 outside vocabulary of 3"] * 2
 
     def test_infeasible_member_infinite_alike(self):
         batch = SequenceBatch(Tensor(np.zeros((2, 3, 3))), [3, 2])
         labels = [LabelSequence([1]), LabelSequence([2, 2])]
-        assert math.isinf(sequence_ctc_loss(batch, labels).item())
         assert math.isinf(sequence_ctc_loss(batch, CtcTargets(labels)).item())
         # One frame more for the repeat and both are finite again.
         batch = SequenceBatch(Tensor(np.zeros((2, 3, 3))), [3, 3])
@@ -500,7 +490,7 @@ class TestCtcTargets:
 
 
 def masked_ctc(u, frames, targets):
-    """``_batched_ctc``'s loss and its gradient for ``g = 1`` as they were
+    """``sequence_ctc_loss``'s loss and its gradient for ``g = 1`` as they were
     before alpha skipped dead work: every frame runs on all rows, the skip
     transition on every column, and the shift is ``u.max``. The reference
     for ``TestLiveRows``; ``u`` is ``[B, T, V]`` or ``[R, B, T, V]``."""
@@ -577,7 +567,7 @@ class TestLiveRows:
             x = Tensor(rng.normal(size=(len(targets), frames.mask.shape[1], vocab)) * 3.0)
             tape = GradTape()
             with recording(tape):
-                loss = _batched_ctc(x, frames, targets)
+                loss = sequence_ctc_loss(SequenceBatch._wrap(x, frames), targets)
             grad = backward(tape, loss).wrt(x)
             ref_loss, ref_grad = masked_ctc(x.data, frames, targets)
             assert np.isfinite(ref_loss)
@@ -591,7 +581,7 @@ class TestLiveRows:
             frames, targets, vocab = self._case(rng)
             shape = (reps, len(targets), frames.mask.shape[1], vocab)
             x = Tensor(rng.normal(size=shape) * 3.0)
-            loss = _batched_ctc(x, frames, targets)
+            loss = sequence_ctc_loss(SequenceBatch._wrap(x, frames), targets)
             ref_loss, _ = masked_ctc(x.data, frames, targets)
             assert loss.shape == (reps,)
             assert np.array_equal(loss.data, ref_loss)

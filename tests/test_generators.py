@@ -1,5 +1,6 @@
 """Attention-generated scale/shift: both variants, reduction, gradients."""
 
+import contextlib
 import dataclasses
 import math
 
@@ -100,23 +101,23 @@ class TestFrameEmbed:
 class TestFrameAttention:
     def test_identical_frames_get_uniform_weights(self):
         e = np.tile([[0.3, -0.7]], (5, 1))
-        alpha = frame_attention(e)
+        alpha = frame_attention(e, np.ones(5, bool))
         np.testing.assert_allclose(alpha, np.full(5, 0.2), atol=1e-15)
 
     def test_closed_form_two_frames(self):
         e = np.array([[math.log(3.0)], [0.0]])
-        alpha = frame_attention(e)
+        alpha = frame_attention(e, np.ones(2, bool))
         np.testing.assert_allclose(alpha, [0.75, 0.25], atol=1e-15)
 
     def test_mask_excludes_padded_frame(self):
         e = np.array([[0.0], [0.0], [0.9]])
-        alpha = frame_attention(e, valid=2)
+        alpha = frame_attention(e, np.arange(3) < 2)
         assert alpha.tolist() == [0.5, 0.5, 0.0]
 
     def test_mean_over_embedding_elements(self):
         # Means (ln2, 0) after averaging the two components.
         e = np.array([[2.0 * math.log(2.0), 0.0], [0.0, 0.0]])
-        alpha = frame_attention(e)
+        alpha = frame_attention(e, np.ones(2, bool))
         np.testing.assert_allclose(alpha, [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
 
 
@@ -181,31 +182,31 @@ class TestUttProject:
 
 class TestUttAttention:
     def test_single_frame(self):
-        alpha = utt_attention(np.array([[0.7, -0.2]]), np.array([[1.5, 0.0]]))
+        alpha = utt_attention(np.array([[0.7, -0.2]]), np.array([[1.5, 0.0]]), np.ones(1, bool))
         assert alpha.tolist() == [[1.0]]
 
     def test_uniform_scores(self):
         k = np.ones((3, 4))
-        alpha = utt_attention(k, k)
+        alpha = utt_attention(k, k, np.ones(3, bool))
         # every score is 4/sqrt(4) = 2, so rows are uniform
         np.testing.assert_allclose(alpha, np.full((3, 3), 1.0 / 3.0), atol=1e-15)
 
     def test_diagonal_concentrates_with_scale(self):
         base = np.eye(3)
-        weak = utt_attention(base, base)
-        strong = utt_attention(10.0 * base, 10.0 * base)
+        weak = utt_attention(base, base, np.ones(3, bool))
+        strong = utt_attention(10.0 * base, 10.0 * base, np.ones(3, bool))
         assert np.all(np.diag(strong) > np.diag(weak))
         assert np.all(np.diag(strong) > 0.99)
 
     def test_rows_are_probability_vectors(self):
         rng = np.random.default_rng(37)
-        alpha = utt_attention(rng.normal(size=(6, 3)), rng.normal(size=(6, 3)))
+        alpha = utt_attention(rng.normal(size=(6, 3)), rng.normal(size=(6, 3)), np.ones(6, bool))
         assert np.all(alpha >= 0)
         np.testing.assert_allclose(alpha.sum(axis=1), np.ones(6), atol=1e-12)
 
     def test_mask_zeroes_padded_columns(self):
         rng = np.random.default_rng(38)
-        alpha = utt_attention(rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), valid=2)
+        alpha = utt_attention(rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), np.arange(4) < 2)
         assert np.all(alpha[:, 2:] == 0.0)
         np.testing.assert_allclose(alpha.sum(axis=1), np.ones(4), atol=1e-12)
 
@@ -376,12 +377,13 @@ def per_utterance_reference(batch, state, gen, variant, mode):
     out = np.zeros(batch.features.shape)
     for b, length in enumerate(batch.lengths):
         h = xhat[b, :length]
+        every_frame = np.ones(length, bool)
         if variant == "abn-f":
             e = frame_embed(h, gen)
-            gamma, beta = head_params(frame_pool(e, frame_attention(e)), gen)
+            gamma, beta = head_params(frame_pool(e, frame_attention(e, every_frame)), gen)
         else:
             k, q, v = utt_project(h, gen)
-            gamma, beta = head_params(utt_context(utt_attention(k, q), v), gen)
+            gamma, beta = head_params(utt_context(utt_attention(k, q, every_frame), v), gen)
         out[b, :length] = h * gamma + beta
     return out
 
@@ -569,6 +571,33 @@ class TestFusedNodeMatchesTapedComposition:
         assert len(tape) == 1
 
 
+def _closure_arrays(fn):
+    """The arrays that ``fn``'s closure keeps alive, also inside tuples."""
+    for cell in fn.__closure__:
+        value = cell.cell_contents
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                yield item
+
+
+def test_untaped_utt_generator_keeps_no_attention_in_its_back():
+    # Untaped, nothing calls ``back``, so it must not keep the [B, T, T]
+    # attention weights alive; taped, it needs them.
+    batch = random_batch(140, batch=2, t_max=5, p=4, lengths=(5, 3))
+    x, mask = batch.features.data, batch.frames.mask
+    gen = random_utt_gen(p=4, d_a=3, seed=141)
+    results = []
+    for record in (False, True):
+        with recording(GradTape()) if record else contextlib.nullcontext():
+            gamma, beta, back = gen.scale_shift(x, mask, 0.0, None, "infer")
+        square = [a for a in _closure_arrays(back) if a.shape == (2, 5, 5)]
+        results.append((gamma, beta, len(square)))
+    (gamma_u, beta_u, kept_u), (gamma_t, beta_t, kept_t) = results
+    assert (kept_u, kept_t) == (0, 1)
+    np.testing.assert_array_equal(gamma_u, gamma_t)
+    np.testing.assert_array_equal(beta_u, beta_t)
+
+
 def _desk_train_tape(variants, dropout):
     """The tape of one desk train batch's forward and loss; a list of
     ``variants`` names each layer's."""
@@ -594,7 +623,7 @@ def test_every_variant_records_the_same_nodes_per_desk_batch():
 
 
 # The fused nodes of the program, by the function that records them.
-FUSED_NODES = {"abn_forward", "bilstm_layer", "project", "_batched_ctc"}
+FUSED_NODES = {"abn_forward", "bilstm_layer", "project", "sequence_ctc_loss"}
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -2,6 +2,10 @@
 
 import dataclasses
 import hashlib
+import importlib
+import os
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -115,7 +119,7 @@ class TestMakeBatches:
     def test_longest_pair_fits(self):
         batches = make_batches(utts_of_lengths([2500, 2400, 100]), 5000)
         assert [b.features.batch_size for b in batches] == [2, 1]
-        assert batches[0].features.max_frames == 2500
+        assert batches[0].features.features.shape[-2] == 2500
         assert list(batches[0].features.lengths) == [2500, 2400]
 
     def test_exact_fit_single(self):
@@ -131,7 +135,7 @@ class TestMakeBatches:
         lengths = sorted(rng.integers(1, 40, size=30).tolist(), reverse=True)
         batches = make_batches(utts_of_lengths(lengths), 100)
         for b in batches:
-            assert b.features.batch_size * b.features.max_frames <= 100
+            assert b.features.batch_size * b.features.features.shape[-2] <= 100
         assert sum(b.features.batch_size for b in batches) == 30
 
     def test_order_preserved(self):
@@ -257,13 +261,13 @@ class TestSynth:
         b = synth_generate(task, 5, seed=1)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.features, y.features)
-            assert x.labels == y.labels
+            assert x.labels.tokens == y.labels.tokens
 
     def test_different_seeds_differ(self):
         task = SyntheticTask(vocab=6, feature_dim=3, min_tokens=4, max_tokens=6, seed=2)
         a = synth_generate(task, 10, seed=1)
         b = synth_generate(task, 10, seed=2)
-        assert any(x.labels != y.labels for x, y in zip(a, b))
+        assert any(x.labels.tokens != y.labels.tokens for x, y in zip(a, b))
 
     def test_durations_bound_frames(self):
         task = SyntheticTask(
@@ -784,3 +788,53 @@ class TestCheckpoint:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(errors.CheckpointError, match=r"layer-1\.bn\.running_mean: not part"):
             load_checkpoint(str(path))
+
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+@pytest.fixture(scope="class")
+def perfbench():
+    """perfbench's ``workloads`` and ``selftest`` modules, imported from
+    ``perfbench/`` with that directory on ``sys.path`` for this class only."""
+    saved_path, saved_modules, saved_env = sys.path[:], set(sys.modules), dict(os.environ)
+    sys.path.insert(0, PERFBENCH)
+    try:
+        yield importlib.import_module("workloads"), importlib.import_module("selftest")
+    finally:
+        sys.path[:] = saved_path
+        os.environ.clear()
+        os.environ.update(saved_env)  # run.py pins the BLAS threads on import
+        for name in set(sys.modules) - saved_modules:
+            if (getattr(sys.modules[name], "__file__", None) or "").startswith(PERFBENCH):
+                del sys.modules[name]
+
+
+class TestPerfbenchContract:
+    """What the benchmark calls of the program still exists and still gives
+    its pinned outputs, so that a change which drops or renames any of it
+    fails here and not only in a benchmark run."""
+
+    # Each test's wall-time limit. Measured on a 2-core host: 0.46 s for the
+    # references, 0.03-0.07 s for each workload's tiny steps.
+    BUDGET_S = 5.0
+
+    def test_pinned_references(self, perfbench):
+        workloads, _ = perfbench
+        tally = workloads.Tally()
+        t0 = time.monotonic()
+        for name in ("train-desk", "infer-long", "gradcheck-small"):
+            workloads.check_references(workloads.WORKLOADS[name], tally)
+        assert tally.failures == [] and tally.attempted == 9
+        assert time.monotonic() - t0 < self.BUDGET_S
+
+    @pytest.mark.parametrize("name", ["train-desk", "infer-long", "gradcheck-small"])
+    def test_tiny_steps_and_node_probes(self, perfbench, name):
+        workloads, selftest = perfbench
+        t0 = time.monotonic()
+        wl = workloads.WORKLOADS[name](1, **selftest.TINY[name])
+        wl.setup()
+        for v in workloads.VARIANTS:
+            assert wl.step(v, 0)
+            assert wl.node_probe(v) > 0.0
+        assert time.monotonic() - t0 < self.BUDGET_S

@@ -131,32 +131,32 @@ class TestElementwise:
 
 class TestMaskedSoftmax:
     def test_uniform(self):
-        out = taped.masked_softmax(Tensor([0.0, 0.0]))
+        out = taped.masked_softmax(Tensor([0.0, 0.0]), np.ones(2, bool))
         assert out.data.tolist() == [0.5, 0.5]
 
     def test_closed_form(self):
-        out = taped.masked_softmax(Tensor([math.log(2.0), 0.0]))
+        out = taped.masked_softmax(Tensor([math.log(2.0), 0.0]), np.ones(2, bool))
         np.testing.assert_allclose(out.data, [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
 
     def test_masked_position_exactly_zero(self):
-        out = taped.masked_softmax(Tensor([0.0, 0.0, 5.0]), valid=2)
+        out = taped.masked_softmax(Tensor([0.0, 0.0, 5.0]), np.arange(3) < 2)
         assert out.data.tolist() == [0.5, 0.5, 0.0]
 
     def test_boolean_mask(self):
-        out = taped.masked_softmax(Tensor([3.0, 1.0, 1.0]), valid=np.array([False, True, True]))
+        out = taped.masked_softmax(Tensor([3.0, 1.0, 1.0]), np.array([False, True, True]))
         assert out.data[0] == 0.0
         np.testing.assert_allclose(out.data[1:], [0.5, 0.5])
 
     def test_all_masked_raises(self):
         with pytest.raises(errors.DomainError):
-            taped.masked_softmax(Tensor([1.0, 2.0]), valid=0)
+            taped.masked_softmax(Tensor([1.0, 2.0]), np.arange(2) < 0)
 
     def test_broadcast_key_mask(self):
         rng = np.random.default_rng(14)
         scores = rng.normal(size=(2, 3, 3))
         keys = np.array([[[True, True, True]], [[True, False, False]]])
         out = taped.masked_softmax(Tensor(scores), keys)
-        row_wise = taped.masked_softmax(Tensor(scores[0])).data
+        row_wise = taped.masked_softmax(Tensor(scores[0]), np.ones(3, bool)).data
         np.testing.assert_allclose(out.data[0], row_wise, rtol=0.0, atol=1e-15)
         assert out.data[1].tolist() == [[1.0, 0.0, 0.0]] * 3
 
@@ -179,14 +179,14 @@ class TestMaskedSoftmax:
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(13)
         scores = Tensor(rng.normal(size=(6, 9)) * 4.0)
-        out = taped.masked_softmax(scores, valid=7)
+        out = taped.masked_softmax(scores, np.arange(9) < 7)
         sums = out.data.sum(axis=-1)
         assert np.all(np.abs(sums - 1.0) <= 1e-12)
         assert np.all(out.data >= 0.0)
         assert np.all(out.data[:, 7:] == 0.0)
 
     def test_stable_at_large_scores(self):
-        out = taped.masked_softmax(Tensor([1000.0, 1000.0]))
+        out = taped.masked_softmax(Tensor([1000.0, 1000.0]), np.ones(2, bool))
         assert out.data.tolist() == [0.5, 0.5]
 
 
@@ -357,9 +357,10 @@ class TestPrimitiveGradients:
         _check(lambda t: taped.tsum(taped.mul(taped.tmean(t, axis=1, keepdims=True), t)), (3, 4), 117)
 
     def test_masked_softmax_grad(self):
-        _check(lambda t: taped.tsum(taped.tanh(taped.mul(taped.masked_softmax(t, valid=3), 5.0))), (4,), 118)
+        first3, first4 = np.arange(4) < 3, np.arange(5) < 4
+        _check(lambda t: taped.tsum(taped.tanh(taped.mul(taped.masked_softmax(t, first3), 5.0))), (4,), 118)
         _check(
-            lambda t: taped.tsum(taped.mul(taped.masked_softmax(t, valid=4), taped.sigmoid(t))), (2, 5), 119
+            lambda t: taped.tsum(taped.mul(taped.masked_softmax(t, first4), taped.sigmoid(t))), (2, 5), 119
         )
         key_mask = np.array([[[True, True, False]], [[True, False, False]]])
         _check(

@@ -386,13 +386,13 @@ class TestCli:
     def test_ctc_oracle_fails_on_a_nan_loss(self, monkeypatch, capsys):
         calls = []
 
-        def nan_once(logits, labels):
+        def nan_once(logits, targets):
             calls.append(None)
             if len(calls) == 5:
                 return Tensor._wrap(np.array(np.nan))
-            return ctc.ctc_loss(logits, labels)
+            return ctc.sequence_ctc_loss(logits, targets)
 
-        monkeypatch.setattr(cli_mod, "ctc_loss", nan_once)
+        monkeypatch.setattr(cli_mod, "sequence_ctc_loss", nan_once)
         assert cli(["ctc-oracle", "--max-t", "2"]) == 1
         assert "PASS" not in capsys.readouterr().out
 
