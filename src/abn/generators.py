@@ -32,7 +32,6 @@ import numpy as np
 
 from . import tensor as tc
 from .data import SequenceBatch
-from .errors import ShapeError
 from .normalization import (
     BatchNormState,
     masked_affine_array,
@@ -60,10 +59,6 @@ class LearnedScaleShift:
     def init(cls, feature_dim: int, width=None, rng=None):
         """gamma = 1 and beta = 0. There is no width, and nothing is drawn."""
         return cls(tc.ones(feature_dim), tc.zeros(feature_dim))
-
-    @property
-    def feature_dim(self) -> int:
-        return self.gamma.shape[-1]
 
     def scale_shift(self, x, mask, dropout_rate: float, rng, mode: str):
         """The learned pair, whatever the frames; dropout leaves it alone."""
@@ -96,10 +91,6 @@ class FrameAbnGenerator:
             b_embed=tc.zeros(embed_dim),
             **_fresh_heads(feature_dim, embed_dim),
         )
-
-    @property
-    def feature_dim(self) -> int:
-        return self.w_embed.shape[-1]
 
     def scale_shift(self, x: np.ndarray, mask: np.ndarray, dropout_rate: float, rng, mode: str):
         """One generated (gamma, beta) pair per utterance, ``[B, 1, p]``, from
@@ -153,10 +144,6 @@ class UttAbnGenerator:
             w_value=Tensor(rng.normal(0.0, scale, size=(attn_dim, feature_dim))),
             **_fresh_heads(feature_dim, attn_dim),
         )
-
-    @property
-    def feature_dim(self) -> int:
-        return self.w_key.shape[-1]
 
     def scale_shift(self, x: np.ndarray, mask: np.ndarray, dropout_rate: float, rng, mode: str):
         """One generated (gamma_t, beta_t) pair per frame, ``[B, T, p]``, from
@@ -310,12 +297,9 @@ def abn_forward(
 
     Untaped in train mode, the batch and any fields of ``gen`` may carry a
     leading replica axis (``tc.per_replica``); every stage keeps it, and
-    the running statistics are left alone.
+    the running statistics are left alone. The batch's width is checked
+    where it enters the stack (``abn.recurrent.run_layers``), not here.
     """
-    if gen.feature_dim != batch.dim:
-        raise ShapeError(
-            f"generator feature dim {gen.feature_dim} does not match batch {batch.dim}"
-        )
     x, standardize_vjp = standardize_batch(batch, state, mode)
     gamma, beta, back = gen.scale_shift(x, batch.frames.mask, dropout_rate, rng, mode)
     mask = batch.frames.mask[:, :, None]

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as tc
 from .data import SequenceBatch
-from .errors import ContractError, DegenerateBatchError, ShapeError
+from .errors import ContractError, DegenerateBatchError
 from .tensor import Tensor
 
 
@@ -39,10 +39,6 @@ class BatchNormState:
     def fresh(cls, feature_dim: int, epsilon: float = 1e-5, momentum: float = 0.1):
         return cls(tc.zeros(feature_dim), tc.ones(feature_dim), epsilon, momentum)
 
-    @property
-    def feature_dim(self) -> int:
-        return self.running_mean.shape[0]
-
 
 def standardize_batch(batch: SequenceBatch, state: BatchNormState, mode: str):
     """Standardized (pre-affine) frames ``[B, T, p]`` and their VJP.
@@ -63,14 +59,12 @@ def standardize_batch(batch: SequenceBatch, state: BatchNormState, mode: str):
 
     Untaped in train mode, the batch may carry a leading replica axis
     (``tc.per_replica``): each replica then takes its own statistics, and
-    the running averages are not updated.
+    the running averages are not updated. Only ``mode`` is checked here;
+    the batch's width is checked where it enters the stack
+    (``abn.recurrent.run_layers``).
     """
     if mode not in ("train", "infer"):
         raise ContractError(f"mode must be 'train' or 'infer', got {mode!r}")
-    if batch.dim != state.feature_dim:
-        raise ShapeError(
-            f"batch feature dim {batch.dim} does not match state {state.feature_dim}"
-        )
     lead, (b, t_max, p) = batch.features.shape[:-3], batch.features.shape[-3:]
     flat = batch.features.data.reshape(lead + (b * t_max, p))
     if mode == "train":

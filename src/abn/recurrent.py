@@ -53,15 +53,12 @@ class LstmLayerParams:
         b[hidden : 2 * hidden] = 1.0  # positive forget bias keeps early memory open
         return cls(Tensor(w_x), Tensor(w_h), tc.zeros(hidden), Tensor(b))
 
-    # Read from the trailing axes: in a replica pass the fields carry a
-    # leading replica axis (``tc.per_replica``).
+    # The kernels read this, from the trailing axis: in a replica pass the
+    # fields carry a leading replica axis (``tc.per_replica``). The input
+    # width needs no property: ``run_layers`` checks it.
     @property
     def hidden(self) -> int:
         return self.w_co.shape[-1]
-
-    @property
-    def input_dim(self) -> int:
-        return self.w_x.shape[-1]
 
 
 def run_direction(batch: SequenceBatch, params: LstmLayerParams, reverse: bool):
@@ -70,6 +67,8 @@ def run_direction(batch: SequenceBatch, params: LstmLayerParams, reverse: bool):
     of the fields of ``params`` in ``__slots__`` order. While no tape
     records, ``None`` takes the VJP's place, so that the gates and cells
     are freed on return. Nothing is recorded here (see ``bilstm_layer``).
+    The batch's width is not checked: ``run_layers`` compares it with the
+    model once, where the batch enters the stack.
 
     The input projection of every frame is one ``[T*B, p] x [p, 4n]``
     product hoisted out of the recurrence (Appleyard, Kocisky & Blunsom
@@ -109,10 +108,6 @@ def run_direction(batch: SequenceBatch, params: LstmLayerParams, reverse: bool):
     ``[R, T, B, 4n]`` buffer, and each frame reads its ``[R, B, 4n]`` view.
     """
     x = batch.features
-    if x.shape[-1] != params.input_dim:
-        raise ShapeError(
-            f"input dim {x.shape[-1]} does not match weights {params.input_dim}"
-        )
     x_lead, (b, t_max, p) = x.shape[:-3], x.shape[-3:]
     n = params.hidden
     w_x, w_co = params.w_x.data, tc.per_replica(params.w_co.data, 1, 3)
@@ -442,7 +437,12 @@ def run_layers(
     stop: int | None = None,
 ) -> SequenceBatch:
     """Layers ``start`` up to ``stop`` (the last, by default), fed the input
-    of layer ``start``."""
+    of layer ``start``. Every pass enters the stack here, so a batch's width
+    (its trailing axis, so replica inputs pass) is checked here, once; the
+    stages behind read widths that ``ModelConfig`` fixes."""
+    want = model.config.layer_input_dim(start)
+    if current.dim != want:
+        raise ShapeError(f"layer {start} reads {want} features, got {current.dim}")
     for layer in model.layers[start:stop]:
         # Rebinding ``current`` at once lets an untaped pass free each
         # layer's input as soon as its normalized copy exists.
@@ -488,5 +488,7 @@ def stack_forward(
     vocabulary (``project``). Each of those stages records one taped node:
     two per layer, then the projection's. ``run_layers`` and ``project``
     let a caller resume the stack at any layer (see ``abn.gradcheck``).
+    A batch whose width is not ``ModelConfig.features`` raises
+    ``ShapeError`` in ``run_layers``, before any stage runs.
     """
     return project(run_layers(batch, model, 0, mode, rng), model)

@@ -310,7 +310,7 @@ def _fault_in_direction(monkeypatch, input_dim, backward, index, factor=1.01):
 
     def faulty(batch, params, reverse):
         out, vjp = original(batch, params, reverse)
-        if reverse != backward or params.input_dim != input_dim or vjp is None:
+        if reverse != backward or params.w_x.shape[-1] != input_dim or vjp is None:
             return out, vjp
         return out, _scaled_vjp(vjp, index, factor)
 

@@ -828,6 +828,23 @@ class TestPerfbenchContract:
         assert tally.failures == [] and tally.attempted == 9
         assert time.monotonic() - t0 < self.BUDGET_S
 
+    # Span targets that no longer exist in the program; the benchmark lists
+    # them as unwrapped (ROADMAP item 7). A target may leave this set, and
+    # no other may join it.
+    KNOWN_STALE = {
+        ("abn.gradcheck", "stack_forward"),
+        ("abn.generators", "bn_forward"),
+        ("abn.gradcheck", "finite_diff_check"),
+    }
+
+    def test_span_targets_resolve(self, perfbench):
+        # A target that stops resolving reads 0 in its per-layer metric
+        # without failing the benchmark run.
+        targets = importlib.import_module("spans").TARGETS
+        unresolved = {(module, attr) for module, attr, _ in targets
+                      if not hasattr(importlib.import_module(module), attr)}
+        assert unresolved <= self.KNOWN_STALE, sorted(unresolved - self.KNOWN_STALE)
+
     @pytest.mark.parametrize("name", ["train-desk", "infer-long", "gradcheck-small"])
     def test_tiny_steps_and_node_probes(self, perfbench, name):
         workloads, selftest = perfbench

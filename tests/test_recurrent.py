@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from abn import errors, recurrent
+from abn import errors, recurrent, train
 from abn import tensor as tc
+from abn.batching import Batch
+from abn.ctc import CtcTargets, LabelSequence
 from abn.data import Frames, SequenceBatch
 from abn.recurrent import (
     LstmLayerParams,
@@ -17,6 +19,7 @@ from abn.recurrent import (
     bilstm_layer,
     project,
     run_direction,
+    run_layers,
     stack_forward,
 )
 from abn.tensor import GradTape, Tensor, backward, recording
@@ -50,10 +53,9 @@ def lstm_step(x_norm: Tensor, prev: LstmState, params: LstmLayerParams) -> LstmS
     state elementwise. It reads each gate's row block of ``w_x``, ``w_h``
     and ``b`` untaped, so no gradient reaches those three.
     """
-    if x_norm.shape[-1] != params.input_dim:
-        raise errors.ShapeError(
-            f"input dim {x_norm.shape[-1]} does not match weights {params.input_dim}"
-        )
+    p = params.w_x.shape[-1]
+    if x_norm.shape[-1] != p:
+        raise errors.ShapeError(f"input dim {x_norm.shape[-1]} does not match weights {p}")
     n = params.hidden
     h, c = prev.h, prev.c
 
@@ -422,6 +424,31 @@ class TestStackForward:
 
             err = finite_diff_check(f, base)
             assert err < 1e-4, f"{name}: {err}"
+
+    # Every pass enters the stack in ``run_layers``, which compares the
+    # batch's width with the one its first layer reads; no later stage
+    # checks it again.
+    WIDTH_ENTRIES = {
+        "stack_forward": lambda model, batch, labels: stack_forward(batch, model, "infer"),
+        "loss_and_gradients": lambda model, batch, labels: train.loss_and_gradients(
+            model, batch, CtcTargets(labels)),
+        "evaluate": lambda model, batch, labels: train.evaluate(model, [Batch(batch, labels)]),
+        "run_layers_from_layer1": lambda model, batch, labels: run_layers(
+            batch, model, 1, "train"),
+    }
+
+    @pytest.mark.parametrize("off_by", [-1, 1], ids=["narrow", "wide"])
+    @pytest.mark.parametrize("entry", list(WIDTH_ENTRIES))
+    def test_wrong_width_refused_where_the_batch_enters(self, entry, off_by):
+        model = Model(ModelConfig(2, 3, 4, 5, ["abn-f", "abn-u"]), np.random.default_rng(51))
+        layer = 1 if entry == "run_layers_from_layer1" else 0
+        want = model.config.layer_input_dim(layer)
+        got = want + off_by
+        batch = SequenceBatch(Tensor(np.random.default_rng(52).normal(size=(2, 4, got))), [4, 3])
+        labels = [LabelSequence([1, 2]), LabelSequence([3])]
+        with pytest.raises(errors.ShapeError,
+                           match=rf"^layer {layer} reads {want} features, got {got}$"):
+            self.WIDTH_ENTRIES[entry](model, batch, labels)
 
     def test_infer_mode_uses_running_stats(self):
         model = Model(ModelConfig(1, 2, 3, 4, "bn"), np.random.default_rng(48))
