@@ -75,7 +75,9 @@ def _parse_array(name: str, dims_text: list[str], values_line: str) -> Tensor:
     try:
         shape = tuple(int(d) for d in dims_text)
     except ValueError:
-        raise CheckpointError(f"parameter {name}: malformed shape {dims_text}") from None
+        shape = None
+    if shape is None or min(shape, default=0) < 0:
+        raise CheckpointError(f"parameter {name}: malformed shape {dims_text}")
     try:
         flat = np.array([float(v) for v in values_line.split()])
     except ValueError:

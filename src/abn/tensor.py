@@ -241,9 +241,6 @@ class Gradients:
             return np.zeros(t.shape, dtype=np.float64)
         return g
 
-    def __contains__(self, t: Tensor) -> bool:
-        return t in self._table
-
 
 def backward(tape: GradTape, loss: Tensor) -> Gradients:
     """Accumulate gradients of a scalar ``loss`` for every tensor on the tape."""

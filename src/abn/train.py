@@ -5,7 +5,6 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,21 +27,6 @@ TRAIN_SEED, DEV_SEED = 1, 2  # data seeds of the two splits
 def deterministic_mode() -> bool:
     """Bitwise-reproducible mode; wall-clock readings are suppressed."""
     return os.environ.get("ABN_DETERMINISTIC") == "1"
-
-
-class MetricsRow(NamedTuple):
-    epoch: int
-    split: str
-    loss: float
-    ter: float
-    lr: float
-    wall_s: float
-
-    def to_csv(self) -> str:
-        return (
-            f"{self.epoch},{self.split},{self.loss:.17g},{self.ter:.17g},"
-            f"{self.lr:.17g},{self.wall_s:.3f}"
-        )
 
 
 def split_batches(cfg: TrainConfig, n_utterances: int, seed: int) -> list[Batch]:
@@ -71,18 +55,29 @@ def _decode_errors(logits_batch, targets: CtcTargets) -> tuple[int, int]:
     return int(dist.sum()), int((targets.s_lens // 2).sum())
 
 
-def evaluate(model: Model, batches: list[Batch]) -> tuple[float, float]:
-    """Mean batch loss and corpus token error rate, inference mode."""
+def _mean_scores(scores: list[tuple[float, int, int]]) -> tuple[float, float]:
+    """Mean batch loss and corpus token error rate of (loss, edit distance,
+    reference tokens) triples."""
+    # Left to right with +=: from Python 3.12 the builtin sum() compensates
+    # float sums, which would change the bits of metrics.csv.
     total_loss = 0.0
-    dist = 0
-    ref_len = 0
-    for batch in batches:
-        logits = stack_forward(batch.features, model, "infer")
-        total_loss += sequence_ctc_loss(logits, batch.labels).item()
-        d, r = _decode_errors(logits, batch.labels)
+    dist = ref_len = 0
+    for loss, d, r in scores:
+        total_loss += loss
         dist += d
         ref_len += r
-    return total_loss / len(batches), dist / max(ref_len, 1)
+    return total_loss / len(scores), dist / max(ref_len, 1)
+
+
+def evaluate(model: Model, batches: list[Batch]) -> tuple[float, float]:
+    """Mean batch loss and corpus token error rate of ``batches``, from one
+    untaped inference-mode pass each."""
+    scores = []
+    for batch in batches:
+        logits = stack_forward(batch.features, model, "infer")
+        scores.append((sequence_ctc_loss(logits, batch.labels).item(),
+                       *_decode_errors(logits, batch.labels)))
+    return _mean_scores(scores)
 
 
 def loss_and_gradients(
@@ -127,30 +122,31 @@ class TrainState:
         return cls(model, adam, np.random.default_rng([cfg.seed, 2]), cfg.initial_lr)
 
 
+def train_step(state: TrainState, batch: Batch) -> tuple[float, int, int] | None:
+    """One taped step on ``batch``: Adam updates ``state.model``, and the
+    loss, edit distance and reference tokens of the train-mode pass are
+    returned. A batch whose loss or gradient is not finite is counted in
+    ``state`` and skipped: ``None``, with the weights and Adam untouched."""
+    loss, logits, _, grads = loss_and_gradients(state.model, *batch, state.drop_rng)
+    # A NaN gradient under a finite loss would reach the weights.
+    if grads is None or not all(np.isfinite(g).all() for g in grads.values()):
+        state.skipped_batches += 1
+        state.nonfinite_gradients += grads is not None
+        return None
+    for name, t in adam_step(state.model.parameters(), grads, state.adam, state.lr).items():
+        state.model.set_parameter(name, t)
+    return loss.item(), *_decode_errors(logits, batch.labels)
+
+
 def train_epoch(state: TrainState, batches: list[Batch]) -> tuple[float, float]:
-    """One pass of taped steps over ``batches``; the mean loss and corpus
-    token error rate of the batches it used. A batch whose loss or gradient
-    is not finite is skipped and counted; if all are, ``EmptyEpochError``."""
-    total_loss = 0.0
-    used = dist = ref_len = 0
-    for batch in batches:
-        loss, logits, _, grads = loss_and_gradients(state.model, *batch, state.drop_rng)
-        # A NaN gradient under a finite loss would reach the weights.
-        if grads is None or not all(np.isfinite(g).all() for g in grads.values()):
-            state.skipped_batches += 1
-            state.nonfinite_gradients += grads is not None
-            continue
-        for name, t in adam_step(state.model.parameters(), grads, state.adam, state.lr).items():
-            state.model.set_parameter(name, t)
-        total_loss += loss.item()
-        used += 1
-        d, r = _decode_errors(logits, batch.labels)
-        dist += d
-        ref_len += r
-    if used == 0:
+    """``train_step`` over each of ``batches``; the mean loss and corpus
+    token error rate of the batches it did not skip. If it skipped them
+    all, ``EmptyEpochError``."""
+    scores = [s for s in (train_step(state, batch) for batch in batches) if s is not None]
+    if not scores:
         raise EmptyEpochError(f"epoch {len(state.dev_history) + 1}: all {len(batches)}"
                               " training batches had a non-finite loss or gradient")
-    return total_loss / used, dist / max(ref_len, 1)
+    return _mean_scores(scores)
 
 
 def run_training(cfg: TrainConfig, variant: str, out_dir: str) -> dict:
@@ -184,7 +180,8 @@ def run_training(cfg: TrainConfig, variant: str, out_dir: str) -> dict:
             dev_wall = 0.0 if quiet_clock else time.monotonic() - t1
             for split, loss, ter, wall in (("train", train_loss, train_ter, train_wall),
                                            ("dev", dev_loss, dev_ter, dev_wall)):
-                metrics.write(MetricsRow(epoch, split, loss, ter, state.lr, wall).to_csv() + "\n")
+                metrics.write(f"{epoch},{split},{loss:.17g},{ter:.17g},"
+                              f"{state.lr:.17g},{wall:.3f}\n")
             metrics.flush()
             state.dev_history.append(dev_loss)
             if len(state.dev_history) >= 2:

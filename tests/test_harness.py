@@ -22,6 +22,7 @@ from abn.optim import AdamState, adam_step, lr_schedule
 from abn.recurrent import Model, ModelConfig, stack_forward
 from abn.synth import SyntheticTask, sorted_for_batching, synth_generate
 from abn.tensor import Tensor
+from abn.train import TRAIN_SEED, TrainState, split_batches, train_step
 
 
 class TestAdam:
@@ -739,12 +740,13 @@ class TestCheckpoint:
     @pytest.mark.parametrize(
         "block, dims",
         [("tensor layer0.fwd.w_x 12 4", "4 12"), ("tensor out.b 5", "1 5"),
-         ("tensor layer0.gen.w_gamma 4 2", "2 4")],
-        ids=["w_x-transposed", "out.b-row", "w_gamma-transposed"],
+         ("tensor layer0.gen.w_gamma 4 2", "2 4"), ("tensor layer0.fwd.w_x 12 4", "-12 -4")],
+        ids=["w_x-transposed", "out.b-row", "w_gamma-transposed", "w_x-negative"],
     )
     def test_block_shape_checked_against_model(self, tmp_path, block, dims):
         # The value count fits the stored shape, so only the model's own
-        # shape can refuse it; the message names the block once.
+        # shape, or for negative dimensions the parser, can refuse it; the
+        # message names the block once.
         path, lines = self._saved_lines(tmp_path)
         idx = lines.index(block)
         kind, name = block.split()[:2]
@@ -816,7 +818,9 @@ class TestPerfbenchContract:
     fails here and not only in a benchmark run."""
 
     # Each test's wall-time limit. Measured on a 2-core host: 0.46 s for the
-    # references, 0.03-0.07 s for each workload's tiny steps.
+    # references, 0.39 s for ``train_step`` against the train reference (its
+    # pinned losses recomputed included), 0.03-0.07 s for each workload's
+    # tiny steps.
     BUDGET_S = 5.0
 
     def test_pinned_references(self, perfbench):
@@ -826,6 +830,23 @@ class TestPerfbenchContract:
         for name in ("train-desk", "infer-long", "gradcheck-small"):
             workloads.check_references(workloads.WORKLOADS[name], tally)
         assert tally.failures == [] and tally.attempted == 9
+        assert time.monotonic() - t0 < self.BUDGET_S
+
+    def test_train_step_reproduces_train_desk(self, perfbench):
+        # train-desk keeps its own copy of the training step; the program's
+        # step must give its pinned losses bit for bit, so that the benchmark
+        # can call ``train_step`` instead without re-pinning them.
+        workloads, _ = perfbench
+        t0 = time.monotonic()
+        cfg = workloads.desk_config(workloads.REFERENCE_SEED,
+                                    train_utterances=workloads.REFERENCE_TRAIN_UTTERANCES)
+        batches = split_batches(cfg, cfg.train_utterances, TRAIN_SEED)
+        pinned = workloads.TrainDesk.reference_outputs()
+        for v in workloads.VARIANTS:
+            state = TrainState.start(cfg, v)
+            losses = [train_step(state, batch)[0]
+                      for _ in range(workloads.REFERENCE_TRAIN_EPOCHS) for batch in batches]
+            assert losses == pinned[v]["losses"], v
         assert time.monotonic() - t0 < self.BUDGET_S
 
     # Span targets that no longer exist in the program; the benchmark lists

@@ -215,7 +215,6 @@ class TestBackward:
             loss = taped.tsum(x)
         grads = backward(tape, loss)
         np.testing.assert_array_equal(grads.wrt(unused), np.zeros((1, 2)))
-        assert unused not in grads
 
     def test_nonscalar_loss_rejected(self):
         x = Tensor([1.0, 2.0])

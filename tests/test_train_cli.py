@@ -21,6 +21,7 @@ from abn.train import (
     run_training,
     split_batches,
     train_epoch,
+    train_step,
 )
 
 TINY_CFG = """\
@@ -159,8 +160,9 @@ class TestNonFiniteGradients:
         assert np.isfinite(summary["final_dev_loss"])
 
     def test_nonfinite_loss_skipped_without_a_step(self, monkeypatch):
-        # The first batch's loss is NaN: it is skipped and counted, but not as
-        # a non-finite gradient, and Adam steps once for each other batch.
+        # The first step's loss is NaN: it is skipped and counted, but not as
+        # a non-finite gradient, and leaves the weights and Adam as they were.
+        # The epoch after it then steps Adam once for every batch.
         cfg = tiny_config()
         batches = split_batches(cfg, cfg.train_utterances, TRAIN_SEED)
         loss, calls = train_mod.sequence_ctc_loss, []
@@ -171,9 +173,13 @@ class TestNonFiniteGradients:
 
         monkeypatch.setattr(train_mod, "sequence_ctc_loss", nan_first)
         state = TrainState.start(cfg, "abn-f")
+        before = state.model.parameters()
+        assert train_step(state, batches[0]) is None
+        assert all(t is before[name] for name, t in state.model.parameters().items())
+        assert (state.adam.t, state.skipped_batches) == (0, 1)
         assert np.isfinite(train_epoch(state, batches)).all()
         assert (state.skipped_batches, state.nonfinite_gradients) == (1, 0)
-        assert state.adam.t == len(batches) - 1 >= 1
+        assert state.adam.t == len(batches) >= 1
 
     def test_epoch_with_every_batch_skipped_raises(self, tmp_path, monkeypatch):
         _nan_ctc_gradients(monkeypatch, first_n=10**9)
