@@ -24,6 +24,8 @@ from abn.synth import SyntheticTask, sorted_for_batching, synth_generate
 from abn.tensor import Tensor
 from abn.train import TRAIN_SEED, TrainState, split_batches, train_step
 
+import fault_census
+
 
 class TestAdam:
     def test_first_step_magnitude(self):
@@ -876,3 +878,13 @@ class TestPerfbenchContract:
             assert wl.step(v, 0)
             assert wl.node_probe(v) > 0.0
         assert time.monotonic() - t0 < self.BUDGET_S
+
+
+class TestFaultCensus:
+    """Every fault of ``tests/fault_census.py`` still applies: its old text
+    occurs once in its ``src/abn`` file and the patched file compiles. So a
+    change that moves a patched line updates the census with it."""
+
+    def test_every_fault_applies_once_and_compiles(self):
+        for fault in fault_census.FAULTS:
+            fault_census.patched_source(fault)  # a ValueError names the fault
