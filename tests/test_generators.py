@@ -1,5 +1,4 @@
-"""Attention-generated scale/shift: both variants against per-utterance and
-taped references, and their gradients."""
+"""Attention-generated scale/shift: both variants, reduction, gradients."""
 
 import contextlib
 import dataclasses
@@ -34,6 +33,12 @@ from abn.tensor import GradTape, Tensor, backward, recording
 
 import taped
 from taped import finite_diff_check
+
+
+def zero_frame_gen(p=4, d_e=2):
+    g = FrameAbnGenerator.init(p, d_e, np.random.default_rng(0))
+    g.w_embed = tc.zeros(d_e, p)
+    return g
 
 
 def random_frame_gen(p=4, d_e=2, seed=0):
@@ -74,12 +79,205 @@ def plain_bn(batch, p):
     return abn_forward(batch, BatchNormState.fresh(p), LearnedScaleShift.init(p), "train")
 
 
+class TestFrameEmbed:
+    def test_zero_map(self):
+        g = zero_frame_gen()
+        out = frame_embed(np.random.default_rng(1).normal(size=(3, 4)), g)
+        np.testing.assert_array_equal(out, np.zeros((3, 2)))
+
+    def test_tanh_inversion(self):
+        g = zero_frame_gen()
+        g.b_embed = Tensor(np.full(2, math.atanh(0.5)))
+        out = frame_embed(np.ones((3, 4)), g)
+        np.testing.assert_allclose(out, np.full((3, 2), 0.5), atol=1e-15)
+
+    def test_opposing_features_cancel(self):
+        g = zero_frame_gen(p=2, d_e=1)
+        g.w_embed = Tensor([[1.0, 1.0]])
+        out = frame_embed(np.array([[1.0, -1.0]]), g)
+        assert out.tolist() == [[0.0]]
+
+
+class TestFrameAttention:
+    def test_identical_frames_get_uniform_weights(self):
+        e = np.tile([[0.3, -0.7]], (5, 1))
+        alpha = frame_attention(e, np.ones(5, bool))
+        np.testing.assert_allclose(alpha, np.full(5, 0.2), atol=1e-15)
+
+    def test_closed_form_two_frames(self):
+        e = np.array([[math.log(3.0)], [0.0]])
+        alpha = frame_attention(e, np.ones(2, bool))
+        np.testing.assert_allclose(alpha, [0.75, 0.25], atol=1e-15)
+
+    def test_mask_excludes_padded_frame(self):
+        e = np.array([[0.0], [0.0], [0.9]])
+        alpha = frame_attention(e, np.arange(3) < 2)
+        assert alpha.tolist() == [0.5, 0.5, 0.0]
+
+    def test_mean_over_embedding_elements(self):
+        # Means (ln2, 0) after averaging the two components.
+        e = np.array([[2.0 * math.log(2.0), 0.0], [0.0, 0.0]])
+        alpha = frame_attention(e, np.ones(2, bool))
+        np.testing.assert_allclose(alpha, [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
+
+
+class TestFramePool:
+    def test_one_hot(self):
+        u = frame_pool(np.array([[1.0, 2.0], [9.0, 9.0]]), np.array([1.0, 0.0]))
+        assert u.tolist() == [1.0, 2.0]
+
+    def test_even_mix(self):
+        u = frame_pool(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.5, 0.5]))
+        assert u.tolist() == [0.5, 0.5]
+
+    def test_constant_rows_fixed_point(self):
+        e = np.tile([[2.0, -1.0]], (4, 1))
+        u = frame_pool(e, np.array([0.1, 0.2, 0.3, 0.4]))
+        np.testing.assert_allclose(u, [2.0, -1.0], atol=1e-15)
+
+
+class TestFrameParams:
+    def test_zero_init_reduces_to_bn_defaults(self):
+        g = zero_frame_gen()
+        gamma, beta = head_params(np.array([0.4, -0.2]), g)
+        assert gamma.tolist() == [1.0] * 4
+        assert beta.tolist() == [0.0] * 4
+
+    def test_zero_input_returns_biases(self):
+        g = random_frame_gen()
+        gamma, beta = head_params(np.zeros(2), g)
+        np.testing.assert_array_equal(gamma, g.b_gamma.data)
+        np.testing.assert_array_equal(beta, g.b_beta.data)
+
+    def test_hand_case(self):
+        g = zero_frame_gen(p=3, d_e=1)
+        g.w_gamma = Tensor([[2.0], [2.0], [2.0]])
+        gamma, _ = head_params(np.array([3.0]), g)
+        assert gamma.tolist() == [7.0, 7.0, 7.0]
+
+
+class TestUttProject:
+    def test_zero_weights(self):
+        g = random_utt_gen()
+        g.w_key = g.w_query = g.w_value = tc.zeros(3, 4)
+        for t in utt_project(np.ones((2, 4)), g):
+            np.testing.assert_array_equal(t, np.zeros((2, 3)))
+
+    def test_selector_row(self):
+        g = random_utt_gen(p=3, d_a=1)
+        g.w_key = Tensor([[0.0, 1.0, 0.0]])
+        h = np.array([[1.0, 5.0, 2.0], [0.0, -3.0, 9.0]])
+        k, _, _ = utt_project(h, g)
+        assert k.tolist() == [[5.0], [-3.0]]
+
+    def test_matches_matmul(self):
+        rng = np.random.default_rng(31)
+        g = random_utt_gen(seed=31)
+        h = rng.normal(size=(5, 4))
+        k, q, v = utt_project(h, g)
+        np.testing.assert_allclose(k, h @ g.w_key.data.T, atol=1e-15)
+        np.testing.assert_allclose(q, h @ g.w_query.data.T, atol=1e-15)
+        np.testing.assert_allclose(v, h @ g.w_value.data.T, atol=1e-15)
+
+
+class TestUttAttention:
+    def test_single_frame(self):
+        alpha = utt_attention(np.array([[0.7, -0.2]]), np.array([[1.5, 0.0]]), np.ones(1, bool))
+        assert alpha.tolist() == [[1.0]]
+
+    def test_uniform_scores(self):
+        k = np.ones((3, 4))
+        alpha = utt_attention(k, k, np.ones(3, bool))
+        # every score is 4/sqrt(4) = 2, so rows are uniform
+        np.testing.assert_allclose(alpha, np.full((3, 3), 1.0 / 3.0), atol=1e-15)
+
+    def test_diagonal_concentrates_with_scale(self):
+        base = np.eye(3)
+        weak = utt_attention(base, base, np.ones(3, bool))
+        strong = utt_attention(10.0 * base, 10.0 * base, np.ones(3, bool))
+        assert np.all(np.diag(strong) > np.diag(weak))
+        assert np.all(np.diag(strong) > 0.99)
+
+    def test_rows_are_probability_vectors(self):
+        rng = np.random.default_rng(37)
+        alpha = utt_attention(rng.normal(size=(6, 3)), rng.normal(size=(6, 3)), np.ones(6, bool))
+        assert np.all(alpha >= 0)
+        np.testing.assert_allclose(alpha.sum(axis=1), np.ones(6), atol=1e-12)
+
+    def test_mask_zeroes_padded_columns(self):
+        rng = np.random.default_rng(38)
+        alpha = utt_attention(rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), np.arange(4) < 2)
+        assert np.all(alpha[:, 2:] == 0.0)
+        np.testing.assert_allclose(alpha.sum(axis=1), np.ones(4), atol=1e-12)
+
+
+class TestUttContext:
+    def test_identity_attention_selects_self(self):
+        v = np.random.default_rng(39).normal(size=(3, 2))
+        np.testing.assert_array_equal(utt_context(np.eye(3), v), v)
+
+    def test_uniform_average(self):
+        c = utt_context(np.full((2, 2), 0.5), np.array([[2.0, 0.0], [0.0, 2.0]]))
+        np.testing.assert_allclose(c, np.ones((2, 2)), atol=1e-15)
+
+    def test_constant_values_fixed_point(self):
+        alpha = np.array([[0.9, 0.1], [0.5, 0.5]])
+        v = np.tile([[3.0, -1.0]], (2, 1))
+        np.testing.assert_allclose(utt_context(alpha, v), v, atol=1e-15)
+
+
+class TestUttParams:
+    def test_zero_init_reduces_to_bn_defaults(self):
+        g = UttAbnGenerator.init(4, 3, np.random.default_rng(0))
+        gamma, beta = head_params(np.random.default_rng(1).normal(size=(5, 3)), g)
+        np.testing.assert_array_equal(gamma, np.ones((5, 4)))
+        np.testing.assert_array_equal(beta, np.zeros((5, 4)))
+
+    def test_zero_context_returns_biases(self):
+        g = random_utt_gen()
+        gamma, beta = head_params(np.zeros((2, 3)), g)
+        np.testing.assert_array_equal(gamma, np.tile(g.b_gamma.data, (2, 1)))
+        np.testing.assert_array_equal(beta, np.tile(g.b_beta.data, (2, 1)))
+
+    def test_identical_context_identical_params(self):
+        g = random_utt_gen()
+        c = np.tile([[0.3, 0.8, -0.5]], (4, 1))
+        gamma, beta = head_params(c, g)
+        for row in range(1, 4):
+            np.testing.assert_array_equal(gamma[row], gamma[0])
+            np.testing.assert_array_equal(beta[row], beta[0])
+
+
 def random_batch(seed, batch=2, t_max=5, p=4, lengths=(5, 3)):
     rng = np.random.default_rng(seed)
     feats = rng.normal(size=(batch, t_max, p))
     mask = np.arange(t_max)[None, :] < np.asarray(lengths)[:, None]
     feats = feats * mask[:, :, None]
     return SequenceBatch(Tensor(feats), list(lengths))
+
+
+class TestReduction:
+    def test_fresh_generators_reproduce_bn_exactly(self):
+        for variant, make in (
+            ("abn-f", lambda: FrameAbnGenerator.init(4, 2, np.random.default_rng(5))),
+            ("abn-u", lambda: UttAbnGenerator.init(4, 3, np.random.default_rng(5))),
+        ):
+            batch = random_batch(50)
+            ref = plain_bn(batch, 4)
+            out = abn_forward(batch, BatchNormState.fresh(4), make(), "train")
+            diff = np.abs(ref.features.data - out.features.data).max()
+            assert diff <= 1e-12, f"{variant} diverged from plain bn by {diff}"
+
+    def test_reduction_holds_across_many_batches(self):
+        gen_f = FrameAbnGenerator.init(3, 2, np.random.default_rng(0))
+        gen_u = UttAbnGenerator.init(3, 2, np.random.default_rng(0))
+        for seed in range(20):
+            lengths = (np.random.default_rng(seed).integers(1, 7), 6)
+            batch = random_batch(seed, batch=2, t_max=6, p=3, lengths=lengths)
+            ref = plain_bn(batch, 3)
+            for gen in (gen_f, gen_u):
+                out = abn_forward(batch, BatchNormState.fresh(3), gen, "train")
+                assert np.abs(ref.features.data - out.features.data).max() <= 1e-12
 
 
 class TestAbnForward:

@@ -299,25 +299,83 @@ def _check(f, shape, seed, tol=1e-4):
 
 
 class TestPrimitiveGradients:
-    """The finite-difference cases of the taped primitives that criterion 1's
-    op cases lack."""
+    """Every primitive passes the finite-difference oracle on a fixed seed."""
 
-    def test_div_numerator(self):
+    def test_add(self):
+        c = Tensor(np.random.default_rng(1).normal(size=(3, 4)))
+        _check(lambda t: taped.tsum(taped.add(t, c)), (3, 4), 100)
+
+    def test_add_broadcast(self):
+        c = Tensor(np.random.default_rng(2).normal(size=(4,)))
+        _check(lambda t: taped.tsum(taped.mul(taped.add(t, c), taped.add(t, c))), (3, 4), 101)
+
+    def test_sub(self):
+        c = Tensor(np.random.default_rng(3).normal(size=(3, 4)))
+        _check(lambda t: taped.tsum(taped.mul(taped.sub(c, t), taped.sub(c, t))), (3, 4), 102)
+
+    def test_mul(self):
+        c = Tensor(np.random.default_rng(4).normal(size=(3, 4)))
+        _check(lambda t: taped.tsum(taped.mul(t, c)), (3, 4), 103)
+
+    def test_div(self):
         c = Tensor(np.abs(np.random.default_rng(5).normal(size=(3, 4))) + 1.0)
         _check(lambda t: taped.tsum(taped.div(t, c)), (3, 4), 104)
+        _check(lambda t: taped.tsum(taped.div(c, taped.add(taped.mul(t, t), 1.0))), (3, 4), 105)
 
-    def test_matmul_right_operand(self):
+    def test_neg(self):
+        _check(lambda t: taped.tsum(taped.tanh(taped.mul(t, -1.0))), (5,), 106)
+
+    def test_matmul_both_sides(self):
+        c = Tensor(np.random.default_rng(6).normal(size=(4, 2)))
+        _check(lambda t: taped.tsum(taped.tanh(taped.matmul(t, c))), (3, 4), 107)
         d = Tensor(np.random.default_rng(7).normal(size=(2, 4)))
         _check(lambda t: taped.tsum(taped.tanh(taped.matmul(d, t))), (4, 3), 108)
         e = Tensor(np.random.default_rng(12).normal(size=(2, 4, 3)))
+        _check(lambda t: taped.tsum(taped.tanh(taped.matmul(t, e))), (2, 3, 4), 127)
         _check(lambda t: taped.tsum(taped.tanh(taped.matmul(e, t))), (2, 3, 2), 128)
 
-    def test_linear_of_a_vector(self):
+    def test_linear_vector_and_rows(self):
         x1 = Tensor(np.random.default_rng(8).normal(size=(4,)))
         _check(lambda t: taped.tsum(taped.tanh(taped.linear(x1, t))), (3, 4), 109)
+        x2 = Tensor(np.random.default_rng(9).normal(size=(5, 4)))
+        _check(lambda t: taped.tsum(taped.tanh(taped.linear(x2, t))), (3, 4), 110)
+        w = Tensor(np.random.default_rng(10).normal(size=(3, 4)))
+        _check(lambda t: taped.tsum(taped.tanh(taped.linear(t, w))), (5, 4), 111)
 
-    def test_mean_keepdims(self):
+    def test_sigmoid_tanh(self):
+        _check(lambda t: taped.tsum(taped.sigmoid(t)), (6,), 112)
+        _check(lambda t: taped.tsum(taped.tanh(t)), (6,), 113)
+
+    def test_sqrt(self):
+        rng = np.random.default_rng(115)
+        theta = Tensor(np.abs(rng.normal(size=(5,))) + 0.5)
+        assert finite_diff_check(lambda t: taped.tsum(taped.sqrt(t)), theta) < 1e-4
+
+    def test_sum_mean_axes(self):
+        _check(lambda t: taped.tsum(taped.mul(taped.tsum(t, axis=0), taped.tsum(t, axis=0))), (3, 4), 116)
         _check(lambda t: taped.tsum(taped.mul(taped.tmean(t, axis=1, keepdims=True), t)), (3, 4), 117)
+
+    def test_masked_softmax_grad(self):
+        first3, first4 = np.arange(4) < 3, np.arange(5) < 4
+        _check(lambda t: taped.tsum(taped.tanh(taped.mul(taped.masked_softmax(t, first3), 5.0))), (4,), 118)
+        _check(
+            lambda t: taped.tsum(taped.mul(taped.masked_softmax(t, first4), taped.sigmoid(t))), (2, 5), 119
+        )
+        key_mask = np.array([[[True, True, False]], [[True, False, False]]])
+        _check(
+            lambda t: taped.tsum(taped.mul(taped.masked_softmax(t, key_mask), taped.sigmoid(t))),
+            (2, 3, 3),
+            129,
+        )
+
+    def test_reshape_transpose(self):
+        _check(lambda t: taped.tsum(taped.tanh(taped.reshape(t, (2, 6)))), (3, 4), 120)
+        _check(lambda t: taped.tsum(taped.tanh(taped.matmul(t, taped.transpose(t)))), (3, 4), 121)
+        _check(lambda t: taped.tsum(taped.tanh(taped.matmul(t, taped.transpose(t)))), (2, 3, 4), 130)
+
+    def test_concat(self):
+        c = Tensor(np.random.default_rng(11).normal(size=(2, 3)))
+        _check(lambda t: taped.tsum(taped.tanh(taped.concat([t, c], axis=0))), (2, 3), 122)
 
 
 class TestDropout:
