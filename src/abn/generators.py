@@ -60,7 +60,7 @@ class LearnedScaleShift:
         """gamma = 1 and beta = 0. There is no width, and nothing is drawn."""
         return cls(tc.ones(feature_dim), tc.zeros(feature_dim))
 
-    def scale_shift(self, x, mask, dropout_rate: float, rng, mode: str):
+    def scale_shift(self, x, mask, dropout_rate: float, rng):
         """The learned pair, whatever the frames; dropout leaves it alone."""
         gamma, beta = (tc.per_replica(t.data, 1, 4) for t in (self.gamma, self.beta))
         return gamma, beta, lambda g_x, g_gamma, g_beta: (g_gamma, g_beta)
@@ -92,12 +92,12 @@ class FrameAbnGenerator:
             **_fresh_heads(feature_dim, embed_dim),
         )
 
-    def scale_shift(self, x: np.ndarray, mask: np.ndarray, dropout_rate: float, rng, mode: str):
+    def scale_shift(self, x: np.ndarray, mask: np.ndarray, dropout_rate: float, rng):
         """One generated (gamma, beta) pair per utterance, ``[B, 1, p]``, from
         the standardized frames ``x`` (``[B, T, p]``, frame mask ``[B, T]``),
-        and their ``back``. Dropout, when active, hits the frame embeddings."""
+        and their ``back``. Dropout at ``dropout_rate`` hits the frame embeddings."""
         embedded = frame_embed(x, self)
-        scale = tc.dropout_scale(embedded.shape, dropout_rate, rng, mode)
+        scale = tc.dropout_scale(embedded.shape, dropout_rate, rng)
         e = embedded if scale is None else np.multiply(embedded, scale)
         alpha = frame_attention(e, mask)
         z = frame_pool(e, alpha)[..., None, :]  # [B, 1, d_e]
@@ -145,10 +145,10 @@ class UttAbnGenerator:
             **_fresh_heads(feature_dim, attn_dim),
         )
 
-    def scale_shift(self, x: np.ndarray, mask: np.ndarray, dropout_rate: float, rng, mode: str):
+    def scale_shift(self, x: np.ndarray, mask: np.ndarray, dropout_rate: float, rng):
         """One generated (gamma_t, beta_t) pair per frame, ``[B, T, p]``, from
         the standardized frames ``x`` (``[B, T, p]``, frame mask ``[B, T]``),
-        and their ``back``. Dropout, when active, hits the context vectors."""
+        and their ``back``. Dropout at ``dropout_rate`` hits the context vectors."""
         k, q, v = utt_project(x, self)
         alpha = utt_attention(k, q, mask[:, None, :])
         context = utt_context(alpha, v)
@@ -156,7 +156,7 @@ class UttAbnGenerator:
         # the [B, T, T] weights before the heads allocate gamma and beta.
         saved = (k, q, v, alpha) if tc.is_recording() else None
         del k, q, v, alpha
-        scale = tc.dropout_scale(context.shape, dropout_rate, rng, mode)
+        scale = tc.dropout_scale(context.shape, dropout_rate, rng)
         c = context if scale is None else np.multiply(context, scale)
         gamma, beta = head_params(c, self)
 
@@ -291,17 +291,18 @@ def abn_forward(
     mask``. Its inputs are ``batch.features`` and the fields of ``gen``.
     The VJP runs the affine's backward, the source's ``back`` (which adds
     its shares of xhat's gradient in place and returns its fields'
-    gradients), then the standardization's. Dropout, when active, hits the
-    generator's intermediate activations only (frame embeddings, or context
-    vectors), never the main signal.
+    gradients), then the standardization's. Dropout at ``dropout_rate``
+    hits the generator's intermediate activations only (frame embeddings,
+    or context vectors), never the main signal, whatever the mode.
 
     Untaped in train mode, the batch and any fields of ``gen`` may carry a
     leading replica axis (``tc.per_replica``); every stage keeps it, and
-    the running statistics are left alone. The batch's width is checked
-    where it enters the stack (``abn.recurrent.run_layers``), not here.
+    the running statistics are left alone. Nothing is checked here: the
+    pass's gate (``abn.recurrent.run_layers``) checks the mode and the
+    batch, and hands the node its rate, 0.0 at inference.
     """
     x, standardize_vjp = standardize_batch(batch, state, mode)
-    gamma, beta, back = gen.scale_shift(x, batch.frames.mask, dropout_rate, rng, mode)
+    gamma, beta, back = gen.scale_shift(x, batch.frames.mask, dropout_rate, rng)
     mask = batch.frames.mask[:, :, None]
     out = Tensor._wrap(masked_affine_array(x, gamma, beta, mask))
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import tensor as tc
 from .data import SequenceBatch
-from .errors import ContractError, DegenerateBatchError
 from .tensor import Tensor
 
 
@@ -59,20 +58,15 @@ def standardize_batch(batch: SequenceBatch, state: BatchNormState, mode: str):
 
     Untaped in train mode, the batch may carry a leading replica axis
     (``tc.per_replica``): each replica then takes its own statistics, and
-    the running averages are not updated. Only ``mode`` is checked here;
-    the batch's width is checked where it enters the stack
-    (``abn.recurrent.run_layers``).
+    the running averages are not updated. Nothing is checked here: the
+    pass's gate (``abn.recurrent.run_layers``) refuses any other mode, a
+    train batch of fewer than 2 valid frames and a batch of the wrong
+    width before any stage runs.
     """
-    if mode not in ("train", "infer"):
-        raise ContractError(f"mode must be 'train' or 'infer', got {mode!r}")
     lead, (b, t_max, p) = batch.features.shape[:-3], batch.features.shape[-3:]
     flat = batch.features.data.reshape(lead + (b * t_max, p))
     if mode == "train":
         n = batch.frames.valid
-        if n < 2:
-            raise DegenerateBatchError(
-                f"need at least 2 valid frames for batch statistics, got {n}"
-            )
         maskcol = batch.frames.mask.astype(np.float64).reshape(-1, 1)
         mu = np.sum(flat * maskcol, axis=-2, keepdims=True) / n
         diff = flat - mu

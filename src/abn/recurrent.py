@@ -23,7 +23,7 @@ from scipy.special import expit
 
 from . import tensor as tc
 from .data import SequenceBatch
-from .errors import ContractError, ShapeError
+from .errors import ContractError, DegenerateBatchError, ShapeError
 from .generators import GENERATORS, VARIANTS, LearnedScaleShift, abn_forward
 from .normalization import BatchNormState
 from .tensor import Tensor
@@ -200,15 +200,14 @@ def bilstm_layer(
     params_fwd: LstmLayerParams,
     params_bwd: LstmLayerParams,
     rate: float = 0.0,
-    mode: str = "infer",
     rng: np.random.Generator | None = None,
 ) -> SequenceBatch:
     """Per-frame ``[forward, backward]`` halves of one BiLSTM layer, with
-    inverted dropout in train mode, as one taped node.
+    inverted dropout at ``rate``, as one taped node.
 
     The two directions' outputs (``run_direction``) are concatenated and
     multiplied by ``tc.dropout_scale`` of the joined shape, drawn once both
-    have run (nothing at inference or rate 0). The node reads
+    have run (nothing at rate 0, as at inference). The node reads
     ``batch.features``, then the fields of ``params_fwd`` and of
     ``params_bwd`` in ``__slots__`` order; its VJP scales the gradient and
     runs the backward direction's VJP, then the forward's. Padded frames
@@ -218,7 +217,7 @@ def bilstm_layer(
     fwd, fwd_vjp = run_direction(batch, params_fwd, reverse=False)
     bwd, bwd_vjp = run_direction(batch, params_bwd, reverse=True)
     out = np.concatenate(np.broadcast_arrays(fwd, bwd), axis=-1)
-    scale = tc.dropout_scale(out.shape, rate, rng, mode)
+    scale = tc.dropout_scale(out.shape, rate, rng)
     if scale is not None:
         out *= scale
     n = params_fwd.hidden
@@ -437,17 +436,30 @@ def run_layers(
     stop: int | None = None,
 ) -> SequenceBatch:
     """Layers ``start`` up to ``stop`` (the last, by default), fed the input
-    of layer ``start``. Every pass enters the stack here, so a batch's width
-    (its trailing axis, so replica inputs pass) is checked here, once; the
-    stages behind read widths that ``ModelConfig`` fixes."""
+    of layer ``start``. Every pass enters the stack here, and this is its
+    one gate. Before any stage runs, so that a refused pass leaves the
+    model as it was, it refuses a mode other than ``"train"`` or
+    ``"infer"``, a batch whose width (its trailing axis, so replica inputs
+    pass) is not the one layer ``start`` reads, train-mode dropout without
+    ``rng``, and a train batch of fewer than 2 valid frames. The stages
+    behind it check none of these; they apply the dropout rate it hands
+    them, ``ModelConfig.dropout`` in train mode and 0.0 at inference."""
+    if mode not in ("train", "infer"):
+        raise ContractError(f"mode must be 'train' or 'infer', got {mode!r}")
     want = model.config.layer_input_dim(start)
     if current.dim != want:
         raise ShapeError(f"layer {start} reads {want} features, got {current.dim}")
+    rate = model.config.dropout if mode == "train" else 0.0
+    if rate > 0.0 and rng is None:
+        raise ContractError("dropout in train mode needs a random generator")
+    n = current.frames.valid
+    if mode == "train" and n < 2:
+        raise DegenerateBatchError(f"need at least 2 valid frames for batch statistics, got {n}")
     for layer in model.layers[start:stop]:
         # Rebinding ``current`` at once lets an untaped pass free each
         # layer's input as soon as its normalized copy exists.
-        current = abn_forward(current, layer.norm, layer.gen, mode, model.config.dropout, rng)
-        current = bilstm_layer(current, layer.fwd, layer.bwd, model.config.dropout, mode, rng)
+        current = abn_forward(current, layer.norm, layer.gen, mode, rate, rng)
+        current = bilstm_layer(current, layer.fwd, layer.bwd, rate, rng)
     return current
 
 
@@ -488,7 +500,7 @@ def stack_forward(
     vocabulary (``project``). Each of those stages records one taped node:
     two per layer, then the projection's. ``run_layers`` and ``project``
     let a caller resume the stack at any layer (see ``abn.gradcheck``).
-    A batch whose width is not ``ModelConfig.features`` raises
-    ``ShapeError`` in ``run_layers``, before any stage runs.
+    A bad mode or batch, or train-mode dropout without ``rng``, is refused
+    in ``run_layers``, the pass's gate, before any stage runs.
     """
     return project(run_layers(batch, model, 0, mode, rng), model)

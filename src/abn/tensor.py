@@ -186,17 +186,10 @@ def masked_softmax_array(scores: np.ndarray, valid: np.ndarray) -> np.ndarray:
     ``valid`` is a boolean mask that broadcasts to ``scores`` (a ``[B, 1, T]``
     key mask serves every query row of ``[B, T, T]`` scores). Masked
     positions are excluded before exponentiation, so their probability and
-    gradient are exactly zero; every row needs one valid position. The
-    maximum valid score is subtracted for stability.
+    gradient are exactly zero. Every row needs one valid position, which
+    the callers' frame masks give: ``SequenceBatch`` holds every length to
+    at least 1. The maximum valid score is subtracted for stability.
     """
-    try:  # a shape check: every row of the broadcast is a row of ``valid``
-        np.broadcast_to(valid, scores.shape)
-    except ValueError:
-        raise ShapeError(
-            f"mask shape {np.shape(valid)} does not broadcast to scores {scores.shape}"
-        ) from None
-    if not valid.any(axis=-1).all():
-        raise DomainError("masked_softmax: a row has every position masked")
     # One fresh array, worked in place: abn-u's [B, T, T] attention scores
     # make every copy a large transient.
     p = np.where(valid, scores, -np.inf)
@@ -212,19 +205,16 @@ def masked_softmax_vjp(g: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def dropout_scale(
-    shape: tuple[int, ...], rate: float, rng: np.random.Generator | None, mode: str
+    shape: tuple[int, ...], rate: float, rng: np.random.Generator | None
 ) -> np.ndarray | None:
     """Inverted-dropout factors for an array of ``shape``, drawn from ``rng``:
-    ``1/(1-rate)`` on kept entries, 0 on dropped ones. ``None`` at inference
-    or rate 0, where dropout is the identity and draws nothing."""
-    if not 0.0 <= rate < 1.0:
-        raise ContractError(f"dropout rate must lie in [0, 1), got {rate}")
-    if mode not in ("train", "infer"):
-        raise ContractError(f"mode must be 'train' or 'infer', got {mode!r}")
-    if mode == "infer" or rate == 0.0:
+    ``1/(1-rate)`` on kept entries, 0 on dropped ones. ``None`` at rate 0,
+    where dropout is the identity and draws nothing. The stages take their
+    rate from ``abn.recurrent.run_layers``, 0.0 at inference, which refuses
+    a positive rate without ``rng``; ``ModelConfig`` bounds it to [0, 1).
+    """
+    if rate == 0.0:
         return None
-    if rng is None:
-        raise ContractError("dropout in train mode needs a random generator")
     keep = (rng.random(shape) >= rate).astype(np.float64)
     return keep / (1.0 - rate)
 

@@ -74,7 +74,10 @@ FAULTS = [
          ("bptt: cell carry through f dropped", "dc_t *= f[at]", "pass"),
          ("bptt: peephole weight reads c_in", "(dz4[:, :, 3] * cell)", "(dz4[:, :, 3] * c_in)"),
          ("bilstm dropout vjp unscaled", "g = g * scale", "pass"),
-         ("projection bias dropped", "logits += tc.per_replica(bias.data, 1, 4)", "pass")),
+         ("projection bias dropped", "logits += tc.per_replica(bias.data, 1, 4)", "pass"),
+         ("gate: dropout kept at inference", 'model.config.dropout if mode == "train" else 0.0',
+          "model.config.dropout"),
+         ("gate: generator check dropped", "if rate > 0.0 and rng is None:", "if False:")),
     # The generators: every forward stage, then the VJPs.
     *_in("generators.py",
          ("abn-f embed: tanh dropped", "return np.tanh(e, out=e)", "return e"),

@@ -247,11 +247,11 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return out
 
 
-def dropout(x, rate: float, rng: np.random.Generator | None, mode: str) -> Tensor:
-    """Inverted dropout: scales kept entries by ``1/(1-rate)`` during
-    training; identity at inference or rate 0."""
+def dropout(x, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout: scales kept entries by ``1/(1-rate)``; identity at
+    rate 0, the rate every stage applies at inference."""
     x = _as_tensor(x)
-    scale = dropout_scale(x.shape, rate, rng, mode)
+    scale = dropout_scale(x.shape, rate, rng)
     return x if scale is None else mul(x, Tensor._wrap(scale))
 
 

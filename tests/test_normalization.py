@@ -7,6 +7,7 @@ from abn import errors
 from abn.data import SequenceBatch
 from abn.generators import LearnedScaleShift, abn_forward
 from abn.normalization import BatchNormState, standardize_batch
+from abn.recurrent import Model, ModelConfig, stack_forward
 from abn.tensor import GradTape, Tensor, backward, recording
 
 import taped
@@ -79,9 +80,12 @@ class TestStatistics:
         assert var.data.tolist() == [pytest.approx(8.0 / 3.0)]
 
     def test_single_frame_rejected(self):
+        # The pass's gate refuses it before layer 0 takes statistics.
+        model = Model(ModelConfig(1, 2, 3, 4, "bn"), np.random.default_rng(0))
         b = batch_of(np.ones((1, 2, 3)), [1])
         with pytest.raises(errors.DegenerateBatchError):
-            standardize_batch(b, BatchNormState.fresh(3), "train")
+            stack_forward(b, model, "train")
+        assert model.layers[0].norm.running_mean.data.tolist() == [0.0, 0.0, 0.0]
 
 
 class TestNormalize:
@@ -318,7 +322,8 @@ class TestStateValidation:
         assert s.momentum == 0.1
 
     def test_value_contracts_are_not_shape_errors(self):
-        batch = batch_of(np.ones((1, 2, 2)), [2])
+        batch = batch_of(np.ones((1, 2, 3)), [2])
+        model = Model(ModelConfig(1, 2, 3, 4, "bn"), np.random.default_rng(0))
         with pytest.raises(errors.ContractError, match="mode") as exc:
-            standardize_batch(batch, BatchNormState.fresh(2), "eval")
+            stack_forward(batch, model, "eval")
         assert not isinstance(exc.value, errors.ShapeError)

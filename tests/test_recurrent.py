@@ -469,6 +469,19 @@ class TestStackForward:
         out = stack_forward(batch, model, "train", rng=np.random.default_rng(51))
         assert out.features.shape == (1, 2, 4)
 
+    @pytest.mark.parametrize("variant", ["bn", "abn-f", "abn-u"])
+    def test_refused_pass_leaves_the_model_as_it_was(self, variant):
+        # The gate refuses train-mode dropout without a generator before
+        # layer 0 standardizes, so no running statistic moves.
+        model = Model(ModelConfig(2, 3, 4, 5, variant, dropout=0.3), np.random.default_rng(55))
+        batch = SequenceBatch(Tensor(np.random.default_rng(56).normal(size=(2, 4, 4))), [4, 3])
+        stored = lambda: {**model.parameters(), **model.running_stats()}
+        before = {name: t.data.copy() for name, t in stored().items()}
+        with pytest.raises(errors.ContractError, match="random generator"):
+            stack_forward(batch, model, "train")
+        for name, t in stored().items():
+            np.testing.assert_array_equal(t.data, before[name], err_msg=name)
+
 
     @pytest.mark.parametrize("variant", ["bn", "abn-f", "abn-u"])
     def test_every_stage_shares_the_input_frames(self, monkeypatch, variant):
@@ -506,12 +519,12 @@ def taped_project(features, model):
     return taped.reshape(logits, (b, t_max, model.config.vocab))
 
 
-def taped_join(fwd, bwd, frames, rate=0.0, mode="infer", rng=None):
+def taped_join(fwd, bwd, rate=0.0, rng=None):
     """The join as taped primitives: ``concat``, then ``dropout`` of the joined shape."""
-    return taped.dropout(taped.concat([fwd, bwd], axis=2), rate, rng, mode)
+    return taped.dropout(taped.concat([fwd, bwd], axis=2), rate, rng)
 
 
-def taped_bilstm(batch, params_fwd, params_bwd, rate=0.0, mode="infer", rng=None):
+def taped_bilstm(batch, params_fwd, params_bwd, rate=0.0, rng=None):
     """The BiLSTM layer as separate nodes: each direction recorded as its own
     node from ``run_direction``'s output and VJP, then ``taped_join``."""
     halves = []
@@ -521,7 +534,7 @@ def taped_bilstm(batch, params_fwd, params_bwd, rate=0.0, mode="infer", rng=None
         fields = (getattr(params, name) for name in LstmLayerParams.__slots__)
         tc.record_op(half, (batch.features, *fields), vjp)
         halves.append(half)
-    return taped_join(*halves, batch.frames, rate, mode, rng)
+    return taped_join(*halves, rate, rng)
 
 
 class TestFusedOutputStage:
@@ -567,7 +580,7 @@ class TestFusedOutputStage:
             drop_rng = np.random.default_rng(65)
             tape = GradTape()
             with recording(tape):
-                out = layer(batch, pf, pb, rate, "train", drop_rng)
+                out = layer(batch, pf, pb, rate, drop_rng)
                 n_nodes = len(tape)
                 loss = taped.tsum(taped.mul(out, probe))
             grads = backward(tape, loss)
@@ -602,7 +615,7 @@ class TestFusedOutputStage:
             drop_rng = np.random.default_rng(68)
             tape = GradTape()
             with recording(tape) if record else contextlib.nullcontext():
-                out = bilstm_layer(batch, params, params, 0.3, "train", drop_rng)
+                out = bilstm_layer(batch, params, params, 0.3, drop_rng)
             outs.append((out.features.data, len(tape)))
         np.testing.assert_array_equal(outs[0][0], outs[1][0])
         assert (outs[0][1], outs[1][1]) == (0, 1)
